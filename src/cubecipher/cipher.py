@@ -6,11 +6,17 @@ Encryption of one 2x2 block B of trapdoor-encoded values computes
     E = transpose(B @ Q^n @ R) @ K
 
 where Q^n is the Fibonacci matrix for the key's index, R the quarter-turn
-rotation, and K the invertible secret key matrix. Decryption undoes the
-chain right to left with exact rational arithmetic (R is orthogonal, so
-its inverse is its transpose; Q^n has determinant +-1, so its inverse is
-integral; K inverse is rational in general) and then requires the result
-to land back on integers, which is the earliest wrong-key detector.
+rotation, and K the invertible secret key matrix. Decryption inverts the
+chain in integers. With K^-1 = adj(K) / det(K), R^-1 = transpose(R) and
+Q^-n = (-1)^n adj(Q^n) (Q^n has determinant (-1)^n),
+
+    B = transpose(E @ adj(K)) @ W / det(K),    W = transpose(R) @ Q^-n
+
+where W is an integer matrix computed once per key. Every entry of the
+integer numerator must divide exactly by det(K); a remainder is the
+earliest wrong-key detector. The quotient is the exact value of the chain
+of rational inverses, so this accepts and rejects exactly the blocks that
+the rational chain would, and fails at the same entry.
 
 Everything is per block: there is no mixing across blocks, a property the
 analysis module measures and reports as the scheme's diffusion limit.
@@ -33,14 +39,7 @@ from .errors import (
     NonIntegralResultError,
     SymbolRangeError,
 )
-from .matrices import (
-    IntMatrix,
-    fibonacci_q,
-    inverse_exact,
-    is_column_independent,
-    rat_to_int_matrix,
-    rotation,
-)
+from .matrices import IntMatrix, fibonacci_q, is_column_independent, rotation
 from .primes import Xorshift64Star, prime_stream
 
 __all__ = [
@@ -220,19 +219,50 @@ def _encrypt_one(block, q, r, kmat):
     return (block @ q @ r).transpose() @ kmat
 
 
-def _decrypt_one(block, k_inv, r_t, q_inv):
-    product = (block.to_rational() @ k_inv).transpose() @ r_t @ q_inv
-    return rat_to_int_matrix(product)
+def _decrypt_one(block, adj_k, det_k, w):
+    """transpose(block @ adj_k) @ w / det_k, all row-major 2x2 entries.
+
+    Raises NonIntegralResultError naming the first entry that det_k does
+    not divide. The message leaves the entry's value out: it can be too
+    long to print, and it would leak a divisor of det(K).
+    """
+    e00, e01, e10, e11 = block.entries
+    a00, a01, a10, a11 = adj_k
+    w00, w01, w10, w11 = w
+    # rows of transpose(block @ adj_k) are the columns of block @ adj_k
+    c00, c01 = e00 * a00 + e01 * a10, e10 * a00 + e11 * a10
+    c10, c11 = e00 * a01 + e01 * a11, e10 * a01 + e11 * a11
+    numerator = (
+        c00 * w00 + c01 * w10,
+        c00 * w01 + c01 * w11,
+        c10 * w00 + c11 * w10,
+        c10 * w01 + c11 * w11,
+    )
+    out = []
+    for idx, value in enumerate(numerator):
+        quotient, remainder = divmod(value, det_k)
+        if remainder:
+            raise NonIntegralResultError("entry (%d, %d) is not an integer" % divmod(idx, 2))
+        out.append(quotient)
+    return IntMatrix(2, 2, tuple(out))
 
 
 def _mixers(key):
     return fibonacci_q(key.fib_index), rotation(key.quarter_turns)
 
 
+def _adjugate(m):
+    a, b, c, d = m.entries
+    return IntMatrix(2, 2, (d, -b, -c, a))
+
+
 def _inverse_mixers(key):
+    """(adj K, det K, W = transpose(R) @ Q^-n) for _decrypt_one, as entry tuples."""
     q, r = _mixers(key)
-    # R is orthogonal, so transposing it is the exact inverse.
-    return inverse_exact(key.key_matrix), r.transpose().to_rational(), inverse_exact(q)
+    q_inv = (-1) ** key.fib_index * _adjugate(q)
+    w = r.transpose() @ q_inv
+    kmat = key.key_matrix
+    return _adjugate(kmat).entries, kmat.det(), w.entries
 
 
 def encrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
@@ -245,8 +275,7 @@ def encrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
 def decrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
     """Invert encrypt_block; raises NonIntegralResultError under a wrong key."""
     _require_valid(key)
-    k_inv, r_t, q_inv = _inverse_mixers(key)
-    return _decrypt_one(block, k_inv, r_t, q_inv)
+    return _decrypt_one(block, *_inverse_mixers(key))
 
 
 def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> CiphertextEnvelope:
@@ -287,11 +316,11 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
         raise CorruptCiphertextError(
             "unsupported ciphertext version %r" % (envelope.version,)
         )
-    k_inv, r_t, q_inv = _inverse_mixers(key)
+    adj_k, det_k, w = _inverse_mixers(key)
     plain_blocks = []
     for i, block in enumerate(envelope.blocks):
         try:
-            plain_blocks.append(_decrypt_one(block, k_inv, r_t, q_inv))
+            plain_blocks.append(_decrypt_one(block, adj_k, det_k, w))
         except NonIntegralResultError as exc:
             raise NonIntegralResultError("block %d: %s" % (i, exc)) from None
     ts = deblockify(plain_blocks, envelope.pad_count)

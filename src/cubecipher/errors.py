@@ -15,9 +15,10 @@ class SingularMatrixError(CipherError):
 
 
 class NonIntegralResultError(CipherError):
-    """A rational result expected to be integral has a denominator above 1.
+    """A result expected to be integral is not.
 
-    During decryption this signals a wrong key or corrupted ciphertext.
+    During decryption an un-mixed block entry is not divisible by det(K),
+    which signals a wrong key or corrupted ciphertext.
     """
 
 

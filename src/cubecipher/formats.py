@@ -82,7 +82,14 @@ def _expect_version(value, what):
 def _parse_decimal(value, what):
     if not isinstance(value, str) or not _DECIMAL_RE.match(value):
         raise FormatError("%s must be a canonical decimal string, got %r" % (what, value))
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        # Python's int/str conversion limit (sys.get_int_max_str_digits)
+        raise FormatError(
+            "%s has %d digits, more than this interpreter converts"
+            % (what, len(value.lstrip("-")))
+        ) from None
 
 
 def _parse_block_entries(value, what):

@@ -16,12 +16,20 @@ the same seed. Two pieces make that work:
   constant 0x9E3779B97F4A7C15. Test vectors live in the test suite and in
   the README appendix.
 
-* is_prime, a deterministic Miller-Rabin test using the base set that is
-  known sufficient for every input below 2**64. No probabilistic failure.
+* A sieve of Eratosthenes over [0, 2**16), built once at import as a
+  64 KiB lookup table. prime_stream keeps a copy of it per call, clears
+  each prime's slot as the prime is emitted, and so rejects composites and
+  repeats with one table lookup per draw.
+
+is_prime, a deterministic Miller-Rabin test using the base set that is
+known sufficient for every input below 2**64, is kept as a tested utility;
+the test suite checks the sieve against it on every n below 2**16.
 
 This generator is NOT cryptographically secure and is not meant to be; the
 contract here is cross-platform determinism, not unpredictability.
 """
+
+from math import isqrt
 
 from .errors import CipherError
 
@@ -34,6 +42,19 @@ _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
 # Primes are drawn from [2, 2**16); there are exactly 6542 of them.
 PRIME_LIMIT = 1 << 16
 PRIME_COUNT_BELOW_LIMIT = 6542
+
+
+def _sieve(limit):
+    """bytes of length limit whose entry n is 1 iff n is prime."""
+    table = bytearray([1]) * limit
+    table[0] = table[1] = 0
+    for p in range(2, isqrt(limit - 1) + 1):
+        if table[p]:
+            table[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return bytes(table)
+
+
+_PRIME_TABLE = _sieve(PRIME_LIMIT)
 
 
 class Xorshift64Star:
@@ -107,13 +128,13 @@ def prime_stream(seed: int, count: int) -> list:
             "cannot emit %d distinct primes below %d (only %d exist)"
             % (count, PRIME_LIMIT, PRIME_COUNT_BELOW_LIMIT)
         )
-    rng = Xorshift64Star(seed)
+    draw = Xorshift64Star(seed).next_u64
+    unused = bytearray(_PRIME_TABLE)  # 1 at each prime not yet emitted
+    mask = PRIME_LIMIT - 1
     out = []
-    seen = set()
     while len(out) < count:
-        candidate = rng.next_u64() & (PRIME_LIMIT - 1)
-        if candidate in seen or not is_prime(candidate):
-            continue
-        seen.add(candidate)
-        out.append(candidate)
+        candidate = draw() & mask
+        if unused[candidate]:
+            unused[candidate] = 0
+            out.append(candidate)
     return out

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from cubecipher import (
     IntMatrix,
     InvalidKeyError,
     KeyMaterial,
+    NonIntegralResultError,
     blockify,
     deblockify,
     decrypt,
@@ -19,7 +21,9 @@ from cubecipher import (
     encrypt,
     encrypt_block,
     fibonacci_q,
+    inverse_exact,
     keygen,
+    rat_to_int_matrix,
     rotation,
     serialize_ciphertext,
     validate_key,
@@ -357,3 +361,54 @@ def test_envelope_validation():
         CiphertextEnvelope(1, 1, ())
     with pytest.raises(TypeError):
         CiphertextEnvelope(1, 0, (IntMatrix.identity(3),))
+
+
+def reference_decrypt_block(block, key):
+    """The un-mix decrypt_block used before its integer form: the chain of
+    exact rational inverses, then the integrality check."""
+    q = fibonacci_q(key.fib_index)
+    r = rotation(key.quarter_turns)
+    k_inv = inverse_exact(key.key_matrix)
+    product = (block.to_rational() @ k_inv).transpose() @ r.transpose() @ inverse_exact(q)
+    return rat_to_int_matrix(product)
+
+
+def _outcome(unmix, block, key):
+    """The un-mixed block, or the (row, col) of the entry that failed."""
+    try:
+        return unmix(block, key)
+    except NonIntegralResultError as exc:
+        return tuple(int(g) for g in re.search(r"entry \((\d), (\d)\)", str(exc)).groups())
+
+
+def test_unmix_matches_rational_reference():
+    rng = random.Random(79)
+
+    def encoded_size_block():
+        # genuine encodings are (n^3 - n) / 6 with n up to 2**16 + 255
+        ns = [rng.randint(2, 65791) for _ in range(4)]
+        return IntMatrix(2, 2, tuple((n - 1) * n * (n + 1) // 6 for n in ns))
+
+    keys = [keygen(rng.randrange(2**64)) for _ in range(200)]
+    # add keys whose |det K| is 1, so wrong keys also pass the check
+    unimodular = (IntMatrix.identity(2), IntMatrix.from_rows([[2, 1], [1, 1]]))
+    keys += [KeyMaterial(m, n, t, 0) for m in unimodular for n in (1, 2, 40) for t in range(4)]
+    for key in keys:
+        plain = encoded_size_block()
+        cipher = encrypt_block(plain, key)
+        assert decrypt_block(cipher, key) == reference_decrypt_block(cipher, key) == plain
+        wrong = rng.choice(keys)
+        arbitrary = IntMatrix(2, 2, tuple(rng.randint(-(10**30), 10**30) for _ in range(4)))
+        for block in (cipher, arbitrary):
+            assert _outcome(decrypt_block, block, wrong) == _outcome(reference_decrypt_block, block, wrong)
+
+
+def test_wrong_key_error_omits_huge_values():
+    # each entry passes parse_ciphertext (4,299 digits), but the non-integral
+    # value behind it is too long for str(), which used to escape as ValueError
+    key = KeyMaterial(IntMatrix.from_rows([[97, -89], [88, 99]]), 40, 1, 0)
+    huge = int("9" * 4299)
+    envelope = CiphertextEnvelope(1, 0, (IntMatrix(2, 2, (huge,) * 4),))
+    with pytest.raises(NonIntegralResultError) as excinfo:
+        decrypt(envelope, key)
+    assert re.fullmatch(r"block 0: entry \(\d, \d\) is not an integer", str(excinfo.value))

@@ -77,6 +77,35 @@ def test_corrupt_ciphertext_exits_4(tmp_path):
     assert run(["decrypt", "--key", key, "--in", ct, "--out", tmp_path / "o"]) == 4
 
 
+def test_wrong_key_with_huge_entries_exits_4(tmp_path, capsys):
+    # entries short enough to parse, un-mixed values too long for str()
+    key = tmp_path / "k.json"
+    key.write_text(
+        serialize_key(KeyMaterial(IntMatrix.from_rows([[97, -89], [88, 99]]), 40, 1, 0)),
+        encoding="utf-8",
+    )
+    ct = tmp_path / "ct.json"
+    ct.write_text(json.dumps({"version": 1, "pad_count": 0, "blocks": [["9" * 4299] * 4]}))
+    out = tmp_path / "o"
+    assert run(["decrypt", "--key", key, "--in", ct, "--out", out]) == 4
+    assert not out.exists()
+    assert "block 0: entry (" in capsys.readouterr().err
+
+
+def test_overlong_ciphertext_entry_exits_4(tmp_path, capsys):
+    key = tmp_path / "k.json"
+    run(["keygen", "--seed", 5, "--out", key])
+    ct = tmp_path / "ct.json"
+    block = ["1", "2", "9" * 4400, "4"]
+    ct.write_text(json.dumps({"version": 1, "pad_count": 0, "blocks": [block]}))
+    out = tmp_path / "o"
+    assert run(["decrypt", "--key", key, "--in", ct, "--out", out]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "blocks[0][2] has 4400 digits" in err
+    assert "9999" not in err
+
+
 def test_missing_input_file_exits_5(tmp_path):
     key = tmp_path / "k.json"
     run(["keygen", "--seed", 5, "--out", key])

@@ -2,10 +2,12 @@
 test vectors that pin the wire contract down to the bit."""
 
 import math
+import random
 
 import pytest
 
 from cubecipher import CipherError, PRIME_LIMIT, Xorshift64Star, is_prime, prime_stream
+from cubecipher.primes import PRIME_COUNT_BELOW_LIMIT, _PRIME_TABLE
 
 MASK64 = (1 << 64) - 1
 
@@ -129,3 +131,38 @@ def test_is_prime_large_values():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     with pytest.raises(ValueError):
         is_prime(1 << 64)
+
+
+def reference_prime_stream(seed, count):
+    """The rejection loop prime_stream used before its sieve table:
+    Miller-Rabin on every candidate, a set for repeats."""
+    rng = Xorshift64Star(seed)
+    out = []
+    seen = set()
+    while len(out) < count:
+        candidate = rng.next_u64() & (PRIME_LIMIT - 1)
+        if candidate in seen or not is_prime(candidate):
+            continue
+        seen.add(candidate)
+        out.append(candidate)
+    return out
+
+
+_rng = random.Random(6542)
+DIFFERENTIAL_SEEDS = [0, 1, 5198, MASK64] + [_rng.randrange(1 << 64) for _ in range(20)]
+
+
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+def test_prime_stream_matches_reference_loop(seed):
+    expected = reference_prime_stream(seed, PRIME_COUNT_BELOW_LIMIT)
+    assert prime_stream(seed, PRIME_COUNT_BELOW_LIMIT) == expected
+    for length in (0, 1, 7, 256, 1024, 4096):
+        assert prime_stream(seed, length) == expected[:length]
+
+
+def test_sieve_table_agrees_with_is_prime():
+    assert len(_PRIME_TABLE) == PRIME_LIMIT
+    assert [n for n in range(PRIME_LIMIT) if _PRIME_TABLE[n]] == [
+        n for n in range(PRIME_LIMIT) if is_prime(n)
+    ]
+    assert sum(_PRIME_TABLE) == PRIME_COUNT_BELOW_LIMIT
