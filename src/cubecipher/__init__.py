@@ -22,6 +22,7 @@ from .cipher import (
     FORMAT_VERSION,
     CiphertextEnvelope,
     KeyMaterial,
+    block_map,
     blockify,
     deblockify,
     decrypt,
@@ -103,6 +104,7 @@ __all__ = [
     "apply_composite",
     "avalanche_test",
     "benchmark",
+    "block_map",
     "blockify",
     "cantor_pair",
     "cantor_unpair",

@@ -69,7 +69,7 @@ def _bit_difference_fraction(a: bytes, b: bytes) -> Fraction:
         return Fraction(0)
     a = a.ljust(n, b"\x00")
     b = b.ljust(n, b"\x00")
-    differing = sum(bin(x ^ y).count("1") for x, y in zip(a, b))
+    differing = (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).bit_count()
     return Fraction(differing, 8 * n)
 
 

@@ -6,9 +6,19 @@ Encryption of one 2x2 block B of trapdoor-encoded values computes
     E = transpose(B @ Q^n @ R) @ K
 
 where Q^n is the Fibonacci matrix for the key's index, R the quarter-turn
-rotation, and K the invertible secret key matrix. Decryption inverts the
-chain in integers. With K^-1 = adj(K) / det(K), R^-1 = transpose(R) and
-Q^-n = (-1)^n adj(Q^n) (Q^n has determinant (-1)^n),
+rotation, and K the invertible secret key matrix. The chain is linear in
+the entries of B: with vec() flattening a block row-major,
+
+    vec(E) = M @ vec(B),    M[2i + j][2a + b] = P[b][i] * K[a][j],  P = Q^n @ R
+
+so encryption builds the integer 4x4 map M once per call (block_map) and
+applies it to every block with plain integer multiply-adds. This is the
+Hill-cipher view of the scheme, and M is exactly what the analysis
+module's known-plaintext attack recovers.
+
+Decryption inverts the chain in integers. With K^-1 = adj(K) / det(K),
+R^-1 = transpose(R) and Q^-n = (-1)^n adj(Q^n) (Q^n has determinant
+(-1)^n),
 
     B = transpose(E @ adj(K)) @ W / det(K),    W = transpose(R) @ Q^-n
 
@@ -50,6 +60,7 @@ __all__ = [
     "validate_key",
     "blockify",
     "deblockify",
+    "block_map",
     "encrypt_block",
     "decrypt_block",
     "encrypt",
@@ -169,6 +180,11 @@ def keygen(rng_seed: int) -> KeyMaterial:
     return KeyMaterial(matrix, fib_index, quarter_turns, prime_seed)
 
 
+def _padded(ts):
+    pad_count = (-len(ts)) % BLOCK_SYMBOLS
+    return ts + [0] * pad_count, pad_count
+
+
 def blockify(ts):
     """Group encoded values into 2x2 blocks, row-major, zero-padding the tail.
 
@@ -179,8 +195,7 @@ def blockify(ts):
     for t in ts:
         if not isinstance(t, int) or isinstance(t, bool) or t < 0:
             raise ValueError("encoded values must be nonnegative ints, got %r" % (t,))
-    pad_count = (-len(ts)) % BLOCK_SYMBOLS
-    ts.extend([0] * pad_count)
+    ts, pad_count = _padded(ts)
     blocks = [
         IntMatrix(2, 2, tuple(ts[i : i + BLOCK_SYMBOLS]))
         for i in range(0, len(ts), BLOCK_SYMBOLS)
@@ -193,7 +208,9 @@ def deblockify(blocks, pad_count: int):
 
     A nonzero value in a pad position means the ciphertext was tampered
     with or decrypted under the wrong key, and raises
-    CorruptCiphertextError naming the offending block.
+    CorruptCiphertextError naming the offending slot and block. The
+    message gives the value's bit length, not its digits, which can be too
+    long to print.
     """
     blocks = list(blocks)
     if not 0 <= pad_count < BLOCK_SYMBOLS:
@@ -208,15 +225,39 @@ def deblockify(blocks, pad_count: int):
             if value != 0:
                 position = len(flat) - pad_count + offset
                 raise CorruptCiphertextError(
-                    "pad slot %d in block %d holds %d, expected 0"
-                    % (position % BLOCK_SYMBOLS, position // BLOCK_SYMBOLS, value)
+                    "pad slot %d in block %d holds a nonzero %d-bit value, expected 0"
+                    % (position % BLOCK_SYMBOLS, position // BLOCK_SYMBOLS, value.bit_length())
                 )
         del flat[-pad_count:]
     return flat
 
 
-def _encrypt_one(block, q, r, kmat):
-    return (block @ q @ r).transpose() @ kmat
+def _block_map(key):
+    """Row-major entries of the 4x4 M with vec(E) = M @ vec(B)."""
+    q, r = _mixers(key)
+    p = (q @ r).entries
+    k = key.key_matrix.entries
+    # E[i][j] = sum over (a, b) of B[a][b] * P[b][i] * K[a][j]
+    return tuple(
+        p[2 * b + i] * k[2 * a + j] for i in (0, 1) for j in (0, 1) for a in (0, 1) for b in (0, 1)
+    )
+
+
+def _mix(key, flat):
+    """Ciphertext blocks of a flat row-major entry list whose length is a
+    multiple of 4, through the key's block map."""
+    (m00, m01, m02, m03, m10, m11, m12, m13,
+     m20, m21, m22, m23, m30, m31, m32, m33) = _block_map(key)
+    it = iter(flat)
+    return [
+        IntMatrix(2, 2, (
+            m00 * b0 + m01 * b1 + m02 * b2 + m03 * b3,
+            m10 * b0 + m11 * b1 + m12 * b2 + m13 * b3,
+            m20 * b0 + m21 * b1 + m22 * b2 + m23 * b3,
+            m30 * b0 + m31 * b1 + m32 * b2 + m33 * b3,
+        ))
+        for b0, b1, b2, b3 in zip(it, it, it, it)
+    ]
 
 
 def _decrypt_one(block, adj_k, det_k, w):
@@ -265,11 +306,21 @@ def _inverse_mixers(key):
     return _adjugate(kmat).entries, kmat.det(), w.entries
 
 
+def block_map(key: KeyMaterial) -> IntMatrix:
+    """The 4x4 integer map M of the block layer: vec(E) = M @ vec(B), with
+    vec() flattening a 2x2 block row-major."""
+    _require_valid(key)
+    return IntMatrix(4, 4, _block_map(key))
+
+
 def encrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
     """Encrypt one 2x2 block: transpose(block @ Q^n @ R) @ K, all exact."""
+    if not isinstance(block, IntMatrix):
+        raise TypeError("block must be an IntMatrix")
+    if (block.rows, block.cols) != (2, 2):
+        raise ValueError("block must be 2x2")
     _require_valid(key)
-    q, r = _mixers(key)
-    return _encrypt_one(block, q, r, key.key_matrix)
+    return _mix(key, block.entries)[0]
 
 
 def decrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
@@ -297,11 +348,8 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
                     % (b, i)
                 )
     primes = prime_stream(key.prime_seed, len(message))
-    ts = [encode_symbol(b, p) for b, p in zip(message, primes)]
-    blocks, pad_count = blockify(ts)
-    q, r = _mixers(key)
-    encrypted = tuple(_encrypt_one(b, q, r, key.key_matrix) for b in blocks)
-    return CiphertextEnvelope(FORMAT_VERSION, pad_count, encrypted)
+    ts, pad_count = _padded([encode_symbol(b, p) for b, p in zip(message, primes)])
+    return CiphertextEnvelope(FORMAT_VERSION, pad_count, _mix(key, ts))
 
 
 def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = False) -> bytes:

@@ -10,11 +10,13 @@ case of "the product of n consecutive integers is divisible by n", which
 consecutive_product_divisible checks directly).
 
 Decoding solves n^3 - n = 6t for its unique integer root n >= 2 and
-returns x = n - y. Uniqueness comes from monotonicity: n^3 - n is strictly
-increasing for n >= 1, so an exact integer binary search replaces any
-radical formula and keeps the whole round trip bit-exact. Without y the
-root n only reveals the sum x + y, which is what makes the prime stream
-the trapdoor knowledge.
+returns x = n - y. For n >= 2 the cubic sits strictly between two
+consecutive cubes, (n - 1)^3 < n^3 - n < n^3, so the only candidate is
+n = icbrt(6t) + 1, where icbrt is the exact integer cube root (integer
+Newton iteration, no floats), and one exact check n^3 - n = 6t accepts or
+rejects it. The whole round trip stays bit-exact at any size. Without y
+the root n only reveals the sum x + y, which is what makes the prime
+stream the trapdoor knowledge.
 
 The Cantor pairing bijection is provided as a standalone utility of the
 same spirit (a reversible packing of two naturals into one); the cipher
@@ -72,44 +74,42 @@ def encode_symbol(code: int, prime: int) -> int:
 
 
 def integer_cube_root(n: int) -> int:
-    """Largest integer r with r**3 <= n, for n >= 0. Exact bisection."""
+    """Largest integer r with r**3 <= n, for n >= 0. Exact integer Newton.
+
+    Starts at 2**ceil(bits/3), which is at least the root, and steps
+    x -> (2x + n // x^2) // 3. By the AM-GM inequality no step lands below
+    the root, and every step from above it strictly decreases, so the first
+    step that does not decrease is taken from the root itself.
+    """
     if n < 0:
         raise ValueError("integer_cube_root requires a nonnegative input")
     if n < 8:
         return 0 if n == 0 else 1
-    lo = 0
-    hi = 1 << (n.bit_length() // 3 + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid * mid * mid <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 def solve_depressed_cubic(t: int) -> int:
-    """Unique integer n >= 2 with n^3 - n = 6t, by exact binary search.
+    """Unique integer n >= 2 with n^3 - n = 6t, by one exact check.
 
-    n^3 - n is strictly increasing on n >= 1, so at most one root exists in
-    the bracket [2, cbrt(6t) + 2]. Raises NoIntegerRootError when the cubic
-    has no integer solution there (corrupted or non-genuine t).
+    (n - 1)^3 < n^3 - n < n^3 for n >= 2, so a root can only be
+    integer_cube_root(6t) + 1. Raises NoIntegerRootError when that
+    candidate fails (corrupted or non-genuine t). The message gives t's
+    bit length, not its digits, which can be too long to print.
     """
     if t < 1:
-        raise NoIntegerRootError("no integer n >= 2 satisfies n^3 - n = %d" % (6 * t))
+        raise NoIntegerRootError("no integer n >= 2 satisfies n^3 - n = 6t for t < 1")
     target = 6 * t
-    lo = 2
-    hi = integer_cube_root(target) + 2
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        value = mid * mid * mid - mid
-        if value == target:
-            return mid
-        if value < target:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    raise NoIntegerRootError("no integer n >= 2 satisfies n^3 - n = %d" % target)
+    n = integer_cube_root(target) + 1
+    if n * n * n - n != target:
+        raise NoIntegerRootError(
+            "no integer n >= 2 satisfies n^3 - n = 6t for this %d-bit t" % t.bit_length()
+        )
+    return n
 
 
 def decode_symbol(t: int, prime: int, max_code: int = ASCII_MAX) -> int:
@@ -124,12 +124,14 @@ def decode_symbol(t: int, prime: int, max_code: int = ASCII_MAX) -> int:
     try:
         n = solve_depressed_cubic(t)
     except NoIntegerRootError as exc:
-        raise CorruptValueError("value %d is not a valid encoding: %s" % (t, exc)) from exc
+        raise CorruptValueError("value is not a valid encoding: %s" % exc) from exc
     code = n - prime
     if not 0 <= code <= max_code:
+        # a code from a huge t can be too long to print; give its size instead
+        shown = "%d" % code if code.bit_length() <= 64 else "of %d bits" % code.bit_length()
         raise SymbolRangeError(
-            "decoded code %d is outside [0, %d] (wrong prime or corrupted value)"
-            % (code, max_code)
+            "decoded code %s is outside [0, %d] (wrong prime or corrupted value)"
+            % (shown, max_code)
         )
     return code
 

@@ -18,6 +18,7 @@ from cubecipher import (
     apply_composite,
     avalanche_test,
     benchmark,
+    block_map,
     decode_symbol,
     decrypt_block,
     encode_symbol,
@@ -56,6 +57,20 @@ def test_avalanche_is_deterministic():
     a = avalanche_test(keygen(3), 12, 30, rng_seed=77)
     b = avalanche_test(keygen(3), 12, 30, rng_seed=77)
     assert a.to_json_text() == b.to_json_text()
+
+
+def test_avalanche_report_is_pinned():
+    # the exact report text, so a change in the bit counting shows
+    expected = (
+        '{\n  "version": 1,\n  "trials": 50,\n  "message_length": 40,\n'
+        '  "mean_changed_block_fraction": "1/10",\n'
+        '  "mean_changed_bit_fraction": "4181/482000",\n'
+        '  "locality_histogram": {\n    "1": 50\n  },\n'
+        '  "finding": "every single-character change stayed inside its own 2x2 block; '
+        "this is the measured deviation from the full-diffusion ideal, under which one "
+        'changed character should unpredictably alter the entire ciphertext"\n}\n'
+    )
+    assert avalanche_test(keygen(7), 40, 50, 11).to_json_text() == expected
 
 
 def test_avalanche_validates_arguments():
@@ -102,6 +117,15 @@ def test_attack_on_random_keys():
             assert apply_composite(result.composite_map, fresh) == ct
             # the inverted map reaches the t-value layer, matching decrypt_block
             assert apply_composite(inverse_map, ct) == fresh == decrypt_block(ct, key)
+
+
+def test_attack_recovers_exactly_the_block_map():
+    rng = random.Random(103)
+    for seed in range(50):
+        key = keygen(seed)
+        result = known_plaintext_attack(pairs_for_key(key, 6, rng))
+        assert result.verified
+        assert result.composite_map == block_map(key).to_rational()
 
 
 def test_attack_needs_four_independent_pairs():

@@ -14,15 +14,18 @@ from cubecipher import (
     InvalidKeyError,
     KeyMaterial,
     NonIntegralResultError,
+    block_map,
     blockify,
     deblockify,
     decrypt,
     decrypt_block,
+    encode_symbol,
     encrypt,
     encrypt_block,
     fibonacci_q,
     inverse_exact,
     keygen,
+    prime_stream,
     rat_to_int_matrix,
     rotation,
     serialize_ciphertext,
@@ -121,6 +124,15 @@ def test_deblockify_examples_and_errors():
         deblockify([], 1)
 
 
+def test_pad_slot_error_omits_huge_values():
+    huge = 10**5000 - 1
+    with pytest.raises(CorruptCiphertextError) as excinfo:
+        deblockify([IntMatrix(2, 2, (1, 2, 3, huge))], 1)
+    assert str(excinfo.value) == (
+        "pad slot 3 in block 0 holds a nonzero %d-bit value, expected 0" % huge.bit_length()
+    )
+
+
 def test_encrypt_block_zero_is_zero():
     zero = IntMatrix.zeros(2, 2)
     for seed in range(5):
@@ -135,15 +147,46 @@ def test_encrypt_block_derived_example():
     assert decrypt_block(IntMatrix.from_rows([[3, 7], [1, 3]]), IDENTITY_KEY) == b
 
 
+def reference_encrypt_block(block, key):
+    """The block chain spelled out with IntMatrix products, as encrypt_block
+    computed it before the per-key map."""
+    q = fibonacci_q(key.fib_index)
+    r = rotation(key.quarter_turns)
+    return ((block @ q) @ r).transpose() @ key.key_matrix
+
+
+def reference_encrypt(message, key):
+    """encrypt before the per-key map: encode, blockify, chain per block."""
+    primes = prime_stream(key.prime_seed, len(message))
+    blocks, pad_count = blockify([encode_symbol(b, p) for b, p in zip(message, primes)])
+    return CiphertextEnvelope(1, pad_count, tuple(reference_encrypt_block(b, key) for b in blocks))
+
+
 def test_encrypt_block_matches_spelled_out_chain():
     rng = random.Random(41)
-    for seed in range(20):
-        key = keygen(seed)
-        b = IntMatrix(2, 2, tuple(rng.randint(0, 10**9) for _ in range(4)))
-        q = fibonacci_q(key.fib_index)
-        r = rotation(key.quarter_turns)
-        expected = ((b @ q) @ r).transpose() @ key.key_matrix
-        assert encrypt_block(b, key) == expected
+    for seed in range(200):
+        base = keygen(seed)
+        for turns in range(4):
+            key = KeyMaterial(base.key_matrix, base.fib_index, turns, base.prime_seed)
+            b = IntMatrix(2, 2, tuple(rng.randint(0, 10**9) for _ in range(4)))
+            assert encrypt_block(b, key) == reference_encrypt_block(b, key)
+            vec_e = block_map(key) @ IntMatrix(4, 1, b.entries)
+            assert vec_e.entries == encrypt_block(b, key).entries
+
+
+def test_encrypt_matches_spelled_out_chain():
+    rng = random.Random(42)
+    for _ in range(100):
+        key = keygen(rng.randrange(2**64))
+        message = bytes(rng.randrange(0, 256) for _ in range(rng.randrange(0, 70)))
+        assert encrypt(message, key, byte_mode=True) == reference_encrypt(message, key)
+
+
+def test_encrypt_block_checks_its_block():
+    with pytest.raises(ValueError):
+        encrypt_block(IntMatrix.identity(4), IDENTITY_KEY)
+    with pytest.raises(TypeError):
+        encrypt_block((1, 2, 3, 4), IDENTITY_KEY)
 
 
 def test_block_round_trip_random():

@@ -92,6 +92,28 @@ def test_wrong_key_with_huge_entries_exits_4(tmp_path, capsys):
     assert "block 0: entry (" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pad_count, block, message",
+    [
+        # K = I, so every 4,299-digit entry passes the un-mix and grows
+        (1, ["9" * 4299] * 4, "pad slot 3 in block 0 holds a nonzero "),
+        (0, ["9" * 4299, "0", "0", "0"], "symbol 0: value is not a valid encoding"),
+    ],
+)
+def test_unimodular_key_with_huge_entries_exits_4(tmp_path, capsys, pad_count, block, message):
+    key = tmp_path / "k.json"
+    key.write_text(serialize_key(KeyMaterial(IntMatrix.identity(2), 40, 0, 0)), encoding="utf-8")
+    ct = tmp_path / "ct.json"
+    ct.write_text(json.dumps({"version": 1, "pad_count": pad_count, "blocks": [block]}))
+    out = tmp_path / "o"
+    assert run(["decrypt", "--key", key, "--in", ct, "--out", out]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert message in err
+    assert "-bit" in err
+    assert "9999" not in err
+
+
 def test_overlong_ciphertext_entry_exits_4(tmp_path, capsys):
     key = tmp_path / "k.json"
     run(["keygen", "--seed", 5, "--out", key])

@@ -26,6 +26,41 @@ def linear_scan_root(t):
     return n if n * n * n - n == 6 * t else None
 
 
+def reference_integer_cube_root(n):
+    """The bisection integer_cube_root used before the Newton iteration."""
+    if n < 8:
+        return 0 if n == 0 else 1
+    lo = 0
+    hi = 1 << (n.bit_length() // 3 + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * mid * mid <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def reference_solve_depressed_cubic(t):
+    """The binary-search solve_depressed_cubic used before the closed form,
+    returning None where it raised NoIntegerRootError."""
+    if t < 1:
+        return None
+    target = 6 * t
+    lo = 2
+    hi = reference_integer_cube_root(target) + 2
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        value = mid * mid * mid - mid
+        if value == target:
+            return mid
+        if value < target:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None
+
+
 def first_primes(count):
     """Oracle prime list by trial division, in natural order."""
     primes = []
@@ -138,7 +173,7 @@ def test_solve_depressed_cubic_matches_linear_scan():
 
 def test_cubic_monotonicity():
     # n^3 - n strictly increases for n >= 1, the fact that makes the
-    # binary-search root unique
+    # root unique
     previous = 0
     for n in range(1, 1001):
         value = n * n * n - n
@@ -176,6 +211,74 @@ def test_integer_cube_root():
         assert integer_cube_root(exact**3 + 1) == exact
     with pytest.raises(ValueError):
         integer_cube_root(-1)
+
+
+def test_integer_cube_root_matches_bisection_exhaustively():
+    for n in range(1 << 17):
+        assert integer_cube_root(n) == reference_integer_cube_root(n)
+
+
+def test_integer_cube_root_at_cube_boundaries():
+    rng = random.Random(13)
+    for _ in range(300):
+        k = rng.getrandbits(rng.randint(16, 5000)) | 1 << 15
+        cube = k**3
+        assert integer_cube_root(cube - 1) == k - 1
+        assert integer_cube_root(cube) == k
+        assert integer_cube_root(cube + 1) == k
+    # the bisection is slow at this size, so it checks a few of them
+    for bits in (16, 17, 100, 1000, 5000):
+        k = rng.getrandbits(bits) | 1 << (bits - 1)
+        for n in (k**3 - 1, k**3, k**3 + 1):
+            assert integer_cube_root(n) == reference_integer_cube_root(n)
+
+
+def _outcome(t):
+    try:
+        return solve_depressed_cubic(t)
+    except NoIntegerRootError:
+        return None
+
+
+def test_solve_depressed_cubic_matches_binary_search():
+    rng = random.Random(17)
+    ts = list(range(-3, 2000))
+    for _ in range(2000):
+        # genuine encodings (n up to 2**16 + 255), their neighbours, and noise
+        n = rng.randint(2, 65791)
+        genuine = (n * n * n - n) // 6
+        ts += [genuine - 1, genuine, genuine + 1, rng.randrange(1, 10**15)]
+    for t in ts:
+        assert _outcome(t) == reference_solve_depressed_cubic(t)
+
+
+def test_solve_depressed_cubic_on_hostile_sizes():
+    # un-mixed values from crafted ciphertexts: thousands of digits
+    rng = random.Random(19)
+    for bits in (64, 500, 3000, 14300):
+        n = rng.getrandbits(bits // 3) | 1 << (bits // 3 - 1)
+        genuine = (n * n * n - n) // 6
+        for t in (genuine - 1, genuine, genuine + 1, -genuine, rng.getrandbits(bits)):
+            assert _outcome(t) == reference_solve_depressed_cubic(t)
+        assert solve_depressed_cubic(genuine) == n
+
+
+def test_huge_values_are_described_by_size():
+    # str() of an int over 4,300 digits raises ValueError, so the messages
+    # must name the size, never the digits
+    n = 10**5000 + 1
+    genuine = (n * n * n - n) // 6
+    with pytest.raises(CorruptValueError) as excinfo:
+        decode_symbol(genuine + 1, 13)
+    assert "%d-bit" % (genuine + 1).bit_length() in str(excinfo.value)
+    with pytest.raises(NoIntegerRootError):
+        solve_depressed_cubic(-genuine)
+    with pytest.raises(SymbolRangeError) as excinfo:
+        decode_symbol(genuine, 13)
+    assert "of %d bits" % (n - 13).bit_length() in str(excinfo.value)
+    # small codes are still printed
+    with pytest.raises(SymbolRangeError, match="decoded code -3 "):
+        decode_symbol(1, 5)
 
 
 def test_consecutive_product_divisible_examples():
