@@ -20,6 +20,7 @@ from .analysis import (
 )
 from .cipher import (
     FORMAT_VERSION,
+    MAX_FIB_INDEX,
     CiphertextEnvelope,
     KeyMaterial,
     block_map,
@@ -35,9 +36,6 @@ from .cipher import (
 from .encoding import (
     ASCII_MAX,
     BYTE_MAX,
-    cantor_pair,
-    cantor_unpair,
-    consecutive_product_divisible,
     decode_symbol,
     encode_symbol,
     integer_cube_root,
@@ -65,12 +63,7 @@ from .formats import (
 )
 from .matrices import (
     IntMatrix,
-    RatMatrix,
     fibonacci_q,
-    inverse_exact,
-    is_column_independent,
-    rank,
-    rat_to_int_matrix,
     rotation,
 )
 from .primes import PRIME_LIMIT, Xorshift64Star, is_prime, prime_stream
@@ -81,6 +74,7 @@ __all__ = [
     "ASCII_MAX",
     "BYTE_MAX",
     "FORMAT_VERSION",
+    "MAX_FIB_INDEX",
     "PRIME_LIMIT",
     "AttackResult",
     "AvalancheReport",
@@ -97,7 +91,6 @@ __all__ = [
     "KeyMaterial",
     "NoIntegerRootError",
     "NonIntegralResultError",
-    "RatMatrix",
     "SingularMatrixError",
     "SymbolRangeError",
     "Xorshift64Star",
@@ -106,9 +99,6 @@ __all__ = [
     "benchmark",
     "block_map",
     "blockify",
-    "cantor_pair",
-    "cantor_unpair",
-    "consecutive_product_divisible",
     "deblockify",
     "decode_symbol",
     "decrypt",
@@ -119,8 +109,6 @@ __all__ = [
     "fibonacci_q",
     "growth_exponent",
     "integer_cube_root",
-    "inverse_exact",
-    "is_column_independent",
     "is_prime",
     "keygen",
     "known_plaintext_attack",
@@ -128,8 +116,6 @@ __all__ = [
     "parse_key",
     "parse_pairs",
     "prime_stream",
-    "rank",
-    "rat_to_int_matrix",
     "rotation",
     "serialize_ciphertext",
     "serialize_key",

@@ -7,13 +7,22 @@ The block pipeline is linear in the block entries: with vec() flattening a
     vec(E) = M @ vec(B)
 
 for a fixed 4x4 integer matrix M determined entirely by the key's three
-mixing matrices. Four plaintext/ciphertext block pairs whose vec(B)
-vectors span all of Q^4 therefore determine M exactly, and with it every
-future block's encryption and (via M inverse) decryption to the encoded
-t-values, all without learning the key matrix, Fibonacci index, or
-rotation count individually. Recovering the plaintext characters from
-those t-values still needs the prime stream, which is the one non-linear
-piece of key material the attack does not touch.
+mixing matrices (cipher.block_map). Four plaintext/ciphertext block pairs
+whose vec(B) vectors span all of Q^4 therefore determine M exactly, and
+with it every future block's encryption, all without learning the key
+matrix, Fibonacci index, or rotation count individually. The same attack
+on swapped (ciphertext, plaintext) pairs recovers the inverse map, which
+decrypts any block down to the encoded t-values.
+
+known_plaintext_attack finds M by one incremental Gauss-Jordan pass over
+exact rational rows [vec(B) | vec(E)]: since vec(E)^T = vec(B)^T M^T,
+once the left halves are reduced to the identity the right halves are the
+rows of M^T. The recovered map is a flat row-major 16-tuple of Fractions,
+directly comparable with block_map(key).entries.
+
+Recovering the plaintext characters from those t-values still needs the
+prime stream, which is the one non-linear piece of key material the
+attack does not touch.
 
 The avalanche harness quantifies the flip side of per-block linearity:
 a single changed character can never influence any block but its own.
@@ -26,16 +35,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import median
 
-from .cipher import (
-    BLOCK_SYMBOLS,
-    FORMAT_VERSION,
-    decrypt,
-    encrypt,
-    validate_key,
-)
-from .errors import InsufficientPairsError, InvalidKeyError
-from .formats import dumps_canonical, serialize_ciphertext
-from .matrices import IntMatrix, RatMatrix, rank, rat_to_int_matrix
+from .cipher import BLOCK_SYMBOLS, FORMAT_VERSION, _require_valid, decrypt, encrypt
+from .errors import InsufficientPairsError, NonIntegralResultError
+from .formats import _format_decimal, dumps_canonical, serialize_ciphertext
+from .matrices import IntMatrix
 from .primes import Xorshift64Star
 
 __all__ = [
@@ -49,12 +52,6 @@ __all__ = [
     "benchmark",
     "growth_exponent",
 ]
-
-
-def _require_valid(key):
-    ok, problems = validate_key(key)
-    if not ok:
-        raise InvalidKeyError("; ".join(problems))
 
 
 def _bit_difference_fraction(a: bytes, b: bytes) -> Fraction:
@@ -172,40 +169,46 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
 class AttackResult:
     """A recovered composite linear map and its verification status.
 
-    composite_map acts on row-major flattened blocks: vec(E) = map @ vec(B).
-    verified is True iff the map reproduces every supplied pair exactly.
+    composite_map is the 4x4 map as a row-major 16-tuple of Fractions,
+    acting on row-major flattened blocks: vec(E) = map @ vec(B). For pairs
+    from one key it equals block_map(key).entries. verified is True iff
+    the map reproduces every supplied pair exactly.
     """
 
-    composite_map: RatMatrix
+    composite_map: tuple
     pairs_used: int
     verified: bool
 
     def to_json_text(self) -> str:
+        m = self.composite_map
         return dumps_canonical(
             {
                 "version": FORMAT_VERSION,
                 "pairs_used": self.pairs_used,
                 "verified": self.verified,
                 "composite_map": [
-                    [str(e) for e in self.composite_map.row(i)]
-                    for i in range(self.composite_map.rows)
+                    [_format_decimal(m[4 * i + j], "attack result: composite_map", i, j)
+                     for j in range(4)]
+                    for i in range(4)
                 ],
             }
         )
 
 
-def _vec_column(block: IntMatrix) -> tuple:
-    return block.entries  # row-major flattening
+def _apply(m, v):
+    """The 4x4 row-major map m applied to the 4-vector v."""
+    return tuple(sum(m[4 * i + k] * v[k] for k in range(4)) for i in range(4))
 
 
 def known_plaintext_attack(pairs) -> AttackResult:
     """Recover the composite 4x4 map from plaintext/ciphertext block pairs.
 
-    Needs at least four pairs whose flattened plaintext blocks span a
-    4-dimensional space; solves for the map with exact rational Gaussian
-    elimination and then checks it against every supplied pair. Raises
-    InsufficientPairsError (carrying the achieved rank) when the pairs
-    cannot pin the map down.
+    Walks the pairs in order, keeping each one whose flattened plaintext
+    block is independent of those already kept, until four are kept: the
+    row [vec(B) | vec(E)] is reduced against the kept rows, and a nonzero
+    left half keeps it. Then checks the map against every supplied pair.
+    Raises InsufficientPairsError (carrying the achieved rank) when the
+    pairs cannot pin the map down.
     """
     pairs = list(pairs)
     for plain, cipher in pairs:
@@ -213,56 +216,58 @@ def known_plaintext_attack(pairs) -> AttackResult:
             if not isinstance(m, IntMatrix) or (m.rows, m.cols) != (2, 2):
                 raise TypeError("attack pairs must be 2x2 IntMatrix values")
 
-    # Greedily pick pairs whose plaintext vectors extend the span.
-    chosen = []
-    for pair in pairs:
-        candidate = chosen + [pair]
-        spans = IntMatrix(
-            4,
-            len(candidate),
-            tuple(
-                _vec_column(candidate[c][0])[r]
-                for r in range(4)
-                for c in range(len(candidate))
-            ),
-        )
-        if rank(spans) == len(candidate):
-            chosen.append(pair)
-            if len(chosen) == 4:
-                break
-    if len(chosen) < 4:
+    kept = []  # (pivot column, row) in reduced row echelon form
+    for plain, cipher in pairs:
+        row = [Fraction(e) for e in plain.entries + cipher.entries]
+        for col, other in kept:
+            f = row[col]
+            if f:
+                row = [x - f * y for x, y in zip(row, other)]
+        pivot = next((c for c in range(4) if row[c]), None)
+        if pivot is None:
+            continue  # vec(B) is in the span of the kept pairs
+        p = row[pivot]
+        row = [x / p for x in row]
+        for i, (col, other) in enumerate(kept):
+            f = other[pivot]
+            if f:
+                kept[i] = (col, [x - f * y for x, y in zip(other, row)])
+        kept.append((pivot, row))
+        if len(kept) == 4:
+            break
+    if len(kept) < 4:
         raise InsufficientPairsError(
             "plaintext blocks only span a rank-%d space; rank 4 is required"
-            % len(chosen),
-            rank=len(chosen),
+            % len(kept),
+            rank=len(kept),
         )
 
-    plain_cols = IntMatrix(
-        4, 4, tuple(_vec_column(chosen[c][0])[r] for r in range(4) for c in range(4))
+    # kept row with pivot c is row c of M^T, i.e. column c of M
+    columns = dict(kept)
+    composite = tuple(columns[j][4 + i] for i in range(4) for j in range(4))
+    verified = all(
+        _apply(composite, plain.entries) == cipher.entries for plain, cipher in pairs
     )
-    cipher_cols = IntMatrix(
-        4, 4, tuple(_vec_column(chosen[c][1])[r] for r in range(4) for c in range(4))
-    )
-    composite = cipher_cols.to_rational() @ plain_cols.to_rational().inverse()
-
-    verified = True
-    for plain, cipher in pairs:
-        got = composite @ RatMatrix(4, 1, _vec_column(plain))
-        if got != RatMatrix(4, 1, _vec_column(cipher)):
-            verified = False
-            break
     return AttackResult(composite_map=composite, pairs_used=len(pairs), verified=verified)
 
 
-def apply_composite(composite: RatMatrix, block: IntMatrix) -> IntMatrix:
-    """Apply a 4x4 composite map to a 2x2 block, requiring an integral result."""
-    if (composite.rows, composite.cols) != (4, 4):
+def apply_composite(composite, block: IntMatrix) -> IntMatrix:
+    """Apply a 4x4 composite map (row-major 16 entries) to a 2x2 block.
+
+    Raises NonIntegralResultError naming the first entry of the result
+    that is not an integer; the message leaves the value out, as
+    decryption's does.
+    """
+    if len(composite) != 16:
         raise ValueError("composite map must be 4x4")
-    if (block.rows, block.cols) != (2, 2):
+    if not isinstance(block, IntMatrix) or (block.rows, block.cols) != (2, 2):
         raise ValueError("block must be 2x2")
-    result = composite @ RatMatrix(4, 1, _vec_column(block))
-    as_int = rat_to_int_matrix(result)
-    return IntMatrix(2, 2, as_int.entries)
+    out = []
+    for idx, value in enumerate(_apply(composite, block.entries)):
+        if value.denominator != 1:
+            raise NonIntegralResultError("entry (%d, %d) is not an integer" % divmod(idx, 2))
+        out.append(value.numerator)
+    return IntMatrix(2, 2, tuple(out))
 
 
 @dataclass

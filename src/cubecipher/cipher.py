@@ -49,11 +49,12 @@ from .errors import (
     NonIntegralResultError,
     SymbolRangeError,
 )
-from .matrices import IntMatrix, fibonacci_q, is_column_independent, rotation
-from .primes import Xorshift64Star, prime_stream
+from .matrices import IntMatrix, fibonacci_q, rotation
+from .primes import MAX_U64, Xorshift64Star, prime_stream
 
 __all__ = [
     "FORMAT_VERSION",
+    "MAX_FIB_INDEX",
     "KeyMaterial",
     "CiphertextEnvelope",
     "keygen",
@@ -71,7 +72,12 @@ FORMAT_VERSION = 1
 
 BLOCK_SYMBOLS = 4  # each 2x2 block carries four encoded values
 
-_MAX_U64 = (1 << 64) - 1
+# Largest accepted fib_index. F(n) has about 0.69 n bits, so Q^n for
+# n = 10,000 keeps ciphertext entries near 7,000 bits, well inside the
+# ~14,280 bits (4,300 digits) that Python converts to decimal by default;
+# a far larger index would take unbounded time and memory in fibonacci_q.
+MAX_FIB_INDEX = 10_000
+
 _KEYGEN_MAX_TRIES = 10**6
 _KEYGEN_ENTRY_SPAN = 199  # entries drawn from [-99, 99]
 _KEYGEN_FIB_SPAN = 40  # fib_index drawn from [1, 40]
@@ -106,7 +112,7 @@ class KeyMaterial:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError("%s must be an int" % name)
-        if not 0 <= self.prime_seed <= _MAX_U64:
+        if not 0 <= self.prime_seed <= MAX_U64:
             raise ValueError("prime_seed must be an unsigned 64-bit integer")
         object.__setattr__(self, "quarter_turns", self.quarter_turns % 4)
 
@@ -142,13 +148,17 @@ def validate_key(key: KeyMaterial):
     """Check key material, returning (ok, problems).
 
     ok is True iff the key matrix is invertible and the Fibonacci index is
-    at least 1; problems lists a message naming each failed check.
+    in [1, MAX_FIB_INDEX]; problems lists a message naming each failed
+    check.
     """
     problems = []
     if key.key_matrix.det() == 0:
         problems.append("key matrix is singular (determinant 0), it has no inverse")
-    if key.fib_index < 1:
-        problems.append("fib_index must be at least 1, got %d" % key.fib_index)
+    n = key.fib_index
+    if not 1 <= n <= MAX_FIB_INDEX:
+        # an index from a hostile key file can be too long to print
+        shown = "%d" % n if n.bit_length() <= 64 else "a %d-bit value" % n.bit_length()
+        problems.append("fib_index must be in [1, %d], got %s" % (MAX_FIB_INDEX, shown))
     return (not problems, problems)
 
 
@@ -162,7 +172,7 @@ def keygen(rng_seed: int) -> KeyMaterial:
     """Deterministically derive a valid key from a 64-bit seed.
 
     Draws 2x2 matrices with entries in [-99, 99] (row-major draw order)
-    and rejects until the columns are independent, then draws fib_index
+    and rejects until the determinant is nonzero, then draws fib_index
     from [1, 40], quarter_turns from [0, 3], and a fresh 64-bit prime
     seed, in that order. Same seed, same key, on every platform.
     """
@@ -170,7 +180,7 @@ def keygen(rng_seed: int) -> KeyMaterial:
     for _ in range(_KEYGEN_MAX_TRIES):
         entries = tuple(rng.below(_KEYGEN_ENTRY_SPAN) - 99 for _ in range(4))
         matrix = IntMatrix(2, 2, entries)
-        if is_column_independent(matrix):
+        if matrix.det() != 0:
             break
     else:
         raise RuntimeError("keygen failed to find an invertible matrix in 10^6 draws")

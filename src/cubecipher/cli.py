@@ -29,7 +29,6 @@ from .errors import (
     InsufficientPairsError,
     InvalidKeyError,
     NonIntegralResultError,
-    SingularMatrixError,
     SymbolRangeError,
 )
 from .formats import (
@@ -39,14 +38,13 @@ from .formats import (
     serialize_ciphertext,
     serialize_key,
 )
+from .primes import MAX_U64
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BAD_KEY = 3
 EXIT_BAD_DATA = 4
 EXIT_IO = 5
-
-_MAX_U64 = (1 << 64) - 1
 
 
 class _UsageError(Exception):
@@ -58,7 +56,7 @@ def _parse_seed(text):
         value = int(text, 0)
     except ValueError:
         raise argparse.ArgumentTypeError("seed must be an integer")
-    if not 0 <= value <= _MAX_U64:
+    if not 0 <= value <= MAX_U64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value
 
@@ -247,7 +245,7 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_USAGE)
     except InsufficientPairsError as exc:
         return _fail(exc, EXIT_USAGE)
-    except (InvalidKeyError, SingularMatrixError) as exc:
+    except InvalidKeyError as exc:
         return _fail(exc, EXIT_BAD_KEY)
     except (
         CorruptCiphertextError,

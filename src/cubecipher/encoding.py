@@ -7,7 +7,7 @@ Encoding a symbol code x with a prime y sets n = x + y and produces
 The division is exact: among three consecutive integers one is divisible
 by 3 and at least one by 2, so their product is divisible by 6 (a special
 case of "the product of n consecutive integers is divisible by n", which
-consecutive_product_divisible checks directly).
+acceptance criterion 05 checks directly).
 
 Decoding solves n^3 - n = 6t for its unique integer root n >= 2 and
 returns x = n - y. For n >= 2 the cubic sits strictly between two
@@ -18,46 +18,23 @@ rejects it. The whole round trip stays bit-exact at any size. Without y
 the root n only reveals the sum x + y, which is what makes the prime
 stream the trapdoor knowledge.
 
-The Cantor pairing bijection is provided as a standalone utility of the
-same spirit (a reversible packing of two naturals into one); the cipher
-pipeline itself does not use it.
+Every function here is exact integer arithmetic; error messages give the
+bit length of a value too long to print, never its digits.
 """
-
-import math
 
 from .errors import CorruptValueError, NoIntegerRootError, SymbolRangeError
 
 __all__ = [
     "ASCII_MAX",
     "BYTE_MAX",
-    "cantor_pair",
-    "cantor_unpair",
     "encode_symbol",
     "decode_symbol",
     "solve_depressed_cubic",
     "integer_cube_root",
-    "consecutive_product_divisible",
 ]
 
 ASCII_MAX = 127
 BYTE_MAX = 255
-
-
-def cantor_pair(k1: int, k2: int) -> int:
-    """Cantor pairing (k1 + k2)(k1 + k2 + 1)/2 + k2, a bijection N x N -> N."""
-    if k1 < 0 or k2 < 0:
-        raise ValueError("cantor_pair requires nonnegative inputs")
-    s = k1 + k2
-    return s * (s + 1) // 2 + k2
-
-
-def cantor_unpair(z: int) -> tuple:
-    """Inverse of cantor_pair, via the integer triangular root."""
-    if z < 0:
-        raise ValueError("cantor_unpair requires a nonnegative input")
-    w = (math.isqrt(8 * z + 1) - 1) // 2
-    k2 = z - w * (w + 1) // 2
-    return (w - k2, k2)
 
 
 def encode_symbol(code: int, prime: int) -> int:
@@ -135,16 +112,3 @@ def decode_symbol(t: int, prime: int, max_code: int = ASCII_MAX) -> int:
         )
     return code
 
-
-def consecutive_product_divisible(start: int, n: int) -> bool:
-    """Whether (start)(start+1)...(start+n-1) is divisible by n.
-
-    Always true (one of any n consecutive integers is a multiple of n);
-    exposed as a directly checkable statement rather than an assumption.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    product = 1
-    for i in range(n):
-        product *= start + i
-    return product % n == 0

@@ -11,14 +11,19 @@ class CipherError(Exception):
 
 
 class SingularMatrixError(CipherError):
-    """A matrix that must be invertible has determinant zero (invalid key)."""
+    """A matrix that must be invertible has determinant zero (invalid key).
+
+    Kept as part of the stable error hierarchy; the library itself reports
+    a singular key matrix through validate_key and InvalidKeyError.
+    """
 
 
 class NonIntegralResultError(CipherError):
     """A result expected to be integral is not.
 
     During decryption an un-mixed block entry is not divisible by det(K),
-    which signals a wrong key or corrupted ciphertext.
+    which signals a wrong key or corrupted ciphertext; apply_composite
+    raises it when a recovered map sends a block off the integers.
     """
 
 
@@ -47,7 +52,8 @@ class InvalidKeyError(CipherError):
 
 
 class FormatError(CipherError):
-    """A serialized file does not conform to its documented format."""
+    """A serialized file does not conform to its documented format, or a
+    value is too long to be written in it."""
 
 
 class InsufficientPairsError(CipherError):

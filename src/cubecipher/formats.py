@@ -19,8 +19,12 @@ Pair file (known-plaintext attack input):
     {"version": 1, "pairs": [{"plaintext": [4 decimal strings],
                               "ciphertext": [4 decimal strings]}, ...]}
 
-Parsers are strict: unknown or missing fields, non-canonical numbers, and
-version mismatches all raise FormatError.
+Parsers are strict: unknown, missing or repeated fields, non-canonical
+numbers, and version mismatches all raise FormatError, as does any text
+that is not JSON. Serializers raise FormatError too, naming the field,
+when a number is too long for Python's int/str conversion limit
+(sys.get_int_max_str_digits, 4,300 digits by default), so no malformed or
+oversized value ever surfaces as a raw ValueError.
 """
 
 import json
@@ -29,6 +33,7 @@ import re
 from .cipher import FORMAT_VERSION, CiphertextEnvelope, KeyMaterial
 from .errors import FormatError
 from .matrices import IntMatrix
+from .primes import MAX_U64
 
 __all__ = [
     "serialize_key",
@@ -42,8 +47,6 @@ __all__ = [
 
 _DECIMAL_RE = re.compile(r"(0|-?[1-9][0-9]*)\Z")
 
-_MAX_U64 = (1 << 64) - 1
-
 
 def dumps_canonical(obj) -> str:
     """Render JSON in the canonical form shared by every file this writes."""
@@ -51,10 +54,21 @@ def dumps_canonical(obj) -> str:
 
 
 def _load_json(text: str, what: str):
+    def unique_names(pairs):
+        obj = {}
+        for name, value in pairs:
+            if name in obj:
+                raise FormatError("%s: duplicate name %r" % (what, name))
+            obj[name] = value
+        return obj
+
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text, object_pairs_hook=unique_names)
+    except ValueError as exc:
+        # JSONDecodeError, or a JSON number past the int/str digit limit
         raise FormatError("%s: not valid JSON (%s)" % (what, exc)) from None
+    except RecursionError:
+        raise FormatError("%s: not valid JSON (nested too deeply)" % what) from None
     if not isinstance(obj, dict):
         raise FormatError("%s: top-level value must be an object" % what)
     return obj
@@ -92,6 +106,22 @@ def _parse_decimal(value, what):
         ) from None
 
 
+def _format_decimal(value, what, *index):
+    """str() of an int or Fraction, the output twin of _parse_decimal.
+
+    A number too long for str() raises FormatError naming the field, as
+    what[i][j] for the given index, and the number's bit length.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+        where = what + "".join("[%d]" % i for i in index)
+        raise FormatError(
+            "%s is a %d-bit number, too long to write as decimal" % (where, bits)
+        ) from None
+
+
 def _parse_block_entries(value, what):
     if not isinstance(value, list) or len(value) != 4:
         raise FormatError("%s must be a list of 4 decimal strings" % what)
@@ -101,8 +131,8 @@ def _parse_block_entries(value, what):
 def serialize_key(key: KeyMaterial) -> str:
     obj = {
         "version": FORMAT_VERSION,
-        "k": [str(e) for e in key.key_matrix.entries],
-        "fib_index": str(key.fib_index),
+        "k": [_format_decimal(e, "key file: k", i) for i, e in enumerate(key.key_matrix.entries)],
+        "fib_index": _format_decimal(key.fib_index, "key file: fib_index"),
         "quarter_turns": str(key.quarter_turns),
         "prime_seed": str(key.prime_seed),
     }
@@ -119,7 +149,7 @@ def parse_key(text: str) -> KeyMaterial:
     if not 0 <= quarter_turns <= 3:
         raise FormatError("key file: quarter_turns must be in [0, 3], got %d" % quarter_turns)
     prime_seed = _parse_decimal(obj["prime_seed"], "key file: prime_seed")
-    if not 0 <= prime_seed <= _MAX_U64:
+    if not 0 <= prime_seed <= MAX_U64:
         raise FormatError("key file: prime_seed must fit in 64 unsigned bits")
     return KeyMaterial(IntMatrix(2, 2, entries), fib_index, quarter_turns, prime_seed)
 
@@ -128,7 +158,10 @@ def serialize_ciphertext(envelope: CiphertextEnvelope) -> str:
     obj = {
         "version": envelope.version,
         "pad_count": envelope.pad_count,
-        "blocks": [[str(e) for e in b.entries] for b in envelope.blocks],
+        "blocks": [
+            [_format_decimal(e, "ciphertext file: blocks", i, j) for j, e in enumerate(b.entries)]
+            for i, b in enumerate(envelope.blocks)
+        ],
     }
     return dumps_canonical(obj)
 
@@ -154,14 +187,16 @@ def parse_ciphertext(text: str) -> CiphertextEnvelope:
 
 def serialize_pairs(pairs) -> str:
     """Write (plaintext block, ciphertext block) pairs for the attack tool."""
-    rows = []
-    for plain, cipher in pairs:
-        rows.append(
-            {
-                "plaintext": [str(e) for e in plain.entries],
-                "ciphertext": [str(e) for e in cipher.entries],
-            }
-        )
+    rows = [
+        {
+            name: [
+                _format_decimal(e, "pair file: pairs[%d].%s" % (i, name), j)
+                for j, e in enumerate(block.entries)
+            ]
+            for name, block in (("plaintext", plain), ("ciphertext", cipher))
+        }
+        for i, (plain, cipher) in enumerate(pairs)
+    ]
     return dumps_canonical({"version": FORMAT_VERSION, "pairs": rows})
 
 

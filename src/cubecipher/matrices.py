@@ -1,32 +1,25 @@
-"""Exact matrix arithmetic over arbitrary-precision integers and rationals.
+"""Exact integer matrices and the structured 2x2 matrices of the cipher.
 
-Everything here is exact: integer matrices hold Python ints, rational
-matrices hold fractions.Fraction values (kept in lowest terms with a
-positive denominator by construction), and no operation ever rounds.
-Matrices are immutable values, safe to share between threads.
+IntMatrix holds Python ints, so nothing ever rounds, and it is an
+immutable value, safe to share between threads. It offers what the
+pipeline and the acceptance suite use: products, integer scaling, the
+transpose and the exact determinant of an n x n matrix.
 
-The structured matrices the cipher pipeline needs are built here too:
-the Fibonacci matrix [[F(n+1), F(n)], [F(n), F(n-1)]] and the quarter-turn
+The structured matrices the cipher needs are built here too: the
+Fibonacci matrix [[F(n+1), F(n)], [F(n), F(n-1)]] and the quarter-turn
 rotation matrices, whose entries are always in {-1, 0, 1}. Rotations are
 produced by table lookup on k mod 4, never by floating-point trigonometry,
 so the whole module stays float-free.
+
+There is no rational matrix type. Decryption inverts the chain with
+integer adjugates and one divisibility check (see the cipher module), and
+the known-plaintext attack works on the flat 4x4 map directly (see the
+analysis module).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import NonIntegralResultError, SingularMatrixError
-
-__all__ = [
-    "IntMatrix",
-    "RatMatrix",
-    "fibonacci_q",
-    "rotation",
-    "inverse_exact",
-    "is_column_independent",
-    "rank",
-    "rat_to_int_matrix",
-]
+__all__ = ["IntMatrix", "fibonacci_q", "rotation"]
 
 
 def _check_shape(rows, cols, entries):
@@ -60,30 +53,6 @@ def _det_cofactor(entries, n):
     return total
 
 
-def _gauss_jordan_inverse(rows_frac, n):
-    """Invert an n x n list-of-lists of Fractions, or raise SingularMatrixError."""
-    aug = [
-        list(rows_frac[i]) + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular, no exact inverse exists")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable row-major matrix of arbitrary-precision integers."""
@@ -115,43 +84,14 @@ class IntMatrix:
     def zeros(cls, rows, cols):
         return cls(rows, cols, (0,) * (rows * cols))
 
-    def __getitem__(self, ij):
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("index (%d, %d) out of range" % (i, j))
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
     def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __add__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix addition")
-        return IntMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix subtraction")
-        return IntMatrix(
-            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
+        c = self.cols
+        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, int) or isinstance(scalar, bool):
             return NotImplemented
         return IntMatrix(self.rows, self.cols, tuple(scalar * e for e in self.entries))
-
-    def __neg__(self):
-        return IntMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
 
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
@@ -185,170 +125,6 @@ class IntMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         return _det_cofactor(list(self.entries), self.rows)
-
-    def to_rational(self):
-        return RatMatrix(self.rows, self.cols, self.entries)
-
-    def __str__(self):
-        return "\n".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Immutable row-major matrix of exact rationals (fractions.Fraction)."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        converted = []
-        for e in self.entries:
-            if isinstance(e, Fraction):
-                converted.append(e)
-            elif isinstance(e, int) and not isinstance(e, bool):
-                converted.append(Fraction(e))
-            else:
-                raise TypeError(
-                    "rational matrix entries must be Fraction or int, got %r" % (e,)
-                )
-        entries = tuple(converted)
-        _check_shape(self.rows, self.cols, entries)
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        if not rows:
-            raise ValueError("need at least one row")
-        return cls(len(rows), len(rows[0]), tuple(e for r in rows for e in r))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("index (%d, %d) out of range" % (i, j))
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __matmul__(self, other):
-        if isinstance(other, IntMatrix):
-            other = other.to_rational()
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(
-                "cannot multiply %dx%d by %dx%d"
-                % (self.rows, self.cols, other.rows, other.cols)
-            )
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                out.append(
-                    sum(
-                        (
-                            self.entries[base + k] * other.entries[k * other.cols + j]
-                            for k in range(self.cols)
-                        ),
-                        Fraction(0),
-                    )
-                )
-        return RatMatrix(self.rows, other.cols, tuple(out))
-
-    def transpose(self):
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def det(self):
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        return _det_cofactor(list(self.entries), self.rows)
-
-    def inverse(self):
-        """Exact inverse, or SingularMatrixError."""
-        if self.rows != self.cols:
-            raise ValueError("inverse requires a square matrix")
-        inv_rows = _gauss_jordan_inverse(self.to_rows(), self.rows)
-        return RatMatrix.from_rows(inv_rows)
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def is_integral(self):
-        return all(e.denominator == 1 for e in self.entries)
-
-    def __str__(self):
-        return "\n".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
-
-
-def inverse_exact(m: IntMatrix) -> RatMatrix:
-    """Exact rational inverse of an integer matrix.
-
-    Raises SingularMatrixError when det(m) = 0, which in the cipher
-    pipeline signals an invalid key.
-    """
-    if m.rows != m.cols:
-        raise ValueError("inverse requires a square matrix")
-    return m.to_rational().inverse()
-
-
-def rank(m) -> int:
-    """Exact rank over the rationals, by Gaussian elimination."""
-    rows = [[Fraction(e) for e in m.row(i)] for i in range(m.rows)]
-    r = 0
-    for col in range(m.cols):
-        pivot = None
-        for i in range(r, m.rows):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, m.rows):
-            if rows[i][col] != 0:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == m.rows:
-            break
-    return r
-
-
-def is_column_independent(m: IntMatrix) -> bool:
-    """True iff the only solution of m @ v = 0 is v = 0.
-
-    Decided by elimination (rank), not by the determinant, so it can serve
-    as an independent cross-check of det(m) != 0.
-    """
-    if m.rows != m.cols:
-        raise ValueError("column independence check requires a square matrix")
-    return rank(m) == m.cols
-
-
-def rat_to_int_matrix(m: RatMatrix) -> IntMatrix:
-    """Lossless conversion of an integral rational matrix back to integers.
-
-    Raises NonIntegralResultError if any entry has denominator above 1;
-    on the decrypt path that means a wrong key or corrupted ciphertext.
-    """
-    out = []
-    for idx, e in enumerate(m.entries):
-        if e.denominator != 1:
-            raise NonIntegralResultError(
-                "entry (%d, %d) is %s, not an integer" % (idx // m.cols, idx % m.cols, e)
-            )
-        out.append(e.numerator)
-    return IntMatrix(m.rows, m.cols, tuple(out))
 
 
 def _fib_pair(n):

@@ -33,9 +33,17 @@ from math import isqrt
 
 from .errors import CipherError
 
-__all__ = ["Xorshift64Star", "is_prime", "prime_stream", "PRIME_LIMIT", "PRIME_COUNT_BELOW_LIMIT"]
+__all__ = [
+    "Xorshift64Star",
+    "is_prime",
+    "prime_stream",
+    "MAX_U64",
+    "PRIME_LIMIT",
+    "PRIME_COUNT_BELOW_LIMIT",
+]
 
-_MASK64 = (1 << 64) - 1
+# 2**64 - 1: the largest seed, and the mask of one generator step
+MAX_U64 = (1 << 64) - 1
 _MULTIPLIER = 0x2545F4914F6CDD1D
 _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
 
@@ -63,17 +71,17 @@ class Xorshift64Star:
     def __init__(self, seed: int):
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise TypeError("seed must be an int")
-        if not 0 <= seed <= _MASK64:
+        if not 0 <= seed <= MAX_U64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         self._state = seed if seed != 0 else _ZERO_SEED_REPLACEMENT
 
     def next_u64(self) -> int:
         s = self._state
         s ^= s >> 12
-        s ^= (s << 25) & _MASK64
+        s ^= (s << 25) & MAX_U64
         s ^= s >> 27
         self._state = s
-        return (s * _MULTIPLIER) & _MASK64
+        return (s * _MULTIPLIER) & MAX_U64
 
     def below(self, n: int) -> int:
         """Next value reduced mod n (n >= 1). Deterministic, mildly biased."""

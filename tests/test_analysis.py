@@ -8,13 +8,16 @@ from fractions import Fraction
 import pytest
 
 from cubecipher import (
+    AttackResult,
     BenchReport,
     BenchRow,
     CipherError,
+    FormatError,
     InsufficientPairsError,
     IntMatrix,
     InvalidKeyError,
     KeyMaterial,
+    NonIntegralResultError,
     apply_composite,
     avalanche_test,
     benchmark,
@@ -36,6 +39,10 @@ def random_block(rng, span=10**6):
 
 def pairs_for_key(key, count, rng):
     return [(b, encrypt_block(b, key)) for b in (random_block(rng) for _ in range(count))]
+
+
+def swapped(pairs):
+    return [(cipher, plain) for plain, cipher in pairs]
 
 
 def test_avalanche_single_block_message():
@@ -108,9 +115,13 @@ def test_attack_on_random_keys():
     rng = random.Random(37)
     for seed in range(10):
         key = keygen(seed)
-        result = known_plaintext_attack(pairs_for_key(key, 6, rng))
+        pairs = pairs_for_key(key, 6, rng)
+        result = known_plaintext_attack(pairs)
         assert result.verified
-        inverse_map = result.composite_map.inverse()
+        # the same attack on swapped pairs recovers the inverse map
+        inverse = known_plaintext_attack(swapped(pairs))
+        assert inverse.verified
+        inverse_map = inverse.composite_map
         for _ in range(20):
             fresh = random_block(rng)
             ct = encrypt_block(fresh, key)
@@ -123,9 +134,134 @@ def test_attack_recovers_exactly_the_block_map():
     rng = random.Random(103)
     for seed in range(50):
         key = keygen(seed)
-        result = known_plaintext_attack(pairs_for_key(key, 6, rng))
+        pairs = pairs_for_key(key, 6, rng)
+        result = known_plaintext_attack(pairs)
         assert result.verified
-        assert result.composite_map == block_map(key).to_rational()
+        assert result.composite_map == block_map(key).entries
+        # the inverse map, recovered from swapped pairs, undoes block_map
+        m = block_map(key).entries
+        inverse = known_plaintext_attack(swapped(pairs)).composite_map
+        product = tuple(
+            sum(inverse[4 * i + k] * m[4 * k + j] for k in range(4))
+            for i in range(4)
+            for j in range(4)
+        )
+        assert product == IntMatrix.identity(4).entries
+
+
+def _gram_independent(vectors):
+    """True iff the integer vectors are linearly independent: their Gram
+    determinant det(V V^T) is nonzero."""
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
+    return IntMatrix.from_rows(gram).det() != 0
+
+
+def _adjugate_inverse(rows):
+    """Exact inverse of an integer 4x4 matrix as adj / det, by cofactors."""
+    det = IntMatrix.from_rows(rows).det()
+
+    def cofactor(i, j):
+        minor = [[rows[r][c] for c in range(4) if c != j] for r in range(4) if r != i]
+        return (-1) ** (i + j) * IntMatrix.from_rows(minor).det()
+
+    return [[Fraction(cofactor(j, i), det) for j in range(4)] for i in range(4)]
+
+
+def reference_attack(pairs):
+    """The attack restated without elimination: keep a pair when its
+    plaintext vector is independent of those kept, then M = C @ P^-1 for
+    the 4x4 matrices P, C whose columns are the kept vec(B), vec(E).
+    Returns (M as a 16-tuple, verified, JSON text), or the rank reached
+    when it stays below 4."""
+    kept = []
+    for plain, cipher in pairs:
+        if _gram_independent([p.entries for p, _ in kept] + [plain.entries]):
+            kept.append((plain, cipher))
+            if len(kept) == 4:
+                break
+    if len(kept) < 4:
+        return len(kept)
+    p_inv = _adjugate_inverse([[kept[c][0].entries[r] for c in range(4)] for r in range(4)])
+    m = [
+        [sum(kept[k][1].entries[i] * p_inv[k][j] for k in range(4)) for j in range(4)]
+        for i in range(4)
+    ]
+    verified = all(
+        [sum(m[i][k] * plain.entries[k] for k in range(4)) for i in range(4)]
+        == list(cipher.entries)
+        for plain, cipher in pairs
+    )
+    text = json.dumps(
+        {
+            "version": 1,
+            "pairs_used": len(pairs),
+            "verified": verified,
+            "composite_map": [[str(e) for e in row] for row in m],
+        },
+        indent=2,
+    ) + "\n"
+    return tuple(e for row in m for e in row), verified, text
+
+
+def test_attack_matches_reference_solve():
+    rng = random.Random(107)
+
+    def block(span):
+        return IntMatrix(2, 2, tuple(rng.randint(-span, span) for _ in range(4)))
+
+    cases = []
+    for _ in range(400):
+        # arbitrary pairs: small spans make dependent and zero blocks common
+        span = rng.choice((1, 2, 10, 10**6))
+        cases.append([(block(span), block(span)) for _ in range(rng.randint(0, 7))])
+    for _ in range(200):
+        # plaintexts drawn from a space of rank below 4
+        base = [block(10**3) for _ in range(rng.randint(1, 3))]
+        cases.append([
+            (IntMatrix(2, 2, tuple(
+                sum(rng.randint(-3, 3) * b.entries[k] for b in base) for k in range(4)
+            )), block(10**3))
+            for _ in range(rng.randint(1, 7))
+        ])
+    for seed in range(100):
+        # genuine pairs, every tenth set with one pair from another key
+        pairs = pairs_for_key(keygen(seed), 6, rng)
+        if seed % 10 == 0:
+            rogue = random_block(rng)
+            pairs.insert(rng.randrange(7), (rogue, encrypt_block(rogue, keygen(seed + 1))))
+        cases.append(pairs)
+
+    outcomes = set()
+    for pairs in cases:
+        expected = reference_attack(pairs)
+        if isinstance(expected, int):
+            with pytest.raises(InsufficientPairsError) as excinfo:
+                known_plaintext_attack(pairs)
+            assert excinfo.value.rank == expected
+            outcomes.add("rank %d" % expected)
+            continue
+        result = known_plaintext_attack(pairs)
+        assert (result.composite_map, result.verified, result.to_json_text()) == expected
+        outcomes.add(result.verified)
+    # every kind of outcome was exercised
+    assert outcomes == {"rank 0", "rank 1", "rank 2", "rank 3", True, False}
+
+
+def test_apply_composite_requires_an_integral_result():
+    half = Fraction(1, 2)
+    composite = (half,) + (0,) * 4 + (1,) + (0,) * 4 + (1,) + (0,) * 4 + (1,)
+    assert apply_composite(composite, IntMatrix(2, 2, (4, 5, 6, 7))) == IntMatrix(2, 2, (2, 5, 6, 7))
+    with pytest.raises(NonIntegralResultError, match=r"^entry \(0, 0\) is not an integer$"):
+        apply_composite(composite, IntMatrix(2, 2, (3, 5, 6, 7)))
+    with pytest.raises(ValueError):
+        apply_composite(composite[:15], IntMatrix(2, 2, (4, 5, 6, 7)))
+
+
+def test_attack_result_too_long_to_print_raises_format_error():
+    huge = Fraction(10**5000, 3)
+    result = AttackResult(composite_map=(1,) * 6 + (huge,) + (1,) * 9, pairs_used=4, verified=True)
+    with pytest.raises(FormatError, match=r"composite_map\[1\]\[2\] is a 16610-bit number"):
+        result.to_json_text()
 
 
 def test_attack_needs_four_independent_pairs():

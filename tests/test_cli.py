@@ -263,3 +263,52 @@ def test_outputs_are_written_atomically(tmp_path):
     run(["keygen", "--seed", 15, "--out", key])
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".cubecipher-")]
     assert leftovers == []
+
+
+def test_attack_result_too_long_to_write_exits_4(tmp_path, capsys):
+    # 4,001-digit entries parse, but the recovered map's entries do not fit
+    # in str(); that used to escape as a raw ValueError (exit 2)
+    rng = random.Random(7)
+
+    def block():
+        return IntMatrix(2, 2, tuple(rng.randrange(10**4000, 10**4001) for _ in range(4)))
+
+    pairs_path = tmp_path / "pairs.json"
+    pairs_path.write_text(serialize_pairs([(block(), block()) for _ in range(4)]), encoding="utf-8")
+    out = tmp_path / "result.json"
+    assert run(["attack", "--pairs", pairs_path, "--out", out]) == 4
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "attack result: composite_map[" in captured.err
+    assert "-bit number" in captured.err
+
+
+def test_encrypt_with_ciphertext_too_long_to_write_exits_4(tmp_path, capsys):
+    # k entries of 4,299 digits parse; the ciphertext entries they produce do not
+    key = tmp_path / "k.json"
+    huge = int("9" * 4299)
+    key.write_text(
+        serialize_key(KeyMaterial(IntMatrix.from_rows([[huge, 1], [0, huge]]), 1, 0, 0)),
+        encoding="utf-8",
+    )
+    msg = tmp_path / "m.txt"
+    msg.write_bytes(b"hello")
+    out = tmp_path / "ct.json"
+    assert run(["encrypt", "--key", key, "--in", msg, "--out", out]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "ciphertext file: blocks[0][" in err
+    assert "9999" not in err
+
+
+@pytest.mark.parametrize("fib_index", [30000, 10**18])
+def test_encrypt_with_too_large_fib_index_exits_3(tmp_path, capsys, fib_index):
+    key = tmp_path / "k.json"
+    key.write_text(serialize_key(KeyMaterial(IntMatrix.identity(2), fib_index, 0, 0)), encoding="utf-8")
+    msg = tmp_path / "m.txt"
+    msg.write_bytes(b"hello")
+    out = tmp_path / "ct.json"
+    assert run(["encrypt", "--key", key, "--in", msg, "--out", out]) == 3
+    assert not out.exists()
+    assert "fib_index must be in [1, 10000]" in capsys.readouterr().err

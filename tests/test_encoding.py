@@ -1,4 +1,4 @@
-"""Trapdoor encoding layer: pairing, cubic encode/decode, root finding."""
+"""Trapdoor encoding layer: cubic encode/decode, root finding."""
 
 import random
 
@@ -8,9 +8,6 @@ from cubecipher import (
     CorruptValueError,
     NoIntegerRootError,
     SymbolRangeError,
-    cantor_pair,
-    cantor_unpair,
-    consecutive_product_divisible,
     decode_symbol,
     encode_symbol,
     integer_cube_root,
@@ -70,35 +67,6 @@ def first_primes(count):
             primes.append(candidate)
         candidate += 1
     return primes
-
-
-def test_cantor_pair_examples():
-    assert cantor_pair(0, 0) == 0
-    assert cantor_pair(1, 2) == 8  # (1+2)(1+2+1)/2 + 2
-    with pytest.raises(ValueError):
-        cantor_pair(-1, 0)
-    with pytest.raises(ValueError):
-        cantor_pair(0, -1)
-
-
-def test_cantor_pair_is_injective_on_grid():
-    values = {cantor_pair(a, b) for a in range(101) for b in range(101)}
-    assert len(values) == 101 * 101
-
-
-def test_cantor_unpair_examples():
-    assert cantor_unpair(0) == (0, 0)
-    assert cantor_unpair(8) == (1, 2)
-    with pytest.raises(ValueError):
-        cantor_unpair(-1)
-
-
-def test_cantor_round_trip():
-    for z in range(10**4 + 1):
-        assert cantor_pair(*cantor_unpair(z)) == z
-    for a in range(60):
-        for b in range(60):
-            assert cantor_unpair(cantor_pair(a, b)) == (a, b)
 
 
 def test_encode_symbol_worked_example():
@@ -280,17 +248,3 @@ def test_huge_values_are_described_by_size():
     with pytest.raises(SymbolRangeError, match="decoded code -3 "):
         decode_symbol(1, 5)
 
-
-def test_consecutive_product_divisible_examples():
-    assert consecutive_product_divisible(5, 3)  # 5*6*7 = 210
-    assert consecutive_product_divisible(-7, 4)  # (-7)(-6)(-5)(-4) = 840
-    with pytest.raises(ValueError):
-        consecutive_product_divisible(5, 0)
-
-
-def test_consecutive_product_divisible_property():
-    rng = random.Random(23)
-    for _ in range(1000):
-        start = rng.randint(-10**6, 10**6)
-        n = rng.randint(1, 100)
-        assert consecutive_product_divisible(start, n)

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from cubecipher import (
+    CiphertextEnvelope,
     FormatError,
     IntMatrix,
+    KeyMaterial,
     encrypt,
     keygen,
     parse_ciphertext,
@@ -135,3 +137,46 @@ def test_pair_file_rejects_bad_documents():
         parse_pairs('{"version": 1, "pairs": [{"plaintext": ["1","2","3","4"]}]}')
     with pytest.raises(FormatError):
         parse_pairs('{"version": 2, "pairs": []}')
+
+
+def test_duplicate_names_are_rejected():
+    key_text = serialize_key(keygen(1))
+    with pytest.raises(FormatError, match="key file: duplicate name 'fib_index'"):
+        parse_key(key_text.replace('"fib_index": ', '"fib_index": "2",\n  "fib_index": ', 1))
+
+    ct_text = serialize_ciphertext(encrypt(b"abcdef", keygen(2)))
+    with pytest.raises(FormatError, match="ciphertext file: duplicate name 'pad_count'"):
+        parse_ciphertext(ct_text.replace('"pad_count": 2', '"pad_count": 1, "pad_count": 2', 1))
+
+    block = '["1", "2", "3", "4"]'
+    pair = '{"plaintext": %s, "ciphertext": %s}' % (block, block)
+    assert parse_pairs('{"version": 1, "pairs": [%s]}' % pair)
+    # the repeated name sits in a nested pair object
+    twice = '{"plaintext": %s, "plaintext": %s, "ciphertext": %s}' % (block, block, block)
+    with pytest.raises(FormatError, match="pair file: duplicate name 'plaintext'"):
+        parse_pairs('{"version": 1, "pairs": [%s, %s]}' % (pair, twice))
+
+
+def test_unreadable_json_numbers_and_nesting_raise_format_error():
+    # a JSON number past the int/str digit limit, and nesting past the
+    # recursion limit, used to escape json.loads as raw exceptions
+    with pytest.raises(FormatError, match="not valid JSON"):
+        parse_key('{"version": %s}' % ("1" * 5000))
+    with pytest.raises(FormatError, match="not valid JSON"):
+        parse_ciphertext('{"version": 1, "pad_count": 0, "blocks": %s}' % ("[" * 100000))
+
+
+def test_numbers_too_long_to_write_raise_format_error():
+    huge = 10**5000  # 16,610 bits, more digits than str() converts
+    key = KeyMaterial(IntMatrix(2, 2, (1, huge, 0, 1)), 1, 0, 0)
+    with pytest.raises(FormatError, match=r"^key file: k\[1\] is a 16610-bit number"):
+        serialize_key(key)
+    key = KeyMaterial(IntMatrix.identity(2), huge, 0, 0)
+    with pytest.raises(FormatError, match=r"^key file: fib_index is a 16610-bit number"):
+        serialize_key(key)
+    blocks = (IntMatrix.identity(2), IntMatrix(2, 2, (0, 0, -huge, 0)))
+    with pytest.raises(FormatError, match=r"^ciphertext file: blocks\[1\]\[2\] is a 16610-bit"):
+        serialize_ciphertext(CiphertextEnvelope(1, 0, blocks))
+    pairs = [(IntMatrix.identity(2), IntMatrix(2, 2, (1, 2, 3, huge)))]
+    with pytest.raises(FormatError, match=r"^pair file: pairs\[0\]\.ciphertext\[3\] is a 16610-bit"):
+        serialize_pairs(pairs)

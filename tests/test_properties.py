@@ -1,0 +1,92 @@
+"""Property-based checks of the parsers (skipped when hypothesis is absent).
+
+Every parser must turn any text, and any JSON document, into either a
+value or a FormatError; nothing else may escape, so the CLI always maps a
+bad file to its documented exit code.
+"""
+
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cubecipher import FormatError, parse_ciphertext, parse_key, parse_pairs  # noqa: E402
+
+PARSERS = (parse_key, parse_ciphertext, parse_pairs)
+
+# decimal-looking strings, canonical or not, next to arbitrary text
+_decimals = st.from_regex(r"-?[0-9]{1,30}", fullmatch=True)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    _decimals,
+    st.text(max_size=20),
+)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(st.text(max_size=12), inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+_block = st.one_of(st.lists(_decimals, min_size=4, max_size=4), _json)
+# documents with the right field names, so parsing gets past the first checks
+_shaped = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "version": st.one_of(st.just(1), _json),
+            "k": _block,
+            "fib_index": st.one_of(_decimals, _json),
+            "quarter_turns": st.one_of(_decimals, _json),
+            "prime_seed": st.one_of(_decimals, _json),
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "version": st.one_of(st.just(1), _json),
+            "pad_count": st.one_of(st.integers(-1, 4), _json),
+            "blocks": st.lists(_block, max_size=3),
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "version": st.one_of(st.just(1), _json),
+            "pairs": st.one_of(
+                st.lists(
+                    st.one_of(
+                        st.fixed_dictionaries({"plaintext": _block, "ciphertext": _block}),
+                        _json,
+                    ),
+                    max_size=3,
+                ),
+                _json,
+            ),
+        }
+    ),
+)
+
+
+def _parse_all(text):
+    for parse in PARSERS:
+        try:
+            parse(text)
+        except FormatError:
+            pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.text())
+def test_parsers_raise_only_format_error_on_arbitrary_text(text):
+    _parse_all(text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_json, _shaped))
+def test_parsers_raise_only_format_error_on_arbitrary_json(doc):
+    _parse_all(json.dumps(doc))
