@@ -21,6 +21,7 @@ from .analysis import (
 from .cipher import (
     FORMAT_VERSION,
     MAX_FIB_INDEX,
+    MAX_MESSAGE_BYTES,
     CiphertextEnvelope,
     KeyMaterial,
     block_map,
@@ -75,6 +76,7 @@ __all__ = [
     "BYTE_MAX",
     "FORMAT_VERSION",
     "MAX_FIB_INDEX",
+    "MAX_MESSAGE_BYTES",
     "PRIME_LIMIT",
     "AttackResult",
     "AvalancheReport",

@@ -35,11 +35,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import median
 
-from .cipher import BLOCK_SYMBOLS, FORMAT_VERSION, _require_valid, decrypt, encrypt
+from .cipher import (
+    BLOCK_SYMBOLS,
+    FORMAT_VERSION,
+    _encrypt_with,
+    _require_length,
+    _require_valid,
+    decrypt,
+    encrypt,
+)
 from .errors import InsufficientPairsError, NonIntegralResultError
 from .formats import _format_decimal, dumps_canonical, serialize_ciphertext
 from .matrices import IntMatrix
-from .primes import Xorshift64Star
+from .primes import Xorshift64Star, prime_stream
 
 __all__ = [
     "AvalancheReport",
@@ -116,14 +124,18 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
     Each trial draws a random ASCII message of the given length, changes
     one position to a different ASCII value, encrypts both under the same
     key, and records the number of ciphertext blocks that differ plus the
-    fraction of differing bits over the canonical serializations.
-    Deterministic given (key, message_length, trials, rng_seed).
+    fraction of differing bits over the canonical serializations. Every
+    message has the same length and key, so the key's prime stream is
+    drawn once per call. Deterministic given (key, message_length, trials,
+    rng_seed).
     """
     if message_length < 1:
         raise ValueError("message_length must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _require_length(message_length)
     _require_valid(key)
+    primes = prime_stream(key.prime_seed, message_length)
     rng = Xorshift64Star(rng_seed)
     histogram = Counter()
     block_fraction_sum = Fraction(0)
@@ -135,8 +147,8 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
         bump = 1 + rng.below(127)  # never maps a byte to itself
         flipped = bytearray(message)
         flipped[position] = (flipped[position] + bump) % 128
-        env_a = encrypt(message, key)
-        env_b = encrypt(bytes(flipped), key)
+        env_a = _encrypt_with(message, key, primes)
+        env_b = _encrypt_with(flipped, key, primes)
         changed = sum(1 for x, y in zip(env_a.blocks, env_b.blocks) if x != y)
         histogram[changed] += 1
         block_fraction_sum += Fraction(changed, total_blocks)
@@ -200,6 +212,14 @@ def _apply(m, v):
     return tuple(sum(m[4 * i + k] * v[k] for k in range(4)) for i in range(4))
 
 
+def _integral(m):
+    """m's entries as ints when every one is integral, as they are for
+    every genuine key's map, else None."""
+    if all(e.denominator == 1 for e in m):
+        return tuple(e.numerator for e in m)
+    return None
+
+
 def known_plaintext_attack(pairs) -> AttackResult:
     """Recover the composite 4x4 map from plaintext/ciphertext block pairs.
 
@@ -245,9 +265,8 @@ def known_plaintext_attack(pairs) -> AttackResult:
     # kept row with pivot c is row c of M^T, i.e. column c of M
     columns = dict(kept)
     composite = tuple(columns[j][4 + i] for i in range(4) for j in range(4))
-    verified = all(
-        _apply(composite, plain.entries) == cipher.entries for plain, cipher in pairs
-    )
+    m = _integral(composite) or composite
+    verified = all(_apply(m, plain.entries) == cipher.entries for plain, cipher in pairs)
     return AttackResult(composite_map=composite, pairs_used=len(pairs), verified=verified)
 
 
@@ -262,6 +281,9 @@ def apply_composite(composite, block: IntMatrix) -> IntMatrix:
         raise ValueError("composite map must be 4x4")
     if not isinstance(block, IntMatrix) or (block.rows, block.cols) != (2, 2):
         raise ValueError("block must be 2x2")
+    m = _integral(composite)
+    if m is not None:
+        return IntMatrix(2, 2, _apply(m, block.entries))
     out = []
     for idx, value in enumerate(_apply(composite, block.entries)):
         if value.denominator != 1:

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 from .encoding import ASCII_MAX, BYTE_MAX, decode_symbol, encode_symbol
 from .errors import (
+    CipherError,
     CorruptCiphertextError,
     CorruptValueError,
     InvalidKeyError,
@@ -50,11 +51,12 @@ from .errors import (
     SymbolRangeError,
 )
 from .matrices import IntMatrix, fibonacci_q, rotation
-from .primes import MAX_U64, Xorshift64Star, prime_stream
+from .primes import MAX_U64, PRIME_COUNT_BELOW_LIMIT, Xorshift64Star, prime_stream
 
 __all__ = [
     "FORMAT_VERSION",
     "MAX_FIB_INDEX",
+    "MAX_MESSAGE_BYTES",
     "KeyMaterial",
     "CiphertextEnvelope",
     "keygen",
@@ -77,6 +79,10 @@ BLOCK_SYMBOLS = 4  # each 2x2 block carries four encoded values
 # ~14,280 bits (4,300 digits) that Python converts to decimal by default;
 # a far larger index would take unbounded time and memory in fibonacci_q.
 MAX_FIB_INDEX = 10_000
+
+# Longest message: each byte takes its own distinct prime below 2**16, and
+# there are 6542 of those.
+MAX_MESSAGE_BYTES = PRIME_COUNT_BELOW_LIMIT
 
 _KEYGEN_MAX_TRIES = 10**6
 _KEYGEN_ENTRY_SPAN = 199  # entries drawn from [-99, 99]
@@ -188,6 +194,14 @@ def keygen(rng_seed: int) -> KeyMaterial:
     quarter_turns = rng.below(4)
     prime_seed = rng.next_u64()
     return KeyMaterial(matrix, fib_index, quarter_turns, prime_seed)
+
+
+def _require_length(length):
+    if length > MAX_MESSAGE_BYTES:
+        raise CipherError(
+            "message is %d bytes, longer than the %d-byte limit (one distinct prime "
+            "below 2**16 per byte)" % (length, MAX_MESSAGE_BYTES)
+        )
 
 
 def _padded(ts):
@@ -339,16 +353,24 @@ def decrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
     return _decrypt_one(block, *_inverse_mixers(key))
 
 
+def _encrypt_with(message, key, primes):
+    """The envelope of message under key, given its prime stream."""
+    ts, pad_count = _padded([encode_symbol(b, p) for b, p in zip(message, primes)])
+    return CiphertextEnvelope(FORMAT_VERSION, pad_count, _mix(key, ts))
+
+
 def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> CiphertextEnvelope:
     """Encrypt a byte string under the composite key.
 
     Strict mode (the default) rejects bytes above 127 and names the first
     offending index; byte mode accepts the full [0, 255] range. One prime
-    is drawn per byte position from the key's seeded stream.
+    is drawn per byte position from the key's seeded stream, so a message
+    longer than MAX_MESSAGE_BYTES raises CipherError before any other work.
     """
     if isinstance(message, str):
         raise TypeError("encrypt takes bytes; encode the string first")
     message = bytes(message)
+    _require_length(len(message))
     _require_valid(key)
     if not byte_mode:
         for i, b in enumerate(message):
@@ -357,22 +379,25 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
                     "byte 0x%02x at index %d is not 7-bit ASCII; enable byte mode"
                     % (b, i)
                 )
-    primes = prime_stream(key.prime_seed, len(message))
-    ts, pad_count = _padded([encode_symbol(b, p) for b, p in zip(message, primes)])
-    return CiphertextEnvelope(FORMAT_VERSION, pad_count, _mix(key, ts))
+    return _encrypt_with(message, key, prime_stream(key.prime_seed, len(message)))
 
 
 def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = False) -> bytes:
     """Invert encrypt. Errors name the failing block or symbol index.
 
     Raises NonIntegralResultError (wrong key), CorruptCiphertextError
-    (framing or padding damage), CorruptValueError or SymbolRangeError
-    (per-symbol decode failure).
+    (framing or padding damage, or more symbols than MAX_MESSAGE_BYTES),
+    CorruptValueError or SymbolRangeError (per-symbol decode failure).
     """
     _require_valid(key)
     if envelope.version != FORMAT_VERSION:
         raise CorruptCiphertextError(
             "unsupported ciphertext version %r" % (envelope.version,)
+        )
+    if envelope.message_length > MAX_MESSAGE_BYTES:
+        raise CorruptCiphertextError(
+            "ciphertext carries %d symbols, more than the %d-byte message limit"
+            % (envelope.message_length, MAX_MESSAGE_BYTES)
         )
     adj_k, det_k, w = _inverse_mixers(key)
     plain_blocks = []

@@ -181,8 +181,11 @@ def _cmd_encrypt(args):
     message = _read_bytes(args.input)
     try:
         envelope = encrypt(message, key, byte_mode=args.byte_mode)
-    except SymbolRangeError as exc:
-        # A non-ASCII input in strict mode is a usage problem, not damage.
+    except InvalidKeyError:
+        raise
+    except CipherError as exc:
+        # A non-ASCII input in strict mode, or a message longer than
+        # MAX_MESSAGE_BYTES, is a usage problem, not damage.
         raise _UsageError("%s" % exc) from None
     _write_atomic(args.out, serialize_ciphertext(envelope).encode())
     return EXIT_OK

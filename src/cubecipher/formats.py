@@ -46,6 +46,17 @@ __all__ = [
 ]
 
 _DECIMAL_RE = re.compile(r"(0|-?[1-9][0-9]*)\Z")
+_SHOWN_CHARS = 40  # longest repr of a bad value that a message echoes whole
+
+
+def _shown(value):
+    """repr(value) for an error message, cut to a prefix and the value's
+    length when long, so a hostile file cannot make the message huge."""
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    length = len(value) if isinstance(value, str) else len(text)
+    return "%s... (%d characters)" % (text[:_SHOWN_CHARS], length)
 
 
 def dumps_canonical(obj) -> str:
@@ -58,7 +69,7 @@ def _load_json(text: str, what: str):
         obj = {}
         for name, value in pairs:
             if name in obj:
-                raise FormatError("%s: duplicate name %r" % (what, name))
+                raise FormatError("%s: duplicate name %s" % (what, _shown(name)))
             obj[name] = value
         return obj
 
@@ -84,18 +95,20 @@ def _expect_fields(obj, fields, what):
         if missing:
             parts.append("missing %s" % ", ".join(missing))
         if extra:
-            parts.append("unexpected %s" % ", ".join(extra))
+            parts.append("unexpected %s" % _shown(", ".join(extra)))
         raise FormatError("%s: %s" % (what, "; ".join(parts)))
 
 
 def _expect_version(value, what):
     if value != FORMAT_VERSION:
-        raise FormatError("%s: unsupported version %r" % (what, value))
+        raise FormatError("%s: unsupported version %s" % (what, _shown(value)))
 
 
 def _parse_decimal(value, what):
     if not isinstance(value, str) or not _DECIMAL_RE.match(value):
-        raise FormatError("%s must be a canonical decimal string, got %r" % (what, value))
+        raise FormatError(
+            "%s must be a canonical decimal string, got %s" % (what, _shown(value))
+        )
     try:
         return int(value)
     except ValueError:

@@ -21,6 +21,20 @@ the same seed. Two pieces make that work:
   each prime's slot as the prime is emitted, and so rejects composites and
   repeats with one table lookup per draw.
 
+prime_stream's candidates are the low 16 bits of successive outputs, and
+those depend only on the low 16 bits of the state: low16(low16(state) *
+0xDD1D). It draws them in chunks of lanes x steps, lane j taking draws
+[j * steps, (j + 1) * steps) of the chunk. All lanes sit in one Python
+int, 64 bits each, and one step of the recurrence advances every lane at
+once with masked shifts. The step is linear over GF(2), a 64x64 bit
+matrix A, so the lanes' start states come from one state by doubling with
+the jump tables A**(2**k); each table is built on first use, once per
+process. Each step's candidates go into one bytearray, capped at 256 KiB
+per chunk, which is then read lane by lane, in draw order, through a
+strided memoryview and filtered against the per-call sieve copy. The
+stream is the one the scalar loop gives, draw for draw; the test suite
+keeps that loop as its reference.
+
 is_prime, a deterministic Miller-Rabin test using the base set that is
 known sufficient for every input below 2**64, is kept as a tested utility;
 the test suite checks the sieve against it on every n below 2**16.
@@ -29,7 +43,9 @@ This generator is NOT cryptographically secure and is not meant to be; the
 contract here is cross-platform determinism, not unpredictability.
 """
 
-from math import isqrt
+import sys
+import threading
+from math import isqrt, log, log2
 
 from .errors import CipherError
 
@@ -51,6 +67,18 @@ _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
 PRIME_LIMIT = 1 << 16
 PRIME_COUNT_BELOW_LIMIT = 6542
 
+# Lane geometry of prime_stream. A chunk holds at most _CHUNK_DRAWS draws,
+# 8 buffer bytes each (256 KiB), in lanes of 2**5 to 2**7 steps.
+_CHUNK_DRAWS = 1 << 15
+_MIN_STEPS_LOG = 5
+_MAX_STEPS_LOG = 7
+# A chunk draws _SLACK times the expected draws plus _SPARE_DRAWS, so that a
+# second chunk, and its jump-ahead, is rarely needed.
+_SLACK = 1.15
+_SPARE_DRAWS = 64
+# Index of a lane's low 16 bits among its four 16-bit halfwords in the buffer
+_LOW_HALFWORD = 0 if sys.byteorder == "little" else 3
+
 
 def _sieve(limit):
     """bytes of length limit whose entry n is 1 iff n is prime."""
@@ -65,6 +93,27 @@ def _sieve(limit):
 _PRIME_TABLE = _sieve(PRIME_LIMIT)
 
 
+def _repeat(word, lanes):
+    """The 64-bit word repeated in each of `lanes` 64-bit lanes."""
+    return int.from_bytes(word.to_bytes(8, "little") * lanes, "little")
+
+
+def _step_masks(lanes):
+    """Masks that keep each lane's shifted bits inside its own lane."""
+    return (_repeat(MAX_U64 >> 12, lanes), _repeat(MAX_U64 << 25 & MAX_U64, lanes),
+            _repeat(MAX_U64 >> 27, lanes))
+
+
+def _xorshift(state, right12=MAX_U64 >> 12, left25=MAX_U64 << 25 & MAX_U64,
+              right27=MAX_U64 >> 27):
+    """One xorshift64* state step of every 64-bit lane of state, given the
+    lanes' _step_masks; the defaults are those of a single lane."""
+    state ^= (state >> 12) & right12
+    state ^= (state << 25) & left25
+    state ^= (state >> 27) & right27
+    return state
+
+
 class Xorshift64Star:
     """xorshift64* PRNG with the published shift triple (12, 25, 27)."""
 
@@ -76,11 +125,7 @@ class Xorshift64Star:
         self._state = seed if seed != 0 else _ZERO_SEED_REPLACEMENT
 
     def next_u64(self) -> int:
-        s = self._state
-        s ^= s >> 12
-        s ^= (s << 25) & MAX_U64
-        s ^= s >> 27
-        self._state = s
+        self._state = s = _xorshift(self._state)
         return (s * _MULTIPLIER) & MAX_U64
 
     def below(self, n: int) -> int:
@@ -121,6 +166,67 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _apply_matrix(columns, x, lanes):
+    """The 64x64 bit matrix with the given columns applied to each lane of x."""
+    ones = _repeat(1, lanes)
+    out = 0
+    for bit, column in enumerate(columns):
+        out ^= ((x >> bit) & ones) * column  # each lane adds column or 0, no carries
+    return out
+
+
+def _unpack(x, lanes):
+    return tuple((x >> (64 * j)) & MAX_U64 for j in range(lanes))
+
+
+def _pack(words):
+    return sum(w << (64 * j) for j, w in enumerate(words))
+
+
+_JUMPS = []  # _JUMPS[k]: the columns of A**(2**k)
+_JUMPS_LOCK = threading.Lock()
+
+
+def _jump_table(power):
+    """Columns of A**(2**power), A the bit matrix of one state step.
+
+    Tables are squared one from the next on first use and never change
+    afterwards, so concurrent callers see the same values.
+    """
+    if len(_JUMPS) <= power:
+        with _JUMPS_LOCK:
+            if not _JUMPS:
+                basis = _pack(1 << bit for bit in range(64))
+                _JUMPS.append(_unpack(_xorshift(basis, *_step_masks(64)), 64))
+            while len(_JUMPS) <= power:
+                last = _JUMPS[-1]
+                _JUMPS.append(_unpack(_apply_matrix(last, _pack(last), 64), 64))
+    return _JUMPS[power]
+
+
+def _lane_starts(state, lanes, steps_log):
+    """`lanes` states packed 64 bits each, lane j being state advanced by
+    j * 2**steps_log steps, built by doubling the lanes already there."""
+    x, have, power = state, 1, steps_log
+    while have < lanes:
+        new = min(have, lanes - have)
+        x |= _apply_matrix(_jump_table(power), x & ((1 << (64 * new)) - 1), new) << (64 * have)
+        have += new
+        power += 1
+    return x
+
+
+def _chunk_shape(emitted, count):
+    """(steps_log, lanes) of the next chunk: enough draws for the primes
+    still needed, by the coupon-collector estimate, within _CHUNK_DRAWS."""
+    left = PRIME_COUNT_BELOW_LIMIT - emitted
+    need = count - emitted
+    draws = PRIME_LIMIT * log((left + 0.5) / (left - need + 0.5)) * _SLACK + _SPARE_DRAWS
+    steps_log = min(_MAX_STEPS_LOG, max(_MIN_STEPS_LOG, round(log2(draws) / 2)))
+    lanes = min(_CHUNK_DRAWS >> steps_log, -(-int(draws) >> steps_log))
+    return steps_log, lanes
+
+
 def prime_stream(seed: int, count: int) -> list:
     """Deterministic list of `count` distinct primes in [2, 2**16).
 
@@ -136,13 +242,35 @@ def prime_stream(seed: int, count: int) -> list:
             "cannot emit %d distinct primes below %d (only %d exist)"
             % (count, PRIME_LIMIT, PRIME_COUNT_BELOW_LIMIT)
         )
-    draw = Xorshift64Star(seed).next_u64
+    state = Xorshift64Star(seed)._state
     unused = bytearray(_PRIME_TABLE)  # 1 at each prime not yet emitted
-    mask = PRIME_LIMIT - 1
     out = []
+    append = out.append
+    buf = bytearray()
     while len(out) < count:
-        candidate = draw() & mask
-        if unused[candidate]:
-            unused[candidate] = 0
-            out.append(candidate)
+        steps_log, lanes = _chunk_shape(len(out), count)
+        x = _lane_starts(state, lanes, steps_log)
+        masks = _step_masks(lanes)
+        low16 = _repeat(0xFFFF, lanes)
+        width = 8 * lanes
+        size = width << steps_log
+        if len(buf) < size:
+            buf = bytearray(size)
+        for at in range(0, size, width):
+            x = _xorshift(x, *masks)
+            # low 16 bits of each lane's output; the product stays in its lane
+            buf[at : at + width] = ((x & low16) * (_MULTIPLIER & 0xFFFF)).to_bytes(
+                width, sys.byteorder
+            )
+        state = x >> (64 * (lanes - 1))  # the last lane ends where the next chunk starts
+        halfwords = memoryview(buf).cast("H")
+        stride = 4 * lanes
+        end = stride << steps_log
+        for first in range(_LOW_HALFWORD, stride, 4):
+            for candidate in halfwords[first:end:stride]:
+                if unused[candidate]:
+                    unused[candidate] = 0
+                    append(candidate)
+                    if len(out) == count:
+                        return out
     return out

@@ -379,3 +379,8 @@ def test_growth_exponent_on_synthetic_data():
         growth_exponent(BenchReport(repetitions=1))
     with pytest.raises(ValueError):
         growth_exponent(linear, which="parse")
+
+
+def test_avalanche_refuses_messages_over_the_length_limit():
+    with pytest.raises(CipherError, match="^message is 6543 bytes, longer than the 6542-byte limit"):
+        avalanche_test(keygen(1), 6543, 1, 1)

@@ -10,6 +10,7 @@ import pytest
 
 from cubecipher import (
     MAX_FIB_INDEX,
+    MAX_MESSAGE_BYTES,
     CipherError,
     CiphertextEnvelope,
     CorruptCiphertextError,
@@ -525,3 +526,35 @@ def test_wrong_key_error_omits_huge_values():
     with pytest.raises(NonIntegralResultError) as excinfo:
         decrypt(envelope, key)
     assert re.fullmatch(r"block 0: entry \(\d, \d\) is not an integer", str(excinfo.value))
+
+
+def test_message_length_limit():
+    assert MAX_MESSAGE_BYTES == 6542
+    key = keygen(6542)
+    message = bytes(random.Random(6542).randrange(128) for _ in range(MAX_MESSAGE_BYTES))
+    envelope = encrypt(message, key)
+    assert envelope.message_length == MAX_MESSAGE_BYTES
+    assert decrypt(envelope, key) == message
+
+    with pytest.raises(CipherError) as excinfo:
+        encrypt(message + b"a", key)
+    assert type(excinfo.value) is CipherError
+    assert str(excinfo.value) == (
+        "message is 6543 bytes, longer than the 6542-byte limit "
+        "(one distinct prime below 2**16 per byte)"
+    )
+
+
+def test_decrypt_refuses_an_overlong_envelope_before_unmixing():
+    # 1,636 blocks with one pad slot carry 6,543 symbols; the blocks are not
+    # a genuine encryption, so un-mixing them would fail at block 0 instead
+    key = keygen(6543)
+    blocks = (IntMatrix(2, 2, (1, 2, 3, 4)),) * 1636
+    envelope = CiphertextEnvelope(1, 1, blocks)
+    with pytest.raises(CorruptCiphertextError) as excinfo:
+        decrypt(envelope, key)
+    assert str(excinfo.value) == (
+        "ciphertext carries 6543 symbols, more than the 6542-byte message limit"
+    )
+    with pytest.raises(NonIntegralResultError):
+        decrypt(CiphertextEnvelope(1, 0, blocks[:1]), key)

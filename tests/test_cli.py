@@ -312,3 +312,60 @@ def test_encrypt_with_too_large_fib_index_exits_3(tmp_path, capsys, fib_index):
     assert run(["encrypt", "--key", key, "--in", msg, "--out", out]) == 3
     assert not out.exists()
     assert "fib_index must be in [1, 10000]" in capsys.readouterr().err
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("cubecipher: error:")
+    assert err.count("\n") == 1
+    return err
+
+
+def test_message_length_limit_through_the_cli(tmp_path, capsys):
+    key = FIXTURES / "golden_key.json"
+    msg, ct, out = tmp_path / "m.txt", tmp_path / "ct.json", tmp_path / "out.txt"
+    msg.write_bytes(bytes(random.Random(6542).randrange(32, 127) for _ in range(6542)))
+    assert run(["encrypt", "--key", key, "--in", msg, "--out", ct]) == 0
+    assert run(["decrypt", "--key", key, "--in", ct, "--out", out]) == 0
+    assert out.read_bytes() == msg.read_bytes()
+
+    # one byte more is a usage error that names the length and the limit
+    msg.write_bytes(msg.read_bytes() + b"a")
+    too_long = tmp_path / "too_long.json"
+    assert run(["encrypt", "--key", key, "--in", msg, "--out", too_long]) == 2
+    assert not too_long.exists()
+    err = _one_error_line(capsys)
+    assert "6543 bytes" in err and "6542-byte limit" in err
+
+    # 6,542 symbols fill 1,636 blocks with two pad slots; with one, the
+    # ciphertext claims 6,543 symbols and is refused as corrupt
+    doc = json.loads(ct.read_text(encoding="utf-8"))
+    assert (len(doc["blocks"]), doc["pad_count"]) == (1636, 2)
+    doc["pad_count"] = 1
+    ct.write_text(json.dumps(doc), encoding="utf-8")
+    out.unlink()
+    assert run(["decrypt", "--key", key, "--in", ct, "--out", out]) == 4
+    assert not out.exists()
+    err = _one_error_line(capsys)
+    assert "6543 symbols" in err and "6542-byte message limit" in err
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("fib_index", "x" * 200_000), ("x" * 200_000, "1")],
+    ids=["long_fib_index", "long_field_name"],
+)
+def test_overlong_key_field_gives_a_short_message(tmp_path, capsys, name, value):
+    # a 200,000-character fib_index string, or field name, is not echoed whole
+    key = tmp_path / "k.json"
+    doc = json.loads((FIXTURES / "golden_key.json").read_text(encoding="utf-8"))
+    doc[name] = value
+    key.write_text(json.dumps(doc), encoding="utf-8")
+    msg = tmp_path / "m.txt"
+    msg.write_bytes(b"hello")
+    out = tmp_path / "ct.json"
+    assert run(["encrypt", "--key", key, "--in", msg, "--out", out]) == 3
+    assert not out.exists()
+    err = _one_error_line(capsys)
+    assert len(err) < 200
+    assert "200000 characters" in err

@@ -1,13 +1,20 @@
 """PRNG and prime stream tests, including the frozen cross-implementation
 test vectors that pin the wire contract down to the bit."""
 
+import functools
 import math
 import random
 
 import pytest
 
 from cubecipher import CipherError, PRIME_LIMIT, Xorshift64Star, is_prime, prime_stream
-from cubecipher.primes import PRIME_COUNT_BELOW_LIMIT, _PRIME_TABLE
+from cubecipher.primes import (
+    _CHUNK_DRAWS,
+    _PRIME_TABLE,
+    PRIME_COUNT_BELOW_LIMIT,
+    _apply_matrix,
+    _jump_table,
+)
 
 MASK64 = (1 << 64) - 1
 
@@ -134,8 +141,9 @@ def test_is_prime_large_values():
 
 
 def reference_prime_stream(seed, count):
-    """The rejection loop prime_stream used before its sieve table:
-    Miller-Rabin on every candidate, a set for repeats."""
+    """The scalar rejection loop, one draw at a time, as prime_stream ran
+    before its sieve table and its lanes: Miller-Rabin on every candidate,
+    a set for repeats."""
     rng = Xorshift64Star(seed)
     out = []
     seen = set()
@@ -166,3 +174,54 @@ def test_sieve_table_agrees_with_is_prime():
         n for n in range(PRIME_LIMIT) if is_prime(n)
     ]
     assert sum(_PRIME_TABLE) == PRIME_COUNT_BELOW_LIMIT
+
+
+@functools.lru_cache(maxsize=None)
+def _full_reference(seed):
+    return reference_prime_stream(seed, PRIME_COUNT_BELOW_LIMIT)
+
+
+_rng = random.Random(65536)
+PREFIX_SEEDS = [0, 1, MASK64, _rng.randrange(1 << 64)]
+# every short length, then lengths up to the ceiling, so that the streams
+# end in every part of a chunk and of a lane
+PREFIX_LENGTHS = list(range(301)) + sorted(
+    _rng.randrange(301, PRIME_COUNT_BELOW_LIMIT + 1) for _ in range(64)
+) + [PRIME_COUNT_BELOW_LIMIT]
+
+
+@pytest.mark.parametrize("seed", PREFIX_SEEDS)
+def test_prime_stream_is_the_reference_prefix_at_every_length(seed):
+    expected = _full_reference(seed)
+    for n in PREFIX_LENGTHS:
+        assert prime_stream(seed, n) == expected[:n], n
+
+
+def test_jump_tables_match_stepping():
+    """Every table A**(2**k) that prime_stream can use advances a state by
+    exactly 2**k generator steps."""
+    rng = random.Random(2**16)
+    states = [rng.randrange(1, 1 << 64) for _ in range(16)]
+    walkers = [Xorshift64Star(s) for s in states]
+    packed = sum(s << (64 * j) for j, s in enumerate(states))  # one lane per state
+    done = 0
+    for k in range(_CHUNK_DRAWS.bit_length() - 1):  # the longest jump is half a chunk
+        for w in walkers:
+            for _ in range((1 << k) - done):
+                w.next_u64()
+        done = 1 << k
+        jumped = _apply_matrix(_jump_table(k), packed, len(states))
+        assert [(jumped >> (64 * j)) & MASK64 for j in range(len(states))] == [
+            w._state for w in walkers
+        ], k
+
+
+@pytest.mark.parametrize(
+    "seed, error", [(-1, ValueError), (1 << 64, ValueError), ("7", TypeError), (True, TypeError)]
+)
+@pytest.mark.parametrize("count", [0, 5])
+def test_prime_stream_rejects_a_bad_seed(seed, error, count):
+    with pytest.raises(error):
+        Xorshift64Star(seed)
+    with pytest.raises(error):
+        prime_stream(seed, count)
