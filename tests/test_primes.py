@@ -4,10 +4,11 @@ test vectors that pin the wire contract down to the bit."""
 import functools
 import math
 import random
+import threading
 
 import pytest
 
-from cubecipher import CipherError, PRIME_LIMIT, Xorshift64Star, is_prime, prime_stream
+from cubecipher import CipherError, PRIME_LIMIT, Xorshift64Star, is_prime, prime_stream, primes
 from cubecipher.primes import (
     _CHUNK_DRAWS,
     _PRIME_TABLE,
@@ -225,3 +226,21 @@ def test_prime_stream_rejects_a_bad_seed(seed, error, count):
         Xorshift64Star(seed)
     with pytest.raises(error):
         prime_stream(seed, count)
+
+
+def test_jump_tables_built_by_concurrent_first_use(monkeypatch):
+    built = [_jump_table(k) for k in range(_CHUNK_DRAWS.bit_length() - 1)]
+    monkeypatch.setattr(primes, "_JUMPS", [])
+    seeds = PREFIX_SEEDS  # their references are cached by the prefix test
+    results = {}
+    threads = [
+        threading.Thread(target=lambda s=s: results.__setitem__(s, prime_stream(s, 4000)))
+        for s in seeds
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert primes._JUMPS == built[: len(primes._JUMPS)]
+    for s in seeds:
+        assert results[s] == _full_reference(s)[:4000]
