@@ -133,8 +133,8 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
         raise ValueError("message_length must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _require_length(message_length)
     _require_valid(key)
+    _require_length(message_length)
     primes = prime_stream(key.prime_seed, message_length)
     rng = Xorshift64Star(rng_seed)
     histogram = Counter()

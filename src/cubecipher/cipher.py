@@ -365,13 +365,14 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
     Strict mode (the default) rejects bytes above 127 and names the first
     offending index; byte mode accepts the full [0, 255] range. One prime
     is drawn per byte position from the key's seeded stream, so a message
-    longer than MAX_MESSAGE_BYTES raises CipherError before any other work.
+    longer than MAX_MESSAGE_BYTES raises CipherError, after the key check
+    and before any other work.
     """
     if isinstance(message, str):
         raise TypeError("encrypt takes bytes; encode the string first")
     message = bytes(message)
-    _require_length(len(message))
     _require_valid(key)
+    _require_length(len(message))
     if not byte_mode:
         for i, b in enumerate(message):
             if b > ASCII_MAX:

@@ -30,8 +30,10 @@ once with masked shifts. The step is linear over GF(2), a 64x64 bit
 matrix A, so the lanes' start states come from one state by doubling with
 the jump tables A**(2**k); each table is built on first use, once per
 process. Each step's candidates go into one bytearray, capped at 256 KiB
-per chunk, which is then read lane by lane, in draw order, through a
-strided memoryview and filtered against the per-call sieve copy. The
+per chunk, in the host's byte order, which is then read lane by lane, in
+draw order, through a strided memoryview of its native 16-bit halfwords
+and filtered against the per-call sieve copy. Where a lane's candidate
+sits in the buffer depends on the byte order; the stream does not. The
 stream is the one the scalar loop gives, draw for draw; the test suite
 keeps that loop as its reference.
 
@@ -76,8 +78,6 @@ _MAX_STEPS_LOG = 7
 # second chunk, and its jump-ahead, is rarely needed.
 _SLACK = 1.15
 _SPARE_DRAWS = 64
-# Index of a lane's low 16 bits among its four 16-bit halfwords in the buffer
-_LOW_HALFWORD = 0 if sys.byteorder == "little" else 3
 
 
 def _sieve(limit):
@@ -216,6 +216,31 @@ def _lane_starts(state, lanes, steps_log):
     return x
 
 
+def _fill_chunk(buf, state, lanes, steps_log, byteorder=sys.byteorder):
+    """Draw a chunk of `lanes` lanes x 2**steps_log steps, starting at state.
+
+    Step s of the chunk fills buf[8 * lanes * s : 8 * lanes * (s + 1)] with
+    the lanes' low16(state) * 0xDD1D products as one integer in byteorder,
+    so that a lane's candidate is one 16-bit halfword of buf in byteorder.
+    Returns the state after the chunk's last draw and the halfword offsets
+    of the lanes' candidates within a step, lane 0 first.
+    """
+    x = _lane_starts(state, lanes, steps_log)
+    masks = _step_masks(lanes)
+    low16 = _repeat(0xFFFF, lanes)
+    width = 8 * lanes
+    for at in range(0, width << steps_log, width):
+        x = _xorshift(x, *masks)
+        # the product stays in its lane and its low halfword is the candidate
+        buf[at : at + width] = ((x & low16) * (_MULTIPLIER & 0xFFFF)).to_bytes(width, byteorder)
+    stride = 4 * lanes
+    if byteorder == "little":
+        firsts = range(0, stride, 4)
+    else:  # the lanes come highest first, each with its low halfword last
+        firsts = range(stride - 1, 0, -4)
+    return x >> (64 * (lanes - 1)), firsts  # the last lane ends where the next chunk starts
+
+
 def _chunk_shape(emitted, count):
     """(steps_log, lanes) of the next chunk: enough draws for the primes
     still needed, by the coupon-collector estimate, within _CHUNK_DRAWS."""
@@ -249,24 +274,14 @@ def prime_stream(seed: int, count: int) -> list:
     buf = bytearray()
     while len(out) < count:
         steps_log, lanes = _chunk_shape(len(out), count)
-        x = _lane_starts(state, lanes, steps_log)
-        masks = _step_masks(lanes)
-        low16 = _repeat(0xFFFF, lanes)
-        width = 8 * lanes
-        size = width << steps_log
-        if len(buf) < size:
-            buf = bytearray(size)
-        for at in range(0, size, width):
-            x = _xorshift(x, *masks)
-            # low 16 bits of each lane's output; the product stays in its lane
-            buf[at : at + width] = ((x & low16) * (_MULTIPLIER & 0xFFFF)).to_bytes(
-                width, sys.byteorder
-            )
-        state = x >> (64 * (lanes - 1))  # the last lane ends where the next chunk starts
-        halfwords = memoryview(buf).cast("H")
         stride = 4 * lanes
         end = stride << steps_log
-        for first in range(_LOW_HALFWORD, stride, 4):
+        if len(buf) < 2 * end:
+            buf = bytearray(2 * end)
+        # buf is in the host's byte order, so the native halfwords are the candidates
+        state, firsts = _fill_chunk(buf, state, lanes, steps_log)
+        halfwords = memoryview(buf).cast("H")
+        for first in firsts:
             for candidate in halfwords[first:end:stride]:
                 if unused[candidate]:
                     unused[candidate] = 0

@@ -384,3 +384,5 @@ def test_growth_exponent_on_synthetic_data():
 def test_avalanche_refuses_messages_over_the_length_limit():
     with pytest.raises(CipherError, match="^message is 6543 bytes, longer than the 6542-byte limit"):
         avalanche_test(keygen(1), 6543, 1, 1)
+    with pytest.raises(InvalidKeyError):
+        avalanche_test(KeyMaterial(IntMatrix.identity(2), 30000, 0, 0), 6543, 1, 1)

@@ -543,6 +543,9 @@ def test_message_length_limit():
         "message is 6543 bytes, longer than the 6542-byte limit "
         "(one distinct prime below 2**16 per byte)"
     )
+    # the key is checked before the length
+    with pytest.raises(InvalidKeyError):
+        encrypt(message + b"a", KeyMaterial(IntMatrix.identity(2), 30000, 0, 0))
 
 
 def test_decrypt_refuses_an_overlong_envelope_before_unmixing():

@@ -337,6 +337,15 @@ def test_message_length_limit_through_the_cli(tmp_path, capsys):
     err = _one_error_line(capsys)
     assert "6543 bytes" in err and "6542-byte limit" in err
 
+    # an invalid key is still refused first, with its own exit code
+    bad_key = tmp_path / "bad_key.json"
+    bad_key.write_text(
+        serialize_key(KeyMaterial(IntMatrix.identity(2), 30000, 0, 0)), encoding="utf-8"
+    )
+    assert run(["encrypt", "--key", bad_key, "--in", msg, "--out", too_long]) == 3
+    assert not too_long.exists()
+    assert "fib_index must be in [1, 10000]" in _one_error_line(capsys)
+
     # 6,542 symbols fill 1,636 blocks with two pad slots; with one, the
     # ciphertext claims 6,543 symbols and is refused as corrupt
     doc = json.loads(ct.read_text(encoding="utf-8"))

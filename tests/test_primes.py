@@ -14,6 +14,7 @@ from cubecipher.primes import (
     _PRIME_TABLE,
     PRIME_COUNT_BELOW_LIMIT,
     _apply_matrix,
+    _fill_chunk,
     _jump_table,
 )
 
@@ -215,6 +216,28 @@ def test_jump_tables_match_stepping():
         assert [(jumped >> (64 * j)) & MASK64 for j in range(len(states))] == [
             w._state for w in walkers
         ], k
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+@pytest.mark.parametrize("lanes, steps_log", [(1, 5), (3, 5), (16, 7)])
+def test_chunk_layout_gives_draw_order_in_either_byte_order(byteorder, lanes, steps_log):
+    """Read as a host of the given byte order reads it, the chunk buffer
+    gives the scalar loop's candidates in draw order, so the stream does
+    not depend on the host."""
+    seed = 5198
+    draws = lanes << steps_log
+    outputs = xorshift_reference(seed, draws)
+    buf = bytearray(8 * draws)
+    state, firsts = _fill_chunk(buf, Xorshift64Star(seed)._state, lanes, steps_log, byteorder)
+    halfwords = [int.from_bytes(buf[i : i + 2], byteorder) for i in range(0, len(buf), 2)]
+    stride = 4 * lanes
+    assert [c for first in firsts for c in halfwords[first::stride]] == [
+        o & (PRIME_LIMIT - 1) for o in outputs
+    ]
+    walker = Xorshift64Star(seed)
+    for _ in range(draws):
+        walker.next_u64()
+    assert state == walker._state
 
 
 @pytest.mark.parametrize(
