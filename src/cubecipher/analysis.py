@@ -38,6 +38,7 @@ from statistics import median
 from .cipher import (
     BLOCK_SYMBOLS,
     FORMAT_VERSION,
+    _block_map,
     _encrypt_with,
     _require_length,
     _require_valid,
@@ -125,8 +126,8 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
     one position to a different ASCII value, encrypts both under the same
     key, and records the number of ciphertext blocks that differ plus the
     fraction of differing bits over the canonical serializations. Every
-    message has the same length and key, so the key's prime stream is
-    drawn once per call. Deterministic given (key, message_length, trials,
+    message has the same length and key, so the key's block map and prime
+    stream are built once per call. Deterministic given (key, message_length, trials,
     rng_seed).
     """
     if message_length < 1:
@@ -135,6 +136,7 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
         raise ValueError("trials must be at least 1")
     _require_valid(key)
     _require_length(message_length)
+    m = _block_map(key)
     primes = prime_stream(key.prime_seed, message_length)
     rng = Xorshift64Star(rng_seed)
     histogram = Counter()
@@ -147,8 +149,8 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
         bump = 1 + rng.below(127)  # never maps a byte to itself
         flipped = bytearray(message)
         flipped[position] = (flipped[position] + bump) % 128
-        env_a = _encrypt_with(message, key, primes)
-        env_b = _encrypt_with(flipped, key, primes)
+        env_a = _encrypt_with(message, m, primes)
+        env_b = _encrypt_with(flipped, m, primes)
         changed = sum(1 for x, y in zip(env_a.blocks, env_b.blocks) if x != y)
         histogram[changed] += 1
         block_fraction_sum += Fraction(changed, total_blocks)

@@ -267,11 +267,11 @@ def _block_map(key):
     )
 
 
-def _mix(key, flat):
+def _mix(m, flat):
     """Ciphertext blocks of a flat row-major entry list whose length is a
-    multiple of 4, through the key's block map."""
+    multiple of 4, through the block map m (the entries of _block_map)."""
     (m00, m01, m02, m03, m10, m11, m12, m13,
-     m20, m21, m22, m23, m30, m31, m32, m33) = _block_map(key)
+     m20, m21, m22, m23, m30, m31, m32, m33) = m
     it = iter(flat)
     return [
         IntMatrix(2, 2, (
@@ -344,7 +344,7 @@ def encrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
     if (block.rows, block.cols) != (2, 2):
         raise ValueError("block must be 2x2")
     _require_valid(key)
-    return _mix(key, block.entries)[0]
+    return _mix(_block_map(key), block.entries)[0]
 
 
 def decrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
@@ -353,10 +353,10 @@ def decrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
     return _decrypt_one(block, *_inverse_mixers(key))
 
 
-def _encrypt_with(message, key, primes):
-    """The envelope of message under key, given its prime stream."""
+def _encrypt_with(message, m, primes):
+    """The envelope of message, given the key's block map m and prime stream."""
     ts, pad_count = _padded([encode_symbol(b, p) for b, p in zip(message, primes)])
-    return CiphertextEnvelope(FORMAT_VERSION, pad_count, _mix(key, ts))
+    return CiphertextEnvelope(FORMAT_VERSION, pad_count, _mix(m, ts))
 
 
 def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> CiphertextEnvelope:
@@ -380,7 +380,7 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
                     "byte 0x%02x at index %d is not 7-bit ASCII; enable byte mode"
                     % (b, i)
                 )
-    return _encrypt_with(message, key, prime_stream(key.prime_seed, len(message)))
+    return _encrypt_with(message, _block_map(key), prime_stream(key.prime_seed, len(message)))
 
 
 def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = False) -> bytes:

@@ -22,14 +22,12 @@ import tempfile
 from .analysis import avalanche_test, benchmark, known_plaintext_attack
 from .cipher import decrypt, encrypt, keygen
 from .errors import (
+    EXIT_BAD_DATA,
+    EXIT_BAD_KEY,
+    EXIT_USAGE,
     CipherError,
-    CorruptCiphertextError,
-    CorruptValueError,
     FormatError,
-    InsufficientPairsError,
     InvalidKeyError,
-    NonIntegralResultError,
-    SymbolRangeError,
 )
 from .formats import (
     parse_ciphertext,
@@ -40,15 +38,16 @@ from .formats import (
 )
 from .primes import MAX_U64
 
+# EXIT_USAGE, EXIT_BAD_KEY and EXIT_BAD_DATA come from the errors module,
+# where each CipherError class names its own exit_code.
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_BAD_KEY = 3
-EXIT_BAD_DATA = 4
 EXIT_IO = 5
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(CipherError):
+    """A library error that, in this command, means unusable input."""
+
+    exit_code = EXIT_USAGE
 
 
 def _parse_seed(text):
@@ -244,22 +243,8 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         return handler(args)
-    except _UsageError as exc:
-        return _fail(exc, EXIT_USAGE)
-    except InsufficientPairsError as exc:
-        return _fail(exc, EXIT_USAGE)
-    except InvalidKeyError as exc:
-        return _fail(exc, EXIT_BAD_KEY)
-    except (
-        CorruptCiphertextError,
-        NonIntegralResultError,
-        CorruptValueError,
-        SymbolRangeError,
-        FormatError,
-    ) as exc:
-        return _fail(exc, EXIT_BAD_DATA)
     except CipherError as exc:
-        return _fail(exc, EXIT_BAD_DATA)
+        return _fail(exc, exc.exit_code)
     except ValueError as exc:
         return _fail(exc, EXIT_USAGE)
     except OSError as exc:

@@ -3,11 +3,21 @@
 Every failure this package can signal is a subclass of CipherError, so
 callers can catch one type at the boundary. Plain ValueError/TypeError are
 reserved for programming mistakes (bad dimensions, wrong argument types).
+
+Each class carries the exit status the command-line tool ends with when
+that error stops a command: 2 for unusable input, 3 for a bad key, 4 for
+corrupt data or a wrong key (the default).
 """
+
+EXIT_USAGE = 2
+EXIT_BAD_KEY = 3
+EXIT_BAD_DATA = 4
 
 
 class CipherError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = EXIT_BAD_DATA
 
 
 class SingularMatrixError(CipherError):
@@ -40,6 +50,7 @@ class SymbolRangeError(CipherError):
 
     Raised when decoding lands outside [0, max_code] (wrong prime or
     corrupted value) and when encrypting bytes above 127 in strict mode.
+    The command-line encrypt reports the latter as unusable input (2).
     """
 
 
@@ -50,14 +61,19 @@ class CorruptCiphertextError(CipherError):
 class InvalidKeyError(CipherError):
     """Key material failed validation."""
 
+    exit_code = EXIT_BAD_KEY
+
 
 class FormatError(CipherError):
     """A serialized file does not conform to its documented format, or a
-    value is too long to be written in it."""
+    value is too long to be written in it. The command-line tool reports
+    a malformed key file as InvalidKeyError (3)."""
 
 
 class InsufficientPairsError(CipherError):
     """Known-plaintext pairs span too small a space to pin down the map."""
+
+    exit_code = EXIT_USAGE
 
     def __init__(self, message: str, rank: int):
         super().__init__(message)

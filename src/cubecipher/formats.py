@@ -2,7 +2,11 @@
 
 All three are UTF-8 JSON with LF line endings, two-space indentation, a
 fixed field order, and one trailing newline, so serializing the same data
-twice is byte-identical on every platform. Integers that can outgrow 64
+twice is byte-identical on every platform. dumps_canonical is the
+definition of that form, and key and pair files are written through it.
+Ciphertext files render the same layout directly, which is several times
+faster than json's indenting encoder; the tests hold it to
+dumps_canonical byte for byte. Integers that can outgrow 64
 bits (and, in the key file, every integer field except the version tag)
 are written as canonical decimal strings: optional minus sign, no leading
 zeros, no "-0".
@@ -138,6 +142,12 @@ def _format_decimal(value, what, *index):
 def _parse_block_entries(value, what):
     if not isinstance(value, list) or len(value) != 4:
         raise FormatError("%s must be a list of 4 decimal strings" % what)
+    try:
+        if all(isinstance(v, str) and _DECIMAL_RE.match(v) for v in value):
+            return tuple([int(v) for v in value])
+    except ValueError:
+        pass
+    # some entry is bad: parse again, naming each field, to report the first
     return tuple(_parse_decimal(v, "%s[%d]" % (what, i)) for i, v in enumerate(value))
 
 
@@ -167,16 +177,35 @@ def parse_key(text: str) -> KeyMaterial:
     return KeyMaterial(IntMatrix(2, 2, entries), fib_index, quarter_turns, prime_seed)
 
 
+# One ciphertext block as dumps_canonical lays it out, three levels deep.
+_CIPHERTEXT_BLOCK = '    [\n      "%s",\n      "%s",\n      "%s",\n      "%s"\n    ]'
+
+
+def _member_json(value):
+    """json text of value as dumps_canonical writes it as an object member."""
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, indent=2).replace("\n", "\n  ")
+    return json.dumps(value)
+
+
 def serialize_ciphertext(envelope: CiphertextEnvelope) -> str:
-    obj = {
-        "version": envelope.version,
-        "pad_count": envelope.pad_count,
-        "blocks": [
-            [_format_decimal(e, "ciphertext file: blocks", i, j) for j, e in enumerate(b.entries)]
-            for i, b in enumerate(envelope.blocks)
-        ],
-    }
-    return dumps_canonical(obj)
+    """dumps_canonical of {"version", "pad_count", "blocks"}, rendered
+    directly: json's indenting encoder is pure Python and several times
+    slower than filling in the fixed layout. Block entries are ints, whose
+    str() is plain ASCII, so they need no escaping."""
+    try:
+        blocks = ",\n".join([_CIPHERTEXT_BLOCK % b.entries for b in envelope.blocks])
+    except ValueError:
+        # an entry past the int/str limit: name the first one
+        for i, b in enumerate(envelope.blocks):
+            for j, e in enumerate(b.entries):
+                _format_decimal(e, "ciphertext file: blocks", i, j)
+        raise
+    return '{\n  "version": %s,\n  "pad_count": %s,\n  "blocks": %s\n}\n' % (
+        _member_json(envelope.version),
+        _member_json(envelope.pad_count),
+        "[\n%s\n  ]" % blocks if blocks else "[]",
+    )
 
 
 def parse_ciphertext(text: str) -> CiphertextEnvelope:

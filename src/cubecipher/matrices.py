@@ -65,7 +65,8 @@ class IntMatrix:
         entries = tuple(self.entries)
         _check_shape(self.rows, self.cols, entries)
         for e in entries:
-            if not isinstance(e, int) or isinstance(e, bool):
+            # the exact-type test settles the common case in one comparison
+            if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)):
                 raise TypeError("integer matrix entries must be ints, got %r" % (e,))
         object.__setattr__(self, "entries", entries)
 

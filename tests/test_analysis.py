@@ -80,6 +80,33 @@ def test_avalanche_report_is_pinned():
     assert avalanche_test(keygen(7), 40, 50, 11).to_json_text() == expected
 
 
+@pytest.mark.parametrize(
+    "length, trials, block_fraction, bit_fraction",
+    [
+        (1, 1, "1", "11/152"),
+        (1, 7, "1", "11/171"),
+        (3, 1, "1", "113/1368"),
+        (3, 7, "1", "73/1064"),
+        (5, 1, "1/2", "87/2272"),
+        (5, 7, "1/2", "297/7952"),
+        (257, 1, "1/65", "45/30232"),
+        (257, 7, "1/65", "60635520387823/7614857190588480"),
+    ],
+)
+def test_avalanche_reports_are_pinned_across_lengths(length, trials, block_fraction, bit_fraction):
+    # one-block, padded and many-block messages, over one and several trials
+    expected = (
+        '{\n  "version": 1,\n  "trials": %d,\n  "message_length": %d,\n'
+        '  "mean_changed_block_fraction": "%s",\n'
+        '  "mean_changed_bit_fraction": "%s",\n'
+        '  "locality_histogram": {\n    "1": %d\n  },\n'
+        '  "finding": "every single-character change stayed inside its own 2x2 block; '
+        "this is the measured deviation from the full-diffusion ideal, under which one "
+        'changed character should unpredictably alter the entire ciphertext"\n}\n'
+    ) % (trials, length, block_fraction, bit_fraction, trials)
+    assert avalanche_test(keygen(7), length, trials, 11).to_json_text() == expected
+
+
 def test_avalanche_validates_arguments():
     with pytest.raises(ValueError):
         avalanche_test(keygen(1), message_length=4, trials=0, rng_seed=1)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cubecipher import IntMatrix, encrypt_block, keygen, serialize_key, serialize_pairs
+from cubecipher import IntMatrix, cli, encrypt_block, errors, keygen, serialize_key, serialize_pairs
 from cubecipher.cipher import KeyMaterial
 from cubecipher.cli import main
 
@@ -298,8 +298,10 @@ def test_encrypt_with_ciphertext_too_long_to_write_exits_4(tmp_path, capsys):
     assert run(["encrypt", "--key", key, "--in", msg, "--out", out]) == 4
     assert not out.exists()
     err = capsys.readouterr().err
-    assert "ciphertext file: blocks[0][" in err
-    assert "9999" not in err
+    assert err == (
+        "cubecipher: error: ciphertext file: blocks[0][0] is a 14326-bit number, "
+        "too long to write as decimal\n"
+    )
 
 
 @pytest.mark.parametrize("fib_index", [30000, 10**18])
@@ -312,6 +314,44 @@ def test_encrypt_with_too_large_fib_index_exits_3(tmp_path, capsys, fib_index):
     assert run(["encrypt", "--key", key, "--in", msg, "--out", out]) == 3
     assert not out.exists()
     assert "fib_index must be in [1, 10000]" in capsys.readouterr().err
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+EXIT_CODES = [
+    (errors.CipherError, 4),
+    (errors.SingularMatrixError, 4),
+    (errors.NonIntegralResultError, 4),
+    (errors.NoIntegerRootError, 4),
+    (errors.CorruptValueError, 4),
+    (errors.SymbolRangeError, 4),
+    (errors.CorruptCiphertextError, 4),
+    (errors.InvalidKeyError, 3),
+    (errors.FormatError, 4),
+    (errors.InsufficientPairsError, 2),
+    (cli._UsageError, 2),
+]
+
+
+def test_exit_code_table_covers_every_error_class():
+    assert set(_all_subclasses(errors.CipherError)) | {errors.CipherError} == {
+        cls for cls, _ in EXIT_CODES
+    }
+
+
+@pytest.mark.parametrize("cls, code", EXIT_CODES, ids=lambda v: getattr(v, "__name__", v))
+def test_each_error_class_exits_with_its_code(tmp_path, monkeypatch, capsys, cls, code):
+    def fail(args):
+        raise cls("boom", 1) if cls is errors.InsufficientPairsError else cls("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "keygen", fail)
+    assert cls.exit_code == code
+    assert run(["keygen", "--seed", 1, "--out", tmp_path / "k.json"]) == code
+    assert capsys.readouterr().err == "cubecipher: error: boom\n"
 
 
 def _one_error_line(capsys):

@@ -19,6 +19,7 @@ from cubecipher import (
     serialize_key,
     serialize_pairs,
 )
+from spec import reference_serialize_ciphertext
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -180,3 +181,57 @@ def test_numbers_too_long_to_write_raise_format_error():
     pairs = [(IntMatrix.identity(2), IntMatrix(2, 2, (1, 2, 3, huge)))]
     with pytest.raises(FormatError, match=r"^pair file: pairs\[0\]\.ciphertext\[3\] is a 16610-bit"):
         serialize_pairs(pairs)
+
+
+class _Tagged(int):
+    """An int subclass, as a caller may put into a block."""
+
+
+def _envelope(version, pad_count, *blocks):
+    return CiphertextEnvelope(version, pad_count, tuple(IntMatrix(2, 2, b) for b in blocks))
+
+
+_BIG = 10**3999 + 12345  # 4,000 digits, inside the int/str limit
+
+
+@pytest.mark.parametrize(
+    "envelope",
+    [
+        _envelope(1, 0),
+        _envelope(1, 0, (1, 2, 3, 4)),
+        _envelope(1, 1, (1, 2, 3, 0)),
+        _envelope(1, 2, (5, 6, 7, 8), (1, 2, 0, 0)),
+        _envelope(1, 3, (5, 6, 7, 8), (9, 10, 11, 12), (1, 0, 0, 0)),
+        _envelope(1, 0, (-1, 0, -(10**20), 7)),
+        _envelope(1, 0, (_BIG, -_BIG, 0, 1), (-_BIG, 1, _BIG, -1)),
+        _envelope(1, 0, (_Tagged(3), _Tagged(-4), 5, _Tagged(0))),
+        _envelope(True, 0, (1, 2, 3, 4)),
+        _envelope(False, 0),
+        _envelope("1", 1, (1, 2, 3, 0)),
+        _envelope("v\u00e9\"\n", 0, (1, 2, 3, 4)),
+        _envelope([1, {"a": [2]}], 0, (1, 2, 3, 4)),
+    ],
+)
+def test_serialize_ciphertext_equals_the_reference(envelope):
+    text = serialize_ciphertext(envelope)
+    assert text == reference_serialize_ciphertext(envelope)
+    if type(envelope.version) is int:
+        assert parse_ciphertext(text) == envelope
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [(10**5000, 0, 0, 0)],
+        [(1, 2, 3, 4), (5, 6, -(10**4300), 8), (10**6000, 0, 0, 0)],
+        [(0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, _BIG), (0, 10**4400, 0, -(10**4400))],
+    ],
+)
+def test_serialize_ciphertext_names_the_first_overlong_entry(blocks):
+    envelope = _envelope(1, 0, *blocks)
+    with pytest.raises(FormatError) as expected:
+        reference_serialize_ciphertext(envelope)
+    with pytest.raises(FormatError) as got:
+        serialize_ciphertext(envelope)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("ciphertext file: blocks[")

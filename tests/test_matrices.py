@@ -1,6 +1,7 @@
 """Exact matrix layer, checked against independent brute-force oracles."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -194,6 +195,22 @@ def test_entry_type_policing():
         IntMatrix(1, 1, (True,))
     with pytest.raises(ValueError):
         IntMatrix(2, 2, (1, 2, 3))
+
+
+@pytest.mark.parametrize("entry", [True, False, 1.5, "1", Fraction(1, 2), None])
+def test_entry_type_policing_names_the_entry(entry):
+    with pytest.raises(TypeError) as excinfo:
+        IntMatrix(2, 2, (1, 2, entry, 4))
+    assert str(excinfo.value) == "integer matrix entries must be ints, got %r" % (entry,)
+
+
+def test_int_subclass_entries_are_accepted():
+    class Tagged(int):
+        pass
+
+    m = IntMatrix(2, 2, (Tagged(3), 1, 2, Tagged(-4)))
+    assert m.entries == (3, 1, 2, -4)
+    assert type(m.entries[0]) is Tagged
 
 
 def test_integer_scaling():

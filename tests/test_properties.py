@@ -1,8 +1,10 @@
-"""Property-based checks of the parsers (skipped when hypothesis is absent).
+"""Property-based checks of the wire formats (skipped when hypothesis is
+absent).
 
 Every parser must turn any text, and any JSON document, into either a
 value or a FormatError; nothing else may escape, so the CLI always maps a
-bad file to its documented exit code.
+bad file to its documented exit code. The ciphertext serializer must write
+exactly what its reference writes.
 """
 
 import json
@@ -13,7 +15,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cubecipher import FormatError, parse_ciphertext, parse_key, parse_pairs  # noqa: E402
+from cubecipher import (  # noqa: E402
+    CiphertextEnvelope,
+    FormatError,
+    IntMatrix,
+    parse_ciphertext,
+    parse_key,
+    parse_pairs,
+    serialize_ciphertext,
+)
+from spec import reference_serialize_ciphertext  # noqa: E402
 
 PARSERS = (parse_key, parse_ciphertext, parse_pairs)
 
@@ -90,3 +101,39 @@ def test_parsers_raise_only_format_error_on_arbitrary_text(text):
 @given(st.one_of(_json, _shaped))
 def test_parsers_raise_only_format_error_on_arbitrary_json(doc):
     _parse_all(json.dumps(doc))
+
+
+class _Tagged(int):
+    pass
+
+
+# block entries from small to past the int/str limit (~4,300 digits)
+_entries = st.one_of(
+    st.integers(),
+    st.integers(-(10**4400), 10**4400),
+    st.builds(_Tagged, st.integers(-(10**12), 10**12)),
+)
+_blocks = st.lists(st.tuples(_entries, _entries, _entries, _entries), max_size=4)
+
+
+@st.composite
+def _envelopes(draw):
+    blocks = draw(_blocks)
+    pad_count = draw(st.integers(0, 3)) if blocks else 0
+    version = draw(st.one_of(st.just(1), st.integers(), st.booleans(), st.text(max_size=8)))
+    return CiphertextEnvelope(version, pad_count, tuple(IntMatrix(2, 2, b) for b in blocks))
+
+
+def _outcome(serialize, envelope):
+    try:
+        return serialize(envelope)
+    except FormatError as exc:
+        return FormatError, str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_envelopes())
+def test_serialize_ciphertext_matches_the_reference(envelope):
+    assert _outcome(serialize_ciphertext, envelope) == _outcome(
+        reference_serialize_ciphertext, envelope
+    )
