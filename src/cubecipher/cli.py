@@ -38,8 +38,6 @@ from .formats import (
 )
 from .primes import MAX_U64
 
-# EXIT_USAGE, EXIT_BAD_KEY and EXIT_BAD_DATA come from the errors module,
-# where each CipherError class names its own exit_code.
 EXIT_OK = 0
 EXIT_IO = 5
 

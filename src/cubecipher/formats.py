@@ -108,10 +108,21 @@ def _expect_version(value, what):
         raise FormatError("%s: unsupported version %s" % (what, _shown(value)))
 
 
-def _parse_decimal(value, what):
+def _field(what, index):
+    """The field name what[i][j] for an error message."""
+    return what + "".join("[%d]" % i for i in index)
+
+
+def _parse_decimal(value, what, *index):
+    """int of a canonical decimal string, the input twin of _format_decimal.
+
+    A bad or too long value raises FormatError naming the field, as
+    what[i] for the given index.
+    """
     if not isinstance(value, str) or not _DECIMAL_RE.match(value):
         raise FormatError(
-            "%s must be a canonical decimal string, got %s" % (what, _shown(value))
+            "%s must be a canonical decimal string, got %s"
+            % (_field(what, index), _shown(value))
         )
     try:
         return int(value)
@@ -119,7 +130,7 @@ def _parse_decimal(value, what):
         # Python's int/str conversion limit (sys.get_int_max_str_digits)
         raise FormatError(
             "%s has %d digits, more than this interpreter converts"
-            % (what, len(value.lstrip("-")))
+            % (_field(what, index), len(value.lstrip("-")))
         ) from None
 
 
@@ -133,22 +144,16 @@ def _format_decimal(value, what, *index):
         return str(value)
     except ValueError:
         bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
-        where = what + "".join("[%d]" % i for i in index)
         raise FormatError(
-            "%s is a %d-bit number, too long to write as decimal" % (where, bits)
+            "%s is a %d-bit number, too long to write as decimal"
+            % (_field(what, index), bits)
         ) from None
 
 
 def _parse_block_entries(value, what):
     if not isinstance(value, list) or len(value) != 4:
         raise FormatError("%s must be a list of 4 decimal strings" % what)
-    try:
-        if all(isinstance(v, str) and _DECIMAL_RE.match(v) for v in value):
-            return tuple([int(v) for v in value])
-    except ValueError:
-        pass
-    # some entry is bad: parse again, naming each field, to report the first
-    return tuple(_parse_decimal(v, "%s[%d]" % (what, i)) for i, v in enumerate(value))
+    return tuple(_parse_decimal(v, what, i) for i, v in enumerate(value))
 
 
 def serialize_key(key: KeyMaterial) -> str:
@@ -181,13 +186,6 @@ def parse_key(text: str) -> KeyMaterial:
 _CIPHERTEXT_BLOCK = '    [\n      "%s",\n      "%s",\n      "%s",\n      "%s"\n    ]'
 
 
-def _member_json(value):
-    """json text of value as dumps_canonical writes it as an object member."""
-    if isinstance(value, (dict, list, tuple)):
-        return json.dumps(value, indent=2).replace("\n", "\n  ")
-    return json.dumps(value)
-
-
 def serialize_ciphertext(envelope: CiphertextEnvelope) -> str:
     """dumps_canonical of {"version", "pad_count", "blocks"}, rendered
     directly: json's indenting encoder is pure Python and several times
@@ -202,8 +200,8 @@ def serialize_ciphertext(envelope: CiphertextEnvelope) -> str:
                 _format_decimal(e, "ciphertext file: blocks", i, j)
         raise
     return '{\n  "version": %s,\n  "pad_count": %s,\n  "blocks": %s\n}\n' % (
-        _member_json(envelope.version),
-        _member_json(envelope.pad_count),
+        json.dumps(envelope.version),
+        json.dumps(envelope.pad_count),
         "[\n%s\n  ]" % blocks if blocks else "[]",
     )
 

@@ -209,7 +209,6 @@ _BIG = 10**3999 + 12345  # 4,000 digits, inside the int/str limit
         _envelope(False, 0),
         _envelope("1", 1, (1, 2, 3, 0)),
         _envelope("v\u00e9\"\n", 0, (1, 2, 3, 4)),
-        _envelope([1, {"a": [2]}], 0, (1, 2, 3, 4)),
     ],
 )
 def test_serialize_ciphertext_equals_the_reference(envelope):
