@@ -15,10 +15,17 @@ on swapped (ciphertext, plaintext) pairs recovers the inverse map, which
 decrypts any block down to the encoded t-values.
 
 known_plaintext_attack finds M by one incremental Gauss-Jordan pass over
-exact rational rows [vec(B) | vec(E)]: since vec(E)^T = vec(B)^T M^T,
-once the left halves are reduced to the identity the right halves are the
-rows of M^T. The recovered map is a flat row-major 16-tuple of Fractions,
-directly comparable with block_map(key).entries.
+integer rows [vec(B) | vec(E)]: since vec(E)^T = vec(B)^T M^T, once the
+left halves are reduced to a diagonal the right halves, each divided by
+its row's pivot, are the rows of M^T. The pass is fraction-free, as in
+Bareiss's elimination: a row is reduced as r <- p*r - f*kept, and every
+kept row is divided by the gcd of its entries (where Bareiss divides by
+the previous pivot) and signed so that its pivot is positive. Each
+integer row is a nonzero multiple of the row exact rational elimination
+would keep, so both keep the same pairs and reach the same map. The
+recovered map is a flat row-major 16-tuple of Fractions, the only
+Fractions the attack builds, directly comparable with
+block_map(key).entries.
 
 Recovering the plaintext characters from those t-values still needs the
 prime stream, which is the one non-linear piece of key material the
@@ -63,20 +70,12 @@ __all__ = [
 ]
 
 
-def _bit_difference_fraction(a: bytes, b: bytes) -> Fraction:
-    """Fraction of differing bits between two byte strings.
-
-    The shorter string is zero-padded to the longer length, so the result
-    is always in [0, 1] and well defined even when serializations differ
-    in length (decimal entry widths vary).
-    """
+def _differing_bits(a: bytes, b: bytes) -> int:
+    """Number of differing bits between two byte strings, the shorter one
+    zero-padded at the end to the longer one's length."""
     n = max(len(a), len(b))
-    if n == 0:
-        return Fraction(0)
-    a = a.ljust(n, b"\x00")
-    b = b.ljust(n, b"\x00")
-    differing = (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).bit_count()
-    return Fraction(differing, 8 * n)
+    return (int.from_bytes(a.ljust(n, b"\x00"), "big")
+            ^ int.from_bytes(b.ljust(n, b"\x00"), "big")).bit_count()
 
 
 @dataclass
@@ -125,10 +124,12 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
     Each trial draws a random ASCII message of the given length, changes
     one position to a different ASCII value, encrypts both under the same
     key, and records the number of ciphertext blocks that differ plus the
-    fraction of differing bits over the canonical serializations. Every
-    message has the same length and key, so the key's block map and prime
-    stream are built once per call. Deterministic given (key, message_length, trials,
-    rng_seed).
+    fraction of differing bits over the canonical serializations (the
+    shorter one zero-padded to the longer one's length). Every message has
+    the same length and key, so the key's block map and prime stream are
+    built once per call. The sums run in ints, differing bits grouped by
+    serialization length, and each mean is one exact Fraction.
+    Deterministic given (key, message_length, trials, rng_seed).
     """
     if message_length < 1:
         raise ValueError("message_length must be at least 1")
@@ -140,23 +141,22 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
     primes = prime_stream(key.prime_seed, message_length)
     rng = Xorshift64Star(rng_seed)
     histogram = Counter()
-    block_fraction_sum = Fraction(0)
-    bit_fraction_sum = Fraction(0)
-    total_blocks = -(-message_length // BLOCK_SYMBOLS)
+    changed_blocks = 0
+    bits_by_length = Counter()  # serialization length -> differing bits
     for _ in range(trials):
-        message = bytes(rng.below(128) for _ in range(message_length))
+        message = rng.below_many(128, message_length)
         position = rng.below(message_length)
         bump = 1 + rng.below(127)  # never maps a byte to itself
-        flipped = bytearray(message)
+        flipped = message.copy()
         flipped[position] = (flipped[position] + bump) % 128
         env_a = _encrypt_with(message, m, primes)
         env_b = _encrypt_with(flipped, m, primes)
-        changed = sum(1 for x, y in zip(env_a.blocks, env_b.blocks) if x != y)
+        changed = sum(1 for x, y in zip(env_a.blocks, env_b.blocks) if x.entries != y.entries)
         histogram[changed] += 1
-        block_fraction_sum += Fraction(changed, total_blocks)
-        bit_fraction_sum += _bit_difference_fraction(
-            serialize_ciphertext(env_a).encode(), serialize_ciphertext(env_b).encode()
-        )
+        changed_blocks += changed
+        text_a = serialize_ciphertext(env_a).encode()
+        text_b = serialize_ciphertext(env_b).encode()
+        bits_by_length[max(len(text_a), len(text_b))] += _differing_bits(text_a, text_b)
     max_spread = max(histogram)
     if max_spread <= 1:
         finding = (
@@ -169,11 +169,15 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
         finding = (
             "single-character changes touched at most %d blocks" % max_spread
         )
+    total_blocks = -(-message_length // BLOCK_SYMBOLS)
+    # the mean of bits / (8 * length) over trials, over one common denominator
+    denominator = 8 * math.lcm(*bits_by_length)
+    bit_numerator = sum(bits * (denominator // (8 * n)) for n, bits in bits_by_length.items())
     return AvalancheReport(
         trials=trials,
         message_length=message_length,
-        mean_changed_block_fraction=block_fraction_sum / trials,
-        mean_changed_bit_fraction=bit_fraction_sum / trials,
+        mean_changed_block_fraction=Fraction(changed_blocks, total_blocks * trials),
+        mean_changed_bit_fraction=Fraction(bit_numerator, denominator * trials),
         locality_histogram=dict(histogram),
         finding=finding,
     )
@@ -222,13 +226,23 @@ def _integral(m):
     return None
 
 
+def _primitive(row, lead):
+    """The nonzero int row divided by the gcd of its entries, and negated
+    when lead, the value of its pivot entry, is negative."""
+    g = math.gcd(*row)
+    if lead < 0:
+        g = -g
+    return [x // g for x in row]
+
+
 def known_plaintext_attack(pairs) -> AttackResult:
     """Recover the composite 4x4 map from plaintext/ciphertext block pairs.
 
     Walks the pairs in order, keeping each one whose flattened plaintext
     block is independent of those already kept, until four are kept: the
-    row [vec(B) | vec(E)] is reduced against the kept rows, and a nonzero
-    left half keeps it. Then checks the map against every supplied pair.
+    integer row [vec(B) | vec(E)] is reduced, fraction-free, against the
+    kept rows, and a nonzero left half keeps it. Then checks the map
+    against every supplied pair.
     Raises InsufficientPairsError (carrying the achieved rank) when the
     pairs cannot pin the map down.
     """
@@ -238,22 +252,24 @@ def known_plaintext_attack(pairs) -> AttackResult:
             if not isinstance(m, IntMatrix) or (m.rows, m.cols) != (2, 2):
                 raise TypeError("attack pairs must be 2x2 IntMatrix values")
 
-    kept = []  # (pivot column, row) in reduced row echelon form
+    kept = []  # (pivot column, primitive int row), reduced to a diagonal
     for plain, cipher in pairs:
-        row = [Fraction(e) for e in plain.entries + cipher.entries]
+        row = plain.entries + cipher.entries
         for col, other in kept:
             f = row[col]
             if f:
-                row = [x - f * y for x, y in zip(row, other)]
+                p = other[col]
+                row = [p * x - f * y for x, y in zip(row, other)]
         pivot = next((c for c in range(4) if row[c]), None)
         if pivot is None:
             continue  # vec(B) is in the span of the kept pairs
+        row = _primitive(row, row[pivot])
         p = row[pivot]
-        row = [x / p for x in row]
         for i, (col, other) in enumerate(kept):
             f = other[pivot]
             if f:
-                kept[i] = (col, [x - f * y for x, y in zip(other, row)])
+                other = [p * x - f * y for x, y in zip(other, row)]
+                kept[i] = (col, _primitive(other, other[col]))
         kept.append((pivot, row))
         if len(kept) == 4:
             break
@@ -264,11 +280,18 @@ def known_plaintext_attack(pairs) -> AttackResult:
             rank=len(kept),
         )
 
-    # kept row with pivot c is row c of M^T, i.e. column c of M
+    # kept row with pivot c, over its pivot, is row c of M^T, i.e. column c of M
     columns = dict(kept)
-    composite = tuple(columns[j][4 + i] for i in range(4) for j in range(4))
-    m = _integral(composite) or composite
-    verified = all(_apply(m, plain.entries) == cipher.entries for plain, cipher in pairs)
+    composite = tuple(
+        Fraction(columns[j][4 + i], columns[j][j]) for i in range(4) for j in range(4)
+    )
+    # M = N / scale with the int map N, so M @ b == e iff N @ b == scale * e
+    scale = math.lcm(*(columns[j][j] for j in range(4)))
+    n = tuple(columns[j][4 + i] * (scale // columns[j][j]) for i in range(4) for j in range(4))
+    verified = all(
+        _apply(n, plain.entries) == tuple(scale * e for e in cipher.entries)
+        for plain, cipher in pairs
+    )
     return AttackResult(composite_map=composite, pairs_used=len(pairs), verified=verified)
 
 
@@ -339,9 +362,10 @@ class BenchReport:
 def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
     """Measure encrypt/decrypt wall time and ciphertext size per length.
 
-    lengths must be strictly increasing. Message contents are drawn
-    deterministically from rng_seed; the timing fields are the only
-    machine-dependent part of the report.
+    lengths must be strictly increasing, the longest at most
+    MAX_MESSAGE_BYTES (else CipherError, before any timing). Message
+    contents are drawn deterministically from rng_seed; the timing fields
+    are the only machine-dependent part of the report.
     """
     lengths = list(lengths)
     if not lengths:
@@ -353,10 +377,11 @@ def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     _require_valid(key)
+    _require_length(lengths[-1])
     rng = Xorshift64Star(rng_seed)
     report = BenchReport(repetitions=repetitions)
     for length in lengths:
-        message = bytes(rng.below(128) for _ in range(length))
+        message = bytes(rng.below_many(128, length))
         encrypt_times = []
         envelope = None
         for _ in range(repetitions):

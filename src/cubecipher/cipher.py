@@ -50,7 +50,7 @@ from .errors import (
     NonIntegralResultError,
     SymbolRangeError,
 )
-from .matrices import IntMatrix, fibonacci_q, rotation
+from .matrices import IntMatrix, _int_block, fibonacci_q, rotation
 from .primes import MAX_U64, PRIME_COUNT_BELOW_LIMIT, Xorshift64Star, prime_stream
 
 __all__ = [
@@ -184,7 +184,7 @@ def keygen(rng_seed: int) -> KeyMaterial:
     """
     rng = Xorshift64Star(rng_seed)
     for _ in range(_KEYGEN_MAX_TRIES):
-        entries = tuple(rng.below(_KEYGEN_ENTRY_SPAN) - 99 for _ in range(4))
+        entries = tuple(e - 99 for e in rng.below_many(_KEYGEN_ENTRY_SPAN, 4))
         matrix = IntMatrix(2, 2, entries)
         if matrix.det() != 0:
             break
@@ -274,7 +274,7 @@ def _mix(m, flat):
      m20, m21, m22, m23, m30, m31, m32, m33) = m
     it = iter(flat)
     return [
-        IntMatrix(2, 2, (
+        _int_block((
             m00 * b0 + m01 * b1 + m02 * b2 + m03 * b3,
             m10 * b0 + m11 * b1 + m12 * b2 + m13 * b3,
             m20 * b0 + m21 * b1 + m22 * b2 + m23 * b3,
@@ -309,7 +309,7 @@ def _decrypt_one(block, adj_k, det_k, w):
         if remainder:
             raise NonIntegralResultError("entry (%d, %d) is not an integer" % divmod(idx, 2))
         out.append(quotient)
-    return IntMatrix(2, 2, tuple(out))
+    return _int_block(tuple(out))
 
 
 def _mixers(key):

@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 
 from .analysis import avalanche_test, benchmark, known_plaintext_attack
 from .cipher import decrypt, encrypt, keygen
@@ -46,6 +47,19 @@ class _UsageError(CipherError):
     """A library error that, in this command, means unusable input."""
 
     exit_code = EXIT_USAGE
+
+
+@contextmanager
+def _usage_errors():
+    """Report the library's errors, other than a bad key, as unusable input:
+    a non-ASCII input in strict mode, or a message longer than
+    MAX_MESSAGE_BYTES, is a usage problem, not damage."""
+    try:
+        yield
+    except InvalidKeyError:
+        raise
+    except CipherError as exc:
+        raise _UsageError("%s" % exc) from None
 
 
 def _parse_seed(text):
@@ -176,14 +190,8 @@ def _cmd_keygen(args):
 def _cmd_encrypt(args):
     key = _load_key(args.key)
     message = _read_bytes(args.input)
-    try:
+    with _usage_errors():
         envelope = encrypt(message, key, byte_mode=args.byte_mode)
-    except InvalidKeyError:
-        raise
-    except CipherError as exc:
-        # A non-ASCII input in strict mode, or a message longer than
-        # MAX_MESSAGE_BYTES, is a usage problem, not damage.
-        raise _UsageError("%s" % exc) from None
     _write_atomic(args.out, serialize_ciphertext(envelope).encode())
     return EXIT_OK
 
@@ -205,7 +213,8 @@ def _cmd_attack(args):
 
 def _cmd_avalanche(args):
     key = _load_key(args.key)
-    report = avalanche_test(key, args.length, args.trials, args.seed)
+    with _usage_errors():
+        report = avalanche_test(key, args.length, args.trials, args.seed)
     if args.csv:
         _write_atomic(args.csv, report.to_csv_text().encode())
     _emit_report(report.to_json_text(), args.out)
@@ -214,7 +223,8 @@ def _cmd_avalanche(args):
 
 def _cmd_bench(args):
     key = _load_key(args.key)
-    report = benchmark(args.lengths, key, args.repetitions, rng_seed=args.seed)
+    with _usage_errors():
+        report = benchmark(args.lengths, key, args.repetitions, rng_seed=args.seed)
     if args.csv:
         _write_atomic(args.csv, report.to_csv_text().encode())
     _emit_report(report.to_json_text(), args.out)

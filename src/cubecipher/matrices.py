@@ -3,7 +3,10 @@
 IntMatrix holds Python ints, so nothing ever rounds, and it is an
 immutable value, safe to share between threads. It offers what the
 pipeline and the acceptance suite use: products, integer scaling, the
-transpose and the exact determinant of an n x n matrix.
+transpose and the exact determinant of an n x n matrix. The constructor
+checks every entry; the cipher builds its 2x2 blocks, whose entries are
+ints by construction, through the private _int_block, which skips the
+checks.
 
 The structured matrices the cipher needs are built here too: the
 Fibonacci matrix [[F(n+1), F(n)], [F(n), F(n-1)]] and the quarter-turn
@@ -126,6 +129,18 @@ class IntMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         return _det_cofactor(list(self.entries), self.rows)
+
+
+def _int_block(entries):
+    """The 2x2 IntMatrix of a 4-tuple of ints, without the constructor's
+    checks; only for entries that are ints by construction. Equal to, and
+    hashing like, IntMatrix(2, 2, entries)."""
+    block = object.__new__(IntMatrix)
+    fields = block.__dict__
+    fields["rows"] = 2
+    fields["cols"] = 2
+    fields["entries"] = entries
+    return block
 
 
 def _fib_pair(n):

@@ -134,6 +134,23 @@ class Xorshift64Star:
             raise ValueError("below() requires n >= 1")
         return self.next_u64() % n
 
+    def below_many(self, n: int, count: int) -> list:
+        """The next count values of below(n), as a list; one loop with
+        _xorshift's step inlined, the same values and the same end state."""
+        if n < 1:
+            raise ValueError("below() requires n >= 1")
+        s = self._state
+        mask, multiplier = MAX_U64, _MULTIPLIER  # locals: read once per call
+        out = []
+        append = out.append
+        for _ in range(count):
+            s ^= s >> 12
+            s ^= (s << 25) & mask
+            s ^= s >> 27
+            append((s * multiplier & mask) % n)
+        self._state = s
+        return out
+
 
 # Witness set sufficient for a deterministic answer on every n < 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

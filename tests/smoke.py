@@ -3,8 +3,10 @@
     PYTHONPATH=src python tests/smoke.py
 
 Encrypts and decrypts the golden fixture through cli.main, checks the
-ciphertext byte for byte, and checks serialize_ciphertext against its
-reference on 200 keygen envelopes. Prints one line and exits 0 on success.
+ciphertext byte for byte, checks serialize_ciphertext against its
+reference on 200 keygen envelopes and known_plaintext_attack against its
+reference on 200 pair sets, and checks one pinned avalanche report. Prints
+one line and exits 0 on success.
 """
 
 import random
@@ -12,8 +14,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-from cubecipher import cli, encrypt, keygen, serialize_ciphertext
-from spec import reference_serialize_ciphertext
+from cubecipher import (
+    IntMatrix,
+    avalanche_test,
+    cli,
+    encrypt,
+    encrypt_block,
+    keygen,
+    serialize_ciphertext,
+)
+from spec import attack_outcome, reference_attack, reference_serialize_ciphertext
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -22,6 +32,42 @@ def check(ok, what):
     # not assert: the check must also run under python -O
     if not ok:
         sys.exit("smoke failed: %s" % what)
+
+
+# avalanche_test(keygen(7), 257, 7, 11), as pinned in test_analysis.py
+AVALANCHE_REPORT = (
+    '{\n  "version": 1,\n  "trials": 7,\n  "message_length": 257,\n'
+    '  "mean_changed_block_fraction": "1/65",\n'
+    '  "mean_changed_bit_fraction": "60635520387823/7614857190588480",\n'
+    '  "locality_histogram": {\n    "1": 7\n  },\n'
+    '  "finding": "every single-character change stayed inside its own 2x2 block; '
+    "this is the measured deviation from the full-diffusion ideal, under which one "
+    'changed character should unpredictably alter the entire ciphertext"\n}\n'
+)
+
+
+def pair_set(rng, seed):
+    """Arbitrary pairs, plaintexts of rank below 4, or genuine pairs under
+    keygen(seed), one of them forged when seed is odd."""
+    def block(span):
+        return IntMatrix(2, 2, tuple(rng.randint(-span, span) for _ in range(4)))
+
+    kind = seed % 3
+    if kind == 0:
+        span = rng.choice((1, 2, 10, 10**6))
+        return [(block(span), block(span)) for _ in range(rng.randint(0, 7))]
+    if kind == 1:
+        base = [block(10**3) for _ in range(rng.randint(1, 3))]
+        return [
+            (IntMatrix(2, 2, tuple(sum(rng.randint(-3, 3) * b.entries[k] for b in base)
+                                   for k in range(4))), block(10**3))
+            for _ in range(rng.randint(1, 7))
+        ]
+    key = keygen(seed)
+    pairs = [(b, encrypt_block(b, key)) for b in (block(10**6) for _ in range(rng.randint(4, 7)))]
+    if seed % 2:
+        pairs[rng.randrange(len(pairs))] = (block(10**6), block(10**6))
+    return pairs
 
 
 def main():
@@ -40,7 +86,14 @@ def main():
         envelope = encrypt(bytes(rng.randrange(128) for _ in range(rng.randrange(0, 80))), keygen(seed))
         check(serialize_ciphertext(envelope) == reference_serialize_ciphertext(envelope),
               "envelope of keygen(%d) serializes differently" % seed)
-    print("smoke ok: Python %s, golden fixture through cli.main, 200 envelopes" % sys.version.split()[0])
+    for seed in range(200):
+        pairs = pair_set(rng, seed)
+        check(attack_outcome(pairs) == reference_attack(pairs),
+              "attack on pair set %d differs from the reference" % seed)
+    check(avalanche_test(keygen(7), 257, 7, 11).to_json_text() == AVALANCHE_REPORT,
+          "avalanche report differs")
+    print("smoke ok: Python %s, golden fixture through cli.main, 200 envelopes, "
+          "200 attack pair sets, 1 avalanche report" % sys.version.split()[0])
 
 
 if __name__ == "__main__":

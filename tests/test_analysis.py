@@ -18,6 +18,7 @@ from cubecipher import (
     InvalidKeyError,
     KeyMaterial,
     NonIntegralResultError,
+    analysis,
     apply_composite,
     avalanche_test,
     benchmark,
@@ -31,6 +32,7 @@ from cubecipher import (
     known_plaintext_attack,
     prime_stream,
 )
+from spec import reference_attack
 
 
 def random_block(rng, span=10**6):
@@ -174,60 +176,6 @@ def test_attack_recovers_exactly_the_block_map():
             for j in range(4)
         )
         assert product == IntMatrix.identity(4).entries
-
-
-def _gram_independent(vectors):
-    """True iff the integer vectors are linearly independent: their Gram
-    determinant det(V V^T) is nonzero."""
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
-    return IntMatrix.from_rows(gram).det() != 0
-
-
-def _adjugate_inverse(rows):
-    """Exact inverse of an integer 4x4 matrix as adj / det, by cofactors."""
-    det = IntMatrix.from_rows(rows).det()
-
-    def cofactor(i, j):
-        minor = [[rows[r][c] for c in range(4) if c != j] for r in range(4) if r != i]
-        return (-1) ** (i + j) * IntMatrix.from_rows(minor).det()
-
-    return [[Fraction(cofactor(j, i), det) for j in range(4)] for i in range(4)]
-
-
-def reference_attack(pairs):
-    """The attack restated without elimination: keep a pair when its
-    plaintext vector is independent of those kept, then M = C @ P^-1 for
-    the 4x4 matrices P, C whose columns are the kept vec(B), vec(E).
-    Returns (M as a 16-tuple, verified, JSON text), or the rank reached
-    when it stays below 4."""
-    kept = []
-    for plain, cipher in pairs:
-        if _gram_independent([p.entries for p, _ in kept] + [plain.entries]):
-            kept.append((plain, cipher))
-            if len(kept) == 4:
-                break
-    if len(kept) < 4:
-        return len(kept)
-    p_inv = _adjugate_inverse([[kept[c][0].entries[r] for c in range(4)] for r in range(4)])
-    m = [
-        [sum(kept[k][1].entries[i] * p_inv[k][j] for k in range(4)) for j in range(4)]
-        for i in range(4)
-    ]
-    verified = all(
-        [sum(m[i][k] * plain.entries[k] for k in range(4)) for i in range(4)]
-        == list(cipher.entries)
-        for plain, cipher in pairs
-    )
-    text = json.dumps(
-        {
-            "version": 1,
-            "pairs_used": len(pairs),
-            "verified": verified,
-            "composite_map": [[str(e) for e in row] for row in m],
-        },
-        indent=2,
-    ) + "\n"
-    return tuple(e for row in m for e in row), verified, text
 
 
 def test_attack_matches_reference_solve():
@@ -413,3 +361,13 @@ def test_avalanche_refuses_messages_over_the_length_limit():
         avalanche_test(keygen(1), 6543, 1, 1)
     with pytest.raises(InvalidKeyError):
         avalanche_test(KeyMaterial(IntMatrix.identity(2), 30000, 0, 0), 6543, 1, 1)
+
+
+def test_benchmark_refuses_an_over_limit_length_before_timing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(analysis, "encrypt", lambda *args: calls.append(args))
+    with pytest.raises(CipherError, match="^message is 6543 bytes, longer than the 6542-byte limit"):
+        benchmark([4, 6543], keygen(1), 1)
+    with pytest.raises(InvalidKeyError):
+        benchmark([4, 6543], KeyMaterial(IntMatrix.identity(2), 30000, 0, 0), 1)
+    assert calls == []

@@ -400,6 +400,27 @@ def test_message_length_limit_through_the_cli(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["avalanche", "--length", 6543, "--trials", 1], ["bench", "--lengths", "4,6543"]],
+    ids=["avalanche", "bench"],
+)
+def test_analysis_commands_over_the_length_limit_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    assert run(argv + ["--key", FIXTURES / "golden_key.json", "--out", out]) == 2
+    assert not out.exists()
+    err = _one_error_line(capsys)
+    assert "6543 bytes" in err and "6542-byte limit" in err
+
+
+def test_avalanche_at_the_length_limit(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["avalanche", "--key", FIXTURES / "golden_key.json", "--length", 6542, "--trials", 1]
+    assert run(argv + ["--out", out]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert (doc["message_length"], doc["locality_histogram"]) == (6542, {"1": 1})
+
+
+@pytest.mark.parametrize(
     "name, value",
     [("fib_index", "x" * 200_000), ("x" * 200_000, "1")],
     ids=["long_fib_index", "long_field_name"],

@@ -1,5 +1,6 @@
 """Exact matrix layer, checked against independent brute-force oracles."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -7,6 +8,7 @@ from itertools import permutations
 import pytest
 
 from cubecipher import IntMatrix, fibonacci_q, rotation
+from cubecipher.matrices import _int_block
 
 
 def schoolbook_product(a_rows, b_rows):
@@ -211,6 +213,21 @@ def test_int_subclass_entries_are_accepted():
     m = IntMatrix(2, 2, (Tagged(3), 1, 2, Tagged(-4)))
     assert m.entries == (3, 1, 2, -4)
     assert type(m.entries[0]) is Tagged
+
+
+@pytest.mark.parametrize("entries", [(0, 0, 0, 0), (1, -2, 3, -4), (10**4000, -1, 7, -(10**300))])
+def test_int_block_is_the_checked_block(entries):
+    block, checked = _int_block(entries), IntMatrix(2, 2, entries)
+    assert type(block) is IntMatrix
+    assert block == checked and checked == block
+    assert hash(block) == hash(checked)
+    assert (block.rows, block.cols, block.entries) == (2, 2, entries)
+    assert block.det() == checked.det() and block.transpose() == checked.transpose()
+    assert block != _int_block(entries[:3] + (entries[3] + 1,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        block.entries = (1, 2, 3, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        block.rows = 1
 
 
 def test_integer_scaling():

@@ -98,6 +98,28 @@ def test_xorshift_below():
         rng.below(0)
 
 
+@pytest.mark.parametrize("n", [1, 127, 128, 199, 2**64 - 1])
+def test_below_many_is_repeated_below(n):
+    for count in range(301):
+        seed = (count * 0x9E3779B97F4A7C15 + n) % 2**64
+        fast, slow = Xorshift64Star(seed), Xorshift64Star(seed)
+        assert fast.below_many(n, count) == [slow.below(n) for _ in range(count)]
+        assert fast._state == slow._state
+        assert fast.next_u64() == slow.next_u64()
+
+
+@pytest.mark.parametrize("n", [0, -1, -(2**70)])
+def test_below_many_rejects_what_below_rejects(n):
+    with pytest.raises(ValueError) as slow:
+        Xorshift64Star(9).below(n)
+    for count in (0, 5):
+        rng = Xorshift64Star(9)
+        with pytest.raises(ValueError) as fast:
+            rng.below_many(n, count)
+        assert str(fast.value) == str(slow.value)
+        assert rng.next_u64() == Xorshift64Star(9).next_u64()  # no draw was spent
+
+
 def test_prime_stream_empty():
     assert prime_stream(1, 0) == []
 

@@ -1,10 +1,11 @@
-"""Property-based checks of the wire formats (skipped when hypothesis is
-absent).
+"""Property-based checks of the wire formats and the attack (skipped when
+hypothesis is absent).
 
 Every parser must turn any text, and any JSON document, into either a
 value or a FormatError; nothing else may escape, so the CLI always maps a
 bad file to its documented exit code. The ciphertext serializer must write
-exactly what its reference writes.
+exactly what its reference writes, and the known-plaintext attack must
+reach its reference's map, verdict, JSON text and rank.
 """
 
 import json
@@ -19,12 +20,14 @@ from cubecipher import (  # noqa: E402
     CiphertextEnvelope,
     FormatError,
     IntMatrix,
+    encrypt_block,
+    keygen,
     parse_ciphertext,
     parse_key,
     parse_pairs,
     serialize_ciphertext,
 )
-from spec import reference_serialize_ciphertext  # noqa: E402
+from spec import attack_outcome, reference_attack, reference_serialize_ciphertext  # noqa: E402
 
 PARSERS = (parse_key, parse_ciphertext, parse_pairs)
 
@@ -137,3 +140,51 @@ def test_serialize_ciphertext_matches_the_reference(envelope):
     assert _outcome(serialize_ciphertext, envelope) == _outcome(
         reference_serialize_ciphertext, envelope
     )
+
+
+# attack block entries from -2 to 2, so that dependent and zero blocks are
+# common, and up to 10**6
+_attack_blocks = st.builds(
+    lambda entries: IntMatrix(2, 2, entries),
+    st.tuples(*[st.one_of(st.integers(-2, 2), st.integers(-(10**6), 10**6))] * 4),
+)
+
+
+@st.composite
+def _pair_lists(draw):
+    """0-7 pairs: fewer than four, plaintexts from a space of rank below
+    4, or four or more arbitrary or genuine pairs, one of the genuine ones
+    forged at times. The last two kinds take their blocks, of up to ~4,000
+    digits, where the map's entries pass the int/str limit, from a seeded
+    Random, since blocks drawn one by one repeat too often to reach rank 4."""
+    kind = draw(st.sampled_from(("genuine", "arbitrary", "low rank", "short")))
+    if kind == "short":
+        return draw(st.lists(st.tuples(_attack_blocks, _attack_blocks), max_size=3))
+    if kind == "low rank":
+        base = [b.entries for b in draw(st.lists(_attack_blocks, min_size=1, max_size=3))]
+        pairs = []
+        for _ in range(draw(st.integers(1, 7))):
+            scales = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+            plain = tuple(sum(c * b[k] for c, b in zip(scales, base)) for k in range(4))
+            pairs.append((IntMatrix(2, 2, plain), draw(_attack_blocks)))
+        return pairs
+    rnd = draw(st.randoms(use_true_random=True))
+    span = 10 ** draw(st.sampled_from((1, 6, 30, 4000)))
+
+    def block():
+        return IntMatrix(2, 2, tuple(rnd.randint(-span, span) for _ in range(4)))
+
+    count = draw(st.integers(4, 7))
+    if kind == "arbitrary":
+        return [(block(), block()) for _ in range(count)]
+    key = keygen(rnd.getrandbits(64))
+    pairs = [(b, encrypt_block(b, key)) for b in (block() for _ in range(count))]
+    if draw(st.booleans()):
+        pairs[rnd.randrange(count)] = (block(), block())
+    return pairs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_pair_lists())
+def test_attack_matches_the_reference(pairs):
+    assert attack_outcome(pairs) == reference_attack(pairs)
