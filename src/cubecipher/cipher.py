@@ -150,6 +150,19 @@ class CiphertextEnvelope:
         return BLOCK_SYMBOLS * len(self.blocks) - self.pad_count
 
 
+def _envelope(pad_count, blocks):
+    """The version-1 CiphertextEnvelope of a list of 2x2 IntMatrix blocks
+    and a pad count in [0, 3], 0 when there are no blocks, without the
+    constructor's checks; only for blocks and pad counts that are valid by
+    construction. Equal to, and hashing like, the checked envelope."""
+    envelope = object.__new__(CiphertextEnvelope)
+    fields = envelope.__dict__
+    fields["version"] = FORMAT_VERSION
+    fields["pad_count"] = pad_count
+    fields["blocks"] = tuple(blocks)
+    return envelope
+
+
 def validate_key(key: KeyMaterial):
     """Check key material, returning (ok, problems).
 
@@ -356,7 +369,7 @@ def decrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
 def _encrypt_with(message, m, primes):
     """The envelope of message, given the key's block map m and prime stream."""
     ts, pad_count = _padded([encode_symbol(b, p) for b, p in zip(message, primes)])
-    return CiphertextEnvelope(FORMAT_VERSION, pad_count, _mix(m, ts))
+    return _envelope(pad_count, _mix(m, ts))
 
 
 def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> CiphertextEnvelope:

@@ -13,8 +13,8 @@ Decoding solves n^3 - n = 6t for its unique integer root n >= 2 and
 returns x = n - y. For n >= 2 the cubic sits strictly between two
 consecutive cubes, (n - 1)^3 < n^3 - n < n^3, so the only candidate is
 n = icbrt(6t) + 1, where icbrt is the exact integer cube root (integer
-Newton iteration, no floats), and one exact check n^3 - n = 6t accepts or
-rejects it. The whole round trip stays bit-exact at any size. Without y
+Newton iteration from a float-seeded start that is never below the root),
+and one exact check n^3 - n = 6t accepts or rejects it. The whole round trip stays bit-exact at any size. Without y
 the root n only reveals the sum x + y, which is what makes the prime
 stream the trapdoor knowledge.
 
@@ -53,16 +53,21 @@ def encode_symbol(code: int, prime: int) -> int:
 def integer_cube_root(n: int) -> int:
     """Largest integer r with r**3 <= n, for n >= 0. Exact integer Newton.
 
-    Starts at 2**ceil(bits/3), which is at least the root, and steps
-    x -> (2x + n // x^2) // 3. By the AM-GM inequality no step lands below
-    the root, and every step from above it strictly decreases, so the first
-    step that does not decrease is taken from the root itself.
+    Starts at x = (int(float(m) ** (1/3)) + 2) << k, where m = n >> 3k and
+    k = max(0, (bits - 51) // 3) keeps m below 2**53, so float(m) is exact.
+    The float cube root is off by far less than 1, so the + 2 makes
+    x**3 > (m + 1) * 2**(3k) > n: the start is above the root. Newton then
+    steps x -> (2x + n // x^2) // 3. By the AM-GM inequality no step lands
+    below the root, and every step from above it strictly decreases, so the
+    first step that does not decrease is taken from the root itself. The
+    float only picks the start; the result is exact on every platform.
     """
     if n < 0:
         raise ValueError("integer_cube_root requires a nonnegative input")
     if n < 8:
         return 0 if n == 0 else 1
-    x = 1 << -(-n.bit_length() // 3)
+    k = max(0, (n.bit_length() - 51) // 3)
+    x = (int(float(n >> 3 * k) ** (1 / 3)) + 2) << k
     while True:
         y = (2 * x + n // (x * x)) // 3
         if y >= x:

@@ -27,9 +27,14 @@ those depend only on the low 16 bits of the state: low16(low16(state) *
 [j * steps, (j + 1) * steps) of the chunk. All lanes sit in one Python
 int, 64 bits each, and one step of the recurrence advances every lane at
 once with masked shifts. The step is linear over GF(2), a 64x64 bit
-matrix A, so the lanes' start states come from one state by doubling with
-the jump tables A**(2**k); each table is built on first use, once per
-process. Each step's candidates go into one bytearray, capped at 256 KiB
+matrix A, so the lanes' start states A**(j * steps) * state are the XOR,
+over the set bits b of the state, of column b of A**(j * steps). For each
+lane length prime_stream keeps those columns, 64 ints holding every lane
+j, in a start table; a table is built on first use and grown when a chunk
+needs more lanes, by doubling its lanes with the jump tables A**(2**k),
+and never shrinks. Nothing is built at import; at most ~230 KB of start
+tables (64, 128 and 256 lanes of 2**5, 2**6 and 2**7 steps) are ever
+kept. Each step's candidates go into one bytearray, capped at 256 KiB
 per chunk, in the host's byte order, which is then read lane by lane, in
 draw order, through a strided memoryview of its native 16-bit halfwords
 and filtered against the per-call sieve copy. Where a lane's candidate
@@ -201,7 +206,10 @@ def _pack(words):
 
 
 _JUMPS = []  # _JUMPS[k]: the columns of A**(2**k)
-_JUMPS_LOCK = threading.Lock()
+# _STARTS[steps_log]: (width, columns), width a power of two and lane j of
+# columns[b] the column b of A**(j * 2**steps_log), for j < width
+_STARTS = {}
+_TABLES_LOCK = threading.Lock()
 
 
 def _jump_table(power):
@@ -211,26 +219,72 @@ def _jump_table(power):
     afterwards, so concurrent callers see the same values.
     """
     if len(_JUMPS) <= power:
-        with _JUMPS_LOCK:
-            if not _JUMPS:
-                basis = _pack(1 << bit for bit in range(64))
-                _JUMPS.append(_unpack(_xorshift(basis, *_step_masks(64)), 64))
-            while len(_JUMPS) <= power:
-                last = _JUMPS[-1]
-                _JUMPS.append(_unpack(_apply_matrix(last, _pack(last), 64), 64))
+        with _TABLES_LOCK:
+            _grow_jumps(power)
     return _JUMPS[power]
+
+
+def _grow_jumps(power):
+    """Square _JUMPS up to A**(2**power); the caller holds _TABLES_LOCK."""
+    if not _JUMPS:
+        basis = _pack(1 << bit for bit in range(64))
+        _JUMPS.append(_unpack(_xorshift(basis, *_step_masks(64)), 64))
+    while len(_JUMPS) <= power:
+        last = _JUMPS[-1]
+        _JUMPS.append(_unpack(_apply_matrix(last, _pack(last), 64), 64))
+
+
+def _rows(columns, width):
+    """A start table's rows as one int: word 64 * j + b is lane j of columns[b]."""
+    buf = bytearray(8 * 64 * width)
+    words = memoryview(buf).cast("Q")
+    for bit, column in enumerate(columns):
+        words[bit::64] = memoryview(column.to_bytes(8 * width, "little")).cast("Q")
+    return int.from_bytes(buf, "little")
+
+
+def _columns(rows, width):
+    """Inverse of _rows. The words move whole, so the host byte order cancels."""
+    words = memoryview(rows.to_bytes(8 * 64 * width, "little")).cast("Q")
+    return tuple(int.from_bytes(words[bit::64], "little") for bit in range(64))
+
+
+def _start_table(steps_log, lanes):
+    """The columns of _STARTS[steps_log], at least `lanes` lanes wide.
+
+    On first use, and whenever a chunk needs more lanes, the table's rows
+    are doubled, rows [h, 2h) being A**(h * 2**steps_log) applied to rows
+    [0, h), up to the next power of two >= lanes. Grown tables only gain
+    lanes, so concurrent callers see the same values.
+    """
+    width, columns = _STARTS.get(steps_log, (0, ()))
+    if width < lanes:
+        with _TABLES_LOCK:
+            width, columns = _STARTS.get(steps_log, (0, ()))
+            if width < lanes:
+                if width:
+                    rows = _rows(columns, width)
+                else:  # lane 0 of column b is the unit vector e_b
+                    width, rows = 1, _pack(1 << bit for bit in range(64))
+                while width < lanes:
+                    power = steps_log + width.bit_length() - 1
+                    _grow_jumps(power)
+                    rows |= _apply_matrix(_JUMPS[power], rows, 64 * width) << (64 * 64 * width)
+                    width *= 2
+                columns = _columns(rows, width)
+                _STARTS[steps_log] = width, columns
+    return columns
 
 
 def _lane_starts(state, lanes, steps_log):
     """`lanes` states packed 64 bits each, lane j being state advanced by
-    j * 2**steps_log steps, built by doubling the lanes already there."""
-    x, have, power = state, 1, steps_log
-    while have < lanes:
-        new = min(have, lanes - have)
-        x |= _apply_matrix(_jump_table(power), x & ((1 << (64 * new)) - 1), new) << (64 * have)
-        have += new
-        power += 1
-    return x
+    j * 2**steps_log steps: A**(j * 2**steps_log) applied to state, one
+    XOR of a start table column per set bit of state."""
+    x = 0
+    for bit, column in enumerate(_start_table(steps_log, lanes)):
+        if state >> bit & 1:
+            x ^= column
+    return x & ((1 << (64 * lanes)) - 1)
 
 
 def _fill_chunk(buf, state, lanes, steps_log, byteorder=sys.byteorder):
@@ -277,6 +331,8 @@ def prime_stream(seed: int, count: int) -> list:
     function of the seed, so the decrypting side can regenerate the exact
     primes the encrypting side used without ever transmitting them.
     """
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise TypeError("count must be an int")
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count > PRIME_COUNT_BELOW_LIMIT:

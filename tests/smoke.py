@@ -3,10 +3,11 @@
     PYTHONPATH=src python tests/smoke.py
 
 Encrypts and decrypts the golden fixture through cli.main, checks the
-ciphertext byte for byte, checks serialize_ciphertext against its
-reference on 200 keygen envelopes and known_plaintext_attack against its
-reference on 200 pair sets, and checks one pinned avalanche report. Prints
-one line and exits 0 on success.
+ciphertext byte for byte, checks prime_stream against the scalar reference
+loop at lengths 0 to 6,542, integer_cube_root against bisection around
+2**53, serialize_ciphertext against its reference on 200 keygen envelopes
+and known_plaintext_attack against its reference on 200 pair sets, and
+checks one pinned avalanche report. Prints one line and exits 0 on success.
 """
 
 import random
@@ -20,12 +21,21 @@ from cubecipher import (
     cli,
     encrypt,
     encrypt_block,
+    integer_cube_root,
     keygen,
+    prime_stream,
     serialize_ciphertext,
 )
-from spec import attack_outcome, reference_attack, reference_serialize_ciphertext
+from spec import (
+    attack_outcome,
+    reference_attack,
+    reference_integer_cube_root,
+    reference_prime_stream,
+    reference_serialize_ciphertext,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
+STREAM_LENGTHS = (0, 1, 16, 136, 256, 1024, 6542)
 
 
 def check(ok, what):
@@ -81,6 +91,15 @@ def main():
         code = cli.main(["decrypt", "--key", str(key), "--in", str(ct), "--out", str(out)])
         check(code == 0, "decrypt exited %d" % code)
         check(out.read_bytes() == message.read_bytes(), "golden message differs")
+    expected = reference_prime_stream(5198, STREAM_LENGTHS[-1])
+    for length in STREAM_LENGTHS:
+        check(prime_stream(5198, length) == expected[:length],
+              "prime stream of length %d differs from the reference" % length)
+    # float(n) is exact below 2**53 only; the roots start from a float
+    for n in [(1 << 53) + d for d in range(-3, 4)] + [k**3 + d for k in (208063, 208064, 208065)
+                                                      for d in (-1, 0, 1)]:
+        check(integer_cube_root(n) == reference_integer_cube_root(n),
+              "integer_cube_root(%d) differs from bisection" % n)
     rng = random.Random(200)
     for seed in range(200):
         envelope = encrypt(bytes(rng.randrange(128) for _ in range(rng.randrange(0, 80))), keygen(seed))
@@ -92,8 +111,9 @@ def main():
               "attack on pair set %d differs from the reference" % seed)
     check(avalanche_test(keygen(7), 257, 7, 11).to_json_text() == AVALANCHE_REPORT,
           "avalanche report differs")
-    print("smoke ok: Python %s, golden fixture through cli.main, 200 envelopes, "
-          "200 attack pair sets, 1 avalanche report" % sys.version.split()[0])
+    print("smoke ok: Python %s, golden fixture through cli.main, %d prime streams, "
+          "16 cube roots, 200 envelopes, 200 attack pair sets, 1 avalanche report"
+          % (sys.version.split()[0], len(STREAM_LENGTHS)))
 
 
 if __name__ == "__main__":

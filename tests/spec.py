@@ -8,8 +8,138 @@ attack_outcome puts the fast attack's result in reference_attack's terms.
 import json
 from fractions import Fraction
 
-from cubecipher import FormatError, InsufficientPairsError, IntMatrix, known_plaintext_attack
+from cubecipher import (
+    PRIME_LIMIT,
+    CiphertextEnvelope,
+    FormatError,
+    InsufficientPairsError,
+    IntMatrix,
+    NonIntegralResultError,
+    Xorshift64Star,
+    blockify,
+    encode_symbol,
+    fibonacci_q,
+    is_prime,
+    known_plaintext_attack,
+    prime_stream,
+    rotation,
+)
 from cubecipher.formats import _format_decimal, dumps_canonical
+
+MASK64 = (1 << 64) - 1
+
+
+def xorshift_reference(seed, count):
+    """Independent transcription of the xorshift64* recurrence."""
+    state = seed if seed != 0 else 0x9E3779B97F4A7C15
+    outputs = []
+    for _ in range(count):
+        state ^= state >> 12
+        state ^= (state << 25) & MASK64
+        state ^= state >> 27
+        outputs.append((state * 0x2545F4914F6CDD1D) & MASK64)
+    return outputs
+
+
+def reference_prime_stream(seed, count):
+    """The scalar rejection loop, one draw at a time, as prime_stream ran
+    before its sieve table and its lanes: Miller-Rabin on every candidate,
+    a set for repeats."""
+    rng = Xorshift64Star(seed)
+    out = []
+    seen = set()
+    while len(out) < count:
+        candidate = rng.next_u64() & (PRIME_LIMIT - 1)
+        if candidate in seen or not is_prime(candidate):
+            continue
+        seen.add(candidate)
+        out.append(candidate)
+    return out
+
+
+def reference_integer_cube_root(n):
+    """The bisection integer_cube_root used before the Newton iteration."""
+    if n < 8:
+        return 0 if n == 0 else 1
+    lo = 0
+    hi = 1 << (n.bit_length() // 3 + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * mid * mid <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def reference_solve_depressed_cubic(t):
+    """The binary-search solve_depressed_cubic used before the closed form,
+    returning None where it raised NoIntegerRootError."""
+    if t < 1:
+        return None
+    target = 6 * t
+    lo = 2
+    hi = reference_integer_cube_root(target) + 2
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        value = mid * mid * mid - mid
+        if value == target:
+            return mid
+        if value < target:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None
+
+
+def reference_encrypt_block(block, key):
+    """The block chain spelled out with IntMatrix products, as encrypt_block
+    computed it before the per-key map."""
+    q = fibonacci_q(key.fib_index)
+    r = rotation(key.quarter_turns)
+    return ((block @ q) @ r).transpose() @ key.key_matrix
+
+
+def reference_encrypt(message, key):
+    """encrypt before the per-key map: encode, blockify, chain per block."""
+    primes = prime_stream(key.prime_seed, len(message))
+    blocks, pad_count = blockify([encode_symbol(b, p) for b, p in zip(message, primes)])
+    return CiphertextEnvelope(1, pad_count, tuple(reference_encrypt_block(b, key) for b in blocks))
+
+
+def _mul(a, b):
+    """Product of two 2x2 matrices given as row-major 4-tuples."""
+    return (
+        a[0] * b[0] + a[1] * b[2],
+        a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2],
+        a[2] * b[1] + a[3] * b[3],
+    )
+
+
+def _transpose(m):
+    return (m[0], m[2], m[1], m[3])
+
+
+def _inverse(m):
+    """Exact rational inverse of a 2x2 row-major 4-tuple."""
+    a, b, c, d = m
+    det = Fraction(a * d - b * c)
+    return (d / det, -b / det, -c / det, a / det)
+
+
+def reference_decrypt_block(block, key):
+    """The un-mix decrypt_block used before its integer form: the chain of
+    exact rational inverses, transpose(E @ K^-1) @ R^-1 @ Q^-n, then the
+    integrality check, in plain Fraction arithmetic."""
+    q = fibonacci_q(key.fib_index).entries
+    r = rotation(key.quarter_turns).entries
+    x = _transpose(_mul(block.entries, _inverse(key.key_matrix.entries)))
+    x = _mul(_mul(x, _transpose(r)), _inverse(q))
+    for idx, value in enumerate(x):
+        if value.denominator != 1:
+            raise NonIntegralResultError("entry (%d, %d) is not an integer" % divmod(idx, 2))
+    return IntMatrix(2, 2, tuple(value.numerator for value in x))
 
 
 def reference_serialize_ciphertext(envelope):

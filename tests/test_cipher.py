@@ -1,10 +1,10 @@
 """Cipher pipeline: key handling, blockification, block chain, round trips."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -23,19 +23,19 @@ from cubecipher import (
     deblockify,
     decrypt,
     decrypt_block,
-    encode_symbol,
     encrypt,
     encrypt_block,
     fibonacci_q,
     keygen,
     parse_ciphertext,
-    prime_stream,
     rotation,
     serialize_ciphertext,
     serialize_key,
     validate_key,
 )
+from cubecipher.cipher import _envelope
 from cubecipher.primes import Xorshift64Star
+from spec import reference_decrypt_block, reference_encrypt, reference_encrypt_block
 
 IDENTITY_KEY = KeyMaterial(IntMatrix.identity(2), 1, 0, 0)
 
@@ -188,21 +188,6 @@ def test_encrypt_block_derived_example():
     b = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert encrypt_block(b, IDENTITY_KEY) == IntMatrix.from_rows([[3, 7], [1, 3]])
     assert decrypt_block(IntMatrix.from_rows([[3, 7], [1, 3]]), IDENTITY_KEY) == b
-
-
-def reference_encrypt_block(block, key):
-    """The block chain spelled out with IntMatrix products, as encrypt_block
-    computed it before the per-key map."""
-    q = fibonacci_q(key.fib_index)
-    r = rotation(key.quarter_turns)
-    return ((block @ q) @ r).transpose() @ key.key_matrix
-
-
-def reference_encrypt(message, key):
-    """encrypt before the per-key map: encode, blockify, chain per block."""
-    primes = prime_stream(key.prime_seed, len(message))
-    blocks, pad_count = blockify([encode_symbol(b, p) for b, p in zip(message, primes)])
-    return CiphertextEnvelope(1, pad_count, tuple(reference_encrypt_block(b, key) for b in blocks))
 
 
 def test_encrypt_block_matches_spelled_out_chain():
@@ -443,6 +428,22 @@ def test_decrypt_errors_name_the_failing_index():
     assert "symbol 1" in str(excinfo.value)
 
 
+def test_unchecked_envelope_equals_the_checked_one():
+    rng = random.Random(43)
+    for length in (0, 1, 3, 4, 5, 17):
+        key = keygen(length)
+        blocks = [encrypt_block(IntMatrix(2, 2, tuple(rng.randrange(10**9) for _ in range(4))), key)
+                  for _ in range(-(-length // 4))]
+        pad_count = -length % 4
+        fast = _envelope(pad_count, blocks)
+        checked = CiphertextEnvelope(1, pad_count, blocks)
+        assert fast == checked and hash(fast) == hash(checked)
+        assert type(fast.blocks) is tuple and fast.message_length == length
+        for field in ("version", "pad_count", "blocks"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fast, field, 0)
+
+
 def test_envelope_validation():
     with pytest.raises(ValueError):
         CiphertextEnvelope(1, 4, (IntMatrix.identity(2),))
@@ -450,41 +451,6 @@ def test_envelope_validation():
         CiphertextEnvelope(1, 1, ())
     with pytest.raises(TypeError):
         CiphertextEnvelope(1, 0, (IntMatrix.identity(3),))
-
-
-def _mul(a, b):
-    """Product of two 2x2 matrices given as row-major 4-tuples."""
-    return (
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
-    )
-
-
-def _transpose(m):
-    return (m[0], m[2], m[1], m[3])
-
-
-def _inverse(m):
-    """Exact rational inverse of a 2x2 row-major 4-tuple."""
-    a, b, c, d = m
-    det = Fraction(a * d - b * c)
-    return (d / det, -b / det, -c / det, a / det)
-
-
-def reference_decrypt_block(block, key):
-    """The un-mix decrypt_block used before its integer form: the chain of
-    exact rational inverses, transpose(E @ K^-1) @ R^-1 @ Q^-n, then the
-    integrality check, in plain Fraction arithmetic."""
-    q = fibonacci_q(key.fib_index).entries
-    r = rotation(key.quarter_turns).entries
-    x = _transpose(_mul(block.entries, _inverse(key.key_matrix.entries)))
-    x = _mul(_mul(x, _transpose(r)), _inverse(q))
-    for idx, value in enumerate(x):
-        if value.denominator != 1:
-            raise NonIntegralResultError("entry (%d, %d) is not an integer" % divmod(idx, 2))
-    return IntMatrix(2, 2, tuple(value.numerator for value in x))
 
 
 def _outcome(unmix, block, key):

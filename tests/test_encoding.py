@@ -11,8 +11,11 @@ from cubecipher import (
     decode_symbol,
     encode_symbol,
     integer_cube_root,
+    is_prime,
     solve_depressed_cubic,
 )
+from cubecipher.primes import PRIME_COUNT_BELOW_LIMIT, PRIME_LIMIT
+from spec import reference_integer_cube_root, reference_solve_depressed_cubic
 
 
 def linear_scan_root(t):
@@ -21,41 +24,6 @@ def linear_scan_root(t):
     while n * n * n - n < 6 * t:
         n += 1
     return n if n * n * n - n == 6 * t else None
-
-
-def reference_integer_cube_root(n):
-    """The bisection integer_cube_root used before the Newton iteration."""
-    if n < 8:
-        return 0 if n == 0 else 1
-    lo = 0
-    hi = 1 << (n.bit_length() // 3 + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid * mid * mid <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def reference_solve_depressed_cubic(t):
-    """The binary-search solve_depressed_cubic used before the closed form,
-    returning None where it raised NoIntegerRootError."""
-    if t < 1:
-        return None
-    target = 6 * t
-    lo = 2
-    hi = reference_integer_cube_root(target) + 2
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        value = mid * mid * mid - mid
-        if value == target:
-            return mid
-        if value < target:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
 
 
 def first_primes(count):
@@ -199,6 +167,29 @@ def test_integer_cube_root_at_cube_boundaries():
         k = rng.getrandbits(bits) | 1 << (bits - 1)
         for n in (k**3 - 1, k**3, k**3 + 1):
             assert integer_cube_root(n) == reference_integer_cube_root(n)
+
+
+def test_integer_cube_root_around_the_float_seam():
+    """The float-seeded start near 2**53, where float(n) stops being exact,
+    and across the sizes on either side of it."""
+    rng = random.Random(53)
+    for bits in range(15, 21):  # k**3 of 43 to 60 bits
+        for k in [1 << (bits - 1), (1 << bits) - 1] + [rng.getrandbits(bits) | 1 << (bits - 1)
+                                                       for _ in range(50)]:
+            for n in (k**3 - 1, k**3, k**3 + 1):
+                assert integer_cube_root(n) == reference_integer_cube_root(n), n
+    for bits in range(40, 71):
+        for n in [1 << (bits - 1), (1 << bits) - 1] + [rng.getrandbits(bits) | 1 << (bits - 1)
+                                                       for _ in range(50)]:
+            assert integer_cube_root(n) == reference_integer_cube_root(n), n
+
+
+def test_decode_symbol_round_trips_the_extreme_codes_for_every_prime():
+    every_prime = [n for n in range(PRIME_LIMIT) if is_prime(n)]
+    assert len(every_prime) == PRIME_COUNT_BELOW_LIMIT
+    for prime in every_prime:
+        for code in (0, 127, 255):
+            assert decode_symbol(encode_symbol(code, prime), prime, max_code=255) == code
 
 
 def _outcome(t):

@@ -4,6 +4,7 @@ test vectors that pin the wire contract down to the bit."""
 import functools
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -11,26 +12,17 @@ import pytest
 from cubecipher import CipherError, PRIME_LIMIT, Xorshift64Star, is_prime, prime_stream, primes
 from cubecipher.primes import (
     _CHUNK_DRAWS,
+    _MAX_STEPS_LOG,
+    _MIN_STEPS_LOG,
     _PRIME_TABLE,
     PRIME_COUNT_BELOW_LIMIT,
     _apply_matrix,
     _fill_chunk,
     _jump_table,
+    _lane_starts,
+    _start_table,
 )
-
-MASK64 = (1 << 64) - 1
-
-
-def xorshift_reference(seed, count):
-    """Independent transcription of the xorshift64* recurrence."""
-    state = seed if seed != 0 else 0x9E3779B97F4A7C15
-    outputs = []
-    for _ in range(count):
-        state ^= state >> 12
-        state ^= (state << 25) & MASK64
-        state ^= state >> 27
-        outputs.append((state * 0x2545F4914F6CDD1D) & MASK64)
-    return outputs
+from spec import MASK64, reference_prime_stream, xorshift_reference
 
 
 def trial_division_is_prime(n):
@@ -150,6 +142,12 @@ def test_prime_stream_count_limit():
         prime_stream(1, -1)
 
 
+@pytest.mark.parametrize("count", [2.5, True, False, "3", None])
+def test_prime_stream_rejects_a_count_that_is_not_an_int(count):
+    with pytest.raises(TypeError):
+        prime_stream(1, count)
+
+
 def test_is_prime_against_trial_division():
     for n in range(0, 5000):
         assert is_prime(n) == trial_division_is_prime(n)
@@ -162,22 +160,6 @@ def test_is_prime_large_values():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     with pytest.raises(ValueError):
         is_prime(1 << 64)
-
-
-def reference_prime_stream(seed, count):
-    """The scalar rejection loop, one draw at a time, as prime_stream ran
-    before its sieve table and its lanes: Miller-Rabin on every candidate,
-    a set for repeats."""
-    rng = Xorshift64Star(seed)
-    out = []
-    seen = set()
-    while len(out) < count:
-        candidate = rng.next_u64() & (PRIME_LIMIT - 1)
-        if candidate in seen or not is_prime(candidate):
-            continue
-        seen.add(candidate)
-        out.append(candidate)
-    return out
 
 
 _rng = random.Random(6542)
@@ -240,6 +222,40 @@ def test_jump_tables_match_stepping():
         ], k
 
 
+STEPS_LOGS = range(_MIN_STEPS_LOG, _MAX_STEPS_LOG + 1)
+
+
+@pytest.mark.parametrize("steps_log", STEPS_LOGS)
+def test_lane_starts_match_stepping(steps_log):
+    """Lane j of _lane_starts is the state after j * 2**steps_log draws, for
+    lane counts on both sides of every power of two the tables grow to."""
+    rng = random.Random(steps_log)
+    for state in [1, MASK64] + [rng.randrange(1, 1 << 64) for _ in range(3)]:
+        walker, starts = Xorshift64Star(state), []
+        for _ in range(256):
+            starts.append(walker._state)
+            for _ in range(1 << steps_log):
+                walker.next_u64()
+        for lanes in (1, 2, 3, 63, 64, 65, 128, 256):
+            x = _lane_starts(state, lanes, steps_log)
+            assert x >> (64 * lanes) == 0
+            assert [(x >> (64 * j)) & MASK64 for j in range(lanes)] == starts[:lanes], lanes
+
+
+@pytest.mark.parametrize("steps_log", STEPS_LOGS)
+def test_start_table_grown_step_by_step_equals_one_built_at_once(steps_log, monkeypatch):
+    monkeypatch.setattr(primes, "_STARTS", {})
+    for lanes, width in [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (17, 32), (33, 64), (100, 128),
+                         (128, 128), (129, 256), (7, 256)]:
+        _start_table(steps_log, lanes)
+        assert primes._STARTS[steps_log][0] == width
+    grown = primes._STARTS[steps_log]
+    monkeypatch.setattr(primes, "_STARTS", {})
+    _start_table(steps_log, 256)
+    assert primes._STARTS[steps_log] == grown
+    assert len(grown[1]) == 64 and all(c >> (64 * 256) == 0 for c in grown[1])
+
+
 @pytest.mark.parametrize("byteorder", ["little", "big"])
 @pytest.mark.parametrize("lanes, steps_log", [(1, 5), (3, 5), (16, 7)])
 def test_chunk_layout_gives_draw_order_in_either_byte_order(byteorder, lanes, steps_log):
@@ -274,18 +290,32 @@ def test_prime_stream_rejects_a_bad_seed(seed, error, count):
 
 
 def test_jump_tables_built_by_concurrent_first_use(monkeypatch):
-    built = [_jump_table(k) for k in range(_CHUNK_DRAWS.bit_length() - 1)]
+    """Threads that each build the jump and start tables on first use
+    build the same tables, and their streams are the reference streams."""
+    jumps = [_jump_table(k) for k in range(_CHUNK_DRAWS.bit_length() - 1)]
+    starts = {steps_log: _start_table(steps_log, 256) for steps_log in STEPS_LOGS}
     monkeypatch.setattr(primes, "_JUMPS", [])
+    monkeypatch.setattr(primes, "_STARTS", {})
     seeds = PREFIX_SEEDS  # their references are cached by the prefix test
     results = {}
     threads = [
         threading.Thread(target=lambda s=s: results.__setitem__(s, prime_stream(s, 4000)))
         for s in seeds
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert primes._JUMPS == built[: len(primes._JUMPS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert primes._JUMPS == jumps[: len(primes._JUMPS)]
+    assert primes._STARTS  # the streams grew start tables of their own
+    for steps_log, (width, columns) in primes._STARTS.items():
+        mask = (1 << (64 * width)) - 1
+        assert columns == tuple(c & mask for c in starts[steps_log])
     for s in seeds:
         assert results[s] == _full_reference(s)[:4000]
