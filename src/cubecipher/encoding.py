@@ -14,9 +14,9 @@ returns x = n - y. For n >= 2 the cubic sits strictly between two
 consecutive cubes, (n - 1)^3 < n^3 - n < n^3, so the only candidate is
 n = icbrt(6t) + 1, where icbrt is the exact integer cube root (integer
 Newton iteration from a float-seeded start that is never below the root),
-and one exact check n^3 - n = 6t accepts or rejects it. The whole round trip stays bit-exact at any size. Without y
-the root n only reveals the sum x + y, which is what makes the prime
-stream the trapdoor knowledge.
+and one exact check n^3 - n = 6t accepts or rejects it. The whole round
+trip stays bit-exact at any size. Without y the root n only reveals the
+sum x + y, which is what makes the prime stream the trapdoor knowledge.
 
 Every function here is exact integer arithmetic; error messages give the
 bit length of a value too long to print, never its digits.

@@ -209,7 +209,7 @@ _JUMPS = []  # _JUMPS[k]: the columns of A**(2**k)
 # _STARTS[steps_log]: (width, columns), width a power of two and lane j of
 # columns[b] the column b of A**(j * 2**steps_log), for j < width
 _STARTS = {}
-_TABLES_LOCK = threading.Lock()
+_TABLES_LOCK = threading.RLock()  # _start_table holds it while it calls _jump_table
 
 
 def _jump_table(power):
@@ -220,18 +220,13 @@ def _jump_table(power):
     """
     if len(_JUMPS) <= power:
         with _TABLES_LOCK:
-            _grow_jumps(power)
+            if not _JUMPS:
+                basis = _pack(1 << bit for bit in range(64))
+                _JUMPS.append(_unpack(_xorshift(basis, *_step_masks(64)), 64))
+            while len(_JUMPS) <= power:
+                last = _JUMPS[-1]
+                _JUMPS.append(_unpack(_apply_matrix(last, _pack(last), 64), 64))
     return _JUMPS[power]
-
-
-def _grow_jumps(power):
-    """Square _JUMPS up to A**(2**power); the caller holds _TABLES_LOCK."""
-    if not _JUMPS:
-        basis = _pack(1 << bit for bit in range(64))
-        _JUMPS.append(_unpack(_xorshift(basis, *_step_masks(64)), 64))
-    while len(_JUMPS) <= power:
-        last = _JUMPS[-1]
-        _JUMPS.append(_unpack(_apply_matrix(last, _pack(last), 64), 64))
 
 
 def _rows(columns, width):
@@ -267,9 +262,8 @@ def _start_table(steps_log, lanes):
                 else:  # lane 0 of column b is the unit vector e_b
                     width, rows = 1, _pack(1 << bit for bit in range(64))
                 while width < lanes:
-                    power = steps_log + width.bit_length() - 1
-                    _grow_jumps(power)
-                    rows |= _apply_matrix(_JUMPS[power], rows, 64 * width) << (64 * 64 * width)
+                    jump = _jump_table(steps_log + width.bit_length() - 1)
+                    rows |= _apply_matrix(jump, rows, 64 * width) << (64 * 64 * width)
                     width *= 2
                 columns = _columns(rows, width)
                 _STARTS[steps_log] = width, columns
