@@ -25,7 +25,10 @@ integer row is a nonzero multiple of the row exact rational elimination
 would keep, so both keep the same pairs and reach the same map. The
 recovered map is a flat row-major 16-tuple of Fractions, the only
 Fractions the attack builds, directly comparable with
-block_map(key).entries.
+block_map(key).entries. The attack checks the map against the pairs, and
+apply_composite applies it to a block, through the cipher's own block
+kernel: both scale the map to integers by a common denominator s, then
+compare with s times the ciphertext, or divide exactly by s.
 
 Recovering the plaintext characters from those t-values still needs the
 prime stream, which is the one non-linear piece of key material the
@@ -46,13 +49,15 @@ from .cipher import (
     BLOCK_SYMBOLS,
     FORMAT_VERSION,
     _block_map,
+    _divide_exactly,
     _encrypt_with,
+    _map_blocks,
     _require_length,
     _require_valid,
     decrypt,
     encrypt,
 )
-from .errors import InsufficientPairsError, NonIntegralResultError
+from .errors import InsufficientPairsError
 from .formats import _format_decimal, dumps_canonical, serialize_ciphertext
 from .matrices import IntMatrix
 from .primes import Xorshift64Star, prime_stream
@@ -213,19 +218,6 @@ class AttackResult:
         )
 
 
-def _apply(m, v):
-    """The 4x4 row-major map m applied to the 4-vector v."""
-    return tuple(sum(m[4 * i + k] * v[k] for k in range(4)) for i in range(4))
-
-
-def _integral(m):
-    """m's entries as ints when every one is integral, as they are for
-    every genuine key's map, else None."""
-    if all(e.denominator == 1 for e in m):
-        return tuple(e.numerator for e in m)
-    return None
-
-
 def _primitive(row, lead):
     """The nonzero int row divided by the gcd of its entries, and negated
     when lead, the value of its pivot entry, is negative."""
@@ -288,33 +280,30 @@ def known_plaintext_attack(pairs) -> AttackResult:
     # M = N / scale with the int map N, so M @ b == e iff N @ b == scale * e
     scale = math.lcm(*(columns[j][j] for j in range(4)))
     n = tuple(columns[j][4 + i] * (scale // columns[j][j]) for i in range(4) for j in range(4))
+    products = _map_blocks(n, (plain.entries for plain, _ in pairs))
     verified = all(
-        _apply(n, plain.entries) == tuple(scale * e for e in cipher.entries)
-        for plain, cipher in pairs
+        v == tuple(scale * e for e in cipher.entries) for v, (_, cipher) in zip(products, pairs)
     )
     return AttackResult(composite_map=composite, pairs_used=len(pairs), verified=verified)
 
 
 def apply_composite(composite, block: IntMatrix) -> IntMatrix:
-    """Apply a 4x4 composite map (row-major 16 entries) to a 2x2 block.
+    """Apply a 4x4 composite map (row-major 16 entries, ints or Fractions)
+    to a 2x2 block.
 
-    Raises NonIntegralResultError naming the first entry of the result
-    that is not an integer; the message leaves the value out, as
-    decryption's does.
+    With s the lcm of the entries' denominators, the int map
+    N = s * composite goes through the cipher's block kernel and every
+    entry of the result is divided exactly by s. Raises
+    NonIntegralResultError naming the first entry of the result that is
+    not an integer; the message leaves the value out, as decryption's does.
     """
     if len(composite) != 16:
         raise ValueError("composite map must be 4x4")
     if not isinstance(block, IntMatrix) or (block.rows, block.cols) != (2, 2):
         raise ValueError("block must be 2x2")
-    m = _integral(composite)
-    if m is not None:
-        return IntMatrix(2, 2, _apply(m, block.entries))
-    out = []
-    for idx, value in enumerate(_apply(composite, block.entries)):
-        if value.denominator != 1:
-            raise NonIntegralResultError("entry (%d, %d) is not an integer" % divmod(idx, 2))
-        out.append(value.numerator)
-    return IntMatrix(2, 2, tuple(out))
+    s = math.lcm(*(e.denominator for e in composite))
+    n = tuple(e.numerator * (s // e.denominator) for e in composite)
+    return IntMatrix(2, 2, _divide_exactly(next(_map_blocks(n, (block.entries,))), s))
 
 
 @dataclass

@@ -9,24 +9,26 @@ where Q^n is the Fibonacci matrix for the key's index, R the quarter-turn
 rotation, and K the invertible secret key matrix. The chain is linear in
 the entries of B: with vec() flattening a block row-major,
 
-    vec(E) = M @ vec(B),    M[2i + j][2a + b] = P[b][i] * K[a][j],  P = Q^n @ R
+    vec(E) = M @ vec(B),    M = map(P, K),    P = Q^n @ R
 
-so encryption builds the integer 4x4 map M once per call (block_map) and
-applies it to every block with plain integer multiply-adds. This is the
-Hill-cipher view of the scheme, and M is exactly what the analysis
-module's known-plaintext attack recovers.
+where map(U, V) (_map_of) is the 4x4 map of X -> transpose(X @ U) @ V, with
+map(U, V)[2i + j][2a + b] = U[b][i] * V[a][j]. This is the Hill-cipher
+view of the scheme, and M is exactly what the analysis module's
+known-plaintext attack recovers.
 
-Decryption inverts the chain in integers. With K^-1 = adj(K) / det(K),
-R^-1 = transpose(R) and Q^-n = (-1)^n adj(Q^n) (Q^n has determinant
-(-1)^n),
+Decryption is the same kind of map: B = transpose(E @ K^-1) @ P^-1. P has
+determinant (-1)^n, so P^-1 = (-1)^n adj(P) is an integer matrix, and
+K^-1 = adj(K) / det(K) leaves one division:
 
-    B = transpose(E @ adj(K)) @ W / det(K),    W = transpose(R) @ Q^-n
+    det(K) vec(B) = D @ vec(E),    D = map(adj K, P^-1)
 
-where W is an integer matrix computed once per key. Every entry of the
-integer numerator must divide exactly by det(K); a remainder is the
-earliest wrong-key detector. The quotient is the exact value of the chain
-of rational inverses, so this accepts and rejects exactly the blocks that
-the rational chain would, and fails at the same entry.
+Each call builds its integer map once (block_map is M) and one kernel
+applies it to every block with plain integer multiply-adds, lazily, one
+block at a time. Decryption then divides every entry exactly by det(K):
+a remainder is the earliest wrong-key detector. The quotient is the exact
+value of the chain of rational inverses, so this accepts and rejects
+exactly the blocks that the rational chain would, and fails at the same
+entry.
 
 Everything is per block: there is no mixing across blocks, a property the
 analysis module measures and reports as the scheme's diffusion limit.
@@ -269,78 +271,72 @@ def deblockify(blocks, pad_count: int):
     return flat
 
 
-def _block_map(key):
-    """Row-major entries of the 4x4 M with vec(E) = M @ vec(B)."""
-    q, r = _mixers(key)
-    p = (q @ r).entries
-    k = key.key_matrix.entries
-    # E[i][j] = sum over (a, b) of B[a][b] * P[b][i] * K[a][j]
+def _map_of(u, v):
+    """Row-major entries of the 4x4 map of X -> transpose(X @ U) @ V on
+    row-major flattened 2x2 blocks, for U, V given as row-major 4-tuples."""
+    # transpose(X @ U) @ V [i][j] = sum over (a, b) of X[a][b] * U[b][i] * V[a][j]
     return tuple(
-        p[2 * b + i] * k[2 * a + j] for i in (0, 1) for j in (0, 1) for a in (0, 1) for b in (0, 1)
+        u[2 * b + i] * v[2 * a + j] for i in (0, 1) for j in (0, 1) for a in (0, 1) for b in (0, 1)
     )
 
 
-def _mix(m, flat):
-    """Ciphertext blocks of a flat row-major entry list whose length is a
-    multiple of 4, through the block map m (the entries of _block_map)."""
+def _chain(key):
+    """Row-major entries of P = Q^n @ R."""
+    return (fibonacci_q(key.fib_index) @ rotation(key.quarter_turns)).entries
+
+
+def _block_map(key):
+    """Row-major entries of the 4x4 M with vec(E) = M @ vec(B)."""
+    return _map_of(_chain(key), key.key_matrix.entries)
+
+
+def _unmix_map(key):
+    """(D, det K), D the integer map with D @ vec(E) = det K * vec(B): the
+    map of X -> transpose(X @ adj K) @ P^-1, P^-1 = (-1)^n adj P."""
+    s = (-1) ** key.fib_index
+    p00, p01, p10, p11 = _chain(key)
+    k00, k01, k10, k11 = key.key_matrix.entries
+    d = _map_of((k11, -k01, -k10, k00), (s * p11, -s * p01, -s * p10, s * p00))
+    return d, key.key_matrix.det()
+
+
+def _map_blocks(m, vectors):
+    """Lazily, m @ v for each row-major 4-tuple v of vectors, m the
+    row-major entries of a 4x4 integer map."""
     (m00, m01, m02, m03, m10, m11, m12, m13,
      m20, m21, m22, m23, m30, m31, m32, m33) = m
-    it = iter(flat)
-    return [
-        _int_block((
+    return (
+        (
             m00 * b0 + m01 * b1 + m02 * b2 + m03 * b3,
             m10 * b0 + m11 * b1 + m12 * b2 + m13 * b3,
             m20 * b0 + m21 * b1 + m22 * b2 + m23 * b3,
             m30 * b0 + m31 * b1 + m32 * b2 + m33 * b3,
-        ))
-        for b0, b1, b2, b3 in zip(it, it, it, it)
-    ]
-
-
-def _decrypt_one(block, adj_k, det_k, w):
-    """transpose(block @ adj_k) @ w / det_k, all row-major 2x2 entries.
-
-    Raises NonIntegralResultError naming the first entry that det_k does
-    not divide. The message leaves the entry's value out: it can be too
-    long to print, and it would leak a divisor of det(K).
-    """
-    e00, e01, e10, e11 = block.entries
-    a00, a01, a10, a11 = adj_k
-    w00, w01, w10, w11 = w
-    # rows of transpose(block @ adj_k) are the columns of block @ adj_k
-    c00, c01 = e00 * a00 + e01 * a10, e10 * a00 + e11 * a10
-    c10, c11 = e00 * a01 + e01 * a11, e10 * a01 + e11 * a11
-    numerator = (
-        c00 * w00 + c01 * w10,
-        c00 * w01 + c01 * w11,
-        c10 * w00 + c11 * w10,
-        c10 * w01 + c11 * w11,
+        )
+        for b0, b1, b2, b3 in vectors
     )
+
+
+def _divide_exactly(v, d):
+    """The 4-tuple v divided entrywise by d, which must divide every entry.
+
+    Raises NonIntegralResultError naming the first entry d does not
+    divide. The message leaves the entry's value out: it can be too long
+    to print, and it would leak a divisor of d.
+    """
     out = []
-    for idx, value in enumerate(numerator):
-        quotient, remainder = divmod(value, det_k)
+    for idx, value in enumerate(v):
+        quotient, remainder = divmod(value, d)
         if remainder:
             raise NonIntegralResultError("entry (%d, %d) is not an integer" % divmod(idx, 2))
         out.append(quotient)
-    return _int_block(tuple(out))
+    return tuple(out)
 
 
-def _mixers(key):
-    return fibonacci_q(key.fib_index), rotation(key.quarter_turns)
-
-
-def _adjugate(m):
-    a, b, c, d = m.entries
-    return IntMatrix(2, 2, (d, -b, -c, a))
-
-
-def _inverse_mixers(key):
-    """(adj K, det K, W = transpose(R) @ Q^-n) for _decrypt_one, as entry tuples."""
-    q, r = _mixers(key)
-    q_inv = (-1) ** key.fib_index * _adjugate(q)
-    w = r.transpose() @ q_inv
-    kmat = key.key_matrix
-    return _adjugate(kmat).entries, kmat.det(), w.entries
+def _require_block(block):
+    if not isinstance(block, IntMatrix):
+        raise TypeError("block must be an IntMatrix")
+    if (block.rows, block.cols) != (2, 2):
+        raise ValueError("block must be 2x2")
 
 
 def block_map(key: KeyMaterial) -> IntMatrix:
@@ -352,24 +348,24 @@ def block_map(key: KeyMaterial) -> IntMatrix:
 
 def encrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
     """Encrypt one 2x2 block: transpose(block @ Q^n @ R) @ K, all exact."""
-    if not isinstance(block, IntMatrix):
-        raise TypeError("block must be an IntMatrix")
-    if (block.rows, block.cols) != (2, 2):
-        raise ValueError("block must be 2x2")
+    _require_block(block)
     _require_valid(key)
-    return _mix(_block_map(key), block.entries)[0]
+    return _int_block(next(_map_blocks(_block_map(key), (block.entries,))))
 
 
 def decrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
     """Invert encrypt_block; raises NonIntegralResultError under a wrong key."""
+    _require_block(block)
     _require_valid(key)
-    return _decrypt_one(block, *_inverse_mixers(key))
+    d, det_k = _unmix_map(key)
+    return _int_block(_divide_exactly(next(_map_blocks(d, (block.entries,))), det_k))
 
 
 def _encrypt_with(message, m, primes):
     """The envelope of message, given the key's block map m and prime stream."""
     ts, pad_count = _padded([encode_symbol(b, p) for b, p in zip(message, primes)])
-    return _envelope(pad_count, _mix(m, ts))
+    it = iter(ts)
+    return _envelope(pad_count, map(_int_block, _map_blocks(m, zip(it, it, it, it))))
 
 
 def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> CiphertextEnvelope:
@@ -413,11 +409,12 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
             "ciphertext carries %d symbols, more than the %d-byte message limit"
             % (envelope.message_length, MAX_MESSAGE_BYTES)
         )
-    adj_k, det_k, w = _inverse_mixers(key)
+    d, det_k = _unmix_map(key)
     plain_blocks = []
-    for i, block in enumerate(envelope.blocks):
+    # lazily, so that a wrong key stops at its first bad block
+    for i, v in enumerate(_map_blocks(d, (b.entries for b in envelope.blocks))):
         try:
-            plain_blocks.append(_decrypt_one(block, adj_k, det_k, w))
+            plain_blocks.append(_int_block(_divide_exactly(v, det_k)))
         except NonIntegralResultError as exc:
             raise NonIntegralResultError("block %d: %s" % (i, exc)) from None
     ts = deblockify(plain_blocks, envelope.pad_count)

@@ -5,9 +5,12 @@
 Encrypts and decrypts the golden fixture through cli.main, checks the
 ciphertext byte for byte, checks prime_stream against the scalar reference
 loop at lengths 0 to 6,542, integer_cube_root against bisection around
-2**53, serialize_ciphertext against its reference on 200 keygen envelopes
-and known_plaintext_attack against its reference on 200 pair sets, and
-checks one pinned avalanche report. Prints one line and exits 0 on success.
+2**53, serialize_ciphertext against its reference on 200 keygen envelopes,
+known_plaintext_attack against its reference on 200 pair sets, and
+decrypt_block and apply_composite (with the map and the inverse map the
+attack recovers) against theirs under 200 keygen keys, each on a genuine
+ciphertext block and on one from a wrong key, and checks one pinned
+avalanche report. Prints one line and exits 0 on success.
 """
 
 import random
@@ -17,18 +20,24 @@ from pathlib import Path
 
 from cubecipher import (
     IntMatrix,
+    apply_composite,
     avalanche_test,
     cli,
+    decrypt_block,
     encrypt,
     encrypt_block,
     integer_cube_root,
     keygen,
+    known_plaintext_attack,
     prime_stream,
     serialize_ciphertext,
 )
 from spec import (
     attack_outcome,
+    outcome,
+    reference_apply_composite,
     reference_attack,
+    reference_decrypt_block,
     reference_integer_cube_root,
     reference_prime_stream,
     reference_serialize_ciphertext,
@@ -109,10 +118,27 @@ def main():
         pairs = pair_set(rng, seed)
         check(attack_outcome(pairs) == reference_attack(pairs),
               "attack on pair set %d differs from the reference" % seed)
+    for seed in range(200):
+        key, wrong = keygen(seed), keygen(seed + 200)
+        # genuine encodings are (n^3 - n) / 6 with n up to 2**16 + 255
+        plain = [IntMatrix(2, 2, tuple((n - 1) * n * (n + 1) // 6
+                                       for n in (rng.randint(2, 65791) for _ in range(4))))
+                 for _ in range(5)]
+        pairs = [(b, encrypt_block(b, key)) for b in plain[:4]]
+        forward = known_plaintext_attack(pairs).composite_map
+        inverse = known_plaintext_attack([(c, b) for b, c in pairs]).composite_map
+        for block in (encrypt_block(plain[4], key), encrypt_block(plain[4], wrong)):
+            for k in (key, wrong):
+                check(outcome(decrypt_block, block, k) == outcome(reference_decrypt_block, block, k),
+                      "decrypt_block under keygen(%d) differs from the reference" % seed)
+            for m, b in ((forward, plain[4]), (inverse, block)):
+                check(outcome(apply_composite, m, b) == outcome(reference_apply_composite, m, b),
+                      "apply_composite for keygen(%d) differs from the reference" % seed)
     check(avalanche_test(keygen(7), 257, 7, 11).to_json_text() == AVALANCHE_REPORT,
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime streams, "
-          "16 cube roots, 200 envelopes, 200 attack pair sets, 1 avalanche report"
+          "16 cube roots, 200 envelopes, 200 attack pair sets, 200 keys' un-mix and "
+          "composite maps, 1 avalanche report"
           % (sys.version.split()[0], len(STREAM_LENGTHS)))
 
 

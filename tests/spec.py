@@ -2,7 +2,8 @@
 
 Each reference_* function here writes out a documented behaviour in its
 plainest form; the tests check the fast path against it, byte for byte.
-attack_outcome puts the fast attack's result in reference_attack's terms.
+attack_outcome puts the fast attack's result in reference_attack's terms,
+and outcome puts any call's result or CipherError in comparable terms.
 """
 
 import json
@@ -10,13 +11,18 @@ from fractions import Fraction
 
 from cubecipher import (
     PRIME_LIMIT,
+    CipherError,
     CiphertextEnvelope,
+    CorruptValueError,
     FormatError,
     InsufficientPairsError,
     IntMatrix,
     NonIntegralResultError,
+    SymbolRangeError,
     Xorshift64Star,
     blockify,
+    deblockify,
+    decode_symbol,
     encode_symbol,
     fibonacci_q,
     is_prime,
@@ -140,6 +146,56 @@ def reference_decrypt_block(block, key):
         if value.denominator != 1:
             raise NonIntegralResultError("entry (%d, %d) is not an integer" % divmod(idx, 2))
     return IntMatrix(2, 2, tuple(value.numerator for value in x))
+
+
+def reference_decrypt(envelope, key, byte_mode=False):
+    """decrypt of a version-1 envelope within the length limit, with every
+    block un-mixed by reference_decrypt_block and every error prefixed by
+    the block or symbol it names."""
+    blocks = []
+    for i, block in enumerate(envelope.blocks):
+        try:
+            blocks.append(reference_decrypt_block(block, key))
+        except NonIntegralResultError as exc:
+            raise NonIntegralResultError("block %d: %s" % (i, exc)) from None
+    ts = deblockify(blocks, envelope.pad_count)
+    out = bytearray()
+    for i, (t, p) in enumerate(zip(ts, prime_stream(key.prime_seed, len(ts)))):
+        try:
+            out.append(decode_symbol(t, p, 255 if byte_mode else 127))
+        except (CorruptValueError, SymbolRangeError) as exc:
+            raise type(exc)("symbol %d: %s" % (i, exc)) from None
+    return bytes(out)
+
+
+def _apply(m, v):
+    """The 4x4 row-major map m applied to the 4-vector v."""
+    return tuple(sum(m[4 * i + k] * v[k] for k in range(4)) for i in range(4))
+
+
+def reference_apply_composite(composite, block):
+    """apply_composite before its integer kernel: the map applied in
+    Fraction arithmetic, then every entry of the result checked for a
+    denominator."""
+    if len(composite) != 16:
+        raise ValueError("composite map must be 4x4")
+    if not isinstance(block, IntMatrix) or (block.rows, block.cols) != (2, 2):
+        raise ValueError("block must be 2x2")
+    out = []
+    for idx, value in enumerate(_apply(composite, block.entries)):
+        if value.denominator != 1:
+            raise NonIntegralResultError("entry (%d, %d) is not an integer" % divmod(idx, 2))
+        out.append(value.numerator)
+    return IntMatrix(2, 2, tuple(out))
+
+
+def outcome(function, *args):
+    """function(*args), or the class and message of the CipherError it
+    raised."""
+    try:
+        return function(*args)
+    except CipherError as exc:
+        return type(exc), str(exc)
 
 
 def reference_serialize_ciphertext(envelope):

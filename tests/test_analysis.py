@@ -32,7 +32,7 @@ from cubecipher import (
     known_plaintext_attack,
     prime_stream,
 )
-from spec import reference_attack
+from spec import outcome, reference_apply_composite, reference_attack
 
 
 def random_block(rng, span=10**6):
@@ -230,6 +230,40 @@ def test_apply_composite_requires_an_integral_result():
         apply_composite(composite, IntMatrix(2, 2, (3, 5, 6, 7)))
     with pytest.raises(ValueError):
         apply_composite(composite[:15], IntMatrix(2, 2, (4, 5, 6, 7)))
+
+
+def test_apply_composite_matches_the_reference():
+    rng = random.Random(109)
+    cases = []
+    for seed in range(60):
+        key = keygen(seed)
+        pairs = pairs_for_key(key, 6, rng)
+        genuine = random_block(rng, 10**12)
+        ct = encrypt_block(genuine, key)
+        arbitrary = IntMatrix(2, 2, tuple(rng.randint(-(10**30), 10**30) for _ in range(4)))
+        # integral maps: the key's own and the one the attack recovers
+        for m in (block_map(key).entries, known_plaintext_attack(pairs).composite_map):
+            cases += [(m, genuine), (m, arbitrary)]
+        # the inverse map, recovered from swapped pairs, has det K denominators
+        inverse = known_plaintext_attack(swapped(pairs)).composite_map
+        wrong = encrypt_block(genuine, keygen(seed + 1000))
+        cases += [(inverse, ct), (inverse, wrong), (inverse, arbitrary)]
+    for _ in range(300):
+        # arbitrary Fractions, applied to blocks that clear some of their
+        # denominators, all of them, or none
+        m = tuple(Fraction(rng.randint(-50, 50), rng.choice((1, 1, 2, 3, 12, 10**9 + 7)))
+                  for _ in range(16))
+        scale = rng.choice((1, 2, 6, 12 * (10**9 + 7)))
+        cases.append((m, IntMatrix(2, 2, tuple(scale * rng.randint(-99, 99) for _ in range(4)))))
+
+    kinds = set()
+    for m, block in cases:
+        expected = outcome(reference_apply_composite, m, block)
+        assert outcome(apply_composite, m, block) == expected
+        kinds.add(expected[1] if isinstance(expected, tuple) else "block")
+    # integral results and a failure at every entry were all exercised
+    assert kinds == {"block"} | {"entry (%d, %d) is not an integer" % rc
+                                 for rc in ((0, 0), (0, 1), (1, 0), (1, 1))}
 
 
 def test_attack_result_too_long_to_print_raises_format_error():

@@ -210,11 +210,26 @@ def test_encrypt_matches_spelled_out_chain():
         assert encrypt(message, key, byte_mode=True) == reference_encrypt(message, key)
 
 
+# four entries that are not a 2x2 block, and the error each must raise
+BAD_BLOCKS = (
+    (IntMatrix(1, 4, (3, 7, 1, 3)), ValueError),
+    (IntMatrix(4, 1, (3, 7, 1, 3)), ValueError),
+    (IntMatrix.identity(4), ValueError),
+    ((3, 7, 1, 3), TypeError),
+)
+
+
 def test_encrypt_block_checks_its_block():
-    with pytest.raises(ValueError):
-        encrypt_block(IntMatrix.identity(4), IDENTITY_KEY)
-    with pytest.raises(TypeError):
-        encrypt_block((1, 2, 3, 4), IDENTITY_KEY)
+    for block, error in BAD_BLOCKS:
+        with pytest.raises(error, match="^block must be"):
+            encrypt_block(block, IDENTITY_KEY)
+
+
+def test_decrypt_block_checks_its_block():
+    # the entries un-mix to (1, 2, 3, 4) under IDENTITY_KEY as a 2x2 block
+    for block, error in BAD_BLOCKS:
+        with pytest.raises(error, match="^block must be"):
+            decrypt_block(block, IDENTITY_KEY)
 
 
 def test_block_round_trip_random():

@@ -1,13 +1,16 @@
-"""Property-based checks of the wire formats and the attack (skipped when
-hypothesis is absent).
+"""Property-based checks of the wire formats, the cipher and the attack
+(skipped when hypothesis is absent).
 
 Every parser must turn any text, and any JSON document, into either a
 value or a FormatError; nothing else may escape, so the CLI always maps a
 bad file to its documented exit code. The ciphertext serializer must write
-exactly what its reference writes, and the known-plaintext attack must
+exactly what its reference writes; encrypt and decrypt, under genuine and
+wrong keys, must match the block chain spelled out in the spec, down to
+the class and message of the error; and the known-plaintext attack must
 reach its reference's map, verdict, JSON text and rank.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -17,9 +20,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cubecipher import (  # noqa: E402
+    MAX_FIB_INDEX,
     CiphertextEnvelope,
     FormatError,
     IntMatrix,
+    KeyMaterial,
+    decrypt,
+    encrypt,
     encrypt_block,
     keygen,
     parse_ciphertext,
@@ -27,7 +34,14 @@ from cubecipher import (  # noqa: E402
     parse_pairs,
     serialize_ciphertext,
 )
-from spec import attack_outcome, reference_attack, reference_serialize_ciphertext  # noqa: E402
+from spec import (  # noqa: E402
+    attack_outcome,
+    outcome,
+    reference_attack,
+    reference_decrypt,
+    reference_encrypt,
+    reference_serialize_ciphertext,
+)
 
 PARSERS = (parse_key, parse_ciphertext, parse_pairs)
 
@@ -139,6 +153,61 @@ def _outcome(serialize, envelope):
 def test_serialize_ciphertext_matches_the_reference(envelope):
     assert _outcome(serialize_ciphertext, envelope) == _outcome(
         reference_serialize_ciphertext, envelope
+    )
+
+
+def _invertible(entries):
+    a, b, c, d = entries
+    return a * d != b * c
+
+
+# key matrices: |det K| = 1 (so a wrong key passes the un-mix and fails
+# later), entries in keygen's range, and entries up to 10**30 (large |det K|)
+_key_matrices = st.one_of(
+    st.sampled_from(((1, 0, 0, 1), (2, 1, 1, 1), (0, 1, -1, 0), (1, 10**6, 0, -1),
+                     (-(10**9), 10**9 + 1, 1, -1))),
+    st.tuples(*[st.integers(-99, 99)] * 4).filter(_invertible),
+    st.tuples(*[st.integers(-(10**30), 10**30)] * 4).filter(_invertible),
+)
+_hostile_keys = st.builds(
+    KeyMaterial,
+    _key_matrices.map(lambda entries: IntMatrix(2, 2, entries)),
+    st.one_of(st.integers(1, 40), st.integers(MAX_FIB_INDEX - 2, MAX_FIB_INDEX)),
+    st.integers(-4, 7),  # every rotation, stored mod 4
+    st.integers(0, 2**64 - 1),
+)
+_keys = st.one_of(st.builds(keygen, st.integers(0, 2**64 - 1)), _hostile_keys)
+
+
+@st.composite
+def _wrong_keys(draw, key):
+    """Another key, or key with one field changed: the same K passes the
+    un-mix under any fib_index and rotation, so those fail at a pad slot
+    or a symbol."""
+    kind = draw(st.sampled_from(("other", "fib_index", "quarter_turns", "prime_seed")))
+    if kind == "other":
+        return draw(_keys)
+    fields = {
+        "fib_index": st.integers(1, MAX_FIB_INDEX),
+        "quarter_turns": st.integers(0, 3),
+        "prime_seed": st.integers(0, 2**64 - 1),
+    }
+    return dataclasses.replace(key, **{kind: draw(fields[kind])})
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_encrypt_and_decrypt_match_the_spec(data):
+    key = data.draw(_keys)
+    byte_mode = data.draw(st.booleans())
+    top = 255 if byte_mode else 127
+    message = bytes(data.draw(st.lists(st.integers(0, top), min_size=1, max_size=24)))
+    envelope = encrypt(message, key, byte_mode)
+    assert envelope == reference_encrypt(message, key)
+    assert decrypt(envelope, key, byte_mode) == reference_decrypt(envelope, key, byte_mode) == message
+    wrong = data.draw(_wrong_keys(key))
+    assert outcome(decrypt, envelope, wrong, byte_mode) == outcome(
+        reference_decrypt, envelope, wrong, byte_mode
     )
 
 
