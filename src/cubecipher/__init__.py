@@ -67,7 +67,7 @@ from .matrices import (
     fibonacci_q,
     rotation,
 )
-from .primes import PRIME_LIMIT, Xorshift64Star, is_prime, prime_stream
+from .primes import PRIME_LIMIT, Xorshift64Star, prime_stream
 
 __version__ = "0.1.0"
 
@@ -111,7 +111,6 @@ __all__ = [
     "fibonacci_q",
     "growth_exponent",
     "integer_cube_root",
-    "is_prime",
     "keygen",
     "known_plaintext_attack",
     "parse_ciphertext",

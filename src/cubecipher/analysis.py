@@ -296,6 +296,11 @@ def apply_composite(composite, block: IntMatrix) -> IntMatrix:
     entry of the result is divided exactly by s. Raises
     NonIntegralResultError naming the first entry of the result that is
     not an integer; the message leaves the value out, as decryption's does.
+
+    A block that is not a 2x2 IntMatrix raises ValueError("block must be
+    2x2"), whatever its type: unlike encrypt_block and decrypt_block, this
+    raises no TypeError for a block that is not an IntMatrix. The error
+    classes are part of the interface and stay as they are.
     """
     if len(composite) != 16:
         raise ValueError("composite map must be 4x4")

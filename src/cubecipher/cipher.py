@@ -245,11 +245,12 @@ def blockify(ts):
 def deblockify(blocks, pad_count: int):
     """Inverse of blockify; checks that every stripped pad slot is exactly 0.
 
-    A nonzero value in a pad position means the ciphertext was tampered
-    with or decrypted under the wrong key, and raises
-    CorruptCiphertextError naming the offending slot and block. The
-    message gives the value's bit length, not its digits, which can be too
-    long to print.
+    Each block must be a 2x2 IntMatrix (TypeError otherwise, ValueError
+    for another shape, as encrypt_block). A nonzero value in a pad
+    position means the ciphertext was tampered with or decrypted under the
+    wrong key, and raises CorruptCiphertextError naming the offending slot
+    and block. The message gives the value's bit length, not its digits,
+    which can be too long to print.
     """
     blocks = list(blocks)
     if not 0 <= pad_count < BLOCK_SYMBOLS:
@@ -258,7 +259,14 @@ def deblockify(blocks, pad_count: int):
         if pad_count != 0:
             raise ValueError("no blocks to strip padding from")
         return []
-    flat = [e for b in blocks for e in b.entries]
+    for b in blocks:
+        _require_block(b)
+    return _strip_pad([e for b in blocks for e in b.entries], pad_count)
+
+
+def _strip_pad(flat, pad_count):
+    """flat, the row-major entries of whole blocks, with its last
+    pad_count entries, which must be 0, removed in place (see deblockify)."""
     if pad_count:
         for offset, value in enumerate(flat[-pad_count:]):
             if value != 0:
@@ -410,14 +418,14 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
             % (envelope.message_length, MAX_MESSAGE_BYTES)
         )
     d, det_k = _unmix_map(key)
-    plain_blocks = []
+    flat = []
     # lazily, so that a wrong key stops at its first bad block
     for i, v in enumerate(_map_blocks(d, (b.entries for b in envelope.blocks))):
         try:
-            plain_blocks.append(_int_block(_divide_exactly(v, det_k)))
+            flat += _divide_exactly(v, det_k)
         except NonIntegralResultError as exc:
             raise NonIntegralResultError("block %d: %s" % (i, exc)) from None
-    ts = deblockify(plain_blocks, envelope.pad_count)
+    ts = _strip_pad(flat, envelope.pad_count)
     primes = prime_stream(key.prime_seed, len(ts))
     max_code = BYTE_MAX if byte_mode else ASCII_MAX
     out = bytearray()

@@ -23,42 +23,39 @@ the same seed. Two pieces make that work:
 
 prime_stream's candidates are the low 16 bits of successive outputs, and
 those depend only on the low 16 bits of the state: low16(low16(state) *
-0xDD1D). It draws them in chunks of lanes x steps, lane j taking draws
-[j * steps, (j + 1) * steps) of the chunk. All lanes sit in one Python
-int, 64 bits each, and one step of the recurrence advances every lane at
-once with masked shifts. The step is linear over GF(2), a 64x64 bit
-matrix A, so the lanes' start states A**(j * steps) * state are the XOR,
-over the set bits b of the state, of column b of A**(j * steps). For each
-lane length prime_stream keeps those columns, 64 ints holding every lane
-j, in a start table; a table is built on first use and grown when a chunk
-needs more lanes, by doubling its lanes with the jump tables A**(2**k),
-and never shrinks. Nothing is built at import; at most ~230 KB of start
-tables (64, 128 and 256 lanes of 2**5, 2**6 and 2**7 steps) are ever
-kept. Each step's candidates go into one bytearray, capped at 256 KiB
-per chunk, in the host's byte order, which is then read lane by lane, in
-draw order, through a strided memoryview of its native 16-bit halfwords
-and filtered against the per-call sieve copy. Where a lane's candidate
-sits in the buffer depends on the byte order; the stream does not. The
-stream is the one the scalar loop gives, draw for draw; the test suite
-keeps that loop as its reference.
-
-is_prime, a deterministic Miller-Rabin test using the base set that is
-known sufficient for every input below 2**64, is kept as a tested utility;
-the test suite checks the sieve against it on every n below 2**16.
+0xDD1D). It draws them in chunks of lanes x 32 steps, lane j taking draws
+[32 j, 32 (j + 1)) of the chunk. All lanes sit in one Python int, 64 bits
+each, and one step of the recurrence advances every lane at once with
+masked shifts. The step is linear over GF(2), a 64x64 bit matrix A, so a
+lane's start state A**(32 j) * state is the XOR, over the set bits b of
+the state, of A**(32 j) * e_b, e_b the unit vector of bit b. prime_stream
+keeps those vectors in one start table: 64 columns, column b holding
+A**(32 j) * e_b in lane j. The table is built by stepping the 64 unit
+vectors, packed as 64 lanes, 32 steps per added lane, and transposing the
+rows so made into columns. It grows on demand to the next power of two at
+or above the lanes a chunk needs, at most 256 lanes (128 KiB), and is
+replaced whole, in one assignment, so a concurrent caller sees either the
+old table or the new one, both correct. Nothing is stepped at import. A
+chunk holds at most 256 lanes, 8,192 draws; its candidates go into one
+bytearray of at most 64 KiB, in the host's byte order, which is then read
+lane by lane, in draw order, through a strided memoryview of its native
+16-bit halfwords and filtered against the per-call sieve copy. Where a
+lane's candidate sits in the buffer depends on the byte order; the stream
+does not. The stream is the one the scalar loop gives, draw for draw; the
+test suite keeps that loop as its reference, with a Miller-Rabin test to
+check the sieve against.
 
 This generator is NOT cryptographically secure and is not meant to be; the
 contract here is cross-platform determinism, not unpredictability.
 """
 
 import sys
-import threading
-from math import isqrt, log, log2
+from math import isqrt, log
 
 from .errors import CipherError
 
 __all__ = [
     "Xorshift64Star",
-    "is_prime",
     "prime_stream",
     "MAX_U64",
     "PRIME_LIMIT",
@@ -74,13 +71,13 @@ _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
 PRIME_LIMIT = 1 << 16
 PRIME_COUNT_BELOW_LIMIT = 6542
 
-# Lane geometry of prime_stream. A chunk holds at most _CHUNK_DRAWS draws,
-# 8 buffer bytes each (256 KiB), in lanes of 2**5 to 2**7 steps.
-_CHUNK_DRAWS = 1 << 15
-_MIN_STEPS_LOG = 5
-_MAX_STEPS_LOG = 7
-# A chunk draws _SLACK times the expected draws plus _SPARE_DRAWS, so that a
-# second chunk, and its jump-ahead, is rarely needed.
+# Lane geometry of prime_stream: a chunk is at most _MAX_LANES lanes of
+# _LANE_STEPS draws, 8 buffer bytes each (64 KiB).
+_LANE_STEPS = 32
+_MAX_LANES = 256
+# A chunk draws _SLACK times the expected draws still needed plus
+# _SPARE_DRAWS, within _MAX_LANES lanes, so that the chunk meant to be a
+# stream's last rarely falls short.
 _SLACK = 1.15
 _SPARE_DRAWS = 64
 
@@ -157,132 +154,60 @@ class Xorshift64Star:
         return out
 
 
-# Witness set sufficient for a deterministic answer on every n < 2**64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 0 <= n < 2**64."""
-    if n >= 1 << 64:
-        raise ValueError("deterministic witness set only covers n < 2**64")
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _apply_matrix(columns, x, lanes):
-    """The 64x64 bit matrix with the given columns applied to each lane of x."""
-    ones = _repeat(1, lanes)
-    out = 0
-    for bit, column in enumerate(columns):
-        out ^= ((x >> bit) & ones) * column  # each lane adds column or 0, no carries
-    return out
-
-
-def _unpack(x, lanes):
-    return tuple((x >> (64 * j)) & MAX_U64 for j in range(lanes))
-
-
 def _pack(words):
     return sum(w << (64 * j) for j, w in enumerate(words))
 
 
-_JUMPS = []  # _JUMPS[k]: the columns of A**(2**k)
-# _STARTS[steps_log]: (width, columns), width a power of two and lane j of
-# columns[b] the column b of A**(j * 2**steps_log), for j < width
-_STARTS = {}
-_TABLES_LOCK = threading.RLock()  # _start_table holds it while it calls _jump_table
-
-
-def _jump_table(power):
-    """Columns of A**(2**power), A the bit matrix of one state step.
-
-    Tables are squared one from the next on first use and never change
-    afterwards, so concurrent callers see the same values.
-    """
-    if len(_JUMPS) <= power:
-        with _TABLES_LOCK:
-            if not _JUMPS:
-                basis = _pack(1 << bit for bit in range(64))
-                _JUMPS.append(_unpack(_xorshift(basis, *_step_masks(64)), 64))
-            while len(_JUMPS) <= power:
-                last = _JUMPS[-1]
-                _JUMPS.append(_unpack(_apply_matrix(last, _pack(last), 64), 64))
-    return _JUMPS[power]
-
-
-def _rows(columns, width):
-    """A start table's rows as one int: word 64 * j + b is lane j of columns[b]."""
-    buf = bytearray(8 * 64 * width)
-    words = memoryview(buf).cast("Q")
-    for bit, column in enumerate(columns):
-        words[bit::64] = memoryview(column.to_bytes(8 * width, "little")).cast("Q")
-    return int.from_bytes(buf, "little")
-
-
-def _columns(rows, width):
-    """Inverse of _rows. The words move whole, so the host byte order cancels."""
-    words = memoryview(rows.to_bytes(8 * 64 * width, "little")).cast("Q")
+def _columns(rows):
+    """The columns of a start table from its rows: word b of rows[j] (one
+    packed 64-lane int) becomes lane j of column b. The words move whole,
+    so the host byte order cancels."""
+    words = memoryview(b"".join(row.to_bytes(8 * 64, "little") for row in rows)).cast("Q")
     return tuple(int.from_bytes(words[bit::64], "little") for bit in range(64))
 
 
-def _start_table(steps_log, lanes):
-    """The columns of _STARTS[steps_log], at least `lanes` lanes wide.
+# (width, columns): lane j < width of columns[b] is A**(32 j) * e_b. The
+# table starts as lane 0 alone, the unit vectors, and is only ever replaced
+# whole, in one assignment, so any table a caller reads is correct.
+_UNIT_TABLE = (1, tuple(1 << bit for bit in range(64)))
+_START_TABLE = _UNIT_TABLE
 
-    On first use, and whenever a chunk needs more lanes, the table's rows
-    are doubled, rows [h, 2h) being A**(h * 2**steps_log) applied to rows
-    [0, h), up to the next power of two >= lanes. Grown tables only gain
-    lanes, so concurrent callers see the same values.
+
+def _start_table(lanes):
+    """The columns of the start table, at least `lanes` (<= _MAX_LANES) lanes wide.
+
+    A narrower table is widened to the next power of two >= lanes: its
+    last lane, the 64 vectors A**(32 (width - 1)) * e_b packed as 64 lanes,
+    steps _LANE_STEPS more steps per added lane.
     """
-    width, columns = _STARTS.get(steps_log, (0, ()))
+    global _START_TABLE
+    width, columns = _START_TABLE
     if width < lanes:
-        with _TABLES_LOCK:
-            width, columns = _STARTS.get(steps_log, (0, ()))
-            if width < lanes:
-                if width:
-                    rows = _rows(columns, width)
-                else:  # lane 0 of column b is the unit vector e_b
-                    width, rows = 1, _pack(1 << bit for bit in range(64))
-                while width < lanes:
-                    jump = _jump_table(steps_log + width.bit_length() - 1)
-                    rows |= _apply_matrix(jump, rows, 64 * width) << (64 * 64 * width)
-                    width *= 2
-                columns = _columns(rows, width)
-                _STARTS[steps_log] = width, columns
+        masks = _step_masks(64)
+        row = _pack((column >> (64 * (width - 1))) & MAX_U64 for column in columns)
+        rows = []
+        for _ in range(width, 1 << (lanes - 1).bit_length()):
+            for _ in range(_LANE_STEPS):
+                row = _xorshift(row, *masks)
+            rows.append(row)
+        columns = tuple(c | added << (64 * width) for c, added in zip(columns, _columns(rows)))
+        _START_TABLE = width + len(rows), columns
     return columns
 
 
-def _lane_starts(state, lanes, steps_log):
+def _lane_starts(state, lanes):
     """`lanes` states packed 64 bits each, lane j being state advanced by
-    j * 2**steps_log steps: A**(j * 2**steps_log) applied to state, one
-    XOR of a start table column per set bit of state."""
+    32 j steps: A**(32 j) applied to state, one XOR of a start table
+    column per set bit of state."""
     x = 0
-    for bit, column in enumerate(_start_table(steps_log, lanes)):
+    for bit, column in enumerate(_start_table(lanes)):
         if state >> bit & 1:
             x ^= column
     return x & ((1 << (64 * lanes)) - 1)
 
 
-def _fill_chunk(buf, state, lanes, steps_log, byteorder=sys.byteorder):
-    """Draw a chunk of `lanes` lanes x 2**steps_log steps, starting at state.
+def _fill_chunk(buf, state, lanes, byteorder=sys.byteorder):
+    """Draw a chunk of `lanes` lanes x _LANE_STEPS steps, starting at state.
 
     Step s of the chunk fills buf[8 * lanes * s : 8 * lanes * (s + 1)] with
     the lanes' low16(state) * 0xDD1D products as one integer in byteorder,
@@ -290,11 +215,11 @@ def _fill_chunk(buf, state, lanes, steps_log, byteorder=sys.byteorder):
     Returns the state after the chunk's last draw and the halfword offsets
     of the lanes' candidates within a step, lane 0 first.
     """
-    x = _lane_starts(state, lanes, steps_log)
+    x = _lane_starts(state, lanes)
     masks = _step_masks(lanes)
     low16 = _repeat(0xFFFF, lanes)
     width = 8 * lanes
-    for at in range(0, width << steps_log, width):
+    for at in range(0, width * _LANE_STEPS, width):
         x = _xorshift(x, *masks)
         # the product stays in its lane and its low halfword is the candidate
         buf[at : at + width] = ((x & low16) * (_MULTIPLIER & 0xFFFF)).to_bytes(width, byteorder)
@@ -306,15 +231,13 @@ def _fill_chunk(buf, state, lanes, steps_log, byteorder=sys.byteorder):
     return x >> (64 * (lanes - 1)), firsts  # the last lane ends where the next chunk starts
 
 
-def _chunk_shape(emitted, count):
-    """(steps_log, lanes) of the next chunk: enough draws for the primes
-    still needed, by the coupon-collector estimate, within _CHUNK_DRAWS."""
+def _chunk_lanes(emitted, count):
+    """Lanes of the next chunk: enough draws for the primes still needed,
+    by the coupon-collector estimate, within _MAX_LANES."""
     left = PRIME_COUNT_BELOW_LIMIT - emitted
     need = count - emitted
     draws = PRIME_LIMIT * log((left + 0.5) / (left - need + 0.5)) * _SLACK + _SPARE_DRAWS
-    steps_log = min(_MAX_STEPS_LOG, max(_MIN_STEPS_LOG, round(log2(draws) / 2)))
-    lanes = min(_CHUNK_DRAWS >> steps_log, -(-int(draws) >> steps_log))
-    return steps_log, lanes
+    return min(_MAX_LANES, -(-int(draws) // _LANE_STEPS))
 
 
 def prime_stream(seed: int, count: int) -> list:
@@ -340,13 +263,13 @@ def prime_stream(seed: int, count: int) -> list:
     append = out.append
     buf = bytearray()
     while len(out) < count:
-        steps_log, lanes = _chunk_shape(len(out), count)
+        lanes = _chunk_lanes(len(out), count)
         stride = 4 * lanes
-        end = stride << steps_log
+        end = stride * _LANE_STEPS
         if len(buf) < 2 * end:
             buf = bytearray(2 * end)
         # buf is in the host's byte order, so the native halfwords are the candidates
-        state, firsts = _fill_chunk(buf, state, lanes, steps_log)
+        state, firsts = _fill_chunk(buf, state, lanes)
         halfwords = memoryview(buf).cast("H")
         for first in firsts:
             for candidate in halfwords[first:end:stride]:

@@ -4,7 +4,7 @@
 
 Encrypts and decrypts the golden fixture through cli.main, checks the
 ciphertext byte for byte, checks prime_stream against the scalar reference
-loop at lengths 0 to 6,542, integer_cube_root against bisection around
+loop at lengths 0 to 6,542 for four seeds, integer_cube_root against bisection around
 2**53, serialize_ciphertext against its reference on 200 keygen envelopes,
 known_plaintext_attack against its reference on 200 pair sets, and
 decrypt_block and apply_composite (with the map and the inverse map the
@@ -45,6 +45,7 @@ from spec import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 STREAM_LENGTHS = (0, 1, 16, 136, 256, 1024, 6542)
+STREAM_SEEDS = (5198, 0, 1, (1 << 64) - 1)
 
 
 def check(ok, what):
@@ -100,10 +101,12 @@ def main():
         code = cli.main(["decrypt", "--key", str(key), "--in", str(ct), "--out", str(out)])
         check(code == 0, "decrypt exited %d" % code)
         check(out.read_bytes() == message.read_bytes(), "golden message differs")
-    expected = reference_prime_stream(5198, STREAM_LENGTHS[-1])
-    for length in STREAM_LENGTHS:
-        check(prime_stream(5198, length) == expected[:length],
-              "prime stream of length %d differs from the reference" % length)
+    for seed in STREAM_SEEDS:
+        expected = reference_prime_stream(seed, STREAM_LENGTHS[-1])
+        for length in STREAM_LENGTHS:
+            check(prime_stream(seed, length) == expected[:length],
+                  "prime stream of seed %d, length %d, differs from the reference"
+                  % (seed, length))
     # float(n) is exact below 2**53 only; the roots start from a float
     for n in [(1 << 53) + d for d in range(-3, 4)] + [k**3 + d for k in (208063, 208064, 208065)
                                                       for d in (-1, 0, 1)]:
@@ -139,7 +142,7 @@ def main():
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime streams, "
           "16 cube roots, 200 envelopes, 200 attack pair sets, 200 keys' un-mix and "
           "composite maps, 1 avalanche report"
-          % (sys.version.split()[0], len(STREAM_LENGTHS)))
+          % (sys.version.split()[0], len(STREAM_SEEDS) * len(STREAM_LENGTHS)))
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from cubecipher import (
     decode_symbol,
     encode_symbol,
     fibonacci_q,
-    is_prime,
     known_plaintext_attack,
     prime_stream,
     rotation,
@@ -33,6 +32,37 @@ from cubecipher import (
 from cubecipher.formats import _format_decimal, dumps_canonical
 
 MASK64 = (1 << 64) - 1
+
+# Witness set sufficient for a deterministic answer on every n < 2**64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= n < 2**64: the
+    reference the sieve table behind prime_stream is checked against."""
+    if n >= 1 << 64:
+        raise ValueError("deterministic witness set only covers n < 2**64")
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def xorshift_reference(seed, count):

@@ -232,6 +232,17 @@ def test_apply_composite_requires_an_integral_result():
         apply_composite(composite[:15], IntMatrix(2, 2, (4, 5, 6, 7)))
 
 
+@pytest.mark.parametrize("block", [(1, 2, 3, 4), [1, 2, 3, 4], IntMatrix(4, 1, (1, 2, 3, 4))])
+def test_apply_composite_raises_value_error_for_any_bad_block(block):
+    """Pinned: a block that is not a 2x2 IntMatrix is a ValueError here,
+    even where encrypt_block would raise TypeError. Error classes are part
+    of the interface, so changing this must be a deliberate change."""
+    identity = tuple(int(i == j) for i in range(4) for j in range(4))
+    with pytest.raises(ValueError, match=r"^block must be 2x2$") as excinfo:
+        apply_composite(identity, block)
+    assert type(excinfo.value) is ValueError
+
+
 def test_apply_composite_matches_the_reference():
     rng = random.Random(109)
     cases = []

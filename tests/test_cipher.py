@@ -167,6 +167,27 @@ def test_deblockify_examples_and_errors():
         deblockify([], 1)
 
 
+@pytest.mark.parametrize(
+    "block, error",
+    [
+        ((1, 2, 3, 0), TypeError),
+        (IntMatrix(4, 1, (1, 2, 3, 0)), ValueError),
+        (IntMatrix(1, 4, (1, 2, 3, 0)), ValueError),
+        (IntMatrix(3, 3, (1, 2, 3, 4, 5, 6, 7, 8, 0)), ValueError),
+    ],
+)
+def test_deblockify_checks_its_blocks(block, error):
+    """A block that is not a 2x2 IntMatrix fails as it does in
+    encrypt_block, before any pad slot is read, even in second place."""
+    with pytest.raises(error) as expected:
+        encrypt_block(block, keygen(1))
+    good = IntMatrix(2, 2, (1, 2, 3, 0))
+    for blocks in ([block], [good, block]):
+        with pytest.raises(error) as raised:
+            deblockify(blocks, 1)
+        assert str(raised.value) == str(expected.value)
+
+
 def test_pad_slot_error_omits_huge_values():
     huge = 10**5000 - 1
     with pytest.raises(CorruptCiphertextError) as excinfo:

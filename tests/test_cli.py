@@ -439,3 +439,35 @@ def test_overlong_key_field_gives_a_short_message(tmp_path, capsys, name, value)
     err = _one_error_line(capsys)
     assert len(err) < 200
     assert "200000 characters" in err
+
+
+# The meaning of each exit status, in the words both documents use.
+EXIT_MEANINGS = {
+    cli.EXIT_OK: "success",
+    errors.EXIT_USAGE: "bad arguments or unusable input data",
+    errors.EXIT_BAD_KEY: "invalid or malformed key",
+    errors.EXIT_BAD_DATA: "corrupt ciphertext or wrong key",
+    cli.EXIT_IO: "I/O failure",
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_exit_codes_agree_across_the_code_and_the_docs():
+    assert sorted(EXIT_MEANINGS) == [0, 2, 3, 4, 5]
+    listed = cli.__doc__.split("Exit codes:\n", 1)[1].strip().splitlines()
+    assert [line.split(None, 1) for line in listed] == [
+        [str(code), meaning] for code, meaning in sorted(EXIT_MEANINGS.items())
+    ]
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = " ".join(readme.split("Exit codes: ", 1)[1].split("\n\n", 1)[0].split())
+    for code, meaning in sorted(EXIT_MEANINGS.items()):
+        assert "`%d` %s" % (code, meaning) in paragraph, code
+    classes = list(_subclasses(errors.CipherError))
+    assert cli._UsageError in classes
+    for cls in [errors.CipherError] + classes:
+        assert cls.exit_code in {errors.EXIT_USAGE, errors.EXIT_BAD_KEY, errors.EXIT_BAD_DATA}, cls

@@ -11,11 +11,10 @@ from cubecipher import (
     decode_symbol,
     encode_symbol,
     integer_cube_root,
-    is_prime,
     solve_depressed_cubic,
 )
 from cubecipher.primes import PRIME_COUNT_BELOW_LIMIT, PRIME_LIMIT
-from spec import reference_integer_cube_root, reference_solve_depressed_cubic
+from spec import is_prime, reference_integer_cube_root, reference_solve_depressed_cubic
 
 
 def linear_scan_root(t):

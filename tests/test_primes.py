@@ -9,20 +9,18 @@ import threading
 
 import pytest
 
-from cubecipher import CipherError, PRIME_LIMIT, Xorshift64Star, is_prime, prime_stream, primes
+from cubecipher import CipherError, PRIME_LIMIT, Xorshift64Star, prime_stream, primes
 from cubecipher.primes import (
-    _CHUNK_DRAWS,
-    _MAX_STEPS_LOG,
-    _MIN_STEPS_LOG,
+    _LANE_STEPS,
+    _MAX_LANES,
     _PRIME_TABLE,
+    _UNIT_TABLE,
     PRIME_COUNT_BELOW_LIMIT,
-    _apply_matrix,
     _fill_chunk,
-    _jump_table,
     _lane_starts,
     _start_table,
 )
-from spec import MASK64, reference_prime_stream, xorshift_reference
+from spec import MASK64, is_prime, reference_prime_stream, xorshift_reference
 
 
 def trial_division_is_prime(n):
@@ -203,70 +201,54 @@ def test_prime_stream_is_the_reference_prefix_at_every_length(seed):
         assert prime_stream(seed, n) == expected[:n], n
 
 
-def test_jump_tables_match_stepping():
-    """Every table A**(2**k) that prime_stream can use advances a state by
-    exactly 2**k generator steps."""
-    rng = random.Random(2**16)
-    states = [rng.randrange(1, 1 << 64) for _ in range(16)]
-    walkers = [Xorshift64Star(s) for s in states]
-    packed = sum(s << (64 * j) for j, s in enumerate(states))  # one lane per state
-    done = 0
-    for k in range(_CHUNK_DRAWS.bit_length() - 1):  # the longest jump is half a chunk
-        for w in walkers:
-            for _ in range((1 << k) - done):
-                w.next_u64()
-        done = 1 << k
-        jumped = _apply_matrix(_jump_table(k), packed, len(states))
-        assert [(jumped >> (64 * j)) & MASK64 for j in range(len(states))] == [
-            w._state for w in walkers
-        ], k
-
-
-STEPS_LOGS = range(_MIN_STEPS_LOG, _MAX_STEPS_LOG + 1)
-
-
-@pytest.mark.parametrize("steps_log", STEPS_LOGS)
-def test_lane_starts_match_stepping(steps_log):
-    """Lane j of _lane_starts is the state after j * 2**steps_log draws, for
-    lane counts on both sides of every power of two the tables grow to."""
-    rng = random.Random(steps_log)
+def test_lane_starts_match_stepping():
+    """Lane j of _lane_starts is the state after 32 j draws, for lane
+    counts on both sides of every power of two the table grows to."""
+    rng = random.Random(32)
     for state in [1, MASK64] + [rng.randrange(1, 1 << 64) for _ in range(3)]:
         walker, starts = Xorshift64Star(state), []
-        for _ in range(256):
+        for _ in range(_MAX_LANES):
             starts.append(walker._state)
-            for _ in range(1 << steps_log):
+            for _ in range(_LANE_STEPS):
                 walker.next_u64()
         for lanes in (1, 2, 3, 63, 64, 65, 128, 256):
-            x = _lane_starts(state, lanes, steps_log)
+            x = _lane_starts(state, lanes)
             assert x >> (64 * lanes) == 0
             assert [(x >> (64 * j)) & MASK64 for j in range(lanes)] == starts[:lanes], lanes
 
 
-@pytest.mark.parametrize("steps_log", STEPS_LOGS)
-def test_start_table_grown_step_by_step_equals_one_built_at_once(steps_log, monkeypatch):
-    monkeypatch.setattr(primes, "_STARTS", {})
+def test_start_table_grown_step_by_step_equals_one_built_at_once(monkeypatch):
+    monkeypatch.setattr(primes, "_START_TABLE", _UNIT_TABLE)
     for lanes, width in [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (17, 32), (33, 64), (100, 128),
                          (128, 128), (129, 256), (7, 256)]:
-        _start_table(steps_log, lanes)
-        assert primes._STARTS[steps_log][0] == width
-    grown = primes._STARTS[steps_log]
-    monkeypatch.setattr(primes, "_STARTS", {})
-    _start_table(steps_log, 256)
-    assert primes._STARTS[steps_log] == grown
-    assert len(grown[1]) == 64 and all(c >> (64 * 256) == 0 for c in grown[1])
+        _start_table(lanes)
+        assert primes._START_TABLE[0] == width
+    grown = primes._START_TABLE
+    monkeypatch.setattr(primes, "_START_TABLE", _UNIT_TABLE)
+    _start_table(_MAX_LANES)
+    assert primes._START_TABLE == grown
+    assert len(grown[1]) == 64 and all(c >> (64 * _MAX_LANES) == 0 for c in grown[1])
+
+
+def test_short_stream_grows_the_start_table_only_a_little(monkeypatch):
+    """A one-shot call for a short message steps a few lanes, not the 256
+    a message at the ceiling needs."""
+    monkeypatch.setattr(primes, "_START_TABLE", _UNIT_TABLE)
+    assert prime_stream(5198, 16) == _full_reference(5198)[:16]
+    assert primes._START_TABLE[0] <= 8
 
 
 @pytest.mark.parametrize("byteorder", ["little", "big"])
-@pytest.mark.parametrize("lanes, steps_log", [(1, 5), (3, 5), (16, 7)])
-def test_chunk_layout_gives_draw_order_in_either_byte_order(byteorder, lanes, steps_log):
+@pytest.mark.parametrize("lanes", [1, 3, 16, 256])
+def test_chunk_layout_gives_draw_order_in_either_byte_order(byteorder, lanes):
     """Read as a host of the given byte order reads it, the chunk buffer
     gives the scalar loop's candidates in draw order, so the stream does
     not depend on the host."""
     seed = 5198
-    draws = lanes << steps_log
+    draws = lanes * _LANE_STEPS
     outputs = xorshift_reference(seed, draws)
     buf = bytearray(8 * draws)
-    state, firsts = _fill_chunk(buf, Xorshift64Star(seed)._state, lanes, steps_log, byteorder)
+    state, firsts = _fill_chunk(buf, Xorshift64Star(seed)._state, lanes, byteorder)
     halfwords = [int.from_bytes(buf[i : i + 2], byteorder) for i in range(0, len(buf), 2)]
     stride = 4 * lanes
     assert [c for first in firsts for c in halfwords[first::stride]] == [
@@ -289,18 +271,17 @@ def test_prime_stream_rejects_a_bad_seed(seed, error, count):
         prime_stream(seed, count)
 
 
-def test_jump_tables_built_by_concurrent_first_use(monkeypatch):
-    """Threads that each build the jump and start tables on first use
-    build the same tables, and their streams are the reference streams."""
-    jumps = [_jump_table(k) for k in range(_CHUNK_DRAWS.bit_length() - 1)]
-    starts = {steps_log: _start_table(steps_log, 256) for steps_log in STEPS_LOGS}
-    monkeypatch.setattr(primes, "_JUMPS", [])
-    monkeypatch.setattr(primes, "_STARTS", {})
-    seeds = PREFIX_SEEDS  # their references are cached by the prefix test
+def test_start_table_built_by_concurrent_first_use(monkeypatch):
+    """Threads that each widen the start table from lane 0, to different
+    widths, get the reference streams, and the table they leave behind is
+    a prefix of the full one."""
+    full = _start_table(_MAX_LANES)
+    monkeypatch.setattr(primes, "_START_TABLE", _UNIT_TABLE)
+    jobs = [(s, n) for s in PREFIX_SEEDS for n in (16, 300, 4000)]  # references cached above
     results = {}
     threads = [
-        threading.Thread(target=lambda s=s: results.__setitem__(s, prime_stream(s, 4000)))
-        for s in seeds
+        threading.Thread(target=lambda s=s, n=n: results.__setitem__((s, n), prime_stream(s, n)))
+        for s, n in jobs
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -312,10 +293,9 @@ def test_jump_tables_built_by_concurrent_first_use(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert primes._JUMPS == jumps[: len(primes._JUMPS)]
-    assert primes._STARTS  # the streams grew start tables of their own
-    for steps_log, (width, columns) in primes._STARTS.items():
-        mask = (1 << (64 * width)) - 1
-        assert columns == tuple(c & mask for c in starts[steps_log])
-    for s in seeds:
-        assert results[s] == _full_reference(s)[:4000]
+    width, columns = primes._START_TABLE
+    assert width > 1  # the streams widened the table
+    mask = (1 << (64 * width)) - 1
+    assert columns == tuple(c & mask for c in full)
+    for s, n in jobs:
+        assert results[(s, n)] == _full_reference(s)[:n]
