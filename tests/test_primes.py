@@ -201,10 +201,11 @@ def test_prime_stream_is_the_reference_prefix_at_every_length(seed):
         assert prime_stream(seed, n) == expected[:n], n
 
 
-def test_lane_starts_match_stepping():
+@pytest.mark.parametrize("rng_seed", [5, 6, 7])
+def test_lane_starts_match_stepping(rng_seed):
     """Lane j of _lane_starts is the state after 32 j draws, for lane
     counts on both sides of every power of two the table grows to."""
-    rng = random.Random(32)
+    rng = random.Random(rng_seed)
     for state in [1, MASK64] + [rng.randrange(1, 1 << 64) for _ in range(3)]:
         walker, starts = Xorshift64Star(state), []
         for _ in range(_MAX_LANES):
@@ -217,13 +218,26 @@ def test_lane_starts_match_stepping():
             assert [(x >> (64 * j)) & MASK64 for j in range(lanes)] == starts[:lanes], lanes
 
 
-def test_start_table_grown_step_by_step_equals_one_built_at_once(monkeypatch):
+@pytest.mark.parametrize("order_seed", [5, 6, 7])
+def test_start_table_grown_step_by_step_equals_one_built_at_once(order_seed, monkeypatch):
+    """Grown in rising order or in a shuffled one, the table is always as
+    wide as the next power of two above the most lanes asked for so far,
+    and ends equal to one built for every lane at once."""
     monkeypatch.setattr(primes, "_START_TABLE", _UNIT_TABLE)
     for lanes, width in [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (17, 32), (33, 64), (100, 128),
                          (128, 128), (129, 256), (7, 256)]:
         _start_table(lanes)
         assert primes._START_TABLE[0] == width
     grown = primes._START_TABLE
+    monkeypatch.setattr(primes, "_START_TABLE", _UNIT_TABLE)
+    requests = [1, 2, 3, 4, 5, 7, 17, 33, 100, 128, 129]
+    random.Random(order_seed).shuffle(requests)
+    widest = 1
+    for lanes in requests:
+        _start_table(lanes)
+        widest = max(widest, 1 << (lanes - 1).bit_length())
+        assert primes._START_TABLE[0] == widest, requests
+    assert primes._START_TABLE == grown
     monkeypatch.setattr(primes, "_START_TABLE", _UNIT_TABLE)
     _start_table(_MAX_LANES)
     assert primes._START_TABLE == grown
