@@ -15,20 +15,14 @@ on swapped (ciphertext, plaintext) pairs recovers the inverse map, which
 decrypts any block down to the encoded t-values.
 
 known_plaintext_attack finds M by one incremental Gauss-Jordan pass over
-integer rows [vec(B) | vec(E)]: since vec(E)^T = vec(B)^T M^T, once the
-left halves are reduced to a diagonal the right halves, each divided by
-its row's pivot, are the rows of M^T. The pass is fraction-free, as in
-Bareiss's elimination: a row is reduced as r <- p*r - f*kept, and every
-kept row is divided by the gcd of its entries (where Bareiss divides by
-the previous pivot) and signed so that its pivot is positive. Each
-integer row is a nonzero multiple of the row exact rational elimination
-would keep, so both keep the same pairs and reach the same map. The
-recovered map is a flat row-major 16-tuple of Fractions, the only
-Fractions the attack builds, directly comparable with
-block_map(key).entries. The attack checks the map against the pairs, and
-apply_composite applies it to a block, through the cipher's own block
-kernel: both scale the map to integers by a common denominator s, then
-compare with s times the ciphertext, or divide exactly by s.
+integer rows [vec(B) | vec(E)]: since vec(E)^T = vec(B)^T M^T, rows whose
+left halves are reduced to a diagonal carry the rows of M^T, scaled by
+their pivots. The pass is Bareiss-Jordan elimination: fraction-free, with
+one pivot shared by every kept row and exact division by the previous
+pivot, so no row is ever normalised by a gcd. The map comes back as a
+flat row-major 16-tuple of Fractions, directly comparable with
+block_map(key).entries. The attack's pair check and apply_composite run
+maps through the cipher's own integer block kernel.
 
 Recovering the plaintext characters from those t-values still needs the
 prime stream, which is the one non-linear piece of key material the
@@ -218,25 +212,25 @@ class AttackResult:
         )
 
 
-def _primitive(row, lead):
-    """The nonzero int row divided by the gcd of its entries, and negated
-    when lead, the value of its pivot entry, is negative."""
-    g = math.gcd(*row)
-    if lead < 0:
-        g = -g
-    return [x // g for x in row]
-
-
 def known_plaintext_attack(pairs) -> AttackResult:
     """Recover the composite 4x4 map from plaintext/ciphertext block pairs.
 
-    Walks the pairs in order, keeping each one whose flattened plaintext
-    block is independent of those already kept, until four are kept: the
-    integer row [vec(B) | vec(E)] is reduced, fraction-free, against the
-    kept rows, and a nonzero left half keeps it. Then checks the map
-    against every supplied pair.
-    Raises InsufficientPairsError (carrying the achieved rank) when the
-    pairs cannot pin the map down.
+    Walks the pairs in order and keeps each one whose flattened plaintext
+    block is independent of those already kept, until four are kept, by
+    fraction-free Gauss-Jordan elimination (Bareiss-Jordan) on the integer
+    rows [vec(B) | vec(E)]. Invariant: every kept row holds the one shared
+    pivot value d (1 at the start) at its own pivot column and 0 at the
+    other kept rows' pivot columns. A new row r becomes the bordered minor
+    d*r - sum of r[c]*kept_c over the kept pivot columns c, with no
+    division; its left half is zero exactly when vec(B) lies in the span of
+    the kept rows. Otherwise its first nonzero entry p is its pivot, every
+    kept row k becomes (p*k - k[pivot]*r) // d, and d becomes p. The
+    division is exact by Sylvester's identity: k and its update are both
+    minors of the integer matrix of kept rows (Bareiss, Math. Comp. 22,
+    1968). Four kept rows are [d*I | d*M^T], and the map reproduces a pair
+    iff N @ vec(B) == d*vec(E) for the integer map N = d*M. Raises
+    InsufficientPairsError, carrying the achieved rank, when the pairs
+    cannot pin the map down.
     """
     pairs = list(pairs)
     for plain, cipher in pairs:
@@ -244,46 +238,36 @@ def known_plaintext_attack(pairs) -> AttackResult:
             if not isinstance(m, IntMatrix) or (m.rows, m.cols) != (2, 2):
                 raise TypeError("attack pairs must be 2x2 IntMatrix values")
 
-    kept = []  # (pivot column, primitive int row), reduced to a diagonal
+    d = 1
+    kept = {}  # pivot column -> int row, d there and 0 at the other pivots
     for plain, cipher in pairs:
-        row = plain.entries + cipher.entries
-        for col, other in kept:
-            f = row[col]
-            if f:
-                p = other[col]
-                row = [p * x - f * y for x, y in zip(row, other)]
+        r = plain.entries + cipher.entries
+        row = [d * x for x in r]
+        for col, other in kept.items():
+            if r[col]:
+                row = [x - r[col] * y for x, y in zip(row, other)]
         pivot = next((c for c in range(4) if row[c]), None)
         if pivot is None:
             continue  # vec(B) is in the span of the kept pairs
-        row = _primitive(row, row[pivot])
         p = row[pivot]
-        for i, (col, other) in enumerate(kept):
+        for col, other in kept.items():
             f = other[pivot]
-            if f:
-                other = [p * x - f * y for x, y in zip(other, row)]
-                kept[i] = (col, _primitive(other, other[col]))
-        kept.append((pivot, row))
+            kept[col] = [(p * x - f * y) // d for x, y in zip(other, row)]
+        kept[pivot] = row
+        d = p
         if len(kept) == 4:
             break
     if len(kept) < 4:
         raise InsufficientPairsError(
-            "plaintext blocks only span a rank-%d space; rank 4 is required"
-            % len(kept),
+            "plaintext blocks only span a rank-%d space; rank 4 is required" % len(kept),
             rank=len(kept),
         )
 
-    # kept row with pivot c, over its pivot, is row c of M^T, i.e. column c of M
-    columns = dict(kept)
-    composite = tuple(
-        Fraction(columns[j][4 + i], columns[j][j]) for i in range(4) for j in range(4)
-    )
-    # M = N / scale with the int map N, so M @ b == e iff N @ b == scale * e
-    scale = math.lcm(*(columns[j][j] for j in range(4)))
-    n = tuple(columns[j][4 + i] * (scale // columns[j][j]) for i in range(4) for j in range(4))
+    # the kept row with pivot j holds column j of N = d * M
+    n = tuple(kept[j][4 + i] for i in range(4) for j in range(4))
     products = _map_blocks(n, (plain.entries for plain, _ in pairs))
-    verified = all(
-        v == tuple(scale * e for e in cipher.entries) for v, (_, cipher) in zip(products, pairs)
-    )
+    verified = all(v == tuple(d * e for e in c.entries) for v, (_, c) in zip(products, pairs))
+    composite = tuple(Fraction(x, d) for x in n)
     return AttackResult(composite_map=composite, pairs_used=len(pairs), verified=verified)
 
 

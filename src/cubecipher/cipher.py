@@ -432,8 +432,6 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
     for i, (t, p) in enumerate(zip(ts, primes)):
         try:
             out.append(decode_symbol(t, p, max_code))
-        except CorruptValueError as exc:
-            raise CorruptValueError("symbol %d: %s" % (i, exc)) from None
-        except SymbolRangeError as exc:
-            raise SymbolRangeError("symbol %d: %s" % (i, exc)) from None
+        except (CorruptValueError, SymbolRangeError) as exc:
+            raise type(exc)("symbol %d: %s" % (i, exc)) from None
     return bytes(out)

@@ -140,8 +140,11 @@ def _read_bytes(path):
         return handle.read()
 
 
-def _read_text(path, what):
+def _read_text(path, what, stdin=False):
+    """The UTF-8 text of a file, or of stdin when stdin is set and path is "-"."""
     try:
+        if stdin and path == "-":  # newlines translated as open() does
+            return sys.stdin.buffer.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError:
@@ -198,7 +201,7 @@ def _cmd_encrypt(args):
 
 def _cmd_decrypt(args):
     key = _load_key(args.key)
-    envelope = parse_ciphertext(_read_text(args.input, "ciphertext file"))
+    envelope = parse_ciphertext(_read_text(args.input, "ciphertext file", stdin=True))
     message = decrypt(envelope, key, byte_mode=args.byte_mode)
     _write_atomic(args.out, message)
     return EXIT_OK

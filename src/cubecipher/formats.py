@@ -34,9 +34,9 @@ oversized value ever surfaces as a raw ValueError.
 import json
 import re
 
-from .cipher import FORMAT_VERSION, CiphertextEnvelope, KeyMaterial
+from .cipher import FORMAT_VERSION, CiphertextEnvelope, KeyMaterial, _envelope
 from .errors import FormatError
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _int_block
 from .primes import MAX_U64
 
 __all__ = [
@@ -150,10 +150,10 @@ def _format_decimal(value, what, *index):
         ) from None
 
 
-def _parse_block_entries(value, what):
+def _parse_block_entries(value, what, *index):
     if not isinstance(value, list) or len(value) != 4:
-        raise FormatError("%s must be a list of 4 decimal strings" % what)
-    return tuple(_parse_decimal(v, what, i) for i, v in enumerate(value))
+        raise FormatError("%s must be a list of 4 decimal strings" % _field(what, index))
+    return tuple(_parse_decimal(v, what, *index, i) for i, v in enumerate(value))
 
 
 def serialize_key(key: KeyMaterial) -> str:
@@ -175,7 +175,7 @@ def parse_key(text: str) -> KeyMaterial:
     fib_index = _parse_decimal(obj["fib_index"], "key file: fib_index")
     quarter_turns = _parse_decimal(obj["quarter_turns"], "key file: quarter_turns")
     if not 0 <= quarter_turns <= 3:
-        raise FormatError("key file: quarter_turns must be in [0, 3], got %d" % quarter_turns)
+        raise FormatError("key file: quarter_turns must be in [0, 3], got %s" % _shown(quarter_turns))
     prime_seed = _parse_decimal(obj["prime_seed"], "key file: prime_seed")
     if not 0 <= prime_seed <= MAX_U64:
         raise FormatError("key file: prime_seed must fit in 64 unsigned bits")
@@ -218,11 +218,11 @@ def parse_ciphertext(text: str) -> CiphertextEnvelope:
         raise FormatError("ciphertext file: blocks must be a list")
     if not blocks_raw and pad_count != 0:
         raise FormatError("ciphertext file: an empty block list cannot carry padding")
-    blocks = tuple(
-        IntMatrix(2, 2, _parse_block_entries(raw, "ciphertext file: blocks[%d]" % i))
-        for i, raw in enumerate(blocks_raw)
+    return _envelope(
+        pad_count,
+        [_int_block(_parse_block_entries(raw, "ciphertext file: blocks", i))
+         for i, raw in enumerate(blocks_raw)],
     )
-    return CiphertextEnvelope(FORMAT_VERSION, pad_count, blocks)
 
 
 def serialize_pairs(pairs) -> str:
@@ -249,10 +249,10 @@ def parse_pairs(text: str):
         raise FormatError("pair file: pairs must be a list")
     pairs = []
     for i, raw in enumerate(raw_pairs):
+        what = "pair file: pairs[%d]" % i
         if not isinstance(raw, dict):
-            raise FormatError("pair file: pairs[%d] must be an object" % i)
-        _expect_fields(raw, ("plaintext", "ciphertext"), "pair file: pairs[%d]" % i)
-        plain = IntMatrix(2, 2, _parse_block_entries(raw["plaintext"], "pair file: pairs[%d].plaintext" % i))
-        cipher = IntMatrix(2, 2, _parse_block_entries(raw["ciphertext"], "pair file: pairs[%d].ciphertext" % i))
-        pairs.append((plain, cipher))
+            raise FormatError("%s must be an object" % what)
+        _expect_fields(raw, ("plaintext", "ciphertext"), what)
+        pairs.append(tuple(_int_block(_parse_block_entries(raw[name], what + "." + name))
+                           for name in ("plaintext", "ciphertext")))
     return pairs

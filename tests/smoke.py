@@ -6,7 +6,8 @@ Encrypts and decrypts the golden fixture through cli.main, checks the
 ciphertext byte for byte, checks prime_stream against the scalar reference
 loop at lengths 0 to 6,542 for four seeds, integer_cube_root against bisection around
 2**53, serialize_ciphertext against its reference on 200 keygen envelopes,
-known_plaintext_attack against its reference on 200 pair sets, and
+known_plaintext_attack against its reference on 200 pair sets and on two
+sets of ~4,000-digit blocks (one genuine, one arbitrary), and
 decrypt_block and apply_composite (with the map and the inverse map the
 attack recovers) against theirs under 200 keygen keys, each on a genuine
 ciphertext block and on one from a wrong key, and checks one pinned
@@ -121,6 +122,13 @@ def main():
         pairs = pair_set(rng, seed)
         check(attack_outcome(pairs) == reference_attack(pairs),
               "attack on pair set %d differs from the reference" % seed)
+    # entries where the elimination's exact divisions work on the largest numbers
+    big = [IntMatrix(2, 2, tuple(rng.randint(-10**4000, 10**4000) for _ in range(4)))
+           for _ in range(19)]
+    for what, pairs in (("genuine", [(b, encrypt_block(b, keygen(5))) for b in big[:5]]),
+                        ("arbitrary", list(zip(big[5:12], big[12:])))):
+        check(attack_outcome(pairs) == reference_attack(pairs),
+              "attack on %s ~4,000-digit pairs differs from the reference" % what)
     for seed in range(200):
         key, wrong = keygen(seed), keygen(seed + 200)
         # genuine encodings are (n^3 - n) / 6 with n up to 2**16 + 255
@@ -140,8 +148,8 @@ def main():
     check(avalanche_test(keygen(7), 257, 7, 11).to_json_text() == AVALANCHE_REPORT,
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime streams, "
-          "16 cube roots, 200 envelopes, 200 attack pair sets, 200 keys' un-mix and "
-          "composite maps, 1 avalanche report"
+          "16 cube roots, 200 envelopes, 202 attack pair sets (2 of ~4,000 digits), "
+          "200 keys' un-mix and composite maps, 1 avalanche report"
           % (sys.version.split()[0], len(STREAM_SEEDS) * len(STREAM_LENGTHS)))
 
 

@@ -199,6 +199,36 @@ def test_stdin_input(tmp_path, monkeypatch, capsysbinary):
     assert capsysbinary.readouterr().out == b"from standard in"
 
 
+def test_decrypt_reads_ciphertext_from_stdin(tmp_path, monkeypatch, capsysbinary):
+    key = tmp_path / "k.json"
+    msg = tmp_path / "m.txt"
+    ct = tmp_path / "ct.json"
+    msg.write_bytes(b"ciphertext on standard in")
+    run(["keygen", "--seed", 16, "--out", key])
+    run(["encrypt", "--key", key, "--in", msg, "--out", ct])
+
+    class FakeStdin:
+        buffer = io.BytesIO(ct.read_bytes().replace(b"\n", b"\r\n"))
+
+    monkeypatch.setattr("sys.stdin", FakeStdin())
+    assert run(["decrypt", "--key", key, "--in", "-", "--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == b"ciphertext on standard in"
+
+
+def test_decrypt_of_non_utf8_stdin_exits_4(tmp_path, monkeypatch, capsys):
+    key = tmp_path / "k.json"
+    out = tmp_path / "out.txt"
+    run(["keygen", "--seed", 17, "--out", key])
+
+    class FakeStdin:
+        buffer = io.BytesIO(b'{"version": 1, "pad_count": 0, "blocks": ["\xff"]}\n')
+
+    monkeypatch.setattr("sys.stdin", FakeStdin())
+    assert run(["decrypt", "--key", key, "--in", "-", "--out", out]) == 4
+    assert not out.exists()
+    assert capsys.readouterr().err == "cubecipher: error: ciphertext file: not valid UTF-8\n"
+
+
 def test_attack_command(tmp_path, capsys):
     rng = random.Random(5)
     key = keygen(31)

@@ -102,6 +102,18 @@ def test_key_parsing_range_checks():
     assert parse_key(template % ("3", str((1 << 64) - 1))).quarter_turns == 3
 
 
+def test_out_of_range_quarter_turns_gives_a_short_message():
+    # a 4,000-digit quarter_turns parses as an int, and used to be echoed whole
+    template = (
+        '{"version": 1, "k": ["1", "0", "0", "1"], "fib_index": "1",'
+        ' "quarter_turns": "%s", "prime_seed": "7"}'
+    )
+    for value, shown in (("4", "4"), ("-1", "-1"), ("9" * 4000, "9" * 40 + "... (4000 characters)")):
+        with pytest.raises(FormatError) as info:
+            parse_key(template % value)
+        assert str(info.value) == "key file: quarter_turns must be in [0, 3], got " + shown
+
+
 def test_ciphertext_parsing_rejects_bad_documents():
     env = encrypt(b"abcdef", keygen(2))
     good = serialize_ciphertext(env)

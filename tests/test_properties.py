@@ -7,11 +7,23 @@ bad file to its documented exit code. The ciphertext serializer must write
 exactly what its reference writes; encrypt and decrypt, under genuine and
 wrong keys, must match the block chain spelled out in the spec, down to
 the class and message of the error; and the known-plaintext attack must
-reach its reference's map, verdict, JSON text and rank.
+reach its reference's map, verdict, JSON text and rank. Run in process on
+damaged key, ciphertext and pair files, the command line must keep its
+error contract: a documented exit code, one short error line, and no
+output or temp file left behind.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
+import random
+import re
+import tempfile
+import time
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -28,11 +40,13 @@ from cubecipher import (  # noqa: E402
     decrypt,
     encrypt,
     encrypt_block,
+    cli,
     keygen,
     parse_ciphertext,
     parse_key,
     parse_pairs,
     serialize_ciphertext,
+    serialize_pairs,
 )
 from spec import (  # noqa: E402
     attack_outcome,
@@ -257,3 +271,154 @@ def _pair_lists(draw):
 @given(_pair_lists())
 def test_attack_matches_the_reference(pairs):
     assert attack_outcome(pairs) == reference_attack(pairs)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+_KEY = (FIXTURES / "golden_key.json").read_bytes()
+_rng = random.Random(15)
+# four pairs under the golden key: dropping one leaves rank 3
+_plain = [IntMatrix(2, 2, tuple(_rng.randint(-(10**6), 10**6) for _ in range(4))) for _ in range(4)]
+_pairs = [(b, encrypt_block(b, parse_key(_KEY.decode()))) for b in _plain]
+_GOLDEN = {
+    "KEY": _KEY,
+    "CIPHERTEXT": (FIXTURES / "golden_ciphertext.json").read_bytes(),
+    "MESSAGE": (FIXTURES / "golden_message.txt").read_bytes(),
+    "PAIRS": serialize_pairs(_pairs).encode(),
+}
+
+# (command with the damaged file as DAMAGED, the golden file it damages,
+# the exit codes other than 0 that damage to that file may give); "-" is
+# stdin, which carries the damaged file
+_RUNS = (
+    (("encrypt", "--key", "DAMAGED", "--in", "MESSAGE"), "KEY", {3, 4}),
+    (("decrypt", "--key", "DAMAGED", "--in", "CIPHERTEXT"), "KEY", {3, 4}),
+    (("decrypt", "--key", "KEY", "--in", "DAMAGED"), "CIPHERTEXT", {4}),
+    (("decrypt", "--key", "KEY", "--in", "-"), "CIPHERTEXT", {4}),
+    (("attack", "--pairs", "DAMAGED"), "PAIRS", {2, 4}),
+)
+_LONGEST_ERROR = 240  # characters in the one stderr line, newline and paths not counted
+_SLOWEST_RUN = 10.0  # seconds; an attack on ~4,000-digit pairs takes well under 1
+
+
+def _flip(draw, data):
+    if not data:
+        return data
+    i = draw(st.integers(0, len(data) - 1))
+    return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1 :]
+
+
+class _Fields(list):
+    """A JSON object as its list of (name, value) fields, so that a field
+    can be repeated."""
+
+
+def _render(node):
+    if isinstance(node, _Fields):
+        return "{%s}" % ", ".join("%s: %s" % (json.dumps(k), _render(v)) for k, v in node)
+    if isinstance(node, list):
+        return "[%s]" % ", ".join(map(_render, node))
+    return json.dumps(node)
+
+
+def _containers(node):
+    if isinstance(node, list):
+        yield node
+        for item in node:
+            yield from _containers(item[1] if isinstance(node, _Fields) else item)
+
+
+def _drop_or_repeat(draw, data):
+    """Drop or repeat one field of an object, or one item of a list."""
+    try:
+        doc = json.loads(data, object_pairs_hook=_Fields)
+    except ValueError:
+        return data
+    containers = [c for c in _containers(doc) if c]
+    if not containers:
+        return data
+    node = draw(st.sampled_from(containers))
+    i = draw(st.integers(0, len(node) - 1))
+    if draw(st.booleans()):
+        del node[i]
+    else:
+        node.insert(i, node[i])
+    return _render(doc).encode()
+
+
+def _grow(draw, data):
+    """One number written out with 60 digits, or ~4,000, or past the
+    4,300 that Python converts by default."""
+    numbers = list(re.finditer(rb"[0-9]+", data))
+    if not numbers:
+        return data
+    m = draw(st.sampled_from(numbers))
+    digits = draw(st.sampled_from((60, 4000, 4299, 4301, 6000)))
+    return data[: m.start()] + b"9" * digits + data[m.end() :]
+
+
+def _version(draw, data):
+    other = draw(st.sampled_from((b"2", b"0", b"-1", b'"1"', b"true", b"null", b"1.0", b"[1]")))
+    return data.replace(b'"version": 1', b'"version": ' + other, 1)
+
+
+def _truncate(draw, data):
+    return data[: draw(st.integers(0, len(data)))]
+
+
+def _non_utf8(draw, data):
+    i = draw(st.integers(0, len(data)))
+    bad = draw(st.sampled_from((b"\x80", b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80")))
+    return data[:i] + bad + data[i:]
+
+
+_MUTATIONS = (_flip, _drop_or_repeat, _grow, _version, _truncate, _non_utf8)
+
+
+@st.composite
+def _damaged(draw, data):
+    for _ in range(draw(st.integers(1, 3))):
+        mutate = draw(st.sampled_from(_MUTATIONS))
+        data = mutate(draw, data)
+    return data
+
+
+def _tree(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cli_keeps_its_error_contract_on_damaged_files(data):
+    command, golden, codes = data.draw(st.sampled_from(_RUNS))
+    damaged = data.draw(_damaged(_GOLDEN[golden]))
+    # an output path that is a directory makes the final rename fail (exit 5)
+    into_directory = data.draw(st.integers(0, 3)) == 0
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        files = dict(_GOLDEN, DAMAGED=damaged)
+        for name, content in files.items():
+            (root / name).write_bytes(content)
+        (root / "taken").mkdir()
+        out = root / ("taken" if into_directory else "out")
+        argv = [str(root / a) if a in files else a for a in command] + ["--out", str(out)]
+        before = _tree(root)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with mock.patch("sys.stdin", SimpleNamespace(buffer=io.BytesIO(damaged))), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        after = _tree(root)
+    err = stderr.getvalue()
+    assert code in {0, 2, 3, 4, 5}
+    assert code in (codes | {5} if into_directory else codes | {0})
+    assert stdout.getvalue() == ""
+    assert code != 2 or "rank 4 is required" in err  # too few pairs, not a raw ValueError
+    if code == 0:
+        assert err == ""
+        assert after == sorted(before + ["out"])
+    else:
+        assert err.startswith("cubecipher: error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err and len(err.replace(tmp, "")) <= _LONGEST_ERROR
+        assert after == before  # no output file, no .cubecipher-* temp file
+    assert elapsed < _SLOWEST_RUN
