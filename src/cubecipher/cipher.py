@@ -158,10 +158,9 @@ def _envelope(pad_count, blocks):
     constructor's checks; only for blocks and pad counts that are valid by
     construction. Equal to, and hashing like, the checked envelope."""
     envelope = object.__new__(CiphertextEnvelope)
-    fields = envelope.__dict__
-    fields["version"] = FORMAT_VERSION
-    fields["pad_count"] = pad_count
-    fields["blocks"] = tuple(blocks)
+    object.__setattr__(envelope, "version", FORMAT_VERSION)  # as in matrices._int_block
+    object.__setattr__(envelope, "pad_count", pad_count)
+    object.__setattr__(envelope, "blocks", tuple(blocks))
     return envelope
 
 

@@ -161,7 +161,10 @@ def _write_atomic(path, data: bytes):
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-        os.replace(tmp_path, path)
+        try:
+            os.replace(tmp_path, path)
+        except OSError as exc:  # name the output, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         try:
             os.unlink(tmp_path)

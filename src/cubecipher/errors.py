@@ -9,6 +9,12 @@ that error stops a command: 2 for unusable input, 3 for a bad key, 4 for
 corrupt data or a wrong key (the default).
 """
 
+__all__ = [
+    "CipherError", "SingularMatrixError", "NonIntegralResultError", "NoIntegerRootError",
+    "CorruptValueError", "SymbolRangeError", "CorruptCiphertextError", "InvalidKeyError",
+    "FormatError", "InsufficientPairsError",
+]
+
 EXIT_USAGE = 2
 EXIT_BAD_KEY = 3
 EXIT_BAD_DATA = 4

@@ -46,7 +46,6 @@ __all__ = [
     "parse_ciphertext",
     "serialize_pairs",
     "parse_pairs",
-    "dumps_canonical",
 ]
 
 _DECIMAL_RE = re.compile(r"(0|-?[1-9][0-9]*)\Z")
@@ -79,9 +78,14 @@ def _load_json(text: str, what: str):
 
     try:
         obj = json.loads(text, object_pairs_hook=unique_names)
-    except ValueError as exc:
-        # JSONDecodeError, or a JSON number past the int/str digit limit
+    except json.JSONDecodeError as exc:
         raise FormatError("%s: not valid JSON (%s)" % (what, exc)) from None
+    except ValueError:
+        # Python's int/str conversion limit (sys.get_int_max_str_digits)
+        raise FormatError(
+            "%s: not valid JSON (a number has more digits than this interpreter converts)"
+            % what
+        ) from None
     except RecursionError:
         raise FormatError("%s: not valid JSON (nested too deeply)" % what) from None
     if not isinstance(obj, dict):

@@ -131,15 +131,18 @@ class IntMatrix:
         return _det_cofactor(list(self.entries), self.rows)
 
 
+_new_object, _set_field = object.__new__, object.__setattr__  # looked up once, not per block
+
+
 def _int_block(entries):
     """The 2x2 IntMatrix of a 4-tuple of ints, without the constructor's
     checks; only for entries that are ints by construction. Equal to, and
     hashing like, IntMatrix(2, 2, entries)."""
-    block = object.__new__(IntMatrix)
-    fields = block.__dict__
-    fields["rows"] = 2
-    fields["cols"] = 2
-    fields["entries"] = entries
+    block = _new_object(IntMatrix)
+    # set as the frozen dataclass sets them, so the block keeps its shared-key dict
+    _set_field(block, "rows", 2)
+    _set_field(block, "cols", 2)
+    _set_field(block, "entries", entries)
     return block
 
 

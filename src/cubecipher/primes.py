@@ -26,13 +26,14 @@ those depend only on the low 16 bits of the state: low16(low16(state) *
 0xDD1D). It draws them in chunks of lanes x 32 steps, lane j taking draws
 [32 j, 32 (j + 1)) of the chunk. All lanes sit in one Python int, 64 bits
 each, and one step of the recurrence advances every lane at once with
-masked shifts. The step is linear over GF(2), a 64x64 bit matrix A, so a
-lane's start state A**(32 j) * state is the XOR, over the set bits b of
-the state, of A**(32 j) * e_b, e_b the unit vector of bit b. prime_stream
-keeps those vectors in one start table: 64 columns, column b holding
-A**(32 j) * e_b in lane j. The table is built by stepping the 64 unit
-vectors, packed as 64 lanes, 32 steps per added lane, and transposing the
-rows so made into columns. It grows on demand to the next power of two at
+masked shifts; one set of masks, built at import for 256 lanes, serves
+every width up to 256 lanes, a single state included. The step is linear
+over GF(2), a 64x64 bit matrix A, so a lane's start state A**(32 j) *
+state is the XOR, over the set bits b of the state, of A**(32 j) * e_b,
+e_b the unit vector of bit b. prime_stream keeps those vectors in one
+start table: 64 columns, column b holding A**(32 j) * e_b in lane j. The
+table is built by stepping the 64 unit vectors, packed as 64 lanes, 32
+steps per added lane, and transposing the rows so made into columns. It grows on demand to the next power of two at
 or above the lanes a chunk needs, at most 256 lanes (128 KiB), and is
 replaced whole, in one assignment, so a concurrent caller sees either the
 old table or the new one, both correct. Nothing is stepped at import. A
@@ -54,13 +55,7 @@ from math import isqrt, log
 
 from .errors import CipherError
 
-__all__ = [
-    "Xorshift64Star",
-    "prime_stream",
-    "MAX_U64",
-    "PRIME_LIMIT",
-    "PRIME_COUNT_BELOW_LIMIT",
-]
+__all__ = ["Xorshift64Star", "prime_stream", "PRIME_LIMIT"]
 
 # 2**64 - 1: the largest seed, and the mask of one generator step
 MAX_U64 = (1 << 64) - 1
@@ -95,24 +90,27 @@ def _sieve(limit):
 _PRIME_TABLE = _sieve(PRIME_LIMIT)
 
 
-def _repeat(word, lanes):
-    """The 64-bit word repeated in each of `lanes` 64-bit lanes."""
-    return int.from_bytes(word.to_bytes(8, "little") * lanes, "little")
+def _pack(words):
+    """64-bit words packed as lanes of one int, the first word lowest."""
+    return int.from_bytes(b"".join(w.to_bytes(8, "little") for w in words), "little")
 
 
-def _step_masks(lanes):
-    """Masks that keep each lane's shifted bits inside its own lane."""
-    return (_repeat(MAX_U64 >> 12, lanes), _repeat(MAX_U64 << 25 & MAX_U64, lanes),
-            _repeat(MAX_U64 >> 27, lanes))
+# Lane masks for up to _MAX_LANES lanes, built once. They serve any width:
+# & of two nonnegative ints is as long as the shorter one, and the bits a
+# left shift by 25 pushes out of the top lane land in bits 0-24 of the
+# lane above it, which _LEFT25 clears.
+_RIGHT12 = _pack([MAX_U64 >> 12] * _MAX_LANES)
+_LEFT25 = _pack([MAX_U64 << 25 & MAX_U64] * _MAX_LANES)
+_RIGHT27 = _pack([MAX_U64 >> 27] * _MAX_LANES)
+_LOW16 = _pack([0xFFFF] * _MAX_LANES)
 
 
-def _xorshift(state, right12=MAX_U64 >> 12, left25=MAX_U64 << 25 & MAX_U64,
-              right27=MAX_U64 >> 27):
-    """One xorshift64* state step of every 64-bit lane of state, given the
-    lanes' _step_masks; the defaults are those of a single lane."""
-    state ^= (state >> 12) & right12
-    state ^= (state << 25) & left25
-    state ^= (state >> 27) & right27
+def _xorshift(state):
+    """One xorshift64* state step of every 64-bit lane of state (at most
+    _MAX_LANES lanes; a scalar state is one lane)."""
+    state ^= (state >> 12) & _RIGHT12
+    state ^= (state << 25) & _LEFT25
+    state ^= (state >> 27) & _RIGHT27
     return state
 
 
@@ -154,10 +152,6 @@ class Xorshift64Star:
         return out
 
 
-def _pack(words):
-    return sum(w << (64 * j) for j, w in enumerate(words))
-
-
 def _columns(rows):
     """The columns of a start table from its rows: word b of rows[j] (one
     packed 64-lane int) becomes lane j of column b. The words move whole,
@@ -183,12 +177,11 @@ def _start_table(lanes):
     global _START_TABLE
     width, columns = _START_TABLE
     if width < lanes:
-        masks = _step_masks(64)
         row = _pack((column >> (64 * (width - 1))) & MAX_U64 for column in columns)
         rows = []
         for _ in range(width, 1 << (lanes - 1).bit_length()):
             for _ in range(_LANE_STEPS):
-                row = _xorshift(row, *masks)
+                row = _xorshift(row)
             rows.append(row)
         columns = tuple(c | added << (64 * width) for c, added in zip(columns, _columns(rows)))
         _START_TABLE = width + len(rows), columns
@@ -216,13 +209,11 @@ def _fill_chunk(buf, state, lanes, byteorder=sys.byteorder):
     of the lanes' candidates within a step, lane 0 first.
     """
     x = _lane_starts(state, lanes)
-    masks = _step_masks(lanes)
-    low16 = _repeat(0xFFFF, lanes)
     width = 8 * lanes
     for at in range(0, width * _LANE_STEPS, width):
-        x = _xorshift(x, *masks)
+        x = _xorshift(x)
         # the product stays in its lane and its low halfword is the candidate
-        buf[at : at + width] = ((x & low16) * (_MULTIPLIER & 0xFFFF)).to_bytes(width, byteorder)
+        buf[at : at + width] = ((x & _LOW16) * (_MULTIPLIER & 0xFFFF)).to_bytes(width, byteorder)
     stride = 4 * lanes
     if byteorder == "little":
         firsts = range(0, stride, 4)

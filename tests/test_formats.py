@@ -173,8 +173,20 @@ def test_duplicate_names_are_rejected():
 def test_unreadable_json_numbers_and_nesting_raise_format_error():
     # a JSON number past the int/str digit limit, and nesting past the
     # recursion limit, used to escape json.loads as raw exceptions
-    with pytest.raises(FormatError, match="not valid JSON"):
+    with pytest.raises(FormatError, match="not valid JSON") as excinfo:
         parse_key('{"version": %s}' % ("1" * 5000))
+    # worded for the file's reader, without Python's set_int_max_str_digits advice
+    assert str(excinfo.value) == (
+        "key file: not valid JSON (a number has more digits than this interpreter converts)"
+    )
+    with pytest.raises(FormatError) as excinfo:
+        parse_ciphertext('{"version": 1, "pad_count": %s, "blocks": []}' % ("9" * 6000))
+    assert str(excinfo.value) == (
+        "ciphertext file: not valid JSON"
+        " (a number has more digits than this interpreter converts)"
+    )
+    with pytest.raises(FormatError, match=r"^pair file: not valid JSON \(Expecting"):
+        parse_pairs('{"version": 1,')  # a syntax error keeps json's own description
     with pytest.raises(FormatError, match="not valid JSON"):
         parse_ciphertext('{"version": 1, "pad_count": 0, "blocks": %s}' % ("[" * 100000))
 

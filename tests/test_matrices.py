@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -228,6 +230,27 @@ def test_int_block_is_the_checked_block(entries):
         block.entries = (1, 2, 3, 4)
     with pytest.raises(dataclasses.FrozenInstanceError):
         block.rows = 1
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 gives every instance its own dict")
+def test_int_block_allocates_no_more_than_the_checked_block():
+    # a block whose __dict__ is filled directly loses the class's shared
+    # keys and costs ~64 bytes more per block on 3.11+
+    entries = (1, -2, 3, -4)
+
+    def per_block(make, count=20000):
+        tracemalloc.start()
+        try:
+            blocks = [make(entries) for _ in range(count)]
+            return tracemalloc.get_traced_memory()[0] / len(blocks)
+        finally:
+            tracemalloc.stop()
+
+    def checked(entries):
+        return IntMatrix(2, 2, entries)
+
+    per_block(_int_block), per_block(checked)  # warm both paths up
+    assert per_block(_int_block) <= per_block(checked) + 4
 
 
 def test_integer_scaling():

@@ -19,6 +19,7 @@ from cubecipher.primes import (
     _fill_chunk,
     _lane_starts,
     _start_table,
+    _xorshift,
 )
 from spec import MASK64, is_prime, reference_prime_stream, xorshift_reference
 
@@ -86,6 +87,28 @@ def test_xorshift_below():
         assert 0 <= rng.below(13) < 13
     with pytest.raises(ValueError):
         rng.below(0)
+
+
+def _scalar_step(state):
+    state ^= state >> 12
+    state ^= (state << 25) & MASK64
+    state ^= state >> 27
+    return state
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 63, 64, 65, 255, 256])
+def test_packed_xorshift_steps_each_lane_as_the_scalar_step(lanes):
+    # one mask set, built for _MAX_LANES lanes, serves every width up to it
+    assert lanes <= _MAX_LANES
+    rng = random.Random(lanes)
+    words = [rng.getrandbits(64) for _ in range(lanes)]
+    words[0] = words[-1] = MASK64  # all bits set: any shift across a lane edge shows
+    packed = sum(w << (64 * j) for j, w in enumerate(words))
+    for _ in range(3):
+        packed = _xorshift(packed)
+        words = [_scalar_step(w) for w in words]
+        assert packed == sum(w << (64 * j) for j, w in enumerate(words))
+        assert [_xorshift(w) for w in words] == [_scalar_step(w) for w in words]
 
 
 @pytest.mark.parametrize("n", [1, 127, 128, 199, 2**64 - 1])

@@ -420,5 +420,6 @@ def test_cli_keeps_its_error_contract_on_damaged_files(data):
     else:
         assert err.startswith("cubecipher: error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err and len(err.replace(tmp, "")) <= _LONGEST_ERROR
+        assert ".cubecipher-" not in err  # a failed rename names --out, not the temp file
         assert after == before  # no output file, no .cubecipher-* temp file
     assert elapsed < _SLOWEST_RUN
