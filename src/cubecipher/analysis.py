@@ -33,6 +33,7 @@ a single changed character can never influence any block but its own.
 """
 
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -44,15 +45,15 @@ from .cipher import (
     FORMAT_VERSION,
     _block_map,
     _divide_exactly,
-    _encrypt_with,
     _map_blocks,
+    _mix,
     _require_length,
     _require_valid,
     decrypt,
     encrypt,
 )
 from .errors import InsufficientPairsError
-from .formats import _format_decimal, dumps_canonical, serialize_ciphertext
+from .formats import _ciphertext_text, _format_decimal, dumps_canonical, serialize_ciphertext
 from .matrices import IntMatrix
 from .primes import Xorshift64Star, prime_stream
 
@@ -126,7 +127,9 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
     fraction of differing bits over the canonical serializations (the
     shorter one zero-padded to the longer one's length). Every message has
     the same length and key, so the key's block map and prime stream are
-    built once per call. The sums run in ints, differing bits grouped by
+    built once per call. A trial builds no block or envelope: it compares
+    the mixed blocks' entry tuples and renders the canonical text from
+    them directly. The sums run in ints, differing bits grouped by
     serialization length, and each mean is one exact Fraction.
     Deterministic given (key, message_length, trials, rng_seed).
     """
@@ -148,13 +151,13 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
         bump = 1 + rng.below(127)  # never maps a byte to itself
         flipped = message.copy()
         flipped[position] = (flipped[position] + bump) % 128
-        env_a = _encrypt_with(message, m, primes)
-        env_b = _encrypt_with(flipped, m, primes)
-        changed = sum(1 for x, y in zip(env_a.blocks, env_b.blocks) if x.entries != y.entries)
+        pad_count, a = _mix(message, m, primes)
+        _, b = _mix(flipped, m, primes)
+        changed = sum(map(operator.ne, a, b))
         histogram[changed] += 1
         changed_blocks += changed
-        text_a = serialize_ciphertext(env_a).encode()
-        text_b = serialize_ciphertext(env_b).encode()
+        text_a = _ciphertext_text(FORMAT_VERSION, pad_count, a).encode()
+        text_b = _ciphertext_text(FORMAT_VERSION, pad_count, b).encode()
         bits_by_length[max(len(text_a), len(text_b))] += _differing_bits(text_a, text_b)
     max_spread = max(histogram)
     if max_spread <= 1:
@@ -396,6 +399,8 @@ def growth_exponent(report: BenchReport, which: str = "encrypt") -> float:
     rows = report.rows
     if len(rows) < 2:
         raise ValueError("need at least two rows to fit a growth exponent")
+    if len({r.message_length for r in rows}) < 2:
+        raise ValueError("need at least two distinct message lengths to fit a growth exponent")
     xs = [math.log(r.message_length) for r in rows]
     ys = [math.log(max(getattr(r, which + "_seconds"), 1e-9)) for r in rows]
     x_mean = sum(xs) / len(xs)

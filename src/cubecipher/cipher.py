@@ -52,7 +52,7 @@ from .errors import (
     NonIntegralResultError,
     SymbolRangeError,
 )
-from .matrices import IntMatrix, _int_block, fibonacci_q, rotation
+from .matrices import IntMatrix, fibonacci_q, rotation
 from .primes import MAX_U64, PRIME_COUNT_BELOW_LIMIT, Xorshift64Star, prime_stream
 
 __all__ = [
@@ -150,18 +150,6 @@ class CiphertextEnvelope:
     @property
     def message_length(self):
         return BLOCK_SYMBOLS * len(self.blocks) - self.pad_count
-
-
-def _envelope(pad_count, blocks):
-    """The version-1 CiphertextEnvelope of a list of 2x2 IntMatrix blocks
-    and a pad count in [0, 3], 0 when there are no blocks, without the
-    constructor's checks; only for blocks and pad counts that are valid by
-    construction. Equal to, and hashing like, the checked envelope."""
-    envelope = object.__new__(CiphertextEnvelope)
-    object.__setattr__(envelope, "version", FORMAT_VERSION)  # as in matrices._int_block
-    object.__setattr__(envelope, "pad_count", pad_count)
-    object.__setattr__(envelope, "blocks", tuple(blocks))
-    return envelope
 
 
 def validate_key(key: KeyMaterial):
@@ -357,7 +345,7 @@ def encrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
     """Encrypt one 2x2 block: transpose(block @ Q^n @ R) @ K, all exact."""
     _require_block(block)
     _require_valid(key)
-    return _int_block(next(_map_blocks(_block_map(key), (block.entries,))))
+    return IntMatrix(2, 2, next(_map_blocks(_block_map(key), (block.entries,))))
 
 
 def decrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
@@ -365,14 +353,15 @@ def decrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
     _require_block(block)
     _require_valid(key)
     d, det_k = _unmix_map(key)
-    return _int_block(_divide_exactly(next(_map_blocks(d, (block.entries,))), det_k))
+    return IntMatrix(2, 2, _divide_exactly(next(_map_blocks(d, (block.entries,))), det_k))
 
 
-def _encrypt_with(message, m, primes):
-    """The envelope of message, given the key's block map m and prime stream."""
+def _mix(message, m, primes):
+    """(pad_count, the mixed row-major 4-tuple of each block) of message,
+    given the key's block map m and prime stream."""
     ts, pad_count = _padded([encode_symbol(b, p) for b, p in zip(message, primes)])
     it = iter(ts)
-    return _envelope(pad_count, map(_int_block, _map_blocks(m, zip(it, it, it, it))))
+    return pad_count, list(_map_blocks(m, zip(it, it, it, it)))
 
 
 def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> CiphertextEnvelope:
@@ -396,7 +385,8 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
                     "byte 0x%02x at index %d is not 7-bit ASCII; enable byte mode"
                     % (b, i)
                 )
-    return _encrypt_with(message, _block_map(key), prime_stream(key.prime_seed, len(message)))
+    pad_count, vectors = _mix(message, _block_map(key), prime_stream(key.prime_seed, len(message)))
+    return CiphertextEnvelope(FORMAT_VERSION, pad_count, [IntMatrix(2, 2, v) for v in vectors])
 
 
 def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = False) -> bytes:

@@ -157,7 +157,10 @@ def _write_atomic(path, data: bytes):
         sys.stdout.buffer.flush()
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(prefix=".cubecipher-", dir=directory)
+    try:
+        fd, tmp_path = tempfile.mkstemp(prefix=".cubecipher-", dir=directory)
+    except OSError as exc:  # name the output, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

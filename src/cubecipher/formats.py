@@ -34,9 +34,9 @@ oversized value ever surfaces as a raw ValueError.
 import json
 import re
 
-from .cipher import FORMAT_VERSION, CiphertextEnvelope, KeyMaterial, _envelope
+from .cipher import FORMAT_VERSION, CiphertextEnvelope, KeyMaterial
 from .errors import FormatError
-from .matrices import IntMatrix, _int_block
+from .matrices import IntMatrix
 from .primes import MAX_U64
 
 __all__ = [
@@ -191,21 +191,27 @@ _CIPHERTEXT_BLOCK = '    [\n      "%s",\n      "%s",\n      "%s",\n      "%s"\n 
 
 
 def serialize_ciphertext(envelope: CiphertextEnvelope) -> str:
-    """dumps_canonical of {"version", "pad_count", "blocks"}, rendered
-    directly: json's indenting encoder is pure Python and several times
-    slower than filling in the fixed layout. Block entries are ints, whose
-    str() is plain ASCII, so they need no escaping."""
+    """dumps_canonical of {"version", "pad_count", "blocks"}, as _ciphertext_text renders it."""
+    return _ciphertext_text(envelope.version, envelope.pad_count, [b.entries for b in envelope.blocks])
+
+
+def _ciphertext_text(version, pad_count, vectors):
+    """dumps_canonical of {"version", "pad_count", "blocks"}, for blocks
+    given as row-major 4-tuples, rendered directly: json's indenting
+    encoder is pure Python and several times slower than filling in the
+    fixed layout. Block entries are ints, whose str() is plain ASCII, so
+    they need no escaping."""
     try:
-        blocks = ",\n".join([_CIPHERTEXT_BLOCK % b.entries for b in envelope.blocks])
+        blocks = ",\n".join([_CIPHERTEXT_BLOCK % v for v in vectors])
     except ValueError:
         # an entry past the int/str limit: name the first one
-        for i, b in enumerate(envelope.blocks):
-            for j, e in enumerate(b.entries):
+        for i, v in enumerate(vectors):
+            for j, e in enumerate(v):
                 _format_decimal(e, "ciphertext file: blocks", i, j)
         raise
     return '{\n  "version": %s,\n  "pad_count": %s,\n  "blocks": %s\n}\n' % (
-        json.dumps(envelope.version),
-        json.dumps(envelope.pad_count),
+        json.dumps(version),
+        json.dumps(pad_count),
         "[\n%s\n  ]" % blocks if blocks else "[]",
     )
 
@@ -222,9 +228,10 @@ def parse_ciphertext(text: str) -> CiphertextEnvelope:
         raise FormatError("ciphertext file: blocks must be a list")
     if not blocks_raw and pad_count != 0:
         raise FormatError("ciphertext file: an empty block list cannot carry padding")
-    return _envelope(
+    return CiphertextEnvelope(
+        FORMAT_VERSION,
         pad_count,
-        [_int_block(_parse_block_entries(raw, "ciphertext file: blocks", i))
+        [IntMatrix(2, 2, _parse_block_entries(raw, "ciphertext file: blocks", i))
          for i, raw in enumerate(blocks_raw)],
     )
 
@@ -257,6 +264,6 @@ def parse_pairs(text: str):
         if not isinstance(raw, dict):
             raise FormatError("%s must be an object" % what)
         _expect_fields(raw, ("plaintext", "ciphertext"), what)
-        pairs.append(tuple(_int_block(_parse_block_entries(raw[name], what + "." + name))
+        pairs.append(tuple(IntMatrix(2, 2, _parse_block_entries(raw[name], what + "." + name))
                            for name in ("plaintext", "ciphertext")))
     return pairs

@@ -4,9 +4,7 @@ IntMatrix holds Python ints, so nothing ever rounds, and it is an
 immutable value, safe to share between threads. It offers what the
 pipeline and the acceptance suite use: products, integer scaling, the
 transpose and the exact determinant of an n x n matrix. The constructor
-checks every entry; the cipher builds its 2x2 blocks, whose entries are
-ints by construction, through the private _int_block, which skips the
-checks.
+checks the shape and every entry.
 
 The structured matrices the cipher needs are built here too: the
 Fibonacci matrix [[F(n+1), F(n)], [F(n), F(n-1)]] and the quarter-turn
@@ -23,6 +21,9 @@ analysis module).
 from dataclasses import dataclass
 
 __all__ = ["IntMatrix", "fibonacci_q", "rotation"]
+
+
+_set_field = object.__setattr__  # looked up once, not per matrix
 
 
 def _check_shape(rows, cols, entries):
@@ -56,7 +57,7 @@ def _det_cofactor(entries, n):
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntMatrix:
     """Immutable row-major matrix of arbitrary-precision integers."""
 
@@ -64,14 +65,19 @@ class IntMatrix:
     cols: int
     entries: tuple
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        _check_shape(self.rows, self.cols, entries)
+    def __init__(self, rows, cols, entries):
+        entries = tuple(entries)
+        if rows < 1 or cols < 1 or len(entries) != rows * cols:
+            _check_shape(rows, cols, entries)
         for e in entries:
             # the exact-type test settles the common case in one comparison
             if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)):
                 raise TypeError("integer matrix entries must be ints, got %r" % (e,))
-        object.__setattr__(self, "entries", entries)
+        # each field set once, as a frozen dataclass sets it, so every
+        # instance keeps the class's shared-key dict
+        _set_field(self, "rows", rows)
+        _set_field(self, "cols", cols)
+        _set_field(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows):
@@ -129,21 +135,6 @@ class IntMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         return _det_cofactor(list(self.entries), self.rows)
-
-
-_new_object, _set_field = object.__new__, object.__setattr__  # looked up once, not per block
-
-
-def _int_block(entries):
-    """The 2x2 IntMatrix of a 4-tuple of ints, without the constructor's
-    checks; only for entries that are ints by construction. Equal to, and
-    hashing like, IntMatrix(2, 2, entries)."""
-    block = _new_object(IntMatrix)
-    # set as the frozen dataclass sets them, so the block keeps its shared-key dict
-    _set_field(block, "rows", 2)
-    _set_field(block, "cols", 2)
-    _set_field(block, "entries", entries)
-    return block
 
 
 def _fib_pair(n):

@@ -1,6 +1,7 @@
 """Cryptanalysis harness: avalanche locality, known-plaintext recovery,
 and the benchmark scaffolding."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cubecipher import (
+    MAX_FIB_INDEX,
     AttackResult,
     BenchReport,
     BenchRow,
@@ -32,7 +34,7 @@ from cubecipher import (
     known_plaintext_attack,
     prime_stream,
 )
-from spec import outcome, reference_apply_composite, reference_attack
+from spec import outcome, reference_apply_composite, reference_attack, reference_avalanche_test
 
 
 def random_block(rng, span=10**6):
@@ -107,6 +109,20 @@ def test_avalanche_reports_are_pinned_across_lengths(length, trials, block_fract
         'changed character should unpredictably alter the entire ciphertext"\n}\n'
     ) % (trials, length, block_fraction, bit_fraction, trials)
     assert avalanche_test(keygen(7), length, trials, 11).to_json_text() == expected
+
+
+@pytest.mark.parametrize(
+    "key",
+    [keygen(1), keygen(2718281828), dataclasses.replace(keygen(99), fib_index=MAX_FIB_INDEX)],
+    ids=["keygen-1", "keygen-2718281828", "max-fib-index"],
+)
+def test_avalanche_equals_the_reference(key):
+    # lengths 1-9 cover every pad count on one and on several blocks; the
+    # max-fib-index key's ciphertext entries are ~7,000 bits
+    for length in (*range(1, 10), 40):
+        for trials, rng_seed in ((1, length), (8, 1000 + length)):
+            expected = reference_avalanche_test(key, length, trials, rng_seed).to_json_text()
+            assert avalanche_test(key, length, trials, rng_seed).to_json_text() == expected
 
 
 def test_avalanche_validates_arguments():
@@ -399,6 +415,11 @@ def test_growth_exponent_on_synthetic_data():
         growth_exponent(BenchReport(repetitions=1))
     with pytest.raises(ValueError):
         growth_exponent(linear, which="parse")
+    # rows of one length give no slope; this divided by zero before
+    one_length = BenchReport(repetitions=1)
+    one_length.rows += [BenchRow(5, 1e-6, 2e-6, 5), BenchRow(5, 3e-6, 4e-6, 5)]
+    with pytest.raises(ValueError, match="^need at least two distinct message lengths"):
+        growth_exponent(one_length)
 
 
 def test_avalanche_refuses_messages_over_the_length_limit():

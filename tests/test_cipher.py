@@ -33,7 +33,6 @@ from cubecipher import (
     serialize_key,
     validate_key,
 )
-from cubecipher.cipher import _envelope
 from cubecipher.primes import Xorshift64Star
 from spec import reference_decrypt_block, reference_encrypt, reference_encrypt_block
 
@@ -464,20 +463,28 @@ def test_decrypt_errors_name_the_failing_index():
     assert "symbol 1" in str(excinfo.value)
 
 
-def test_unchecked_envelope_equals_the_checked_one():
+def test_envelope_is_a_frozen_value():
     rng = random.Random(43)
     for length in (0, 1, 3, 4, 5, 17):
         key = keygen(length)
         blocks = [encrypt_block(IntMatrix(2, 2, tuple(rng.randrange(10**9) for _ in range(4))), key)
                   for _ in range(-(-length // 4))]
+        if blocks:
+            blocks[-1] = IntMatrix(2, 2, (10**4000, -(10**3999), 7, 0))
         pad_count = -length % 4
-        fast = _envelope(pad_count, blocks)
-        checked = CiphertextEnvelope(1, pad_count, blocks)
-        assert fast == checked and hash(fast) == hash(checked)
-        assert type(fast.blocks) is tuple and fast.message_length == length
+        envelope = CiphertextEnvelope(1, pad_count, blocks)
+        from_tuple = CiphertextEnvelope(1, pad_count, tuple(blocks))
+        assert envelope == from_tuple and hash(envelope) == hash(from_tuple)
+        assert type(envelope.blocks) is tuple and envelope.message_length == length
         for field in ("version", "pad_count", "blocks"):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(fast, field, 0)
+                setattr(envelope, field, 0)
+        # replace goes through the constructor, checks included
+        assert dataclasses.replace(envelope, blocks=blocks) == envelope
+        with pytest.raises(ValueError):
+            dataclasses.replace(envelope, pad_count=4)
+        with pytest.raises(TypeError):
+            dataclasses.replace(envelope, blocks=[IntMatrix.identity(3)])
 
 
 def test_envelope_validation():

@@ -295,6 +295,16 @@ def test_outputs_are_written_atomically(tmp_path):
     assert leftovers == []
 
 
+def test_out_path_in_a_missing_directory_names_the_out_path(tmp_path, capsys):
+    # the temp file cannot be made there; the error names --out, not the temp file
+    out = tmp_path / "missing" / "key.json"
+    assert run(["keygen", "--seed", 15, "--out", out]) == 5
+    err = capsys.readouterr().err
+    assert err == "cubecipher: error: [Errno 2] No such file or directory: %r\n" % str(out)
+    assert ".cubecipher-" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_attack_result_too_long_to_write_exits_4(tmp_path, capsys):
     # 4,001-digit entries parse, but the recovered map's entries do not fit
     # in str(); that used to escape as a raw ValueError (exit 2)

@@ -10,7 +10,6 @@ from itertools import permutations
 import pytest
 
 from cubecipher import IntMatrix, fibonacci_q, rotation
-from cubecipher.matrices import _int_block
 
 
 def schoolbook_product(a_rows, b_rows):
@@ -218,39 +217,49 @@ def test_int_subclass_entries_are_accepted():
 
 
 @pytest.mark.parametrize("entries", [(0, 0, 0, 0), (1, -2, 3, -4), (10**4000, -1, 7, -(10**300))])
-def test_int_block_is_the_checked_block(entries):
-    block, checked = _int_block(entries), IntMatrix(2, 2, entries)
-    assert type(block) is IntMatrix
-    assert block == checked and checked == block
-    assert hash(block) == hash(checked)
+def test_int_matrix_is_a_frozen_value(entries):
+    block, from_list = IntMatrix(2, 2, entries), IntMatrix(2, 2, list(entries))
+    assert type(from_list.entries) is tuple
+    assert block == from_list and from_list == block
+    assert hash(block) == hash(from_list)
     assert (block.rows, block.cols, block.entries) == (2, 2, entries)
-    assert block.det() == checked.det() and block.transpose() == checked.transpose()
-    assert block != _int_block(entries[:3] + (entries[3] + 1,))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        block.entries = (1, 2, 3, 4)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        block.rows = 1
+    assert block != IntMatrix(2, 2, entries[:3] + (entries[3] + 1,))
+    for field in ("rows", "cols", "entries"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(block, field, 1)
+    # replace goes through the constructor, checks included
+    assert dataclasses.replace(block, entries=[4, 3, 2, 1]) == IntMatrix(2, 2, (4, 3, 2, 1))
+    with pytest.raises(ValueError):
+        dataclasses.replace(block, entries=entries[:3])
+    with pytest.raises(TypeError):
+        dataclasses.replace(block, entries=entries[:3] + (True,))
+    with pytest.raises(ValueError):
+        dataclasses.replace(block, rows=0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _PlainFrozen:
+    rows: int
+    cols: int
+    entries: tuple
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 gives every instance its own dict")
-def test_int_block_allocates_no_more_than_the_checked_block():
-    # a block whose __dict__ is filled directly loses the class's shared
-    # keys and costs ~64 bytes more per block on 3.11+
+def test_int_matrix_allocates_no_more_than_a_plain_frozen_dataclass():
+    # an instance whose __dict__ is filled directly loses the class's shared
+    # keys and costs ~64 bytes more per instance on 3.11+
     entries = (1, -2, 3, -4)
 
-    def per_block(make, count=20000):
+    def per_instance(cls, count=20000):
         tracemalloc.start()
         try:
-            blocks = [make(entries) for _ in range(count)]
-            return tracemalloc.get_traced_memory()[0] / len(blocks)
+            made = [cls(2, 2, entries) for _ in range(count)]
+            return tracemalloc.get_traced_memory()[0] / len(made)
         finally:
             tracemalloc.stop()
 
-    def checked(entries):
-        return IntMatrix(2, 2, entries)
-
-    per_block(_int_block), per_block(checked)  # warm both paths up
-    assert per_block(_int_block) <= per_block(checked) + 4
+    per_instance(IntMatrix), per_instance(_PlainFrozen)  # warm both paths up
+    assert per_instance(IntMatrix) <= per_instance(_PlainFrozen) + 4
 
 
 def test_integer_scaling():
