@@ -43,7 +43,7 @@ the README and the analysis module's known-plaintext attack.
 
 from dataclasses import dataclass
 
-from .encoding import ASCII_MAX, BYTE_MAX, decode_symbol, encode_symbol
+from .encoding import ASCII_MAX, BYTE_MAX, _decode_all, decode_symbol, encode_symbol
 from .errors import (
     CipherError,
     CorruptCiphertextError,
@@ -52,7 +52,7 @@ from .errors import (
     NonIntegralResultError,
     SymbolRangeError,
 )
-from .matrices import IntMatrix, fibonacci_q, rotation
+from .matrices import IntMatrix, _set_field, fibonacci_q, rotation
 from .primes import MAX_U64, PRIME_COUNT_BELOW_LIMIT, Xorshift64Star, prime_stream
 
 __all__ = [
@@ -125,7 +125,7 @@ class KeyMaterial:
         object.__setattr__(self, "quarter_turns", self.quarter_turns % 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CiphertextEnvelope:
     """Ordered ciphertext blocks plus framing: version and pad count.
 
@@ -136,16 +136,21 @@ class CiphertextEnvelope:
     pad_count: int
     blocks: tuple
 
-    def __post_init__(self):
-        blocks = tuple(self.blocks)
-        if not 0 <= self.pad_count < BLOCK_SYMBOLS:
+    def __init__(self, version, pad_count, blocks):
+        blocks = tuple(blocks)
+        if not 0 <= pad_count < BLOCK_SYMBOLS:
             raise ValueError("pad_count must be in [0, 3]")
-        if not blocks and self.pad_count != 0:
+        if not blocks and pad_count != 0:
             raise ValueError("an empty envelope cannot carry padding")
         for b in blocks:
-            if not isinstance(b, IntMatrix) or (b.rows, b.cols) != (2, 2):
-                raise TypeError("envelope blocks must be 2x2 IntMatrix values")
-        object.__setattr__(self, "blocks", blocks)
+            # the exact-type test settles the common case without a tuple
+            if type(b) is not IntMatrix or b.rows != 2 or b.cols != 2:
+                if not isinstance(b, IntMatrix) or (b.rows, b.cols) != (2, 2):
+                    raise TypeError("envelope blocks must be 2x2 IntMatrix values")
+        # each field set once, as IntMatrix sets its own
+        _set_field(self, "version", version)
+        _set_field(self, "pad_count", pad_count)
+        _set_field(self, "blocks", blocks)
 
     @property
     def message_length(self):
@@ -417,6 +422,10 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
     ts = _strip_pad(flat, envelope.pad_count)
     primes = prime_stream(key.prime_seed, len(ts))
     max_code = BYTE_MAX if byte_mode else ASCII_MAX
+    codes = _decode_all(ts, primes, max_code)
+    if codes is not None:
+        return bytes(codes)
+    # a value failed the bulk decode: name the first one
     out = bytearray()
     for i, (t, p) in enumerate(zip(ts, primes)):
         try:

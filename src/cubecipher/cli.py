@@ -15,6 +15,7 @@ Exit codes:
 """
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -123,7 +124,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="measure encrypt/decrypt wall time per length")
     p.add_argument("--key", required=True, help="key file")
-    p.add_argument("--lengths", type=_parse_lengths, default=[64, 128, 256, 512, 1024],
+    p.add_argument("--lengths", type=_parse_lengths, default=(64, 128, 256, 512, 1024),
                    help="comma-separated message lengths (default 64,128,256,512,1024)")
     p.add_argument("--repetitions", type=int, default=5,
                    help="repetitions per length, median reported (default 5)")
@@ -255,8 +256,15 @@ def _fail(message, code):
     return code
 
 
+@functools.cache
+def _parser():
+    """build_parser(), built on first use and then reused: parse_args keeps
+    no state on the parser between calls, and every default is immutable."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
         return handler(args)

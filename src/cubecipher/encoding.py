@@ -18,9 +18,17 @@ and one exact check n^3 - n = 6t accepts or rejects it. The whole round
 trip stays bit-exact at any size. Without y the root n only reveals the
 sum x + y, which is what makes the prime stream the trapdoor knowledge.
 
-Every function here is exact integer arithmetic; error messages give the
+Decryption decodes a whole message in one pass, _decode_all, which takes
+every candidate n from a float cube root and checks all of them exactly
+at once; only when that pass fails does it go symbol by symbol through
+decode_symbol, which then raises the error for the first bad value.
+
+Every result here is exact: a float only ever proposes a candidate that
+exact integer arithmetic then accepts or rejects. Error messages give the
 bit length of a value too long to print, never its digits.
 """
+
+from operator import sub
 
 from .errors import CorruptValueError, NoIntegerRootError, SymbolRangeError
 
@@ -35,6 +43,9 @@ __all__ = [
 
 ASCII_MAX = 127
 BYTE_MAX = 255
+
+# Below this bound 6t < 2**53, so float(6t) is exact (see _decode_all).
+_FLOAT_T_LIMIT = 1 << 50
 
 
 def encode_symbol(code: int, prime: int) -> int:
@@ -92,6 +103,36 @@ def solve_depressed_cubic(t: int) -> int:
             "no integer n >= 2 satisfies n^3 - n = 6t for this %d-bit t" % t.bit_length()
         )
     return n
+
+
+def _decode_all(ts, primes, max_code):
+    """The codes decode_symbol gives for each (t, prime) pair, in one pass,
+    or None when ts is empty or any t is outside [1, 2**50), not a genuine
+    encoding, or decodes outside [0, max_code].
+
+    Each candidate is n = int(float(6t) ** (1/3)) + 1, for 1 <= t < 2**50,
+    where 6t < 2**53 converts to a float exactly. For a genuine t,
+    6t = n^3 - n and its real cube root lies in (n - 1, n), at least
+    1/(3n) below n: n - (n^3 - n)^(1/3) = n(1 - (1 - 1/n^2)^(1/3)) and
+    (1 - x)^(1/3) <= 1 - x/3. For n < 2**18 that gap is above 2**-20,
+    while the float root (a rounded pow with a rounded exponent 1/3) is
+    off by less than 2**-30, so the candidate is n exactly. The candidates
+    are then accepted only if n^3 - n = 6t holds exactly for every symbol:
+    the integer root is unique, so no input, genuine or not, can pass with
+    a wrong n. Any failure returns None, and the caller goes symbol by
+    symbol through decode_symbol to raise the error at the right index.
+    """
+    if not ts or min(ts) < 1 or max(ts) >= _FLOAT_T_LIMIT:
+        return None
+    ns = [int((6 * t) ** (1 / 3)) + 1 for t in ts]
+    # a list of bools, not of ints: True and False are shared objects, so
+    # the check keeps no int per symbol
+    if not all([n * n * n - n == 6 * t for n, t in zip(ns, ts)]):
+        return None
+    codes = list(map(sub, ns, primes))
+    if min(codes) < 0 or max(codes) > max_code:
+        return None
+    return codes
 
 
 def decode_symbol(t: int, prime: int, max_code: int = ASCII_MAX) -> int:

@@ -29,10 +29,15 @@ that is not JSON. Serializers raise FormatError too, naming the field,
 when a number is too long for Python's int/str conversion limit
 (sys.get_int_max_str_digits, 4,300 digits by default), so no malformed or
 oversized value ever surfaces as a raw ValueError.
+
+parse_ciphertext checks and converts all block entries in bulk, and goes
+entry by entry only when that fails, to name the first bad block or entry
+in its FormatError, as a per-entry parse would.
 """
 
 import json
 import re
+from itertools import chain
 
 from .cipher import FORMAT_VERSION, CiphertextEnvelope, KeyMaterial
 from .errors import FormatError
@@ -228,12 +233,26 @@ def parse_ciphertext(text: str) -> CiphertextEnvelope:
         raise FormatError("ciphertext file: blocks must be a list")
     if not blocks_raw and pad_count != 0:
         raise FormatError("ciphertext file: an empty block list cannot carry padding")
-    return CiphertextEnvelope(
-        FORMAT_VERSION,
-        pad_count,
-        [IntMatrix(2, 2, _parse_block_entries(raw, "ciphertext file: blocks", i))
-         for i, raw in enumerate(blocks_raw)],
-    )
+    return CiphertextEnvelope(FORMAT_VERSION, pad_count, _parse_blocks(blocks_raw))
+
+
+def _parse_blocks(blocks_raw):
+    """The 2x2 blocks of a ciphertext file's block list, parsed in bulk:
+    one check that every block is a list of 4 canonical decimal strings
+    over all entries at once, then one int() pass. On any failure the
+    blocks are parsed entry by entry, which raises the FormatError that
+    names the first bad block or entry."""
+    entries = chain.from_iterable
+    if (all(type(raw) is list and len(raw) == 4 for raw in blocks_raw)
+            and all(type(e) is str for e in entries(blocks_raw))
+            and all(map(_DECIMAL_RE.match, entries(blocks_raw)))):
+        values = map(int, entries(blocks_raw))
+        try:
+            return [IntMatrix(2, 2, v) for v in zip(values, values, values, values)]
+        except ValueError:
+            pass  # an entry past the int/str limit
+    return [IntMatrix(2, 2, _parse_block_entries(raw, "ciphertext file: blocks", i))
+            for i, raw in enumerate(blocks_raw)]
 
 
 def serialize_pairs(pairs) -> str:

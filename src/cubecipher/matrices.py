@@ -4,7 +4,7 @@ IntMatrix holds Python ints, so nothing ever rounds, and it is an
 immutable value, safe to share between threads. It offers what the
 pipeline and the acceptance suite use: products, integer scaling, the
 transpose and the exact determinant of an n x n matrix. The constructor
-checks the shape and every entry.
+checks the shape and that both dimensions and every entry are ints.
 
 The structured matrices the cipher needs are built here too: the
 Fibonacci matrix [[F(n+1), F(n)], [F(n), F(n-1)]] and the quarter-turn
@@ -27,6 +27,9 @@ _set_field = object.__setattr__  # looked up once, not per matrix
 
 
 def _check_shape(rows, cols, entries):
+    for dim in (rows, cols):
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise TypeError("matrix dimensions must be ints, got %r" % (dim,))
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive, got %dx%d" % (rows, cols))
     if len(entries) != rows * cols:
@@ -67,7 +70,8 @@ class IntMatrix:
 
     def __init__(self, rows, cols, entries):
         entries = tuple(entries)
-        if rows < 1 or cols < 1 or len(entries) != rows * cols:
+        if (type(rows) is not int or type(cols) is not int
+                or rows < 1 or cols < 1 or len(entries) != rows * cols):
             _check_shape(rows, cols, entries)
         for e in entries:
             # the exact-type test settles the common case in one comparison

@@ -10,8 +10,11 @@ known_plaintext_attack against its reference on 200 pair sets and on two
 sets of ~4,000-digit blocks (one genuine, one arbitrary), and
 decrypt_block and apply_composite (with the map and the inverse map the
 attack recovers) against theirs under 200 keygen keys, each on a genuine
-ciphertext block and on one from a wrong key, and checks one pinned
-avalanche report. Prints one line and exits 0 on success.
+ciphertext block and on one from a wrong key, decrypt's bulk decode
+(which takes a float cube root) on every genuine root, and decrypt
+against its reference under 200 keygen keys on a genuine envelope and on
+one with a tampered encoded value, and checks one pinned avalanche
+report. Prints one line and exits 0 on success.
 """
 
 import random
@@ -20,11 +23,14 @@ import tempfile
 from pathlib import Path
 
 from cubecipher import (
+    CiphertextEnvelope,
     IntMatrix,
     apply_composite,
     avalanche_test,
     cli,
+    decrypt,
     decrypt_block,
+    encode_symbol,
     encrypt,
     encrypt_block,
     integer_cube_root,
@@ -33,11 +39,13 @@ from cubecipher import (
     prime_stream,
     serialize_ciphertext,
 )
+from cubecipher.encoding import _decode_all
 from spec import (
     attack_outcome,
     outcome,
     reference_apply_composite,
     reference_attack,
+    reference_decrypt,
     reference_decrypt_block,
     reference_integer_cube_root,
     reference_prime_stream,
@@ -89,6 +97,23 @@ def pair_set(rng, seed):
     if seed % 2:
         pairs[rng.randrange(len(pairs))] = (block(10**6), block(10**6))
     return pairs
+
+
+def tampered_envelope(rng, message, key, byte_mode):
+    """The envelope of message under key with one encoded value replaced,
+    mixed through the key's own map so that decoding meets the damage."""
+    primes = prime_stream(key.prime_seed, len(message))
+    ts = [encode_symbol(b, p) for b, p in zip(message, primes)]
+    ts += [0] * (-len(ts) % 4)
+    i = rng.randrange(len(ts))
+    n = rng.choice((2, 65776, 189038, 189039, 10**1333))  # t(189039) is the first past 2**50
+    ts[i] = rng.choice((ts[i] - 1, ts[i] + 1, 0, -ts[i] - 1, (1 << 50) - 1, 1 << 50,
+                        (n * n * n - n) // 6, rng.randint(-(10**4000), 10**4000),
+                        encode_symbol(rng.randrange(256), primes[i % len(primes)])))
+    vectors = iter(ts)
+    return CiphertextEnvelope(1, -len(message) % 4, [
+        encrypt_block(IntMatrix(2, 2, v), key) for v in zip(vectors, vectors, vectors, vectors)
+    ])
 
 
 def main():
@@ -145,11 +170,27 @@ def main():
             for m, b in ((forward, plain[4]), (inverse, block)):
                 check(outcome(apply_composite, m, b) == outcome(reference_apply_composite, m, b),
                       "apply_composite for keygen(%d) differs from the reference" % seed)
+    # the bulk decode must take every genuine root from its float candidate
+    ns = range(2, 65521 + 256)
+    check(_decode_all([(n * n * n - n) // 6 for n in ns], [2] * len(ns), 65521 + 253)
+          == [n - 2 for n in ns], "bulk decode misses a genuine root")
+    for seed in range(200):
+        key, byte_mode = keygen(seed), seed % 2 == 1
+        top = 256 if byte_mode else 128
+        message = bytes(rng.randrange(top) for _ in range(rng.randint(1, 80)))
+        envelope = encrypt(message, key, byte_mode)
+        check(decrypt(envelope, key, byte_mode) == reference_decrypt(envelope, key, byte_mode)
+              == message, "decrypt under keygen(%d) differs from the reference" % seed)
+        envelope = tampered_envelope(rng, message, key, byte_mode)
+        check(outcome(decrypt, envelope, key, byte_mode)
+              == outcome(reference_decrypt, envelope, key, byte_mode),
+              "decrypt of a tampered envelope under keygen(%d) differs from the reference" % seed)
     check(avalanche_test(keygen(7), 257, 7, 11).to_json_text() == AVALANCHE_REPORT,
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime streams, "
           "16 cube roots, 200 envelopes, 202 attack pair sets (2 of ~4,000 digits), "
-          "200 keys' un-mix and composite maps, 1 avalanche report"
+          "200 keys' un-mix and composite maps, 65,775 genuine roots, "
+          "400 decrypts (200 tampered), 1 avalanche report"
           % (sys.version.split()[0], len(STREAM_SEEDS) * len(STREAM_LENGTHS)))
 
 

@@ -30,7 +30,14 @@ from cubecipher import (
     prime_stream,
     rotation,
 )
-from cubecipher.formats import _format_decimal, dumps_canonical
+from cubecipher.formats import (
+    _expect_fields,
+    _expect_version,
+    _format_decimal,
+    _load_json,
+    _parse_block_entries,
+    dumps_canonical,
+)
 
 MASK64 = (1 << 64) - 1
 
@@ -243,6 +250,29 @@ def reference_serialize_ciphertext(envelope):
         ],
     }
     return dumps_canonical(obj)
+
+
+def reference_parse_ciphertext(text):
+    """parse_ciphertext before its bulk pass: every block entry checked
+    and converted one at a time by _parse_block_entries, so the first bad
+    block or entry raises its FormatError."""
+    obj = _load_json(text, "ciphertext file")
+    _expect_fields(obj, ("version", "pad_count", "blocks"), "ciphertext file")
+    _expect_version(obj["version"], "ciphertext file")
+    pad_count = obj["pad_count"]
+    if not isinstance(pad_count, int) or isinstance(pad_count, bool) or not 0 <= pad_count <= 3:
+        raise FormatError("ciphertext file: pad_count must be an integer in [0, 3]")
+    blocks_raw = obj["blocks"]
+    if not isinstance(blocks_raw, list):
+        raise FormatError("ciphertext file: blocks must be a list")
+    if not blocks_raw and pad_count != 0:
+        raise FormatError("ciphertext file: an empty block list cannot carry padding")
+    return CiphertextEnvelope(
+        1,
+        pad_count,
+        [IntMatrix(2, 2, _parse_block_entries(raw, "ciphertext file: blocks", i))
+         for i, raw in enumerate(blocks_raw)],
+    )
 
 
 def reference_avalanche_test(key, message_length, trials, rng_seed):

@@ -5,6 +5,9 @@ import hashlib
 import itertools
 import random
 import re
+import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -18,6 +21,7 @@ from cubecipher import (
     InvalidKeyError,
     KeyMaterial,
     NonIntegralResultError,
+    SymbolRangeError,
     block_map,
     blockify,
     deblockify,
@@ -33,6 +37,7 @@ from cubecipher import (
     serialize_key,
     validate_key,
 )
+from cubecipher import cipher as cipher_module
 from cubecipher.primes import Xorshift64Star
 from spec import reference_decrypt_block, reference_encrypt, reference_encrypt_block
 
@@ -487,6 +492,30 @@ def test_envelope_is_a_frozen_value():
             dataclasses.replace(envelope, blocks=[IntMatrix.identity(3)])
 
 
+@dataclasses.dataclass(frozen=True)
+class _PlainFrozenEnvelope:
+    version: int
+    pad_count: int
+    blocks: tuple
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 gives every instance its own dict")
+def test_envelope_allocates_no_more_than_a_plain_frozen_dataclass():
+    # the hand-written __init__ must keep the class's shared-key dict
+    blocks = (IntMatrix.identity(2),)
+
+    def per_instance(cls, count=20000):
+        tracemalloc.start()
+        try:
+            made = [cls(1, 0, blocks) for _ in range(count)]
+            return tracemalloc.get_traced_memory()[0] / len(made)
+        finally:
+            tracemalloc.stop()
+
+    per_instance(CiphertextEnvelope), per_instance(_PlainFrozenEnvelope)  # warm both up
+    assert per_instance(CiphertextEnvelope) <= per_instance(_PlainFrozenEnvelope) + 4
+
+
 def test_envelope_validation():
     with pytest.raises(ValueError):
         CiphertextEnvelope(1, 4, (IntMatrix.identity(2),))
@@ -535,6 +564,21 @@ def test_wrong_key_error_omits_huge_values():
     with pytest.raises(NonIntegralResultError) as excinfo:
         decrypt(envelope, key)
     assert re.fullmatch(r"block 0: entry \(\d, \d\) is not an integer", str(excinfo.value))
+
+
+def test_decrypt_decodes_genuine_symbols_in_one_pass():
+    # decode_symbol runs only after the bulk decode has failed, up to the
+    # symbol it names
+    key = keygen(4242)
+    message = bytes(range(32, 127)) * 3
+    high = encrypt(message[:61] + b"\xff" + message[62:], key, byte_mode=True)
+    counted = mock.patch.object(cipher_module, "decode_symbol", wraps=cipher_module.decode_symbol)
+    with counted as spy:
+        assert decrypt(encrypt(message, key), key) == message
+        assert spy.call_count == 0
+        with pytest.raises(SymbolRangeError, match="^symbol 61: decoded code 255 "):
+            decrypt(high, key)
+        assert spy.call_count == 62
 
 
 def test_message_length_limit():

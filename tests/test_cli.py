@@ -143,6 +143,23 @@ def test_bad_arguments_exit_2(tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_the_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    key, msg, ct = tmp_path / "k.json", tmp_path / "m.bin", tmp_path / "ct.json"
+    msg.write_bytes(bytes([200, 65]))
+    assert run(["keygen", "--seed", 9, "--out", key]) == 0
+    assert run(["encrypt", "--key", key, "--in", msg, "--out", ct, "--byte-mode"]) == 0
+    # no option value carries over from the run before
+    assert run(["encrypt", "--key", key, "--in", msg, "--out", ct]) == 2
+    with pytest.raises(SystemExit):
+        run(["keygen", "--out", key])
+    assert "the following arguments are required: --seed" in capsys.readouterr().err
+    assert builds == [1]
+
+
 def test_non_ascii_input_exits_2_and_byte_mode_accepts(tmp_path):
     key = tmp_path / "k.json"
     msg = tmp_path / "m.bin"

@@ -13,6 +13,7 @@ from cubecipher import (
     integer_cube_root,
     solve_depressed_cubic,
 )
+from cubecipher.encoding import _decode_all
 from cubecipher.primes import PRIME_COUNT_BELOW_LIMIT, PRIME_LIMIT
 from spec import is_prime, reference_integer_cube_root, reference_solve_depressed_cubic
 
@@ -238,3 +239,47 @@ def test_huge_values_are_described_by_size():
     with pytest.raises(SymbolRangeError, match="decoded code -3 "):
         decode_symbol(1, 5)
 
+
+# the largest genuine n: the largest prime below 2**16 plus the largest byte
+_LARGEST_PRIME = 65521
+_N_MAX = _LARGEST_PRIME + 255
+
+
+def test_bulk_decode_takes_every_genuine_root_from_its_float_candidate():
+    assert is_prime(_LARGEST_PRIME)
+    assert not any(is_prime(n) for n in range(_LARGEST_PRIME + 1, PRIME_LIMIT))
+    ns = range(2, _N_MAX + 1)
+    ts = [(n * n * n - n) // 6 for n in ns]
+    # with prime 2 the codes are n - 2; None would mean the float candidate
+    # missed some n and the bulk pass fell back
+    assert _decode_all(ts, [2] * len(ts), _N_MAX - 2) == [n - 2 for n in ns]
+
+
+def _decode_outcome(t, prime, max_code):
+    try:
+        return [decode_symbol(t, prime, max_code)]
+    except (CorruptValueError, SymbolRangeError):
+        return None
+
+
+def test_bulk_decode_fails_exactly_where_decode_symbol_raises():
+    limit = 1 << 50  # the bulk pass's float bound on t
+    top = integer_cube_root(6 * limit) + 1  # the first n whose t reaches it
+    ts = [0, -1, -(10**6), limit - 1, limit, limit + 1, 10**4000, -(10**4000)]
+    for n in (2, 3, 100, 141, 396, 65776, top - 1, top, top + 1, 10**1333):
+        genuine = (n * n * n - n) // 6
+        ts += [genuine - 1, genuine, genuine + 1]
+    for t in ts:
+        for prime, max_code in ((2, 127), (13, 127), (141, 255), (65521, 255)):
+            assert _decode_all([t], [prime], max_code) == _decode_outcome(t, prime, max_code)
+
+
+def test_bulk_decode_fails_on_any_bad_symbol():
+    rng = random.Random(29)
+    primes = first_primes(40)
+    codes = [rng.randrange(128) for _ in primes]
+    ts = [encode_symbol(c, p) for c, p in zip(codes, primes)]
+    assert _decode_all(ts, primes, 127) == codes
+    for i in (0, 17, 39):
+        for bad in (ts[i] - 1, ts[i] + 1, 0, -ts[i], encode_symbol(128, primes[i])):
+            assert _decode_all(ts[:i] + [bad] + ts[i + 1:], primes, 127) is None

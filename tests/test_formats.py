@@ -1,5 +1,6 @@
 """Wire formats: canonical serialization, strict parsing, golden fixtures."""
 
+import json
 import random
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from cubecipher import (
     serialize_key,
     serialize_pairs,
 )
-from spec import reference_serialize_ciphertext
+from spec import outcome, reference_parse_ciphertext, reference_serialize_ciphertext
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -258,3 +259,47 @@ def test_serialize_ciphertext_names_the_first_overlong_entry(blocks):
         serialize_ciphertext(envelope)
     assert str(got.value) == str(expected.value)
     assert str(got.value).startswith("ciphertext file: blocks[")
+
+
+# Bad block values for the bulk ciphertext parse: not a list, the wrong
+# length, entries of other JSON types, non-canonical or non-ASCII digit
+# strings, and entries past the int/str limit of 4,300 digits.
+_BAD_BLOCKS = ["1", 7, None, {}, ["1", "2", "3"], ["1", "2", "3", "4", "5"]]
+_BAD_ENTRIES = [
+    1, 1.0, True, False, None, [], "", "01", "-0", "+1", "1\n", " 1", "1_0", "0x1",
+    "\u0661", "\uff11", "1\u0663", "-", "9" * 4301, "-" + "9" * 4301,
+]
+_EDGE_ENTRIES = ["0", "-1", "9" * 4300, "-" + "9" * 4300]  # canonical, inside the limit
+
+
+def _ciphertext_documents():
+    """A genuine ciphertext document, then copies with one block or entry
+    replaced at the first, a middle and the last block, and with two bad
+    entries, so the parse must name the first."""
+    doc = json.loads(serialize_ciphertext(encrypt(b"bulk parsed, one pass", keygen(31))))
+    last = len(doc["blocks"]) - 1
+    yield doc
+    for i in (0, last // 2, last):
+        for bad in _BAD_BLOCKS:
+            blocks = list(doc["blocks"])
+            blocks[i] = bad
+            yield dict(doc, blocks=blocks)
+        for j in (0, 3):
+            for entry in _BAD_ENTRIES + _EDGE_ENTRIES:
+                blocks = [list(b) for b in doc["blocks"]]
+                blocks[i][j] = entry
+                yield dict(doc, blocks=blocks)
+    blocks = [list(b) for b in doc["blocks"]]
+    blocks[last][1], blocks[1][2] = "9" * 4301, "01"
+    yield dict(doc, blocks=blocks)
+
+
+def test_parse_ciphertext_matches_the_per_entry_reference():
+    failures = 0
+    for doc in _ciphertext_documents():
+        text = json.dumps(doc)
+        got = outcome(parse_ciphertext, text)
+        assert got == outcome(reference_parse_ciphertext, text)
+        failures += type(got) is tuple
+    # every bad block and entry fails; the genuine and edge documents parse
+    assert failures == 3 * (len(_BAD_BLOCKS) + 2 * len(_BAD_ENTRIES)) + 1

@@ -207,6 +207,18 @@ def test_entry_type_policing_names_the_entry(entry):
     assert str(excinfo.value) == "integer matrix entries must be ints, got %r" % (entry,)
 
 
+@pytest.mark.parametrize(
+    "rows, cols", [(2.0, 2.0), (2, 2.0), (True, 4), (4, True), ("2", 2), (None, 2)]
+)
+def test_dimension_type_policing(rows, cols):
+    # a float or bool dimension used to construct, compare equal to its
+    # int twin, and fail later in to_rows() with a raw TypeError
+    bad = rows if type(rows) is not int else cols
+    with pytest.raises(TypeError) as excinfo:
+        IntMatrix(rows, cols, (1, 2, 3, 4))
+    assert str(excinfo.value) == "matrix dimensions must be ints, got %r" % (bad,)
+
+
 def test_int_subclass_entries_are_accepted():
     class Tagged(int):
         pass
@@ -214,6 +226,8 @@ def test_int_subclass_entries_are_accepted():
     m = IntMatrix(2, 2, (Tagged(3), 1, 2, Tagged(-4)))
     assert m.entries == (3, 1, 2, -4)
     assert type(m.entries[0]) is Tagged
+    # and int subclass dimensions, as for entries
+    assert IntMatrix(Tagged(2), Tagged(2), m.entries).to_rows() == [[3, 1], [2, -4]]
 
 
 @pytest.mark.parametrize("entries", [(0, 0, 0, 0), (1, -2, 3, -4), (10**4000, -1, 7, -(10**300))])

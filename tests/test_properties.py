@@ -37,14 +37,17 @@ from cubecipher import (  # noqa: E402
     FormatError,
     IntMatrix,
     KeyMaterial,
+    cli,
     decrypt,
+    encode_symbol,
     encrypt,
     encrypt_block,
-    cli,
+    integer_cube_root,
     keygen,
     parse_ciphertext,
     parse_key,
     parse_pairs,
+    prime_stream,
     serialize_ciphertext,
     serialize_pairs,
 )
@@ -209,6 +212,31 @@ def _wrong_keys(draw, key):
     return dataclasses.replace(key, **{kind: draw(fields[kind])})
 
 
+def _cubic(n):
+    return (n * n * n - n) // 6
+
+
+_T_BOUND = 1 << 50  # decrypt's bulk decode takes a float root below this t
+_N_AT_BOUND = integer_cube_root(6 * _T_BOUND) + 1  # the first n with t(n) >= _T_BOUND
+
+
+def _tampered_values(t, prime):
+    """Values to put in place of the encoded value t of a symbol keyed by
+    prime: its neighbours, 0 and negatives, values around the float bound
+    (genuine roots among them), another symbol's genuine encoding, and
+    4,000-digit values, genuine or not."""
+    return st.one_of(
+        st.sampled_from((t - 1, t + 1, 0)),
+        st.integers(-(10**6), -1),
+        st.integers(_T_BOUND - 3, _T_BOUND + 3),
+        st.integers(_N_AT_BOUND - 2, _N_AT_BOUND + 2).map(_cubic),
+        st.integers(0, 255).map(lambda code: encode_symbol(code, prime)),
+        st.integers(2, 65521 + 255).map(_cubic),
+        st.integers(-(10**4000), 10**4000),
+        st.integers(10**1333, 10**1334).map(_cubic),
+    )
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_encrypt_and_decrypt_match_the_spec(data):
@@ -222,6 +250,20 @@ def test_encrypt_and_decrypt_match_the_spec(data):
     wrong = data.draw(_wrong_keys(key))
     assert outcome(decrypt, envelope, wrong, byte_mode) == outcome(
         reference_decrypt, envelope, wrong, byte_mode
+    )
+    # tampered encoded values, mixed through the key's own map so that the
+    # un-mix passes and decoding or the pad check meets them
+    primes = prime_stream(key.prime_seed, len(message))
+    ts = [encode_symbol(b, p) for b, p in zip(message, primes)]
+    ts += [0] * envelope.pad_count
+    for i in data.draw(st.lists(st.integers(0, len(ts) - 1), min_size=1, max_size=3)):
+        ts[i] = data.draw(_tampered_values(ts[i], primes[i] if i < len(primes) else 2))
+    vectors = iter(ts)
+    tampered = CiphertextEnvelope(1, envelope.pad_count, [
+        encrypt_block(IntMatrix(2, 2, v), key) for v in zip(vectors, vectors, vectors, vectors)
+    ])
+    assert outcome(decrypt, tampered, key, byte_mode) == outcome(
+        reference_decrypt, tampered, key, byte_mode
     )
 
 
