@@ -9,10 +9,16 @@ The block pipeline is linear in the block entries: with vec() flattening a
 for a fixed 4x4 integer matrix M determined entirely by the key's three
 mixing matrices (cipher.block_map). Four plaintext/ciphertext block pairs
 whose vec(B) vectors span all of Q^4 therefore determine M exactly, and
-with it every future block's encryption, all without learning the key
-matrix, Fibonacci index, or rotation count individually. The same attack
-on swapped (ciphertext, plaintext) pairs recovers the inverse map, which
-decrypts any block down to the encoded t-values.
+with it every future block's encryption. The same attack on swapped
+(ciphertext, plaintext) pairs recovers the inverse map, which decrypts
+any block down to the encoded t-values.
+
+M also gives the key's matrices away. By cipher._map_of,
+M[4(2i + j) + 2a + b] = P[2b + i] * K[2a + j] with P = Q^n @ R, so M
+rearranged, row 2b + i and column 2a + j, is the outer product
+vec(P) vec(K)^T, of rank 1. It fixes P and K up to one common sign, and
+that sign is all the map cannot tell: rotation(r + 2) = -rotation(r), so
+(-K, n, r + 2) is a twin key with the same map and the same ciphertexts.
 
 known_plaintext_attack finds M by one incremental Gauss-Jordan pass over
 integer rows [vec(B) | vec(E)]: since vec(E)^T = vec(B)^T M^T, rows whose
@@ -24,9 +30,10 @@ flat row-major 16-tuple of Fractions, directly comparable with
 block_map(key).entries. The attack's pair check and apply_composite run
 maps through the cipher's own integer block kernel.
 
-Recovering the plaintext characters from those t-values still needs the
-prime stream, which is the one non-linear piece of key material the
-attack does not touch.
+Reading characters from those t-values needs the prime at each
+position, which the map does not hold. Known plaintext gives it, though:
+a t-value's root n and the known byte x give p = n - x at every position
+the known text covers.
 
 The avalanche harness quantifies the flip side of per-block linearity:
 a single changed character can never influence any block but its own.
@@ -36,7 +43,7 @@ import math
 import operator
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from fractions import Fraction
 from statistics import median
 
@@ -130,7 +137,8 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
     built once per call. A trial builds no block or envelope: it compares
     the mixed blocks' entry tuples and renders the canonical text from
     them directly. The sums run in ints, differing bits grouped by
-    serialization length, and each mean is one exact Fraction.
+    serialization length, and the bit mean adds one exact Fraction per
+    distinct length.
     Deterministic given (key, message_length, trials, rng_seed).
     """
     if message_length < 1:
@@ -172,14 +180,12 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
             "single-character changes touched at most %d blocks" % max_spread
         )
     total_blocks = -(-message_length // BLOCK_SYMBOLS)
-    # the mean of bits / (8 * length) over trials, over one common denominator
-    denominator = 8 * math.lcm(*bits_by_length)
-    bit_numerator = sum(bits * (denominator // (8 * n)) for n, bits in bits_by_length.items())
+    bit_fraction = sum(Fraction(bits, 8 * n) for n, bits in bits_by_length.items()) / trials
     return AvalancheReport(
         trials=trials,
         message_length=message_length,
         mean_changed_block_fraction=Fraction(changed_blocks, total_blocks * trials),
-        mean_changed_bit_fraction=Fraction(bit_numerator, denominator * trials),
+        mean_changed_bit_fraction=bit_fraction,
         locality_histogram=dict(histogram),
         finding=finding,
     )
@@ -318,25 +324,13 @@ class BenchReport:
             {
                 "version": FORMAT_VERSION,
                 "repetitions": self.repetitions,
-                "rows": [
-                    {
-                        "message_length": r.message_length,
-                        "encrypt_seconds": r.encrypt_seconds,
-                        "decrypt_seconds": r.decrypt_seconds,
-                        "ciphertext_bytes": r.ciphertext_bytes,
-                    }
-                    for r in self.rows
-                ],
+                "rows": [asdict(r) for r in self.rows],
             }
         )
 
     def to_csv_text(self) -> str:
-        lines = ["message_length,encrypt_seconds,decrypt_seconds,ciphertext_bytes"]
-        for r in self.rows:
-            lines.append(
-                "%d,%.9f,%.9f,%d"
-                % (r.message_length, r.encrypt_seconds, r.decrypt_seconds, r.ciphertext_bytes)
-            )
+        lines = [",".join(f.name for f in fields(BenchRow))]
+        lines += ["%d,%.9f,%.9f,%d" % astuple(r) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 

@@ -138,6 +138,8 @@ class CiphertextEnvelope:
 
     def __init__(self, version, pad_count, blocks):
         blocks = tuple(blocks)
+        if not isinstance(pad_count, int) or isinstance(pad_count, bool):
+            raise TypeError("pad_count must be an int, got %r" % (pad_count,))
         if not 0 <= pad_count < BLOCK_SYMBOLS:
             raise ValueError("pad_count must be in [0, 3]")
         if not blocks and pad_count != 0:
@@ -201,6 +203,20 @@ def keygen(rng_seed: int) -> KeyMaterial:
     quarter_turns = rng.below(4)
     prime_seed = rng.next_u64()
     return KeyMaterial(matrix, fib_index, quarter_turns, prime_seed)
+
+
+def _is_format_version(value):
+    """Whether value is FORMAT_VERSION: an int, not a bool, equal to it."""
+    return isinstance(value, int) and not isinstance(value, bool) and value == FORMAT_VERSION
+
+
+def _require_symbol_count(count):
+    """Refuse a ciphertext of more symbols than the longest message."""
+    if count > MAX_MESSAGE_BYTES:
+        raise CorruptCiphertextError(
+            "ciphertext carries %d symbols, more than the %d-byte message limit"
+            % (count, MAX_MESSAGE_BYTES)
+        )
 
 
 def _require_length(length):
@@ -402,15 +418,11 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
     CorruptValueError or SymbolRangeError (per-symbol decode failure).
     """
     _require_valid(key)
-    if envelope.version != FORMAT_VERSION:
+    if not _is_format_version(envelope.version):
         raise CorruptCiphertextError(
             "unsupported ciphertext version %r" % (envelope.version,)
         )
-    if envelope.message_length > MAX_MESSAGE_BYTES:
-        raise CorruptCiphertextError(
-            "ciphertext carries %d symbols, more than the %d-byte message limit"
-            % (envelope.message_length, MAX_MESSAGE_BYTES)
-        )
+    _require_symbol_count(envelope.message_length)
     d, det_k = _unmix_map(key)
     flat = []
     # lazily, so that a wrong key stops at its first bad block

@@ -2,9 +2,11 @@
 
 Subcommands: keygen, encrypt, decrypt, attack, avalanche, bench. File
 formats are the canonical JSON formats from the formats module. The path
-"-" means stdin/stdout for encrypt and decrypt payloads. Output files are
-written atomically (temp file then rename), so a failing run never leaves
-a partial file behind.
+"-" means stdin/stdout for encrypt and decrypt payloads, and a report
+without --out goes to stdout. Each command returns its outputs as
+(path, bytes) pairs, and main alone writes them, in order. Output files
+are written atomically (temp file then rename), so a failing run never
+leaves a partial file behind.
 
 Exit codes:
     0  success
@@ -112,14 +114,14 @@ def build_parser():
 
     p = sub.add_parser("attack", help="recover the composite linear map from known pairs")
     p.add_argument("--pairs", required=True, help="pair file (plaintext/ciphertext blocks)")
-    p.add_argument("--out", help="write the result JSON here instead of stdout")
+    p.add_argument("--out", default="-", help="write the result JSON here instead of stdout")
 
     p = sub.add_parser("avalanche", help="measure single-character diffusion under a key")
     p.add_argument("--key", required=True, help="key file")
     p.add_argument("--length", type=int, default=40, help="message length (default 40)")
     p.add_argument("--trials", type=int, default=1000, help="number of trials (default 1000)")
     p.add_argument("--seed", type=_parse_seed, default=0, help="trial RNG seed (default 0)")
-    p.add_argument("--out", help="write the report JSON here instead of stdout")
+    p.add_argument("--out", default="-", help="write the report JSON here instead of stdout")
     p.add_argument("--csv", help="also write the locality histogram as CSV")
 
     p = sub.add_parser("bench", help="measure encrypt/decrypt wall time per length")
@@ -129,27 +131,29 @@ def build_parser():
     p.add_argument("--repetitions", type=int, default=5,
                    help="repetitions per length, median reported (default 5)")
     p.add_argument("--seed", type=_parse_seed, default=0, help="message RNG seed (default 0)")
-    p.add_argument("--out", help="write the report JSON here instead of stdout")
+    p.add_argument("--out", default="-", help="write the report JSON here instead of stdout")
     p.add_argument("--csv", help="also write the measurement table as CSV")
     return parser
 
 
-def _read_bytes(path):
-    if path == "-":
+def _read_bytes(path, stdin=True):
+    """The bytes of a file, or of stdin when stdin is set and path is "-"."""
+    if stdin and path == "-":
         return sys.stdin.buffer.read()
     with open(path, "rb") as handle:
         return handle.read()
 
 
 def _read_text(path, what, stdin=False):
-    """The UTF-8 text of a file, or of stdin when stdin is set and path is "-"."""
+    """The UTF-8 text of _read_bytes(path, stdin), newlines translated as
+    open() does."""
     try:
-        if stdin and path == "-":  # newlines translated as open() does
-            return sys.stdin.buffer.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        text = _read_bytes(path, stdin).decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError("%s: not valid UTF-8" % what)
+    if "\r" in text:  # one scan; two replace calls would copy the text twice
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _write_atomic(path, data: bytes):
@@ -184,17 +188,8 @@ def _load_key(path):
         raise InvalidKeyError(str(exc)) from None
 
 
-def _emit_report(text, out_path):
-    if out_path:
-        _write_atomic(out_path, text.encode())
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_keygen(args):
-    key = keygen(args.seed)
-    _write_atomic(args.out, serialize_key(key).encode())
-    return EXIT_OK
+    return [(args.out, serialize_key(keygen(args.seed)).encode())]
 
 
 def _cmd_encrypt(args):
@@ -202,43 +197,30 @@ def _cmd_encrypt(args):
     message = _read_bytes(args.input)
     with _usage_errors():
         envelope = encrypt(message, key, byte_mode=args.byte_mode)
-    _write_atomic(args.out, serialize_ciphertext(envelope).encode())
-    return EXIT_OK
+    return [(args.out, serialize_ciphertext(envelope).encode())]
 
 
 def _cmd_decrypt(args):
     key = _load_key(args.key)
     envelope = parse_ciphertext(_read_text(args.input, "ciphertext file", stdin=True))
-    message = decrypt(envelope, key, byte_mode=args.byte_mode)
-    _write_atomic(args.out, message)
-    return EXIT_OK
+    return [(args.out, decrypt(envelope, key, byte_mode=args.byte_mode))]
 
 
 def _cmd_attack(args):
     pairs = parse_pairs(_read_text(args.pairs, "pair file"))
-    result = known_plaintext_attack(pairs)
-    _emit_report(result.to_json_text(), args.out)
-    return EXIT_OK
+    return [(args.out, known_plaintext_attack(pairs).to_json_text().encode())]
 
 
-def _cmd_avalanche(args):
+def _cmd_report(args):
+    """avalanche and bench: the report's CSV, if asked for, then its JSON."""
     key = _load_key(args.key)
     with _usage_errors():
-        report = avalanche_test(key, args.length, args.trials, args.seed)
-    if args.csv:
-        _write_atomic(args.csv, report.to_csv_text().encode())
-    _emit_report(report.to_json_text(), args.out)
-    return EXIT_OK
-
-
-def _cmd_bench(args):
-    key = _load_key(args.key)
-    with _usage_errors():
-        report = benchmark(args.lengths, key, args.repetitions, rng_seed=args.seed)
-    if args.csv:
-        _write_atomic(args.csv, report.to_csv_text().encode())
-    _emit_report(report.to_json_text(), args.out)
-    return EXIT_OK
+        if args.command == "avalanche":
+            report = avalanche_test(key, args.length, args.trials, args.seed)
+        else:
+            report = benchmark(args.lengths, key, args.repetitions, rng_seed=args.seed)
+    csv = [(args.csv, report.to_csv_text().encode())] if args.csv else []
+    return csv + [(args.out, report.to_json_text().encode())]
 
 
 _COMMANDS = {
@@ -246,8 +228,8 @@ _COMMANDS = {
     "encrypt": _cmd_encrypt,
     "decrypt": _cmd_decrypt,
     "attack": _cmd_attack,
-    "avalanche": _cmd_avalanche,
-    "bench": _cmd_bench,
+    "avalanche": _cmd_report,
+    "bench": _cmd_report,
 }
 
 
@@ -267,13 +249,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
-        return handler(args)
+        for path, data in handler(args):
+            _write_atomic(path, data)
     except CipherError as exc:
         return _fail(exc, exc.exit_code)
     except ValueError as exc:
         return _fail(exc, EXIT_USAGE)
     except OSError as exc:
         return _fail(exc, EXIT_IO)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -25,7 +25,11 @@ Pair file (known-plaintext attack input):
 
 Parsers are strict: unknown, missing or repeated fields, non-canonical
 numbers, and version mismatches all raise FormatError, as does any text
-that is not JSON. Serializers raise FormatError too, naming the field,
+that is not JSON. The version must be the JSON integer 1: 1.0, 1e0 and
+true are mismatches. parse_ciphertext also raises CorruptCiphertextError,
+before it parses any block, when the file claims more symbols
+(4 * len(blocks) - pad_count) than MAX_MESSAGE_BYTES, so an over-long
+file costs one json.loads and no block. Serializers raise FormatError too, naming the field,
 when a number is too long for Python's int/str conversion limit
 (sys.get_int_max_str_digits, 4,300 digits by default), so no malformed or
 oversized value ever surfaces as a raw ValueError.
@@ -39,7 +43,14 @@ import json
 import re
 from itertools import chain
 
-from .cipher import FORMAT_VERSION, CiphertextEnvelope, KeyMaterial
+from .cipher import (
+    BLOCK_SYMBOLS,
+    FORMAT_VERSION,
+    CiphertextEnvelope,
+    KeyMaterial,
+    _is_format_version,
+    _require_symbol_count,
+)
 from .errors import FormatError
 from .matrices import IntMatrix
 from .primes import MAX_U64
@@ -113,7 +124,7 @@ def _expect_fields(obj, fields, what):
 
 
 def _expect_version(value, what):
-    if value != FORMAT_VERSION:
+    if not _is_format_version(value):
         raise FormatError("%s: unsupported version %s" % (what, _shown(value)))
 
 
@@ -233,6 +244,7 @@ def parse_ciphertext(text: str) -> CiphertextEnvelope:
         raise FormatError("ciphertext file: blocks must be a list")
     if not blocks_raw and pad_count != 0:
         raise FormatError("ciphertext file: an empty block list cannot carry padding")
+    _require_symbol_count(BLOCK_SYMBOLS * len(blocks_raw) - pad_count)
     return CiphertextEnvelope(FORMAT_VERSION, pad_count, _parse_blocks(blocks_raw))
 
 

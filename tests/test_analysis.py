@@ -26,13 +26,19 @@ from cubecipher import (
     benchmark,
     block_map,
     decode_symbol,
+    decrypt,
     decrypt_block,
     encode_symbol,
+    encrypt,
     encrypt_block,
+    fibonacci_q,
     growth_exponent,
     keygen,
     known_plaintext_attack,
     prime_stream,
+    rotation,
+    serialize_ciphertext,
+    solve_depressed_cubic,
 )
 from spec import outcome, reference_apply_composite, reference_attack, reference_avalanche_test
 
@@ -314,6 +320,13 @@ def test_attack_needs_four_independent_pairs():
     assert excinfo.value.rank == 1
 
 
+@pytest.mark.parametrize("pair", [((1, 2, 3, 4), IntMatrix.identity(2)),
+                                  (IntMatrix.identity(2), IntMatrix(4, 1, (1, 2, 3, 4)))])
+def test_attack_pairs_must_be_blocks(pair):
+    with pytest.raises(TypeError, match="attack pairs must be 2x2 IntMatrix values"):
+        known_plaintext_attack([pair] * 4)
+
+
 def test_attack_flags_inconsistent_pairs():
     rng = random.Random(43)
     good = pairs_for_key(keygen(6), 4, rng)
@@ -356,6 +369,45 @@ def test_attack_does_not_reveal_characters_without_the_prime_stream():
     assert failures >= trials * 99 // 100
 
 
+def _rearranged(composite):
+    """The 4x4 rearrangement of a block map: row 2b + i, column 2a + j holds
+    M[4(2i + j) + 2a + b], which is P[2b + i] * K[2a + j] for M = map(P, K)."""
+    return [[composite[4 * (2 * i + j) + 2 * a + b] for a in (0, 1) for j in (0, 1)]
+            for b in (0, 1) for i in (0, 1)]
+
+
+def test_the_recovered_map_fixes_the_chain_and_the_key_up_to_one_sign():
+    # the map is the outer product vec(P) vec(K)^T, rank 1; (-K, n, r + 2)
+    # is a twin key, since rotation(r + 2) == -rotation(r)
+    rng = random.Random(59)
+    for _ in range(60):
+        key = keygen(rng.getrandbits(64))
+        k = key.key_matrix.entries
+        p = (fibonacci_q(key.fib_index) @ rotation(key.quarter_turns)).entries
+        recovered = known_plaintext_attack(pairs_for_key(key, 4, rng)).composite_map
+        assert _rearranged(recovered) == [[pq * ks for ks in k] for pq in p]
+
+        twin = KeyMaterial(IntMatrix(2, 2, tuple(-e for e in k)), key.fib_index,
+                           (key.quarter_turns + 2) % 4, key.prime_seed)
+        assert twin != key
+        assert block_map(twin) == block_map(key)
+        message = bytes(rng.randrange(128) for _ in range(rng.randrange(1, 40)))
+        envelope = encrypt(message, key)
+        assert serialize_ciphertext(encrypt(message, twin)) == serialize_ciphertext(envelope)
+        assert decrypt(envelope, twin) == message
+
+
+def test_known_plaintext_gives_the_prime_at_each_position_it_covers():
+    # the inverse map gives every t; its root n and the known byte x give p = n - x
+    rng = random.Random(61)
+    key = keygen(12)
+    inverse = known_plaintext_attack(swapped(pairs_for_key(key, 4, rng))).composite_map
+    message = bytes(rng.randrange(128) for _ in range(64))
+    ts = [t for block in encrypt(message, key).blocks for t in apply_composite(inverse, block).entries]
+    primes = [solve_depressed_cubic(t) - x for t, x in zip(ts, message)]
+    assert primes == prime_stream(key.prime_seed, len(message))
+
+
 def test_benchmark_single_length():
     report = benchmark([4], keygen(1), repetitions=2)
     assert len(report.rows) == 1
@@ -375,6 +427,8 @@ def test_benchmark_argument_validation():
         benchmark([16, 8], key, 1)
     with pytest.raises(ValueError):
         benchmark([8, 16], key, 0)
+    with pytest.raises(ValueError, match="lengths must be positive"):
+        benchmark([0, 8], key, 1)
 
 
 def test_benchmark_ciphertext_bytes_grow_linearly():

@@ -129,6 +129,9 @@ def test_key_material_construction_rules():
         KeyMaterial(IntMatrix.identity(3), 1, 0, 0)
     with pytest.raises(TypeError):
         KeyMaterial("not a matrix", 1, 0, 0)
+    for fields in ((1.0, 0, 0), (1, True, 0), (1, 0, "7")):
+        with pytest.raises(TypeError, match="must be an int"):
+            KeyMaterial(IntMatrix.identity(2), *fields)
     with pytest.raises(ValueError):
         KeyMaterial(IntMatrix.identity(2), 1, 0, -1)
     with pytest.raises(ValueError):
@@ -393,9 +396,10 @@ def test_encrypt_rejects_str():
 def test_decrypt_rejects_other_version():
     key = keygen(8)
     env = encrypt(b"abcd", key)
-    tampered = CiphertextEnvelope(2, env.pad_count, env.blocks)
-    with pytest.raises(CorruptCiphertextError):
-        decrypt(tampered, key)
+    for version in (2, True, 1.0):
+        tampered = CiphertextEnvelope(version, env.pad_count, env.blocks)
+        with pytest.raises(CorruptCiphertextError, match="unsupported ciphertext version"):
+            decrypt(tampered, key)
 
 
 def test_wrong_key_never_crashes_untyped():
@@ -523,6 +527,13 @@ def test_envelope_validation():
         CiphertextEnvelope(1, 1, ())
     with pytest.raises(TypeError):
         CiphertextEnvelope(1, 0, (IntMatrix.identity(3),))
+
+
+@pytest.mark.parametrize("pad_count", [3.0, True, "1", None])
+def test_envelope_pad_count_must_be_an_int(pad_count):
+    # a float pad count used to reach decrypt's slicing, and True passed as 1
+    with pytest.raises(TypeError, match="pad_count must be an int, got "):
+        CiphertextEnvelope(1, pad_count, (IntMatrix.identity(2),))
 
 
 def _outcome(unmix, block, key):

@@ -128,6 +128,20 @@ def test_overlong_ciphertext_entry_exits_4(tmp_path, capsys):
     assert "9999" not in err
 
 
+def test_ciphertext_of_too_many_blocks_exits_4(tmp_path, capsys):
+    # a ~3 MB file of 150,000 blocks is refused by its block count
+    ct = tmp_path / "ct.json"
+    ct.write_text(json.dumps({"version": 1, "pad_count": 0, "blocks": [["1"] * 4] * 150_000}))
+    assert ct.stat().st_size > 3_000_000
+    out = tmp_path / "o"
+    assert run(["decrypt", "--key", FIXTURES / "golden_key.json", "--in", ct, "--out", out]) == 4
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "cubecipher: error: ciphertext carries 600000 symbols, "
+        "more than the 6542-byte message limit\n"
+    )
+
+
 def test_missing_input_file_exits_5(tmp_path):
     key = tmp_path / "k.json"
     run(["keygen", "--seed", 5, "--out", key])
@@ -141,6 +155,43 @@ def test_bad_arguments_exit_2(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         run(["no-such-command"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["keygen", "--seed", "x", "--out", "k.json"], "argument --seed: seed must be an integer"),
+        (["keygen", "--seed", -1, "--out", "k.json"], "argument --seed: seed must fit in 64 unsigned bits"),
+        (["keygen", "--seed", 1 << 64, "--out", "k.json"],
+         "argument --seed: seed must fit in 64 unsigned bits"),
+        (["bench", "--key", "k.json", "--lengths", "8,x"],
+         "argument --lengths: lengths must be comma-separated integers"),
+        (["bench", "--key", "k.json", "--lengths", " , "], "argument --lengths: lengths must not be empty"),
+    ],
+)
+def test_argument_type_errors_exit_2(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith("error: %s\n" % message)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["avalanche", "--trials", 0], "trials must be at least 1"),
+        (["avalanche", "--length", 0], "message_length must be at least 1"),
+        (["bench", "--lengths", "16,8"], "lengths must be strictly increasing"),
+        (["bench", "--lengths", "0,8"], "lengths must be positive"),
+        (["bench", "--repetitions", 0], "repetitions must be at least 1"),
+    ],
+)
+def test_bad_analysis_values_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "report.json"
+    assert run(argv + ["--key", FIXTURES / "golden_key.json", "--out", out]) == 2
+    assert capsys.readouterr().err == "cubecipher: error: %s\n" % message
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_the_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
@@ -295,13 +346,77 @@ def test_avalanche_command(tmp_path):
 def test_bench_command(tmp_path):
     key = tmp_path / "k.json"
     report = tmp_path / "report.json"
+    csv = tmp_path / "report.csv"
     run(["keygen", "--seed", 14, "--out", key])
     code = run(
-        ["bench", "--key", key, "--lengths", "4,8", "--repetitions", 1, "--out", report]
+        ["bench", "--key", key, "--lengths", "4,8", "--repetitions", 1, "--out", report,
+         "--csv", csv]
     )
     assert code == 0
     doc = json.loads(report.read_text(encoding="utf-8"))
     assert [row["message_length"] for row in doc["rows"]] == [4, 8]
+    lines = csv.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "message_length,encrypt_seconds,decrypt_seconds,ciphertext_bytes"
+    assert [line.split(",") for line in lines[1:]] == [
+        ["%d" % row["message_length"], "%.9f" % row["encrypt_seconds"],
+         "%.9f" % row["decrypt_seconds"], "%d" % row["ciphertext_bytes"]]
+        for row in doc["rows"]
+    ]
+
+
+def _args(argv):
+    return cli._parser().parse_args([str(a) for a in argv])
+
+
+def test_commands_return_their_outputs_and_main_writes_them(tmp_path):
+    key, report, csv = tmp_path / "k.json", tmp_path / "report.json", tmp_path / "h.csv"
+    argv = ["avalanche", "--key", FIXTURES / "golden_key.json", "--length", 9, "--trials", 5,
+            "--out", report, "--csv", csv]
+    outputs = cli._COMMANDS["avalanche"](_args(argv))
+    assert list(tmp_path.iterdir()) == []  # the command itself writes nothing
+    assert [path for path, _ in outputs] == [str(csv), str(report)]
+    assert outputs[1][1].startswith(b"{")
+    assert cli._COMMANDS["keygen"](_args(["keygen", "--seed", 3, "--out", key])) == [
+        (str(key), serialize_key(keygen(3)).encode())
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+    assert run(argv) == 0
+    assert (csv.read_bytes(), report.read_bytes()) == (outputs[0][1], outputs[1][1])
+
+
+def test_reports_without_out_go_to_stdout(tmp_path, capsysbinary):
+    pairs = tmp_path / "pairs.json"
+    rng = random.Random(8)
+    key = keygen(33)
+    blocks = [IntMatrix(2, 2, tuple(rng.randrange(10**6) for _ in range(4))) for _ in range(5)]
+    pairs.write_text(serialize_pairs([(b, encrypt_block(b, key)) for b in blocks]), encoding="utf-8")
+    for argv in (["attack", "--pairs", pairs],
+                 ["avalanche", "--key", FIXTURES / "golden_key.json", "--length", 6, "--trials", 4]):
+        out = tmp_path / "out.json"
+        assert run(argv + ["--out", out]) == 0
+        assert run(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+        assert run(argv + ["--out", "-"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_key_and_pair_files_named_dash_are_files(tmp_path, monkeypatch, capsys):
+    # only payloads (--in and --out of encrypt and decrypt) take "-" for stdin
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-").write_bytes((FIXTURES / "golden_key.json").read_bytes())
+
+    class FakeStdin:
+        buffer = io.BytesIO((FIXTURES / "golden_message.txt").read_bytes())
+
+    monkeypatch.setattr("sys.stdin", FakeStdin())
+    assert run(["encrypt", "--key", "-", "--in", "-", "--out", "ct.json"]) == 0
+    assert (tmp_path / "ct.json").read_bytes() == (FIXTURES / "golden_ciphertext.json").read_bytes()
+
+    block = IntMatrix(2, 2, (1, 2, 3, 4))
+    (tmp_path / "-").write_text(serialize_pairs([(block, encrypt_block(block, keygen(1)))] * 4),
+                                encoding="utf-8")
+    assert run(["attack", "--pairs", "-"]) == 2  # read as a file: rank 1
 
 
 def test_outputs_are_written_atomically(tmp_path):

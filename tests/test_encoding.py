@@ -51,6 +51,8 @@ def test_encode_symbol_validation():
         encode_symbol(-1, 13)
     with pytest.raises(ValueError):
         encode_symbol(65, 1)
+    with pytest.raises(ValueError, match="prime must be at least 2"):
+        decode_symbol(79079, 1)
 
 
 def test_decode_symbol_worked_example():

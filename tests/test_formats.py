@@ -8,10 +8,13 @@ import pytest
 
 from cubecipher import (
     CiphertextEnvelope,
+    CorruptCiphertextError,
     FormatError,
     IntMatrix,
     KeyMaterial,
     encrypt,
+    encrypt_block,
+    formats,
     keygen,
     parse_ciphertext,
     parse_key,
@@ -130,6 +133,29 @@ def test_ciphertext_parsing_rejects_bad_documents():
         parse_ciphertext('{"version": 1, "pad_count": 0, "blocks": [["1", "2", "3"]]}')
     with pytest.raises(FormatError):
         parse_ciphertext('{"version": 1, "pad_count": 1, "blocks": []}')
+    with pytest.raises(FormatError, match="^ciphertext file: blocks must be a list$"):
+        parse_ciphertext('{"version": 1, "pad_count": 0, "blocks": {}}')
+
+
+def _ciphertext_of(block_count, pad_count):
+    return json.dumps({"version": 1, "pad_count": pad_count,
+                       "blocks": [["0", "0", "0", "0"]] * block_count})
+
+
+def test_parse_ciphertext_refuses_too_many_symbols_before_parsing_blocks(monkeypatch):
+    # 1,636 blocks less 2 pad slots is the 6,542-symbol limit
+    assert len(parse_ciphertext(_ciphertext_of(1636, 2)).blocks) == 1636
+
+    def no_blocks(blocks_raw):
+        raise AssertionError("blocks parsed")
+
+    monkeypatch.setattr(formats, "_parse_blocks", no_blocks)
+    for block_count, pad_count, symbols in ((1636, 1, 6543), (1637, 3, 6545), (250_000, 0, 10**6)):
+        with pytest.raises(CorruptCiphertextError) as excinfo:
+            parse_ciphertext(_ciphertext_of(block_count, pad_count))
+        assert str(excinfo.value) == (
+            "ciphertext carries %d symbols, more than the 6542-byte message limit" % symbols
+        )
 
 
 def test_pair_file_round_trip():
@@ -151,6 +177,30 @@ def test_pair_file_rejects_bad_documents():
         parse_pairs('{"version": 1, "pairs": [{"plaintext": ["1","2","3","4"]}]}')
     with pytest.raises(FormatError):
         parse_pairs('{"version": 2, "pairs": []}')
+    with pytest.raises(FormatError, match=r"^pair file: pairs\[1\] must be an object$"):
+        parse_pairs('{"version": 1, "pairs": [{"plaintext": ["1", "2", "3", "4"],'
+                    ' "ciphertext": ["5", "6", "7", "8"]}, [1]]}')
+
+
+def _good_documents():
+    """One genuine key, ciphertext and pair file, with their parsers."""
+    key = keygen(4)
+    block = IntMatrix(2, 2, (1, 2, 3, 4))
+    return [
+        (parse_key, serialize_key(key)),
+        (parse_ciphertext, serialize_ciphertext(encrypt(b"version", key))),
+        (parse_pairs, serialize_pairs([(block, encrypt_block(block, key))])),
+    ]
+
+
+@pytest.mark.parametrize("version", ["1.0", "true", "1e0"])
+def test_version_must_be_the_integer_one(version):
+    for parse, text in _good_documents():
+        parse(text)
+        bad = text.replace('"version": 1,', '"version": %s,' % version, 1)
+        assert bad != text
+        with pytest.raises(FormatError, match="unsupported version"):
+            parse(bad)
 
 
 def test_duplicate_names_are_rejected():
