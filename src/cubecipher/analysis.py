@@ -54,6 +54,7 @@ from .cipher import (
     _divide_exactly,
     _map_blocks,
     _mix,
+    _primes,
     _require_length,
     _require_valid,
     decrypt,
@@ -62,7 +63,7 @@ from .cipher import (
 from .errors import InsufficientPairsError
 from .formats import _ciphertext_text, _format_decimal, dumps_canonical, serialize_ciphertext
 from .matrices import IntMatrix
-from .primes import Xorshift64Star, prime_stream
+from .primes import Xorshift64Star
 
 __all__ = [
     "AvalancheReport",
@@ -133,9 +134,10 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
     key, and records the number of ciphertext blocks that differ plus the
     fraction of differing bits over the canonical serializations (the
     shorter one zero-padded to the longer one's length). Every message has
-    the same length and key, so the key's block map and prime stream are
-    built once per call. A trial builds no block or envelope: it compares
-    the mixed blocks' entry tuples and renders the canonical text from
+    the same length and key, so the key's block map is built once per
+    call, and its primes come from the key object, which draws them once
+    for all calls under it (see KeyMaterial). A trial builds no block or
+    envelope: it compares the mixed blocks' entry tuples and renders the canonical text from
     them directly. The sums run in ints, differing bits grouped by
     serialization length, and the bit mean adds one exact Fraction per
     distinct length.
@@ -148,7 +150,7 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
     _require_valid(key)
     _require_length(message_length)
     m = _block_map(key)
-    primes = prime_stream(key.prime_seed, message_length)
+    primes = _primes(key, message_length)
     rng = Xorshift64Star(rng_seed)
     histogram = Counter()
     changed_blocks = 0
@@ -340,7 +342,12 @@ def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
     lengths must be strictly increasing, the longest at most
     MAX_MESSAGE_BYTES (else CipherError, before any timing). Message
     contents are drawn deterministically from rng_seed; the timing fields
-    are the only machine-dependent part of the report.
+    are the only machine-dependent part of the report. Every call uses
+    the one key object, which keeps the primes it draws (see
+    KeyMaterial): the first encrypt at each length draws the prime
+    stream and the other repetitions reuse it, so with three or more
+    repetitions the medians are the per-call cost under a key that has
+    already drawn its primes.
     """
     lengths = list(lengths)
     if not lengths:

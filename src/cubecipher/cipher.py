@@ -41,6 +41,7 @@ This cipher is a linear map per block and is NOT secure for real use; see
 the README and the analysis module's known-plaintext attack.
 """
 
+from array import array
 from dataclasses import dataclass
 
 from .encoding import ASCII_MAX, BYTE_MAX, _decode_all, decode_symbol, encode_symbol
@@ -104,6 +105,13 @@ class KeyMaterial:
     Construction checks shapes and ranges only; value-level validity
     (invertibility, positive index) is validate_key's job so that invalid
     keys can be represented and diagnosed.
+
+    A key keeps the primes drawn under it: encrypt, decrypt and
+    avalanche_test draw the prime stream once per key object, up to the
+    longest message seen, and reuse that prefix, at most 13 KiB (2 bytes
+    per prime). The prefix is not a field, so equality, hash, repr and the
+    key file are those of the four fields alone; copies and pickles carry
+    it, and dataclasses.replace starts a key without one.
     """
 
     key_matrix: IntMatrix
@@ -138,10 +146,7 @@ class CiphertextEnvelope:
 
     def __init__(self, version, pad_count, blocks):
         blocks = tuple(blocks)
-        if not isinstance(pad_count, int) or isinstance(pad_count, bool):
-            raise TypeError("pad_count must be an int, got %r" % (pad_count,))
-        if not 0 <= pad_count < BLOCK_SYMBOLS:
-            raise ValueError("pad_count must be in [0, 3]")
+        _require_pad_count(pad_count)
         if not blocks and pad_count != 0:
             raise ValueError("an empty envelope cannot carry padding")
         for b in blocks:
@@ -157,6 +162,14 @@ class CiphertextEnvelope:
     @property
     def message_length(self):
         return BLOCK_SYMBOLS * len(self.blocks) - self.pad_count
+
+
+def _require_pad_count(pad_count):
+    """Refuse a pad count that is not an int (bools included) in [0, 3]."""
+    if not isinstance(pad_count, int) or isinstance(pad_count, bool):
+        raise TypeError("pad_count must be an int, got %r" % (pad_count,))
+    if not 0 <= pad_count < BLOCK_SYMBOLS:
+        raise ValueError("pad_count must be in [0, 3]")
 
 
 def validate_key(key: KeyMaterial):
@@ -210,6 +223,17 @@ def _is_format_version(value):
     return isinstance(value, int) and not isinstance(value, bool) and value == FORMAT_VERSION
 
 
+def _require_format_version(version):
+    """Refuse an envelope whose version is not FORMAT_VERSION."""
+    if not _is_format_version(version):
+        # an int can be too long to print
+        if isinstance(version, int) and version.bit_length() > 64:
+            shown = "a %d-bit int" % version.bit_length()
+        else:
+            shown = repr(version)
+        raise CorruptCiphertextError("unsupported ciphertext version %s" % shown)
+
+
 def _require_symbol_count(count):
     """Refuse a ciphertext of more symbols than the longest message."""
     if count > MAX_MESSAGE_BYTES:
@@ -225,6 +249,22 @@ def _require_length(length):
             "message is %d bytes, longer than the %d-byte limit (one distinct prime "
             "below 2**16 per byte)" % (length, MAX_MESSAGE_BYTES)
         )
+
+
+def _primes(key, count):
+    """The first count primes of key's stream, drawn once per key object.
+
+    The key keeps the longest prefix drawn so far, as an array of 16-bit
+    primes, set in one assignment; a longer request draws the stream anew,
+    which gives the same primes draw for draw at any count. Two threads
+    may both draw, and whichever prefix is kept is correct, so no lock is
+    needed.
+    """
+    drawn = getattr(key, "_drawn_primes", ())
+    if count > len(drawn):
+        drawn = array("H", prime_stream(key.prime_seed, count))
+        object.__setattr__(key, "_drawn_primes", drawn)
+    return drawn[:count]
 
 
 def _padded(ts):
@@ -253,7 +293,9 @@ def blockify(ts):
 def deblockify(blocks, pad_count: int):
     """Inverse of blockify; checks that every stripped pad slot is exactly 0.
 
-    Each block must be a 2x2 IntMatrix (TypeError otherwise, ValueError
+    pad_count must be an int in [0, 3], as in CiphertextEnvelope
+    (TypeError otherwise, bools included, ValueError out of range). Each
+    block must be a 2x2 IntMatrix (TypeError otherwise, ValueError
     for another shape, as encrypt_block). A nonzero value in a pad
     position means the ciphertext was tampered with or decrypted under the
     wrong key, and raises CorruptCiphertextError naming the offending slot
@@ -261,8 +303,7 @@ def deblockify(blocks, pad_count: int):
     which can be too long to print.
     """
     blocks = list(blocks)
-    if not 0 <= pad_count < BLOCK_SYMBOLS:
-        raise ValueError("pad_count must be in [0, 3]")
+    _require_pad_count(pad_count)
     if not blocks:
         if pad_count != 0:
             raise ValueError("no blocks to strip padding from")
@@ -392,7 +433,9 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
     offending index; byte mode accepts the full [0, 255] range. One prime
     is drawn per byte position from the key's seeded stream, so a message
     longer than MAX_MESSAGE_BYTES raises CipherError, after the key check
-    and before any other work.
+    and before any other work. The key object keeps the primes it draws
+    (see KeyMaterial), so later calls under it draw the stream again only
+    for a longer message.
     """
     if isinstance(message, str):
         raise TypeError("encrypt takes bytes; encode the string first")
@@ -406,7 +449,7 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
                     "byte 0x%02x at index %d is not 7-bit ASCII; enable byte mode"
                     % (b, i)
                 )
-    pad_count, vectors = _mix(message, _block_map(key), prime_stream(key.prime_seed, len(message)))
+    pad_count, vectors = _mix(message, _block_map(key), _primes(key, len(message)))
     return CiphertextEnvelope(FORMAT_VERSION, pad_count, [IntMatrix(2, 2, v) for v in vectors])
 
 
@@ -416,12 +459,12 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
     Raises NonIntegralResultError (wrong key), CorruptCiphertextError
     (framing or padding damage, or more symbols than MAX_MESSAGE_BYTES),
     CorruptValueError or SymbolRangeError (per-symbol decode failure).
+    As in encrypt, the key object keeps the primes it draws (see
+    KeyMaterial), so a decrypt after an encrypt of the same message under
+    one key object draws no primes.
     """
     _require_valid(key)
-    if not _is_format_version(envelope.version):
-        raise CorruptCiphertextError(
-            "unsupported ciphertext version %r" % (envelope.version,)
-        )
+    _require_format_version(envelope.version)
     _require_symbol_count(envelope.message_length)
     d, det_k = _unmix_map(key)
     flat = []
@@ -432,7 +475,7 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
         except NonIntegralResultError as exc:
             raise NonIntegralResultError("block %d: %s" % (i, exc)) from None
     ts = _strip_pad(flat, envelope.pad_count)
-    primes = prime_stream(key.prime_seed, len(ts))
+    primes = _primes(key, len(ts))
     max_code = BYTE_MAX if byte_mode else ASCII_MAX
     codes = _decode_all(ts, primes, max_code)
     if codes is not None:

@@ -49,6 +49,7 @@ from .cipher import (
     CiphertextEnvelope,
     KeyMaterial,
     _is_format_version,
+    _require_format_version,
     _require_symbol_count,
 )
 from .errors import FormatError
@@ -207,7 +208,12 @@ _CIPHERTEXT_BLOCK = '    [\n      "%s",\n      "%s",\n      "%s",\n      "%s"\n 
 
 
 def serialize_ciphertext(envelope: CiphertextEnvelope) -> str:
-    """dumps_canonical of {"version", "pad_count", "blocks"}, as _ciphertext_text renders it."""
+    """dumps_canonical of {"version", "pad_count", "blocks"}, as _ciphertext_text renders it.
+
+    Raises CorruptCiphertextError, as decrypt does, for a version other
+    than FORMAT_VERSION, which parse_ciphertext would not read back.
+    """
+    _require_format_version(envelope.version)
     return _ciphertext_text(envelope.version, envelope.pad_count, [b.entries for b in envelope.blocks])
 
 

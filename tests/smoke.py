@@ -4,10 +4,12 @@
 
 Encrypts and decrypts the golden fixture through cli.main, checks the
 ciphertext byte for byte, checks prime_stream against the scalar reference
-loop at lengths 0 to 6,542 for four seeds, integer_cube_root against bisection around
-2**53, serialize_ciphertext against its reference on 200 keygen envelopes,
-known_plaintext_attack against its reference on 200 pair sets and on two
-sets of ~4,000-digit blocks (one genuine, one arbitrary), and
+loop at lengths 0 to 6,542 for four seeds and so the primes that one key
+object keeps over encrypt and decrypt of 4,000, 16 and 6,542 bytes,
+integer_cube_root against bisection around 2**53, serialize_ciphertext
+against its reference on 200 keygen envelopes, known_plaintext_attack
+against its reference on 200 pair sets and on two sets of ~4,000-digit
+blocks (one genuine, one arbitrary), and
 decrypt_block and apply_composite (with the map and the inverse map the
 attack recovers) against theirs under 200 keygen keys, each on a genuine
 ciphertext block and on one from a wrong key, decrypt's bulk decode
@@ -17,6 +19,7 @@ one with a tampered encoded value, and checks one pinned avalanche
 report. Prints one line and exits 0 on success.
 """
 
+import dataclasses
 import random
 import sys
 import tempfile
@@ -39,6 +42,7 @@ from cubecipher import (
     prime_stream,
     serialize_ciphertext,
 )
+from cubecipher.cipher import _primes
 from cubecipher.encoding import _decode_all
 from spec import (
     attack_outcome,
@@ -47,6 +51,7 @@ from spec import (
     reference_attack,
     reference_decrypt,
     reference_decrypt_block,
+    reference_encrypt,
     reference_integer_cube_root,
     reference_prime_stream,
     reference_serialize_ciphertext,
@@ -55,6 +60,7 @@ from spec import (
 FIXTURES = Path(__file__).parent / "fixtures"
 STREAM_LENGTHS = (0, 1, 16, 136, 256, 1024, 6542)
 STREAM_SEEDS = (5198, 0, 1, (1 << 64) - 1)
+REUSED_KEY_LENGTHS = (4000, 16, 6542)
 
 
 def check(ok, what):
@@ -133,6 +139,17 @@ def main():
             check(prime_stream(seed, length) == expected[:length],
                   "prime stream of seed %d, length %d, differs from the reference"
                   % (seed, length))
+    # one key object keeps the primes it draws: long, short, then longer
+    key = dataclasses.replace(keygen(3), prime_seed=STREAM_SEEDS[-1])
+    rng = random.Random(3)
+    for length in REUSED_KEY_LENGTHS:
+        message = bytes(rng.randrange(128) for _ in range(length))
+        envelope = encrypt(message, key)
+        check(list(_primes(key, length)) == expected[:length],
+              "primes kept by a key, length %d, differ from the reference" % length)
+        check(envelope == reference_encrypt(message, key) and decrypt(envelope, key) == message,
+              "encrypt and decrypt under a reused key, length %d, differ from the reference"
+              % length)
     # float(n) is exact below 2**53 only; the roots start from a float
     for n in [(1 << 53) + d for d in range(-3, 4)] + [k**3 + d for k in (208063, 208064, 208065)
                                                       for d in (-1, 0, 1)]:
@@ -188,7 +205,8 @@ def main():
     check(avalanche_test(keygen(7), 257, 7, 11).to_json_text() == AVALANCHE_REPORT,
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime streams, "
-          "16 cube roots, 200 envelopes, 202 attack pair sets (2 of ~4,000 digits), "
+          "3 round trips under one key, 16 cube roots, 200 envelopes, "
+          "202 attack pair sets (2 of ~4,000 digits), "
           "200 keys' un-mix and composite maps, 65,775 genuine roots, "
           "400 decrypts (200 tampered), 1 avalanche report"
           % (sys.version.split()[0], len(STREAM_SEEDS) * len(STREAM_LENGTHS)))

@@ -14,6 +14,7 @@ from cubecipher import (
     AvalancheReport,
     CipherError,
     CiphertextEnvelope,
+    CorruptCiphertextError,
     CorruptValueError,
     FormatError,
     InsufficientPairsError,
@@ -240,7 +241,14 @@ def reference_serialize_ciphertext(envelope):
     """The ciphertext file as its definition states it: dumps_canonical of
     the {"version", "pad_count", "blocks"} object, each block entry written
     by _format_decimal (so an entry too long for str() raises its
-    FormatError, first entry first)."""
+    FormatError, first entry first). A version other than the int 1 has
+    no file that parse_ciphertext reads, and raises CorruptCiphertextError
+    as decrypt does, naming an int of more than 64 bits by its size."""
+    version = envelope.version
+    if type(version) is bool or not isinstance(version, int) or version != 1:
+        too_long = isinstance(version, int) and abs(version) >= 1 << 64
+        shown = "a %d-bit int" % version.bit_length() if too_long else repr(version)
+        raise CorruptCiphertextError("unsupported ciphertext version %s" % shown)
     obj = {
         "version": envelope.version,
         "pad_count": envelope.pad_count,

@@ -1,11 +1,14 @@
 """Cipher pipeline: key handling, blockification, block chain, round trips."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
 import re
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -536,6 +539,18 @@ def test_envelope_pad_count_must_be_an_int(pad_count):
         CiphertextEnvelope(1, pad_count, (IntMatrix.identity(2),))
 
 
+@pytest.mark.parametrize("pad_count", [3.0, True, "1", None])
+def test_deblockify_pad_count_must_be_an_int(pad_count):
+    # 3.0 used to reach a slice and raise a raw TypeError, and True stripped one slot
+    blocks, _ = blockify([1, 2, 3, 4, 5])
+    with pytest.raises(TypeError) as stripped:
+        deblockify(blocks, pad_count)
+    with pytest.raises(TypeError) as built:
+        CiphertextEnvelope(1, pad_count, blocks)
+    assert str(stripped.value) == str(built.value) == "pad_count must be an int, got %r" % (
+        pad_count,)
+
+
 def _outcome(unmix, block, key):
     """The un-mixed block, or the (row, col) of the entry that failed."""
     try:
@@ -625,3 +640,86 @@ def test_decrypt_refuses_an_overlong_envelope_before_unmixing():
     )
     with pytest.raises(NonIntegralResultError):
         decrypt(CiphertextEnvelope(1, 0, blocks[:1]), key)
+
+
+def _fresh(key):
+    """An equal key object that has drawn no primes."""
+    return KeyMaterial(key.key_matrix, key.fib_index, key.quarter_turns, key.prime_seed)
+
+
+def _text(envelope):
+    """A digest of the envelope's file: pytest's diff of two long
+    ciphertexts that differ can take minutes."""
+    return hashlib.sha256(serialize_ciphertext(envelope).encode()).hexdigest()
+
+
+def test_a_key_draws_its_prime_stream_once():
+    """encrypt and decrypt under one key object draw the stream once; a
+    shorter message reuses the drawn prefix and a longer one draws anew."""
+    key = keygen(23)
+    rng = random.Random(23)
+    with mock.patch.object(cipher_module, "prime_stream", wraps=cipher_module.prime_stream) as drawn:
+        for length, draws in ((300, 1), (40, 1), (300, 1), (2000, 2), (0, 2), (1999, 2)):
+            message = bytes(rng.randrange(128) for _ in range(length))
+            envelope = encrypt(message, key)
+            assert decrypt(envelope, key) == message
+            assert _text(envelope) == _text(reference_encrypt(message, key))
+            assert drawn.call_count == draws
+    assert [c.args for c in drawn.call_args_list] == [(key.prime_seed, 300), (key.prime_seed, 2000)]
+
+
+def test_a_used_key_is_the_same_value():
+    """The primes a key keeps are not part of its value: equality, hash,
+    repr and key file are those of a fresh key, and copies, pickles and
+    replace give keys that encrypt alike."""
+    message = b"kept primes " * 50
+    for seed in range(6):
+        key = keygen(seed)
+        expected = _text(encrypt(message, _fresh(key)))
+        assert _text(encrypt(message, key)) == expected
+        fresh = _fresh(key)
+        assert key == fresh and hash(key) == hash(fresh) and repr(key) == repr(fresh)
+        assert serialize_key(key) == serialize_key(fresh)
+        assert {key: 1}[fresh] == 1
+        for twin in (pickle.loads(pickle.dumps(key)), copy.deepcopy(key), copy.copy(key),
+                     dataclasses.replace(key)):
+            assert twin == key and hash(twin) == hash(key)
+            assert _text(encrypt(message, twin)) == expected
+            assert decrypt(encrypt(message[:7], twin), key) == message[:7]
+        # a replaced prime seed starts from its own stream, not the kept one
+        other = dataclasses.replace(key, prime_seed=key.prime_seed ^ 1)
+        assert _text(encrypt(message, other)) == _text(reference_encrypt(message, other))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            key.prime_seed = 0
+
+
+def test_threads_sharing_a_key_get_the_single_threaded_results():
+    """Two threads encrypting different lengths under one key object, each
+    drawing and replacing its kept primes, give what one thread gives."""
+    rng = random.Random(29)
+    messages = [bytes(rng.randrange(128) for _ in range(n)) for n in (3000, 90)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(4):
+            key = keygen(100 + seed)
+            expected = [_text(encrypt(m, _fresh(key))) for m in messages]
+            barrier = threading.Barrier(2)
+            results = [[], []]
+
+            def work(which):
+                barrier.wait(timeout=30)
+                for _ in range(4):
+                    envelope = encrypt(messages[which], key)
+                    results[which].append((_text(envelope), decrypt(envelope, key)))
+
+            threads = [threading.Thread(target=work, args=(w,)) for w in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            for which in (0, 1):
+                assert all(r == (expected[which], messages[which]) for r in results[which])
+    finally:
+        sys.setswitchinterval(interval)

@@ -12,6 +12,7 @@ from cubecipher import (
     FormatError,
     IntMatrix,
     KeyMaterial,
+    decrypt,
     encrypt,
     encrypt_block,
     formats,
@@ -287,10 +288,37 @@ _BIG = 10**3999 + 12345  # 4,000 digits, inside the int/str limit
     ],
 )
 def test_serialize_ciphertext_equals_the_reference(envelope):
-    text = serialize_ciphertext(envelope)
-    assert text == reference_serialize_ciphertext(envelope)
+    # an envelope of another version is refused by both, with one error
+    text = outcome(serialize_ciphertext, envelope)
+    assert text == outcome(reference_serialize_ciphertext, envelope)
     if type(envelope.version) is int:
         assert parse_ciphertext(text) == envelope
+
+
+@pytest.mark.parametrize("version", [True, 1.0, 2, "1"])
+def test_serialize_ciphertext_refuses_what_no_parser_reads(version):
+    """A version that parse_ciphertext rejects is refused when written, with
+    decrypt's error class and text, instead of going into a file."""
+    envelope = encrypt(b"versioned", keygen(6))
+    tampered = CiphertextEnvelope(version, envelope.pad_count, envelope.blocks)
+    with pytest.raises(CorruptCiphertextError) as written:
+        serialize_ciphertext(tampered)
+    assert str(written.value) == "unsupported ciphertext version %r" % (version,)
+    with pytest.raises(CorruptCiphertextError) as decrypted:
+        decrypt(tampered, keygen(6))
+    assert str(written.value) == str(decrypted.value)
+
+
+def test_an_overlong_version_is_named_by_its_size():
+    # repr() of an int past the int/str limit raised a raw ValueError
+    envelope = encrypt(b"versioned", keygen(6))
+    for version, shown in ((-(1 << 64), "a 65-bit int"), (10**5000, "a 16610-bit int"),
+                           ((1 << 64) - 1, repr((1 << 64) - 1))):
+        tampered = CiphertextEnvelope(version, envelope.pad_count, envelope.blocks)
+        for call in (serialize_ciphertext, lambda e: decrypt(e, keygen(6))):
+            with pytest.raises(CorruptCiphertextError) as refused:
+                call(tampered)
+            assert str(refused.value) == "unsupported ciphertext version %s" % shown
 
 
 @pytest.mark.parametrize(

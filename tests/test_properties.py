@@ -4,17 +4,20 @@
 Every parser must turn any text, and any JSON document, into either a
 value or a FormatError; nothing else may escape, so the CLI always maps a
 bad file to its documented exit code. The ciphertext serializer must write
-exactly what its reference writes; encrypt and decrypt, under genuine and
+exactly what its reference writes, or refuse what it refuses; encrypt and decrypt, under genuine and
 wrong keys, must match the block chain spelled out in the spec, down to
 the class and message of the error; and the known-plaintext attack must
-reach its reference's map, verdict, JSON text and rank. Run in process on
-damaged key, ciphertext and pair files, the command line must keep its
-error contract: a documented exit code, one short error line, and no
-output or temp file left behind.
+reach its reference's map, verdict, JSON text and rank. Encrypt, decrypt
+and avalanche_test under one key object, which keeps the primes it
+draws, must give what the same calls give under fresh equal keys. Run in
+process on damaged key, ciphertext and pair files, the command line must
+keep its error contract: a documented exit code, one short error line,
+and no output or temp file left behind.
 """
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import random
@@ -33,10 +36,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from cubecipher import (  # noqa: E402
     MAX_FIB_INDEX,
+    MAX_MESSAGE_BYTES,
     CiphertextEnvelope,
     FormatError,
     IntMatrix,
     KeyMaterial,
+    avalanche_test,
     cli,
     decrypt,
     encode_symbol,
@@ -158,17 +163,10 @@ def _envelopes(draw):
     return CiphertextEnvelope(version, pad_count, tuple(IntMatrix(2, 2, b) for b in blocks))
 
 
-def _outcome(serialize, envelope):
-    try:
-        return serialize(envelope)
-    except FormatError as exc:
-        return FormatError, str(exc)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_envelopes())
 def test_serialize_ciphertext_matches_the_reference(envelope):
-    assert _outcome(serialize_ciphertext, envelope) == _outcome(
+    assert outcome(serialize_ciphertext, envelope) == outcome(
         reference_serialize_ciphertext, envelope
     )
 
@@ -273,6 +271,52 @@ _attack_blocks = st.builds(
     lambda entries: IntMatrix(2, 2, entries),
     st.tuples(*[st.one_of(st.integers(-2, 2), st.integers(-(10**6), 10**6))] * 4),
 )
+
+
+def _call(call, key):
+    """A digest of the outcome, output or error, of one encrypt, decrypt or
+    avalanche_test call of the given length under key (pytest's diff of
+    two long outputs that differ can take minutes)."""
+    kind, length, byte_mode, decrypt_mode, seed = call
+    rng = random.Random(seed)
+    message = bytes(rng.randrange(256 if byte_mode else 128) for _ in range(length))
+    if kind == "encrypt":
+        result = serialize_ciphertext(encrypt(message, key, byte_mode))
+    elif kind == "decrypt":
+        # a byte-mode message read in strict mode fails at its first high byte
+        envelope = encrypt(message, dataclasses.replace(key), byte_mode)
+        result = outcome(decrypt, envelope, key, decrypt_mode)
+    else:
+        result = avalanche_test(key, max(length, 1), 1 + seed % 2, seed).to_json_text()
+    return hashlib.sha256(repr(result).encode()).hexdigest()
+
+
+def _calls(lengths=st.integers(0, MAX_MESSAGE_BYTES)):
+    return st.tuples(
+        st.sampled_from(("encrypt", "decrypt", "avalanche")),
+        lengths,
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1), st.data())
+def test_a_reused_key_gives_what_fresh_keys_give(seed, data):
+    """Calls under one key object, which keeps the primes it draws, match
+    the same calls each under a fresh equal key, which draws anew. The
+    first three lengths run middle, short, long: a short request after a
+    long one and a long one after a short one, past the kept prefix."""
+    key = keygen(seed)
+    short = data.draw(st.integers(0, MAX_MESSAGE_BYTES - 2))
+    middle = data.draw(st.integers(short + 1, MAX_MESSAGE_BYTES - 1))
+    longest = data.draw(st.integers(middle + 1, MAX_MESSAGE_BYTES))
+    calls = [data.draw(_calls(st.just(length))) for length in (middle, short, longest)]
+    calls += data.draw(st.lists(_calls(), max_size=3))
+    for call in calls:
+        # replace builds an equal key through the constructor, with no primes kept
+        assert _call(call, key) == _call(call, dataclasses.replace(key))
 
 
 @st.composite
