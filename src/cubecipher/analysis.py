@@ -43,7 +43,7 @@ import math
 import operator
 import time
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from fractions import Fraction
 from statistics import median
 
@@ -166,8 +166,8 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
         changed = sum(map(operator.ne, a, b))
         histogram[changed] += 1
         changed_blocks += changed
-        text_a = _ciphertext_text(FORMAT_VERSION, pad_count, a).encode()
-        text_b = _ciphertext_text(FORMAT_VERSION, pad_count, b).encode()
+        text_a = _ciphertext_text(pad_count, a).encode()
+        text_b = _ciphertext_text(pad_count, b).encode()
         bits_by_length[max(len(text_a), len(text_b))] += _differing_bits(text_a, text_b)
     max_spread = max(histogram)
     if max_spread <= 1:
@@ -342,12 +342,10 @@ def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
     lengths must be strictly increasing, the longest at most
     MAX_MESSAGE_BYTES (else CipherError, before any timing). Message
     contents are drawn deterministically from rng_seed; the timing fields
-    are the only machine-dependent part of the report. Every call uses
-    the one key object, which keeps the primes it draws (see
-    KeyMaterial): the first encrypt at each length draws the prime
-    stream and the other repetitions reuse it, so with three or more
-    repetitions the medians are the per-call cost under a key that has
-    already drawn its primes.
+    are the only machine-dependent part of the report. Every timed call
+    runs under its own copy of the key, made before the timer starts, so
+    each one draws the prime stream as a key used once does (see
+    KeyMaterial).
     """
     lengths = list(lengths)
     if not lengths:
@@ -367,13 +365,15 @@ def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
         encrypt_times = []
         envelope = None
         for _ in range(repetitions):
+            fresh = replace(key)
             start = time.perf_counter()
-            envelope = encrypt(message, key)
+            envelope = encrypt(message, fresh)
             encrypt_times.append(time.perf_counter() - start)
         decrypt_times = []
         for _ in range(repetitions):
+            fresh = replace(key)
             start = time.perf_counter()
-            recovered = decrypt(envelope, key)
+            recovered = decrypt(envelope, fresh)
             decrypt_times.append(time.perf_counter() - start)
         if recovered != message:
             raise RuntimeError("benchmark round trip produced a different message")

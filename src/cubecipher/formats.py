@@ -214,12 +214,12 @@ def serialize_ciphertext(envelope: CiphertextEnvelope) -> str:
     than FORMAT_VERSION, which parse_ciphertext would not read back.
     """
     _require_format_version(envelope.version)
-    return _ciphertext_text(envelope.version, envelope.pad_count, [b.entries for b in envelope.blocks])
+    return _ciphertext_text(envelope.pad_count, [b.entries for b in envelope.blocks])
 
 
-def _ciphertext_text(version, pad_count, vectors):
-    """dumps_canonical of {"version", "pad_count", "blocks"}, for blocks
-    given as row-major 4-tuples, rendered directly: json's indenting
+def _ciphertext_text(pad_count, vectors):
+    """dumps_canonical of {"version": FORMAT_VERSION, "pad_count", "blocks"},
+    for blocks given as row-major 4-tuples, rendered directly: json's indenting
     encoder is pure Python and several times slower than filling in the
     fixed layout. Block entries are ints, whose str() is plain ASCII, so
     they need no escaping."""
@@ -231,8 +231,8 @@ def _ciphertext_text(version, pad_count, vectors):
             for j, e in enumerate(v):
                 _format_decimal(e, "ciphertext file: blocks", i, j)
         raise
-    return '{\n  "version": %s,\n  "pad_count": %s,\n  "blocks": %s\n}\n' % (
-        json.dumps(version),
+    return '{\n  "version": %d,\n  "pad_count": %s,\n  "blocks": %s\n}\n' % (
+        FORMAT_VERSION,
         json.dumps(pad_count),
         "[\n%s\n  ]" % blocks if blocks else "[]",
     )

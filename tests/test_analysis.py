@@ -417,6 +417,19 @@ def test_benchmark_single_length():
     assert row.ciphertext_bytes > 0
 
 
+def test_benchmark_draws_the_prime_stream_in_every_timed_call():
+    """Each timed encrypt and decrypt runs under its own copy of the key,
+    so a key object's kept primes never leave the draw out of a median."""
+    from unittest import mock
+
+    from cubecipher import cipher
+
+    key = keygen(1)
+    with mock.patch.object(cipher, "prime_stream", wraps=cipher.prime_stream) as drawn:
+        benchmark([4, 40], key, repetitions=3)
+    assert [c.args for c in drawn.call_args_list] == [(key.prime_seed, 4)] * 6 + [(key.prime_seed, 40)] * 6
+
+
 def test_benchmark_argument_validation():
     key = keygen(1)
     with pytest.raises(ValueError):
