@@ -52,6 +52,7 @@ from .errors import (
     InvalidKeyError,
     NonIntegralResultError,
     SymbolRangeError,
+    _shown,
 )
 from .matrices import IntMatrix, _set_field, fibonacci_q, rotation
 from .primes import MAX_U64, PRIME_COUNT_BELOW_LIMIT, Xorshift64Star, prime_stream
@@ -137,7 +138,10 @@ class KeyMaterial:
 class CiphertextEnvelope:
     """Ordered ciphertext blocks plus framing: version and pad count.
 
-    The original message length is 4 * len(blocks) - pad_count.
+    The original message length is 4 * len(blocks) - pad_count. The
+    constructor checks all framing, so decrypt and serialize_ciphertext
+    accept every envelope: a version other than FORMAT_VERSION, or more
+    than MAX_MESSAGE_BYTES symbols, raises CorruptCiphertextError.
     """
 
     version: int
@@ -146,6 +150,7 @@ class CiphertextEnvelope:
 
     def __init__(self, version, pad_count, blocks):
         blocks = tuple(blocks)
+        _require_format_version(version)
         _require_pad_count(pad_count)
         if not blocks and pad_count != 0:
             raise ValueError("an empty envelope cannot carry padding")
@@ -154,6 +159,7 @@ class CiphertextEnvelope:
             if type(b) is not IntMatrix or b.rows != 2 or b.cols != 2:
                 if not isinstance(b, IntMatrix) or (b.rows, b.cols) != (2, 2):
                     raise TypeError("envelope blocks must be 2x2 IntMatrix values")
+        _require_symbol_count(BLOCK_SYMBOLS * len(blocks) - pad_count)
         # each field set once, as IntMatrix sets its own
         _set_field(self, "version", version)
         _set_field(self, "pad_count", pad_count)
@@ -167,7 +173,7 @@ class CiphertextEnvelope:
 def _require_pad_count(pad_count):
     """Refuse a pad count that is not an int (bools included) in [0, 3]."""
     if not isinstance(pad_count, int) or isinstance(pad_count, bool):
-        raise TypeError("pad_count must be an int, got %r" % (pad_count,))
+        raise TypeError("pad_count must be an int, got %s" % _shown(pad_count))
     if not 0 <= pad_count < BLOCK_SYMBOLS:
         raise ValueError("pad_count must be in [0, 3]")
 
@@ -226,11 +232,8 @@ def _is_format_version(value):
 def _require_format_version(version):
     """Refuse an envelope whose version is not FORMAT_VERSION."""
     if not _is_format_version(version):
-        # an int can be too long to print
-        if isinstance(version, int) and version.bit_length() > 64:
-            shown = "a %d-bit int" % version.bit_length()
-        else:
-            shown = repr(version)
+        long_int = isinstance(version, int) and version.bit_length() > 64
+        shown = "a %d-bit int" % version.bit_length() if long_int else _shown(version)
         raise CorruptCiphertextError("unsupported ciphertext version %s" % shown)
 
 
@@ -246,8 +249,8 @@ def _require_symbol_count(count):
 def _require_length(length):
     if length > MAX_MESSAGE_BYTES:
         raise CipherError(
-            "message is %d bytes, longer than the %d-byte limit (one distinct prime "
-            "below 2**16 per byte)" % (length, MAX_MESSAGE_BYTES)
+            "message is %s bytes, longer than the %d-byte limit (one distinct prime "
+            "below 2**16 per byte)" % (_shown(length), MAX_MESSAGE_BYTES)
         )
 
 
@@ -281,7 +284,7 @@ def blockify(ts):
     ts = list(ts)
     for t in ts:
         if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise ValueError("encoded values must be nonnegative ints, got %r" % (t,))
+            raise ValueError("encoded values must be nonnegative ints, got %s" % _shown(t))
     ts, pad_count = _padded(ts)
     blocks = [
         IntMatrix(2, 2, tuple(ts[i : i + BLOCK_SYMBOLS]))
@@ -457,15 +460,13 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
     """Invert encrypt. Errors name the failing block or symbol index.
 
     Raises NonIntegralResultError (wrong key), CorruptCiphertextError
-    (framing or padding damage, or more symbols than MAX_MESSAGE_BYTES),
+    (nonzero padding; the envelope checked its framing when built),
     CorruptValueError or SymbolRangeError (per-symbol decode failure).
     As in encrypt, the key object keeps the primes it draws (see
     KeyMaterial), so a decrypt after an encrypt of the same message under
     one key object draws no primes.
     """
     _require_valid(key)
-    _require_format_version(envelope.version)
-    _require_symbol_count(envelope.message_length)
     d, det_k = _unmix_map(key)
     flat = []
     # lazily, so that a wrong key stops at its first bad block

@@ -25,14 +25,7 @@ from contextlib import contextmanager
 
 from .analysis import avalanche_test, benchmark, known_plaintext_attack
 from .cipher import decrypt, encrypt, keygen
-from .errors import (
-    EXIT_BAD_DATA,
-    EXIT_BAD_KEY,
-    EXIT_USAGE,
-    CipherError,
-    FormatError,
-    InvalidKeyError,
-)
+from .errors import EXIT_USAGE, CipherError, FormatError, InvalidKeyError
 from .formats import (
     parse_ciphertext,
     parse_key,

@@ -19,6 +19,25 @@ EXIT_USAGE = 2
 EXIT_BAD_KEY = 3
 EXIT_BAD_DATA = 4
 
+_SHOWN_CHARS = 40  # longest repr of a bad value that a message echoes whole
+
+
+def _shown(value):
+    """repr(value) for an error message, cut to a prefix and the value's
+    length when long, so a hostile value cannot make the message huge. It
+    never raises: an int past the int/str limit is shown by its bit length,
+    any other value whose repr fails by its type."""
+    try:
+        text = repr(value)
+    except Exception:
+        if isinstance(value, int):
+            return "a %d-bit int" % int.bit_length(value)
+        return "an unprintable %s" % type(value).__name__
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    length = str.__len__(value) if isinstance(value, str) else len(text)
+    return "%s... (%d characters)" % (text[:_SHOWN_CHARS], length)
+
 
 class CipherError(Exception):
     """Base class for all errors raised by this package."""

@@ -29,10 +29,11 @@ that is not JSON. The version must be the JSON integer 1: 1.0, 1e0 and
 true are mismatches. parse_ciphertext also raises CorruptCiphertextError,
 before it parses any block, when the file claims more symbols
 (4 * len(blocks) - pad_count) than MAX_MESSAGE_BYTES, so an over-long
-file costs one json.loads and no block. Serializers raise FormatError too, naming the field,
-when a number is too long for Python's int/str conversion limit
-(sys.get_int_max_str_digits, 4,300 digits by default), so no malformed or
-oversized value ever surfaces as a raw ValueError.
+file costs one json.loads and no block. A CiphertextEnvelope checks the
+same framing when built, so serialize_ciphertext writes only files that
+parse_ciphertext reads back. Serializers raise FormatError, naming the
+field, for a number past the int/str conversion limit
+(sys.get_int_max_str_digits, 4,300 digits by default).
 
 parse_ciphertext checks and converts all block entries in bulk, and goes
 entry by entry only when that fails, to name the first bad block or entry
@@ -49,10 +50,9 @@ from .cipher import (
     CiphertextEnvelope,
     KeyMaterial,
     _is_format_version,
-    _require_format_version,
     _require_symbol_count,
 )
-from .errors import FormatError
+from .errors import FormatError, _shown
 from .matrices import IntMatrix
 from .primes import MAX_U64
 
@@ -66,17 +66,6 @@ __all__ = [
 ]
 
 _DECIMAL_RE = re.compile(r"(0|-?[1-9][0-9]*)\Z")
-_SHOWN_CHARS = 40  # longest repr of a bad value that a message echoes whole
-
-
-def _shown(value):
-    """repr(value) for an error message, cut to a prefix and the value's
-    length when long, so a hostile file cannot make the message huge."""
-    text = repr(value)
-    if len(text) <= _SHOWN_CHARS:
-        return text
-    length = len(value) if isinstance(value, str) else len(text)
-    return "%s... (%d characters)" % (text[:_SHOWN_CHARS], length)
 
 
 def dumps_canonical(obj) -> str:
@@ -208,12 +197,7 @@ _CIPHERTEXT_BLOCK = '    [\n      "%s",\n      "%s",\n      "%s",\n      "%s"\n 
 
 
 def serialize_ciphertext(envelope: CiphertextEnvelope) -> str:
-    """dumps_canonical of {"version", "pad_count", "blocks"}, as _ciphertext_text renders it.
-
-    Raises CorruptCiphertextError, as decrypt does, for a version other
-    than FORMAT_VERSION, which parse_ciphertext would not read back.
-    """
-    _require_format_version(envelope.version)
+    """dumps_canonical of {"version", "pad_count", "blocks"}, as _ciphertext_text renders it."""
     return _ciphertext_text(envelope.pad_count, [b.entries for b in envelope.blocks])
 
 

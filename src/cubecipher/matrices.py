@@ -20,6 +20,8 @@ analysis module).
 
 from dataclasses import dataclass
 
+from .errors import _shown
+
 __all__ = ["IntMatrix", "fibonacci_q", "rotation"]
 
 
@@ -29,13 +31,13 @@ _set_field = object.__setattr__  # looked up once, not per matrix
 def _check_shape(rows, cols, entries):
     for dim in (rows, cols):
         if not isinstance(dim, int) or isinstance(dim, bool):
-            raise TypeError("matrix dimensions must be ints, got %r" % (dim,))
+            raise TypeError("matrix dimensions must be ints, got %s" % _shown(dim))
     if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive, got %dx%d" % (rows, cols))
+        raise ValueError("matrix dimensions must be positive, got %sx%s" % (_shown(rows), _shown(cols)))
     if len(entries) != rows * cols:
         raise ValueError(
-            "expected %d entries for a %dx%d matrix, got %d"
-            % (rows * cols, rows, cols, len(entries))
+            "expected %s entries for a %sx%s matrix, got %d"
+            % (_shown(rows * cols), _shown(rows), _shown(cols), len(entries))
         )
 
 
@@ -76,7 +78,7 @@ class IntMatrix:
         for e in entries:
             # the exact-type test settles the common case in one comparison
             if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)):
-                raise TypeError("integer matrix entries must be ints, got %r" % (e,))
+                raise TypeError("integer matrix entries must be ints, got %s" % _shown(e))
         # each field set once, as a frozen dataclass sets it, so every
         # instance keeps the class's shared-key dict
         _set_field(self, "rows", rows)

@@ -53,7 +53,7 @@ contract here is cross-platform determinism, not unpredictability.
 import sys
 from math import isqrt, log
 
-from .errors import CipherError
+from .errors import CipherError, _shown
 
 __all__ = ["Xorshift64Star", "prime_stream", "PRIME_LIMIT"]
 
@@ -245,8 +245,8 @@ def prime_stream(seed: int, count: int) -> list:
         raise ValueError("count must be nonnegative")
     if count > PRIME_COUNT_BELOW_LIMIT:
         raise CipherError(
-            "cannot emit %d distinct primes below %d (only %d exist)"
-            % (count, PRIME_LIMIT, PRIME_COUNT_BELOW_LIMIT)
+            "cannot emit %s distinct primes below %d (only %d exist)"
+            % (_shown(count), PRIME_LIMIT, PRIME_COUNT_BELOW_LIMIT)
         )
     state = Xorshift64Star(seed)._state
     unused = bytearray(_PRIME_TABLE)  # 1 at each prime not yet emitted

@@ -7,7 +7,10 @@ ciphertext byte for byte, checks prime_stream against the scalar reference
 loop at lengths 0 to 6,542 for four seeds and so the primes that one key
 object keeps over encrypt and decrypt of 4,000, 16 and 6,542 bytes,
 integer_cube_root against bisection around 2**53, serialize_ciphertext
-against its reference on 200 keygen envelopes, known_plaintext_attack
+against its reference on 200 keygen envelopes, that an envelope of
+version 2 or of 1,700 blocks is refused when built and that a value past
+the int/str limit is refused with its documented class and a short
+message, known_plaintext_attack
 against its reference on 200 pair sets and on two sets of ~4,000-digit
 blocks (one genuine, one arbitrary), and
 decrypt_block and apply_composite (with the map and the inverse map the
@@ -26,7 +29,9 @@ import tempfile
 from pathlib import Path
 
 from cubecipher import (
+    CipherError,
     CiphertextEnvelope,
+    CorruptCiphertextError,
     IntMatrix,
     apply_composite,
     avalanche_test,
@@ -160,6 +165,17 @@ def main():
         envelope = encrypt(bytes(rng.randrange(128) for _ in range(rng.randrange(0, 80))), keygen(seed))
         check(serialize_ciphertext(envelope) == reference_serialize_ciphertext(envelope),
               "envelope of keygen(%d) serializes differently" % seed)
+    block = IntMatrix(2, 2, (1, 2, 3, 4))
+    for fields, refusal in (((2, 0, ()), "unsupported ciphertext version 2"),
+                            ((1, 0, (block,) * 1700),
+                             "ciphertext carries 6800 symbols, more than the 6542-byte "
+                             "message limit")):
+        check(outcome(CiphertextEnvelope, *fields) == (CorruptCiphertextError, refusal),
+              "an envelope built with %r is not refused" % (refusal,))
+    check(outcome(prime_stream, 1, 10**5000)
+          == (CipherError, "cannot emit a 16610-bit int distinct primes below 65536 "
+              "(only 6542 exist)"),
+          "a prime count past the int/str limit is not refused with a short CipherError")
     for seed in range(200):
         pairs = pair_set(rng, seed)
         check(attack_outcome(pairs) == reference_attack(pairs),
@@ -205,7 +221,7 @@ def main():
     check(avalanche_test(keygen(7), 257, 7, 11).to_json_text() == AVALANCHE_REPORT,
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime streams, "
-          "3 round trips under one key, 16 cube roots, 200 envelopes, "
+          "3 round trips under one key, 16 cube roots, 200 envelopes, 3 refusals, "
           "202 attack pair sets (2 of ~4,000 digits), "
           "200 keys' un-mix and composite maps, 65,775 genuine roots, "
           "400 decrypts (200 tampered), 1 avalanche report"

@@ -496,6 +496,17 @@ def test_avalanche_refuses_messages_over_the_length_limit():
         avalanche_test(KeyMaterial(IntMatrix.identity(2), 30000, 0, 0), 6543, 1, 1)
 
 
+def test_a_huge_message_length_is_shown_short():
+    # each used to raise the interpreter's int/str-limit ValueError, not CipherError
+    message = ("message is a 16610-bit int bytes, longer than the 6542-byte limit "
+               "(one distinct prime below 2**16 per byte)")
+    for call in (lambda: avalanche_test(keygen(1), 10**5000, 1, 0),
+                 lambda: benchmark([5, 10**5000], keygen(1), 1)):
+        with pytest.raises(CipherError) as excinfo:
+            call()
+        assert type(excinfo.value) is CipherError and str(excinfo.value) == message
+
+
 def test_benchmark_refuses_an_over_limit_length_before_timing(monkeypatch):
     calls = []
     monkeypatch.setattr(analysis, "encrypt", lambda *args: calls.append(args))

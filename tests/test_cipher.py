@@ -10,6 +10,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -397,12 +398,13 @@ def test_encrypt_rejects_str():
 
 
 def test_decrypt_rejects_other_version():
+    # the envelope refuses another version when built, so decrypt never
+    # meets one
     key = keygen(8)
     env = encrypt(b"abcd", key)
     for version in (2, True, 1.0):
-        tampered = CiphertextEnvelope(version, env.pad_count, env.blocks)
         with pytest.raises(CorruptCiphertextError, match="unsupported ciphertext version"):
-            decrypt(tampered, key)
+            decrypt(CiphertextEnvelope(version, env.pad_count, env.blocks), key)
 
 
 def test_wrong_key_never_crashes_untyped():
@@ -551,6 +553,49 @@ def test_deblockify_pad_count_must_be_an_int(pad_count):
         pad_count,)
 
 
+@pytest.mark.parametrize("pad_count, shown", [
+    (Fraction(10**5000, 3), "an unprintable Fraction"),  # its repr passes the int/str limit
+    ("1" * 100_000, "'%s... (100000 characters)" % ("1" * 39)),
+], ids=["fraction", "long-str"])
+def test_a_refused_pad_count_is_shown_short(pad_count, shown):
+    # the Fraction used to raise the interpreter's int/str-limit ValueError,
+    # and the string was echoed whole
+    blocks, _ = blockify([1, 2, 3, 4, 5])
+    with pytest.raises(TypeError) as stripped:
+        deblockify(blocks, pad_count)
+    with pytest.raises(TypeError) as built:
+        CiphertextEnvelope(1, pad_count, blocks)
+    assert str(stripped.value) == str(built.value) == "pad_count must be an int, got " + shown
+
+
+@pytest.mark.parametrize("value, shown", [
+    (-(10**5000), "a 16610-bit int"),
+    ("7" * 100_000, "'%s... (100000 characters)" % ("7" * 39)),
+], ids=["huge-int", "long-str"])
+def test_blockify_shows_a_refused_value_short(value, shown):
+    # the int used to raise the interpreter's int/str-limit ValueError
+    with pytest.raises(ValueError) as excinfo:
+        blockify([1, value])
+    assert str(excinfo.value) == "encoded values must be nonnegative ints, got " + shown
+
+
+def test_an_envelope_refuses_more_symbols_than_the_message_limit():
+    """An over-long block list is refused when the envelope is built, so
+    serialize_ciphertext never writes a file that parse_ciphertext refuses."""
+    block = IntMatrix(2, 2, (1, 2, 3, 4))
+    assert CiphertextEnvelope(1, 2, (block,) * 1636).message_length == MAX_MESSAGE_BYTES
+    envelope = CiphertextEnvelope(1, 0, (block,))
+    for pad_count, count, symbols in ((0, 1700, 6800), (3, 1637, 6545), (0, 1636, 6544)):
+        for build in (lambda: CiphertextEnvelope(1, pad_count, (block,) * count),
+                      lambda: dataclasses.replace(envelope, pad_count=pad_count,
+                                                  blocks=(block,) * count)):
+            with pytest.raises(CorruptCiphertextError) as excinfo:
+                build()
+            assert str(excinfo.value) == (
+                "ciphertext carries %d symbols, more than the 6542-byte message limit" % symbols
+            )
+
+
 def _outcome(unmix, block, key):
     """The un-mixed block, or the (row, col) of the entry that failed."""
     try:
@@ -629,12 +674,12 @@ def test_message_length_limit():
 
 def test_decrypt_refuses_an_overlong_envelope_before_unmixing():
     # 1,636 blocks with one pad slot carry 6,543 symbols; the blocks are not
-    # a genuine encryption, so un-mixing them would fail at block 0 instead
+    # a genuine encryption, so un-mixing them would fail at block 0 instead.
+    # The envelope refuses them when built, so decrypt never meets them.
     key = keygen(6543)
     blocks = (IntMatrix(2, 2, (1, 2, 3, 4)),) * 1636
-    envelope = CiphertextEnvelope(1, 1, blocks)
     with pytest.raises(CorruptCiphertextError) as excinfo:
-        decrypt(envelope, key)
+        decrypt(CiphertextEnvelope(1, 1, blocks), key)
     assert str(excinfo.value) == (
         "ciphertext carries 6543 symbols, more than the 6542-byte message limit"
     )

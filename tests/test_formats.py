@@ -1,8 +1,11 @@
 """Wire formats: canonical serialization, strict parsing, golden fixtures."""
 
+import dataclasses
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,9 +15,9 @@ from cubecipher import (
     FormatError,
     IntMatrix,
     KeyMaterial,
-    decrypt,
     encrypt,
     encrypt_block,
+    errors,
     formats,
     keygen,
     parse_ciphertext,
@@ -270,55 +273,85 @@ def _envelope(version, pad_count, *blocks):
 _BIG = 10**3999 + 12345  # 4,000 digits, inside the int/str limit
 
 
+# each envelope as the fields it is built from
 @pytest.mark.parametrize(
     "envelope",
     [
-        _envelope(1, 0),
-        _envelope(1, 0, (1, 2, 3, 4)),
-        _envelope(1, 1, (1, 2, 3, 0)),
-        _envelope(1, 2, (5, 6, 7, 8), (1, 2, 0, 0)),
-        _envelope(1, 3, (5, 6, 7, 8), (9, 10, 11, 12), (1, 0, 0, 0)),
-        _envelope(1, 0, (-1, 0, -(10**20), 7)),
-        _envelope(1, 0, (_BIG, -_BIG, 0, 1), (-_BIG, 1, _BIG, -1)),
-        _envelope(1, 0, (_Tagged(3), _Tagged(-4), 5, _Tagged(0))),
-        _envelope(True, 0, (1, 2, 3, 4)),
-        _envelope(False, 0),
-        _envelope("1", 1, (1, 2, 3, 0)),
-        _envelope("v\u00e9\"\n", 0, (1, 2, 3, 4)),
+        (1, 0),
+        (1, 0, (1, 2, 3, 4)),
+        (1, 1, (1, 2, 3, 0)),
+        (1, 2, (5, 6, 7, 8), (1, 2, 0, 0)),
+        (1, 3, (5, 6, 7, 8), (9, 10, 11, 12), (1, 0, 0, 0)),
+        (1, 0, (-1, 0, -(10**20), 7)),
+        (1, 0, (_BIG, -_BIG, 0, 1), (-_BIG, 1, _BIG, -1)),
+        (1, 0, (_Tagged(3), _Tagged(-4), 5, _Tagged(0))),
+        (True, 0, (1, 2, 3, 4)),
+        (False, 0),
+        ("1", 1, (1, 2, 3, 0)),
+        ("v\u00e9\"\n", 0, (1, 2, 3, 4)),
     ],
 )
 def test_serialize_ciphertext_equals_the_reference(envelope):
-    # an envelope of another version is refused by both, with one error
-    text = outcome(serialize_ciphertext, envelope)
-    assert text == outcome(reference_serialize_ciphertext, envelope)
-    if type(envelope.version) is int:
-        assert parse_ciphertext(text) == envelope
+    # the reference refuses another version when writing, and the
+    # envelope, with the same error, when built
+    version, pad_count, *blocks = envelope
+    expected = outcome(reference_serialize_ciphertext, SimpleNamespace(
+        version=version, pad_count=pad_count, blocks=[IntMatrix(2, 2, b) for b in blocks]))
+    built = outcome(_envelope, *envelope)
+    if isinstance(built, tuple):
+        assert built == expected
+        return
+    text = serialize_ciphertext(built)
+    assert text == expected
+    assert parse_ciphertext(text) == built
 
 
 @pytest.mark.parametrize("version", [True, 1.0, 2, "1"])
 def test_serialize_ciphertext_refuses_what_no_parser_reads(version):
-    """A version that parse_ciphertext rejects is refused when written, with
-    decrypt's error class and text, instead of going into a file."""
+    """A version that parse_ciphertext rejects never reaches a file: the
+    envelope refuses it when built, with the error class and text that
+    serialize_ciphertext and decrypt raised for it, also when built by
+    dataclasses.replace."""
     envelope = encrypt(b"versioned", keygen(6))
-    tampered = CiphertextEnvelope(version, envelope.pad_count, envelope.blocks)
-    with pytest.raises(CorruptCiphertextError) as written:
-        serialize_ciphertext(tampered)
-    assert str(written.value) == "unsupported ciphertext version %r" % (version,)
-    with pytest.raises(CorruptCiphertextError) as decrypted:
-        decrypt(tampered, keygen(6))
-    assert str(written.value) == str(decrypted.value)
+    with pytest.raises(CorruptCiphertextError) as built:
+        CiphertextEnvelope(version, envelope.pad_count, envelope.blocks)
+    assert str(built.value) == "unsupported ciphertext version %r" % (version,)
+    with pytest.raises(CorruptCiphertextError) as replaced:
+        dataclasses.replace(envelope, version=version)
+    assert str(replaced.value) == str(built.value)
 
 
 def test_an_overlong_version_is_named_by_its_size():
-    # repr() of an int past the int/str limit raised a raw ValueError
+    # repr() of an int past the int/str limit raised a raw ValueError, and
+    # a long string was echoed whole
     envelope = encrypt(b"versioned", keygen(6))
     for version, shown in ((-(1 << 64), "a 65-bit int"), (10**5000, "a 16610-bit int"),
-                           ((1 << 64) - 1, repr((1 << 64) - 1))):
-        tampered = CiphertextEnvelope(version, envelope.pad_count, envelope.blocks)
-        for call in (serialize_ciphertext, lambda e: decrypt(e, keygen(6))):
-            with pytest.raises(CorruptCiphertextError) as refused:
-                call(tampered)
-            assert str(refused.value) == "unsupported ciphertext version %s" % shown
+                           ((1 << 64) - 1, repr((1 << 64) - 1)),
+                           ("v" * 100_000, "'%s... (100000 characters)" % ("v" * 39))):
+        with pytest.raises(CorruptCiphertextError) as refused:
+            CiphertextEnvelope(version, envelope.pad_count, envelope.blocks)
+        assert str(refused.value) == "unsupported ciphertext version %s" % shown
+
+
+class _Unprintable:
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+@pytest.mark.parametrize("value, shown", [
+    (7, "7"),
+    ("v" * 38, repr("v" * 38)),
+    ("\u00e9" * 50, "'%s... (50 characters)" % ("\u00e9" * 39)),
+    (10**100, "1%s... (101 characters)" % ("0" * 39)),
+    (10**5000, "a 16610-bit int"),
+    (-(10**5000), "a 16610-bit int"),
+    (Fraction(10**5000, 3), "an unprintable Fraction"),
+    ([10**5000], "an unprintable list"),
+    (_Unprintable(), "an unprintable _Unprintable"),
+], ids=["int", "short-str", "long-str", "long-int", "huge-int", "huge-negative", "fraction",
+        "list", "failing-repr"])
+def test_shown_never_raises_and_stays_short(value, shown):
+    assert errors._shown(value) == shown
 
 
 @pytest.mark.parametrize(

@@ -219,6 +219,34 @@ def test_dimension_type_policing(rows, cols):
     assert str(excinfo.value) == "matrix dimensions must be ints, got %r" % (bad,)
 
 
+_UNPRINTABLE = Fraction(10**5000, 3)  # its repr passes the int/str limit
+
+
+@pytest.mark.parametrize("entry, shown", [
+    (_UNPRINTABLE, "an unprintable Fraction"),
+    ("x" * 100_000, "'%s... (100000 characters)" % ("x" * 39)),
+], ids=["fraction", "long-str"])
+def test_a_refused_entry_is_shown_short(entry, shown):
+    # the Fraction used to raise the interpreter's int/str-limit ValueError
+    # instead of the TypeError, and the string was echoed whole
+    with pytest.raises(TypeError) as excinfo:
+        IntMatrix(2, 2, (entry, 0, 0, 0))
+    assert str(excinfo.value) == "integer matrix entries must be ints, got " + shown
+
+
+@pytest.mark.parametrize("rows, cols, error, message", [
+    (_UNPRINTABLE, 2, TypeError, "matrix dimensions must be ints, got an unprintable Fraction"),
+    (-(10**5000), 2, ValueError, "matrix dimensions must be positive, got a 16610-bit intx2"),
+    (10**5000, 1, ValueError,
+     "expected a 16610-bit int entries for a a 16610-bit intx1 matrix, got 0"),
+], ids=["fraction", "huge-negative", "huge-size"])
+def test_a_refused_shape_is_shown_short(rows, cols, error, message):
+    # each used to raise the interpreter's int/str-limit ValueError
+    with pytest.raises(error) as excinfo:
+        IntMatrix(rows, cols, ())
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
 def test_int_subclass_entries_are_accepted():
     class Tagged(int):
         pass

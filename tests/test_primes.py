@@ -163,6 +163,15 @@ def test_prime_stream_count_limit():
         prime_stream(1, -1)
 
 
+def test_prime_stream_shows_a_huge_count_short():
+    # the count used to raise the interpreter's int/str-limit ValueError
+    with pytest.raises(CipherError) as excinfo:
+        prime_stream(1, 10**5000)
+    assert str(excinfo.value) == (
+        "cannot emit a 16610-bit int distinct primes below 65536 (only 6542 exist)"
+    )
+
+
 @pytest.mark.parametrize("count", [2.5, True, False, "3", None])
 def test_prime_stream_rejects_a_count_that_is_not_an_int(count):
     with pytest.raises(TypeError):
