@@ -45,7 +45,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from fractions import Fraction
-from statistics import median
+from statistics import linear_regression, median
 
 from .cipher import (
     BLOCK_SYMBOLS,
@@ -404,8 +404,4 @@ def growth_exponent(report: BenchReport, which: str = "encrypt") -> float:
         raise ValueError("need at least two distinct message lengths to fit a growth exponent")
     xs = [math.log(r.message_length) for r in rows]
     ys = [math.log(max(getattr(r, which + "_seconds"), 1e-9)) for r in rows]
-    x_mean = sum(xs) / len(xs)
-    y_mean = sum(ys) / len(ys)
-    covariance = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    variance = sum((x - x_mean) ** 2 for x in xs)
-    return covariance / variance
+    return linear_regression(xs, ys).slope

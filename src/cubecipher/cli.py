@@ -25,7 +25,7 @@ from contextlib import contextmanager
 
 from .analysis import avalanche_test, benchmark, known_plaintext_attack
 from .cipher import decrypt, encrypt, keygen
-from .errors import EXIT_USAGE, CipherError, FormatError, InvalidKeyError
+from .errors import EXIT_USAGE, CipherError, FormatError, InvalidKeyError, _shown
 from .formats import (
     parse_ciphertext,
     parse_key,
@@ -66,6 +66,13 @@ def _parse_seed(text):
     if not 0 <= value <= MAX_U64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value
+
+
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:  # argparse's type=int text, the argument cut short
+        raise argparse.ArgumentTypeError("invalid int value: %s" % _shown(text))
 
 
 def _parse_lengths(text):
@@ -111,8 +118,8 @@ def build_parser():
 
     p = sub.add_parser("avalanche", help="measure single-character diffusion under a key")
     p.add_argument("--key", required=True, help="key file")
-    p.add_argument("--length", type=int, default=40, help="message length (default 40)")
-    p.add_argument("--trials", type=int, default=1000, help="number of trials (default 1000)")
+    p.add_argument("--length", type=_parse_int, default=40, help="message length (default 40)")
+    p.add_argument("--trials", type=_parse_int, default=1000, help="number of trials (default 1000)")
     p.add_argument("--seed", type=_parse_seed, default=0, help="trial RNG seed (default 0)")
     p.add_argument("--out", default="-", help="write the report JSON here instead of stdout")
     p.add_argument("--csv", help="also write the locality histogram as CSV")
@@ -121,7 +128,7 @@ def build_parser():
     p.add_argument("--key", required=True, help="key file")
     p.add_argument("--lengths", type=_parse_lengths, default=(64, 128, 256, 512, 1024),
                    help="comma-separated message lengths (default 64,128,256,512,1024)")
-    p.add_argument("--repetitions", type=int, default=5,
+    p.add_argument("--repetitions", type=_parse_int, default=5,
                    help="repetitions per length, median reported (default 5)")
     p.add_argument("--seed", type=_parse_seed, default=0, help="message RNG seed (default 0)")
     p.add_argument("--out", default="-", help="write the report JSON here instead of stdout")

@@ -32,13 +32,14 @@ def _check_shape(rows, cols, entries):
     for dim in (rows, cols):
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise TypeError("matrix dimensions must be ints, got %s" % _shown(dim))
+    shown = _shown(rows), _shown(cols)
+    huge = any(s.endswith("-bit int") for s in shown)  # past the int/str limit: "a N-bit int"
     if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive, got %sx%s" % (_shown(rows), _shown(cols)))
+        raise ValueError("matrix dimensions must be positive, got " + (" by " if huge else "x").join(shown))
     if len(entries) != rows * cols:
-        raise ValueError(
-            "expected %s entries for a %sx%s matrix, got %d"
-            % (_shown(rows * cols), _shown(rows), _shown(cols), len(entries))
-        )
+        expected = ("one entry per cell of a matrix sized %s by %s" % shown if huge
+                    else "%s entries for a %sx%s matrix" % (_shown(rows * cols), *shown))
+        raise ValueError("expected %s, got %d" % (expected, len(entries)))
 
 
 def _det_cofactor(entries, n):
@@ -162,7 +163,7 @@ def fibonacci_q(n: int) -> IntMatrix:
     so its inverse is again an integer matrix.
     """
     if n < 1:
-        raise ValueError("fibonacci_q requires n >= 1, got %d" % n)
+        raise ValueError("fibonacci_q requires n >= 1, got %s" % _shown(n))
     f_n, f_n1 = _fib_pair(n)
     return IntMatrix(2, 2, (f_n1, f_n, f_n, f_n1 - f_n))
 

@@ -38,19 +38,20 @@ or above the lanes a chunk needs, at most 256 lanes (128 KiB), and is
 replaced whole, in one assignment, so a concurrent caller sees either the
 old table or the new one, both correct. Nothing is stepped at import. A
 chunk holds at most 256 lanes, 8,192 draws; its candidates go into one
-bytearray of at most 64 KiB, in the host's byte order, which is then read
-lane by lane, in draw order, through a strided memoryview of its native
-16-bit halfwords and filtered against the per-call sieve copy. Where a
-lane's candidate sits in the buffer depends on the byte order; the stream
-does not. The stream is the one the scalar loop gives, draw for draw; the
-test suite keeps that loop as its reference, with a Miller-Rabin test to
-check the sieve against.
+array of 16-bit halfwords, at most 64 KiB, laid out little-endian and
+byte-swapped once on a big-endian host, so that lane j's candidate at
+step s is halfword 4 (lanes s + j) on every host. The array is read
+lane by lane, in draw order, at a stride of 4 * lanes halfwords, and
+filtered against the per-call sieve copy. The stream is the one the
+scalar loop gives, draw for draw; the test suite keeps that loop as its
+reference, with a Miller-Rabin test to check the sieve against.
 
 This generator is NOT cryptographically secure and is not meant to be; the
 contract here is cross-platform determinism, not unpredictability.
 """
 
 import sys
+from array import array
 from math import isqrt, log
 
 from .errors import CipherError, _shown
@@ -60,6 +61,7 @@ __all__ = ["Xorshift64Star", "prime_stream", "PRIME_LIMIT"]
 # 2**64 - 1: the largest seed, and the mask of one generator step
 MAX_U64 = (1 << 64) - 1
 _MULTIPLIER = 0x2545F4914F6CDD1D
+_MULTIPLIER_LOW16 = _MULTIPLIER & 0xFFFF  # 0xDD1D, all that a candidate needs of it
 _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
 
 # Primes are drawn from [2, 2**16); there are exactly 6542 of them.
@@ -67,7 +69,7 @@ PRIME_LIMIT = 1 << 16
 PRIME_COUNT_BELOW_LIMIT = 6542
 
 # Lane geometry of prime_stream: a chunk is at most _MAX_LANES lanes of
-# _LANE_STEPS draws, 8 buffer bytes each (64 KiB).
+# _LANE_STEPS draws, 4 halfwords each (64 KiB).
 _LANE_STEPS = 32
 _MAX_LANES = 256
 # A chunk draws _SLACK times the expected draws still needed plus
@@ -199,27 +201,25 @@ def _lane_starts(state, lanes):
     return x & ((1 << (64 * lanes)) - 1)
 
 
-def _fill_chunk(buf, state, lanes, byteorder=sys.byteorder):
+def _fill_chunk(state, lanes):
     """Draw a chunk of `lanes` lanes x _LANE_STEPS steps, starting at state.
 
-    Step s of the chunk fills buf[8 * lanes * s : 8 * lanes * (s + 1)] with
-    the lanes' low16(state) * 0xDD1D products as one integer in byteorder,
-    so that a lane's candidate is one 16-bit halfword of buf in byteorder.
-    Returns the state after the chunk's last draw and the halfword offsets
-    of the lanes' candidates within a step, lane 0 first.
+    Returns the state after the chunk's last draw and the chunk's
+    candidates as one array of 16-bit halfwords: step s writes the lanes'
+    low16(state) * 0xDD1D products, 4 halfwords per lane, little-endian,
+    so lane j's candidate at step s is halfword 4 * (lanes * s + j) on
+    every host.
     """
     x = _lane_starts(state, lanes)
     width = 8 * lanes
-    for at in range(0, width * _LANE_STEPS, width):
+    halfwords = array("H")
+    for _ in range(_LANE_STEPS):
         x = _xorshift(x)
         # the product stays in its lane and its low halfword is the candidate
-        buf[at : at + width] = ((x & _LOW16) * (_MULTIPLIER & 0xFFFF)).to_bytes(width, byteorder)
-    stride = 4 * lanes
-    if byteorder == "little":
-        firsts = range(0, stride, 4)
-    else:  # the lanes come highest first, each with its low halfword last
-        firsts = range(stride - 1, 0, -4)
-    return x >> (64 * (lanes - 1)), firsts  # the last lane ends where the next chunk starts
+        halfwords.frombytes(((x & _LOW16) * _MULTIPLIER_LOW16).to_bytes(width, "little"))
+    if sys.byteorder == "big":
+        halfwords.byteswap()
+    return x >> (64 * (lanes - 1)), halfwords  # the last lane ends where the next chunk starts
 
 
 def _chunk_lanes(emitted, count):
@@ -252,18 +252,12 @@ def prime_stream(seed: int, count: int) -> list:
     unused = bytearray(_PRIME_TABLE)  # 1 at each prime not yet emitted
     out = []
     append = out.append
-    buf = bytearray()
     while len(out) < count:
         lanes = _chunk_lanes(len(out), count)
+        state, halfwords = _fill_chunk(state, lanes)
         stride = 4 * lanes
-        end = stride * _LANE_STEPS
-        if len(buf) < 2 * end:
-            buf = bytearray(2 * end)
-        # buf is in the host's byte order, so the native halfwords are the candidates
-        state, firsts = _fill_chunk(buf, state, lanes)
-        halfwords = memoryview(buf).cast("H")
-        for first in firsts:
-            for candidate in halfwords[first:end:stride]:
+        for first in range(0, stride, 4):
+            for candidate in halfwords[first::stride]:
                 if unused[candidate]:
                     unused[candidate] = 0
                     append(candidate)

@@ -3,14 +3,16 @@
     PYTHONPATH=src python tests/smoke.py
 
 Encrypts and decrypts the golden fixture through cli.main, checks the
-ciphertext byte for byte, checks prime_stream against the scalar reference
+ciphertext byte for byte, checks that a prime chunk of 1, 3, 16 or 256
+lanes, read lane after lane, gives the generator's draws in order, checks
+prime_stream against the scalar reference
 loop at lengths 0 to 6,542 for four seeds and so the primes that one key
 object keeps over encrypt and decrypt of 4,000, 16 and 6,542 bytes,
 integer_cube_root against bisection around 2**53, serialize_ciphertext
 against its reference on 200 keygen envelopes, that an envelope of
-version 2 or of 1,700 blocks is refused when built and that a value past
-the int/str limit is refused with its documented class and a short
-message, known_plaintext_attack
+version 2 or of 1,700 blocks is refused when built and that two values
+past the int/str limit (a prime count, a Fibonacci index) are refused
+with their documented classes and short messages, known_plaintext_attack
 against its reference on 200 pair sets and on two sets of ~4,000-digit
 blocks (one genuine, one arbitrary), and
 decrypt_block and apply_composite (with the map and the inverse map the
@@ -33,6 +35,7 @@ from cubecipher import (
     CiphertextEnvelope,
     CorruptCiphertextError,
     IntMatrix,
+    Xorshift64Star,
     apply_composite,
     avalanche_test,
     cli,
@@ -41,6 +44,7 @@ from cubecipher import (
     encode_symbol,
     encrypt,
     encrypt_block,
+    fibonacci_q,
     integer_cube_root,
     keygen,
     known_plaintext_attack,
@@ -49,6 +53,7 @@ from cubecipher import (
 )
 from cubecipher.cipher import _primes
 from cubecipher.encoding import _decode_all
+from cubecipher.primes import _fill_chunk
 from spec import (
     attack_outcome,
     outcome,
@@ -65,6 +70,7 @@ from spec import (
 FIXTURES = Path(__file__).parent / "fixtures"
 STREAM_LENGTHS = (0, 1, 16, 136, 256, 1024, 6542)
 STREAM_SEEDS = (5198, 0, 1, (1 << 64) - 1)
+CHUNK_LANES = (1, 3, 16, 256)
 REUSED_KEY_LENGTHS = (4000, 16, 6542)
 
 
@@ -138,6 +144,14 @@ def main():
         code = cli.main(["decrypt", "--key", str(key), "--in", str(ct), "--out", str(out)])
         check(code == 0, "decrypt exited %d" % code)
         check(out.read_bytes() == message.read_bytes(), "golden message differs")
+    # a chunk read lane after lane at stride 4 * lanes is in draw order
+    for lanes in CHUNK_LANES:
+        walker = Xorshift64Star(STREAM_SEEDS[0])
+        state, halfwords = _fill_chunk(walker._state, lanes)
+        draws = [walker.next_u64() & 0xFFFF for _ in range(32 * lanes)]
+        check([c for first in range(0, 4 * lanes, 4) for c in halfwords[first::4 * lanes]]
+              == draws and state == walker._state,
+              "a chunk of %d lanes is not %d draws in order" % (lanes, 32 * lanes))
     for seed in STREAM_SEEDS:
         expected = reference_prime_stream(seed, STREAM_LENGTHS[-1])
         for length in STREAM_LENGTHS:
@@ -176,6 +190,13 @@ def main():
           == (CipherError, "cannot emit a 16610-bit int distinct primes below 65536 "
               "(only 6542 exist)"),
           "a prime count past the int/str limit is not refused with a short CipherError")
+    try:
+        fibonacci_q(-(10**5000))
+        refusal = None
+    except ValueError as exc:
+        refusal = str(exc)
+    check(refusal == "fibonacci_q requires n >= 1, got a 16610-bit int",
+          "a Fibonacci index past the int/str limit is not refused with a short ValueError")
     for seed in range(200):
         pairs = pair_set(rng, seed)
         check(attack_outcome(pairs) == reference_attack(pairs),
@@ -220,12 +241,13 @@ def main():
               "decrypt of a tampered envelope under keygen(%d) differs from the reference" % seed)
     check(avalanche_test(keygen(7), 257, 7, 11).to_json_text() == AVALANCHE_REPORT,
           "avalanche report differs")
-    print("smoke ok: Python %s, golden fixture through cli.main, %d prime streams, "
-          "3 round trips under one key, 16 cube roots, 200 envelopes, 3 refusals, "
+    print("smoke ok: Python %s, golden fixture through cli.main, %d prime chunks, "
+          "%d prime streams, 3 round trips under one key, 16 cube roots, 200 envelopes, "
+          "4 refusals, "
           "202 attack pair sets (2 of ~4,000 digits), "
           "200 keys' un-mix and composite maps, 65,775 genuine roots, "
           "400 decrypts (200 tampered), 1 avalanche report"
-          % (sys.version.split()[0], len(STREAM_SEEDS) * len(STREAM_LENGTHS)))
+          % (sys.version.split()[0], len(CHUNK_LANES), len(STREAM_SEEDS) * len(STREAM_LENGTHS)))
 
 
 if __name__ == "__main__":

@@ -167,6 +167,18 @@ def test_bad_arguments_exit_2(tmp_path):
         (["bench", "--key", "k.json", "--lengths", "8,x"],
          "argument --lengths: lengths must be comma-separated integers"),
         (["bench", "--key", "k.json", "--lengths", " , "], "argument --lengths: lengths must not be empty"),
+        (["avalanche", "--key", "k.json", "--length", "abc"], "argument --length: invalid int value: 'abc'"),
+        (["avalanche", "--key", "k.json", "--trials", "1.5"],
+         "argument --trials: invalid int value: '1.5'"),
+        (["bench", "--key", "k.json", "--repetitions", ""],
+         "argument --repetitions: invalid int value: ''"),
+        # argparse's type=int used to echo all 5,000 digits
+        (["avalanche", "--key", "k.json", "--length", "9" * 5000],
+         "argument --length: invalid int value: '%s... (5000 characters)" % ("9" * 39)),
+        (["avalanche", "--key", "k.json", "--trials", "9" * 5000],
+         "argument --trials: invalid int value: '%s... (5000 characters)" % ("9" * 39)),
+        (["bench", "--key", "k.json", "--repetitions", "9" * 5000],
+         "argument --repetitions: invalid int value: '%s... (5000 characters)" % ("9" * 39)),
     ],
 )
 def test_argument_type_errors_exit_2(tmp_path, capsys, argv, message):

@@ -136,6 +136,13 @@ def test_fibonacci_q_rejects_nonpositive():
             fibonacci_q(n)
 
 
+def test_fibonacci_q_shows_a_huge_index_short():
+    # %d used to raise the interpreter's int/str-limit ValueError instead
+    with pytest.raises(ValueError) as excinfo:
+        fibonacci_q(-(10**5000))
+    assert str(excinfo.value) == "fibonacci_q requires n >= 1, got a 16610-bit int"
+
+
 def test_rotation_table():
     assert rotation(0) == IntMatrix.identity(2)
     assert rotation(1) == IntMatrix.from_rows([[0, -1], [1, 0]])
@@ -236,9 +243,9 @@ def test_a_refused_entry_is_shown_short(entry, shown):
 
 @pytest.mark.parametrize("rows, cols, error, message", [
     (_UNPRINTABLE, 2, TypeError, "matrix dimensions must be ints, got an unprintable Fraction"),
-    (-(10**5000), 2, ValueError, "matrix dimensions must be positive, got a 16610-bit intx2"),
+    (-(10**5000), 2, ValueError, "matrix dimensions must be positive, got a 16610-bit int by 2"),
     (10**5000, 1, ValueError,
-     "expected a 16610-bit int entries for a a 16610-bit intx1 matrix, got 0"),
+     "expected one entry per cell of a matrix sized a 16610-bit int by 1, got 0"),
 ], ids=["fraction", "huge-negative", "huge-size"])
 def test_a_refused_shape_is_shown_short(rows, cols, error, message):
     # each used to raise the interpreter's int/str-limit ValueError

@@ -6,6 +6,8 @@ import math
 import random
 import sys
 import threading
+import types
+from array import array
 
 import pytest
 
@@ -284,26 +286,35 @@ def test_short_stream_grows_the_start_table_only_a_little(monkeypatch):
     assert primes._START_TABLE[0] <= 8
 
 
-@pytest.mark.parametrize("byteorder", ["little", "big"])
 @pytest.mark.parametrize("lanes", [1, 3, 16, 256])
-def test_chunk_layout_gives_draw_order_in_either_byte_order(byteorder, lanes):
-    """Read as a host of the given byte order reads it, the chunk buffer
-    gives the scalar loop's candidates in draw order, so the stream does
-    not depend on the host."""
+def test_chunk_layout_gives_draw_order_on_every_host(lanes):
+    """Read lane after lane at stride 4 * lanes, the chunk's halfwords are
+    the scalar loop's candidates in draw order, and the chunk ends in the
+    state that many draws reach."""
     seed = 5198
     draws = lanes * _LANE_STEPS
-    outputs = xorshift_reference(seed, draws)
-    buf = bytearray(8 * draws)
-    state, firsts = _fill_chunk(buf, Xorshift64Star(seed)._state, lanes, byteorder)
-    halfwords = [int.from_bytes(buf[i : i + 2], byteorder) for i in range(0, len(buf), 2)]
+    state, halfwords = _fill_chunk(Xorshift64Star(seed)._state, lanes)
     stride = 4 * lanes
-    assert [c for first in firsts for c in halfwords[first::stride]] == [
-        o & (PRIME_LIMIT - 1) for o in outputs
+    assert [c for first in range(0, stride, 4) for c in halfwords[first::stride]] == [
+        o & (PRIME_LIMIT - 1) for o in xorshift_reference(seed, draws)
     ]
     walker = Xorshift64Star(seed)
     for _ in range(draws):
         walker.next_u64()
     assert state == walker._state
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 16, 256])
+def test_chunk_made_for_the_other_byte_order_is_byte_swapped(lanes, monkeypatch):
+    """Faking the other byte order (big-endian on a little-endian host)
+    gives every halfword with its two bytes swapped: the swap runs on a
+    big-endian host and only there."""
+    state = Xorshift64Star(5198)._state
+    end, halfwords = _fill_chunk(state, lanes)
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(primes, "sys", types.SimpleNamespace(byteorder=other))
+    swapped = array("H", [(h >> 8) | (h & 0xFF) << 8 for h in halfwords])
+    assert _fill_chunk(state, lanes) == (end, swapped)
 
 
 @pytest.mark.parametrize(
