@@ -1,4 +1,4 @@
-"""The block cipher pipeline: key material, blockification, and the
+"""The block cipher pipeline: key material, zero-padded 2x2 blocks, and the
 Fibonacci / rotation / key-matrix mixing chain with its exact inverse.
 
 Encryption of one 2x2 block B of trapdoor-encoded values computes
@@ -65,8 +65,6 @@ __all__ = [
     "CiphertextEnvelope",
     "keygen",
     "validate_key",
-    "blockify",
-    "deblockify",
     "block_map",
     "encrypt_block",
     "decrypt_block",
@@ -151,7 +149,10 @@ class CiphertextEnvelope:
     def __init__(self, version, pad_count, blocks):
         blocks = tuple(blocks)
         _require_format_version(version)
-        _require_pad_count(pad_count)
+        if not isinstance(pad_count, int) or isinstance(pad_count, bool):
+            raise TypeError("pad_count must be an int, got %s" % _shown(pad_count))
+        if not 0 <= pad_count < BLOCK_SYMBOLS:
+            raise ValueError("pad_count must be in [0, 3]")
         if not blocks and pad_count != 0:
             raise ValueError("an empty envelope cannot carry padding")
         for b in blocks:
@@ -170,14 +171,6 @@ class CiphertextEnvelope:
         return BLOCK_SYMBOLS * len(self.blocks) - self.pad_count
 
 
-def _require_pad_count(pad_count):
-    """Refuse a pad count that is not an int (bools included) in [0, 3]."""
-    if not isinstance(pad_count, int) or isinstance(pad_count, bool):
-        raise TypeError("pad_count must be an int, got %s" % _shown(pad_count))
-    if not 0 <= pad_count < BLOCK_SYMBOLS:
-        raise ValueError("pad_count must be in [0, 3]")
-
-
 def validate_key(key: KeyMaterial):
     """Check key material, returning (ok, problems).
 
@@ -190,9 +183,7 @@ def validate_key(key: KeyMaterial):
         problems.append("key matrix is singular (determinant 0), it has no inverse")
     n = key.fib_index
     if not 1 <= n <= MAX_FIB_INDEX:
-        # an index from a hostile key file can be too long to print
-        shown = "%d" % n if n.bit_length() <= 64 else "a %d-bit value" % n.bit_length()
-        problems.append("fib_index must be in [1, %d], got %s" % (MAX_FIB_INDEX, shown))
+        problems.append("fib_index must be in [1, %d], got %s" % (MAX_FIB_INDEX, _shown(n)))
     return (not problems, problems)
 
 
@@ -270,55 +261,11 @@ def _primes(key, count):
     return drawn[:count]
 
 
-def _padded(ts):
-    pad_count = (-len(ts)) % BLOCK_SYMBOLS
-    return ts + [0] * pad_count, pad_count
-
-
-def blockify(ts):
-    """Group encoded values into 2x2 blocks, row-major, zero-padding the tail.
-
-    Returns (blocks, pad_count) with pad_count in [0, 3]. A genuine encoded
-    value is always >= 1, so 0 never collides with real data.
-    """
-    ts = list(ts)
-    for t in ts:
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise ValueError("encoded values must be nonnegative ints, got %s" % _shown(t))
-    ts, pad_count = _padded(ts)
-    blocks = [
-        IntMatrix(2, 2, tuple(ts[i : i + BLOCK_SYMBOLS]))
-        for i in range(0, len(ts), BLOCK_SYMBOLS)
-    ]
-    return blocks, pad_count
-
-
-def deblockify(blocks, pad_count: int):
-    """Inverse of blockify; checks that every stripped pad slot is exactly 0.
-
-    pad_count must be an int in [0, 3], as in CiphertextEnvelope
-    (TypeError otherwise, bools included, ValueError out of range). Each
-    block must be a 2x2 IntMatrix (TypeError otherwise, ValueError
-    for another shape, as encrypt_block). A nonzero value in a pad
-    position means the ciphertext was tampered with or decrypted under the
-    wrong key, and raises CorruptCiphertextError naming the offending slot
-    and block. The message gives the value's bit length, not its digits,
-    which can be too long to print.
-    """
-    blocks = list(blocks)
-    _require_pad_count(pad_count)
-    if not blocks:
-        if pad_count != 0:
-            raise ValueError("no blocks to strip padding from")
-        return []
-    for b in blocks:
-        _require_block(b)
-    return _strip_pad([e for b in blocks for e in b.entries], pad_count)
-
-
 def _strip_pad(flat, pad_count):
     """flat, the row-major entries of whole blocks, with its last
-    pad_count entries, which must be 0, removed in place (see deblockify)."""
+    pad_count entries removed in place. Each pad slot must hold 0: a
+    nonzero one (tampering or a wrong key) raises CorruptCiphertextError
+    naming the slot, the block and the value's bit length, not its digits."""
     if pad_count:
         for offset, value in enumerate(flat[-pad_count:]):
             if value != 0:
@@ -424,7 +371,9 @@ def decrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
 def _mix(message, m, primes):
     """(pad_count, the mixed row-major 4-tuple of each block) of message,
     given the key's block map m and prime stream."""
-    ts, pad_count = _padded([encode_symbol(b, p) for b, p in zip(message, primes)])
+    ts = [encode_symbol(b, p) for b, p in zip(message, primes)]
+    pad_count = (-len(ts)) % BLOCK_SYMBOLS
+    ts += [0] * pad_count  # a genuine t is >= 1, so a pad 0 never collides with data
     it = iter(ts)
     return pad_count, list(_map_blocks(m, zip(it, it, it, it)))
 
@@ -442,6 +391,8 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
     """
     if isinstance(message, str):
         raise TypeError("encrypt takes bytes; encode the string first")
+    if isinstance(message, int):
+        raise TypeError("encrypt takes bytes, not an int")  # bytes(7) is seven NULs
     message = bytes(message)
     _require_valid(key)
     _require_length(len(message))

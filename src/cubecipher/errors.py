@@ -25,13 +25,14 @@ _SHOWN_CHARS = 40  # longest repr of a bad value that a message echoes whole
 def _shown(value):
     """repr(value) for an error message, cut to a prefix and the value's
     length when long, so a hostile value cannot make the message huge. It
-    never raises: an int past the int/str limit is shown by its bit length,
-    any other value whose repr fails by its type."""
+    never raises: an int past the int/str limit is shown by its sign and
+    bit length, any other value whose repr fails by its type."""
     try:
         text = repr(value)
     except Exception:
         if isinstance(value, int):
-            return "a %d-bit int" % int.bit_length(value)
+            sign = "negative " if int.__lt__(value, 0) else ""
+            return "a %s%d-bit int" % (sign, int.bit_length(value))
         return "an unprintable %s" % type(value).__name__
     if len(text) <= _SHOWN_CHARS:
         return text

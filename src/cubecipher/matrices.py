@@ -97,14 +97,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    def to_rows(self):
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
     def __rmul__(self, scalar):
         if not isinstance(scalar, int) or isinstance(scalar, bool):
             return NotImplemented

@@ -10,9 +10,11 @@ loop at lengths 0 to 6,542 for four seeds and so the primes that one key
 object keeps over encrypt and decrypt of 4,000, 16 and 6,542 bytes,
 integer_cube_root against bisection around 2**53, serialize_ciphertext
 against its reference on 200 keygen envelopes, that an envelope of
-version 2 or of 1,700 blocks is refused when built and that two values
+version 2 or of 1,700 blocks is refused when built, that two values
 past the int/str limit (a prime count, a Fibonacci index) are refused
-with their documented classes and short messages, known_plaintext_attack
+with their documented classes and short messages, that validate_key names
+a huge negative Fibonacci index by its sign and size, that encrypt refuses
+an int message, known_plaintext_attack
 against its reference on 200 pair sets and on two sets of ~4,000-digit
 blocks (one genuine, one arbitrary), and
 decrypt_block and apply_composite (with the map and the inverse map the
@@ -35,6 +37,7 @@ from cubecipher import (
     CiphertextEnvelope,
     CorruptCiphertextError,
     IntMatrix,
+    KeyMaterial,
     Xorshift64Star,
     apply_composite,
     avalanche_test,
@@ -50,6 +53,7 @@ from cubecipher import (
     known_plaintext_attack,
     prime_stream,
     serialize_ciphertext,
+    validate_key,
 )
 from cubecipher.cipher import _primes
 from cubecipher.encoding import _decode_all
@@ -195,8 +199,17 @@ def main():
         refusal = None
     except ValueError as exc:
         refusal = str(exc)
-    check(refusal == "fibonacci_q requires n >= 1, got a 16610-bit int",
+    check(refusal == "fibonacci_q requires n >= 1, got a negative 16610-bit int",
           "a Fibonacci index past the int/str limit is not refused with a short ValueError")
+    check(validate_key(KeyMaterial(IntMatrix(2, 2, (1, 0, 0, 1)), -(10**5000), 0, 0))
+          == (False, ["fib_index must be in [1, 10000], got a negative 16610-bit int"]),
+          "validate_key does not name a huge negative Fibonacci index by its sign and size")
+    try:
+        encrypt(7, keygen(1))
+        refusal = None
+    except TypeError as exc:
+        refusal = str(exc)
+    check(refusal == "encrypt takes bytes, not an int", "encrypt does not refuse an int message")
     for seed in range(200):
         pairs = pair_set(rng, seed)
         check(attack_outcome(pairs) == reference_attack(pairs),
@@ -243,7 +256,7 @@ def main():
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime chunks, "
           "%d prime streams, 3 round trips under one key, 16 cube roots, 200 envelopes, "
-          "4 refusals, "
+          "6 refusals, "
           "202 attack pair sets (2 of ~4,000 digits), "
           "200 keys' un-mix and composite maps, 65,775 genuine roots, "
           "400 decrypts (200 tampered), 1 avalanche report"

@@ -22,8 +22,6 @@ from cubecipher import (
     NonIntegralResultError,
     SymbolRangeError,
     Xorshift64Star,
-    blockify,
-    deblockify,
     decode_symbol,
     encode_symbol,
     fibonacci_q,
@@ -146,9 +144,13 @@ def reference_encrypt_block(block, key):
 
 
 def reference_encrypt(message, key):
-    """encrypt before the per-key map: encode, blockify, chain per block."""
+    """encrypt before the per-key map: encode, zero-pad to whole 2x2
+    blocks, chain per block."""
     primes = prime_stream(key.prime_seed, len(message))
-    blocks, pad_count = blockify([encode_symbol(b, p) for b, p in zip(message, primes)])
+    ts = [encode_symbol(b, p) for b, p in zip(message, primes)]
+    pad_count = -len(ts) % 4
+    ts += [0] * pad_count
+    blocks = [IntMatrix(2, 2, ts[i : i + 4]) for i in range(0, len(ts), 4)]
     return CiphertextEnvelope(1, pad_count, tuple(reference_encrypt_block(b, key) for b in blocks))
 
 
@@ -197,7 +199,14 @@ def reference_decrypt(envelope, key, byte_mode=False):
             blocks.append(reference_decrypt_block(block, key))
         except NonIntegralResultError as exc:
             raise NonIntegralResultError("block %d: %s" % (i, exc)) from None
-    ts = deblockify(blocks, envelope.pad_count)
+    ts = [e for block in blocks for e in block.entries]
+    for slot in range(4 - envelope.pad_count, 4):
+        value = blocks[-1].entries[slot]
+        if value != 0:
+            raise CorruptCiphertextError(
+                "pad slot %d in block %d holds a nonzero %d-bit value, expected 0"
+                % (slot, len(blocks) - 1, value.bit_length()))
+    del ts[len(ts) - envelope.pad_count:]
     out = bytearray()
     for i, (t, p) in enumerate(zip(ts, prime_stream(key.prime_seed, len(ts)))):
         try:

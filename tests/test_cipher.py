@@ -1,4 +1,4 @@
-"""Cipher pipeline: key handling, blockification, block chain, round trips."""
+"""Cipher pipeline: key handling, block padding, block chain, round trips."""
 
 import copy
 import dataclasses
@@ -27,8 +27,6 @@ from cubecipher import (
     NonIntegralResultError,
     SymbolRangeError,
     block_map,
-    blockify,
-    deblockify,
     decrypt,
     decrypt_block,
     encrypt,
@@ -43,7 +41,13 @@ from cubecipher import (
 )
 from cubecipher import cipher as cipher_module
 from cubecipher.primes import Xorshift64Star
-from spec import reference_decrypt_block, reference_encrypt, reference_encrypt_block
+from spec import (
+    outcome,
+    reference_decrypt,
+    reference_decrypt_block,
+    reference_encrypt,
+    reference_encrypt_block,
+)
 
 IDENTITY_KEY = KeyMaterial(IntMatrix.identity(2), 1, 0, 0)
 
@@ -112,8 +116,9 @@ def test_fib_index_is_bounded():
 
     assert problems(MAX_FIB_INDEX) == []
     assert problems(MAX_FIB_INDEX + 1) == ["fib_index must be in [1, 10000], got 10001"]
-    # an index too long to print is reported by its size
-    assert problems(-(10**5000)) == ["fib_index must be in [1, 10000], got a 16610-bit value"]
+    # an index too long to print is reported by its sign and size
+    assert problems(-(10**5000)) == [
+        "fib_index must be in [1, 10000], got a negative 16610-bit int"]
     assert problems(10**18) == ["fib_index must be in [1, 10000], got 1000000000000000000"]
     with pytest.raises(InvalidKeyError):
         encrypt(b"x", KeyMaterial(IntMatrix.identity(2), MAX_FIB_INDEX + 1, 0, 0))
@@ -145,71 +150,37 @@ def test_key_material_construction_rules():
     assert KeyMaterial(IntMatrix.identity(2), 1, -1, 0).quarter_turns == 3
 
 
-def test_blockify_examples():
-    assert blockify([]) == ([], 0)
-    blocks, pad = blockify([10, 20, 30, 40, 50])
-    assert pad == 3
-    assert blocks == [
-        IntMatrix.from_rows([[10, 20], [30, 40]]),
-        IntMatrix.from_rows([[50, 0], [0, 0]]),
-    ]
-    with pytest.raises(ValueError):
-        blockify([1, -2])
-
-
-def test_blockify_deblockify_round_trip():
-    rng = random.Random(31)
-    for length in range(0, 65):
-        ts = [rng.randint(1, 10**12) for _ in range(length)]
-        blocks, pad = blockify(ts)
-        assert 4 * len(blocks) - pad == length
-        assert deblockify(blocks, pad) == ts
-
-
-def test_deblockify_examples_and_errors():
-    assert deblockify([], 0) == []
-    block = IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert deblockify([block], 0) == [1, 2, 3, 4]
-    with pytest.raises(CorruptCiphertextError):
-        deblockify([block], 2)  # pad slots hold 3 and 4, not 0
-    with pytest.raises(ValueError):
-        deblockify([block], 4)
-    with pytest.raises(ValueError):
-        deblockify([], 1)
-
-
-@pytest.mark.parametrize(
-    "block, error",
-    [
-        ((1, 2, 3, 0), TypeError),
-        (IntMatrix(4, 1, (1, 2, 3, 0)), ValueError),
-        (IntMatrix(1, 4, (1, 2, 3, 0)), ValueError),
-        (IntMatrix(3, 3, (1, 2, 3, 4, 5, 6, 7, 8, 0)), ValueError),
-    ],
-)
-def test_deblockify_checks_its_blocks(block, error):
-    """A block that is not a 2x2 IntMatrix fails as it does in
-    encrypt_block, before any pad slot is read, even in second place."""
-    with pytest.raises(error) as expected:
-        encrypt_block(block, keygen(1))
-    good = IntMatrix(2, 2, (1, 2, 3, 0))
-    for blocks in ([block], [good, block]):
-        with pytest.raises(error) as raised:
-            deblockify(blocks, 1)
-        assert str(raised.value) == str(expected.value)
-
-
 def test_pad_slot_error_omits_huge_values():
     huge = 10**5000 - 1
+    key = keygen(1)
+    envelope = CiphertextEnvelope(1, 1, [encrypt_block(IntMatrix(2, 2, (1, 2, 3, huge)), key)])
     with pytest.raises(CorruptCiphertextError) as excinfo:
-        deblockify([IntMatrix(2, 2, (1, 2, 3, huge))], 1)
+        decrypt(envelope, key)
     assert str(excinfo.value) == (
         "pad slot 3 in block 0 holds a nonzero %d-bit value, expected 0" % huge.bit_length()
     )
 
 
+@pytest.mark.parametrize("pad_count, slot", [(1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize("value", [5, -(3**10_480)], ids=["small", "huge"])
+def test_a_nonzero_pad_slot_is_named(pad_count, slot, value):
+    """A nonzero value planted in any pad slot of a genuine last block
+    fails decrypt as it fails the reference, naming that slot and block."""
+    key = keygen(17)
+    envelope = encrypt(b"pad test"[pad_count:], key)
+    ts = list(decrypt_block(envelope.blocks[-1], key).entries)
+    ts[slot] = value
+    blocks = envelope.blocks[:-1] + (encrypt_block(IntMatrix(2, 2, ts), key),)
+    planted = CiphertextEnvelope(1, pad_count, blocks)
+    assert outcome(decrypt, planted, key) == outcome(reference_decrypt, planted, key) == (
+        CorruptCiphertextError,
+        "pad slot %d in block 1 holds a nonzero %d-bit value, expected 0"
+        % (slot, value.bit_length()),
+    )
+
+
 def test_encrypt_block_zero_is_zero():
-    zero = IntMatrix.zeros(2, 2)
+    zero = IntMatrix(2, 2, (0, 0, 0, 0))
     for seed in range(5):
         assert encrypt_block(zero, keygen(seed)) == zero
 
@@ -397,6 +368,15 @@ def test_encrypt_rejects_str():
         encrypt("text", keygen(1))
 
 
+@pytest.mark.parametrize("message", [7, 10**5000], ids=["small", "huge"])
+def test_encrypt_refuses_an_int_message(message):
+    # bytes(7) is seven NULs, which used to encrypt, and bytes(10**5000)
+    # raised a raw OverflowError
+    with pytest.raises(TypeError) as excinfo:
+        encrypt(message, keygen(1))
+    assert str(excinfo.value) == "encrypt takes bytes, not an int"
+
+
 def test_decrypt_rejects_other_version():
     # the envelope refuses another version when built, so decrypt never
     # meets one
@@ -537,20 +517,9 @@ def test_envelope_validation():
 @pytest.mark.parametrize("pad_count", [3.0, True, "1", None])
 def test_envelope_pad_count_must_be_an_int(pad_count):
     # a float pad count used to reach decrypt's slicing, and True passed as 1
-    with pytest.raises(TypeError, match="pad_count must be an int, got "):
+    with pytest.raises(TypeError) as excinfo:
         CiphertextEnvelope(1, pad_count, (IntMatrix.identity(2),))
-
-
-@pytest.mark.parametrize("pad_count", [3.0, True, "1", None])
-def test_deblockify_pad_count_must_be_an_int(pad_count):
-    # 3.0 used to reach a slice and raise a raw TypeError, and True stripped one slot
-    blocks, _ = blockify([1, 2, 3, 4, 5])
-    with pytest.raises(TypeError) as stripped:
-        deblockify(blocks, pad_count)
-    with pytest.raises(TypeError) as built:
-        CiphertextEnvelope(1, pad_count, blocks)
-    assert str(stripped.value) == str(built.value) == "pad_count must be an int, got %r" % (
-        pad_count,)
+    assert str(excinfo.value) == "pad_count must be an int, got %r" % (pad_count,)
 
 
 @pytest.mark.parametrize("pad_count, shown", [
@@ -560,23 +529,9 @@ def test_deblockify_pad_count_must_be_an_int(pad_count):
 def test_a_refused_pad_count_is_shown_short(pad_count, shown):
     # the Fraction used to raise the interpreter's int/str-limit ValueError,
     # and the string was echoed whole
-    blocks, _ = blockify([1, 2, 3, 4, 5])
-    with pytest.raises(TypeError) as stripped:
-        deblockify(blocks, pad_count)
     with pytest.raises(TypeError) as built:
-        CiphertextEnvelope(1, pad_count, blocks)
-    assert str(stripped.value) == str(built.value) == "pad_count must be an int, got " + shown
-
-
-@pytest.mark.parametrize("value, shown", [
-    (-(10**5000), "a 16610-bit int"),
-    ("7" * 100_000, "'%s... (100000 characters)" % ("7" * 39)),
-], ids=["huge-int", "long-str"])
-def test_blockify_shows_a_refused_value_short(value, shown):
-    # the int used to raise the interpreter's int/str-limit ValueError
-    with pytest.raises(ValueError) as excinfo:
-        blockify([1, value])
-    assert str(excinfo.value) == "encoded values must be nonnegative ints, got " + shown
+        CiphertextEnvelope(1, pad_count, (IntMatrix.identity(2),))
+    assert str(built.value) == "pad_count must be an int, got " + shown
 
 
 def test_an_envelope_refuses_more_symbols_than_the_message_limit():

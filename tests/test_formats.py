@@ -344,7 +344,7 @@ class _Unprintable:
     ("\u00e9" * 50, "'%s... (50 characters)" % ("\u00e9" * 39)),
     (10**100, "1%s... (101 characters)" % ("0" * 39)),
     (10**5000, "a 16610-bit int"),
-    (-(10**5000), "a 16610-bit int"),
+    (-(10**5000), "a negative 16610-bit int"),
     (Fraction(10**5000, 3), "an unprintable Fraction"),
     ([10**5000], "an unprintable list"),
     (_Unprintable(), "an unprintable _Unprintable"),

@@ -12,6 +12,10 @@ import pytest
 from cubecipher import IntMatrix, fibonacci_q, rotation
 
 
+def rows(m):
+    return [list(m.entries[i * m.cols : (i + 1) * m.cols]) for i in range(m.rows)]
+
+
 def schoolbook_product(a_rows, b_rows):
     """Reference multiply on plain lists, independent of IntMatrix internals."""
     n, k, m = len(a_rows), len(b_rows), len(b_rows[0])
@@ -65,7 +69,7 @@ def test_random_products_match_schoolbook():
     for _ in range(200):
         a = random_matrix(rng, 2, span=10**6)
         b = random_matrix(rng, 2, span=10**6)
-        assert (a @ b).to_rows() == schoolbook_product(a.to_rows(), b.to_rows())
+        assert rows(a @ b) == schoolbook_product(rows(a), rows(b))
 
 
 def test_product_shape_mismatch():
@@ -82,7 +86,7 @@ def test_det_matches_permutation_sum():
     rng = random.Random(202)
     for _ in range(200):
         a = random_matrix(rng, 3, span=50)
-        assert a.det() == permutation_determinant(a.to_rows())
+        assert a.det() == permutation_determinant(rows(a))
 
 
 def test_det_requires_square():
@@ -140,7 +144,7 @@ def test_fibonacci_q_shows_a_huge_index_short():
     # %d used to raise the interpreter's int/str-limit ValueError instead
     with pytest.raises(ValueError) as excinfo:
         fibonacci_q(-(10**5000))
-    assert str(excinfo.value) == "fibonacci_q requires n >= 1, got a 16610-bit int"
+    assert str(excinfo.value) == "fibonacci_q requires n >= 1, got a negative 16610-bit int"
 
 
 def test_rotation_table():
@@ -219,7 +223,7 @@ def test_entry_type_policing_names_the_entry(entry):
 )
 def test_dimension_type_policing(rows, cols):
     # a float or bool dimension used to construct, compare equal to its
-    # int twin, and fail later in to_rows() with a raw TypeError
+    # int twin, and fail later in a row split with a raw TypeError
     bad = rows if type(rows) is not int else cols
     with pytest.raises(TypeError) as excinfo:
         IntMatrix(rows, cols, (1, 2, 3, 4))
@@ -243,7 +247,8 @@ def test_a_refused_entry_is_shown_short(entry, shown):
 
 @pytest.mark.parametrize("rows, cols, error, message", [
     (_UNPRINTABLE, 2, TypeError, "matrix dimensions must be ints, got an unprintable Fraction"),
-    (-(10**5000), 2, ValueError, "matrix dimensions must be positive, got a 16610-bit int by 2"),
+    (-(10**5000), 2, ValueError,
+     "matrix dimensions must be positive, got a negative 16610-bit int by 2"),
     (10**5000, 1, ValueError,
      "expected one entry per cell of a matrix sized a 16610-bit int by 1, got 0"),
 ], ids=["fraction", "huge-negative", "huge-size"])
@@ -262,7 +267,7 @@ def test_int_subclass_entries_are_accepted():
     assert m.entries == (3, 1, 2, -4)
     assert type(m.entries[0]) is Tagged
     # and int subclass dimensions, as for entries
-    assert IntMatrix(Tagged(2), Tagged(2), m.entries).to_rows() == [[3, 1], [2, -4]]
+    assert rows(IntMatrix(Tagged(2), Tagged(2), m.entries)) == [[3, 1], [2, -4]]
 
 
 @pytest.mark.parametrize("entries", [(0, 0, 0, 0), (1, -2, 3, -4), (10**4000, -1, 7, -(10**300))])
@@ -315,4 +320,4 @@ def test_integer_scaling():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert 3 * a == IntMatrix.from_rows([[3, 6], [9, 12]])
     assert -1 * a == IntMatrix.from_rows([[-1, -2], [-3, -4]])
-    assert 0 * a == IntMatrix.zeros(2, 2)
+    assert 0 * a == IntMatrix(2, 2, (0, 0, 0, 0))

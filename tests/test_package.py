@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "KeyMaterial", "MAX_FIB_INDEX", "MAX_MESSAGE_BYTES", "NoIntegerRootError",
     "NonIntegralResultError", "PRIME_LIMIT", "SingularMatrixError", "SymbolRangeError",
     "Xorshift64Star", "apply_composite", "avalanche_test", "benchmark", "block_map",
-    "blockify", "deblockify", "decode_symbol", "decrypt", "decrypt_block", "encode_symbol",
+    "decode_symbol", "decrypt", "decrypt_block", "encode_symbol",
     "encrypt", "encrypt_block", "fibonacci_q", "growth_exponent", "integer_cube_root",
     "keygen", "known_plaintext_attack", "parse_ciphertext", "parse_key", "parse_pairs",
     "prime_stream", "rotation", "serialize_ciphertext", "serialize_key", "serialize_pairs",
@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
 
 
 def test_the_root_exports_the_pinned_names():
-    assert len(PUBLIC_NAMES) == 51
+    assert len(PUBLIC_NAMES) == 49
     assert sorted(cubecipher.__all__) == PUBLIC_NAMES
     public = [name for name in dir(cubecipher)
               if not name.startswith("_") and not inspect.ismodule(getattr(cubecipher, name))]
