@@ -49,7 +49,6 @@ from statistics import linear_regression, median
 
 from .cipher import (
     BLOCK_SYMBOLS,
-    FORMAT_VERSION,
     _block_map,
     _divide_exactly,
     _map_blocks,
@@ -61,7 +60,7 @@ from .cipher import (
     encrypt,
 )
 from .errors import InsufficientPairsError
-from .formats import _ciphertext_text, _format_decimal, dumps_canonical, serialize_ciphertext
+from .formats import FORMAT_VERSION, _ciphertext_text, _format_decimal, dumps_canonical, serialize_ciphertext
 from .matrices import IntMatrix
 from .primes import Xorshift64Star
 

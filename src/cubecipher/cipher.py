@@ -52,13 +52,13 @@ from .errors import (
     InvalidKeyError,
     NonIntegralResultError,
     SymbolRangeError,
+    _require_instance,
     _shown,
 )
 from .matrices import IntMatrix, _set_field, fibonacci_q, rotation
 from .primes import MAX_U64, PRIME_COUNT_BELOW_LIMIT, Xorshift64Star, prime_stream
 
 __all__ = [
-    "FORMAT_VERSION",
     "MAX_FIB_INDEX",
     "MAX_MESSAGE_BYTES",
     "KeyMaterial",
@@ -71,8 +71,6 @@ __all__ = [
     "encrypt",
     "decrypt",
 ]
-
-FORMAT_VERSION = 1
 
 BLOCK_SYMBOLS = 4  # each 2x2 block carries four encoded values
 
@@ -134,21 +132,19 @@ class KeyMaterial:
 
 @dataclass(frozen=True, init=False)
 class CiphertextEnvelope:
-    """Ordered ciphertext blocks plus framing: version and pad count.
+    """A message's ciphertext: its pad count and its ordered 2x2 blocks.
 
     The original message length is 4 * len(blocks) - pad_count. The
     constructor checks all framing, so decrypt and serialize_ciphertext
-    accept every envelope: a version other than FORMAT_VERSION, or more
-    than MAX_MESSAGE_BYTES symbols, raises CorruptCiphertextError.
+    accept every envelope: more than MAX_MESSAGE_BYTES symbols raises
+    CorruptCiphertextError. The version tag belongs to the file formats.
     """
 
-    version: int
     pad_count: int
     blocks: tuple
 
-    def __init__(self, version, pad_count, blocks):
+    def __init__(self, pad_count, blocks):
         blocks = tuple(blocks)
-        _require_format_version(version)
         if not isinstance(pad_count, int) or isinstance(pad_count, bool):
             raise TypeError("pad_count must be an int, got %s" % _shown(pad_count))
         if not 0 <= pad_count < BLOCK_SYMBOLS:
@@ -162,13 +158,8 @@ class CiphertextEnvelope:
                     raise TypeError("envelope blocks must be 2x2 IntMatrix values")
         _require_symbol_count(BLOCK_SYMBOLS * len(blocks) - pad_count)
         # each field set once, as IntMatrix sets its own
-        _set_field(self, "version", version)
         _set_field(self, "pad_count", pad_count)
         _set_field(self, "blocks", blocks)
-
-    @property
-    def message_length(self):
-        return BLOCK_SYMBOLS * len(self.blocks) - self.pad_count
 
 
 def validate_key(key: KeyMaterial):
@@ -176,8 +167,9 @@ def validate_key(key: KeyMaterial):
 
     ok is True iff the key matrix is invertible and the Fibonacci index is
     in [1, MAX_FIB_INDEX]; problems lists a message naming each failed
-    check.
+    check. A key that is not a KeyMaterial raises TypeError.
     """
+    _require_instance(key, KeyMaterial, "key")
     problems = []
     if key.key_matrix.det() == 0:
         problems.append("key matrix is singular (determinant 0), it has no inverse")
@@ -213,19 +205,6 @@ def keygen(rng_seed: int) -> KeyMaterial:
     quarter_turns = rng.below(4)
     prime_seed = rng.next_u64()
     return KeyMaterial(matrix, fib_index, quarter_turns, prime_seed)
-
-
-def _is_format_version(value):
-    """Whether value is FORMAT_VERSION: an int, not a bool, equal to it."""
-    return isinstance(value, int) and not isinstance(value, bool) and value == FORMAT_VERSION
-
-
-def _require_format_version(version):
-    """Refuse an envelope whose version is not FORMAT_VERSION."""
-    if not _is_format_version(version):
-        long_int = isinstance(version, int) and version.bit_length() > 64
-        shown = "a %d-bit int" % version.bit_length() if long_int else _shown(version)
-        raise CorruptCiphertextError("unsupported ciphertext version %s" % shown)
 
 
 def _require_symbol_count(count):
@@ -404,7 +383,7 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
                     % (b, i)
                 )
     pad_count, vectors = _mix(message, _block_map(key), _primes(key, len(message)))
-    return CiphertextEnvelope(FORMAT_VERSION, pad_count, [IntMatrix(2, 2, v) for v in vectors])
+    return CiphertextEnvelope(pad_count, [IntMatrix(2, 2, v) for v in vectors])
 
 
 def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = False) -> bytes:
@@ -418,6 +397,7 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
     one key object draws no primes.
     """
     _require_valid(key)
+    _require_instance(envelope, CiphertextEnvelope, "envelope")
     d, det_k = _unmix_map(key)
     flat = []
     # lazily, so that a wrong key stops at its first bad block

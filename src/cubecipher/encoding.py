@@ -30,7 +30,7 @@ bit length of a value too long to print, never its digits.
 
 from operator import sub
 
-from .errors import CorruptValueError, NoIntegerRootError, SymbolRangeError
+from .errors import CorruptValueError, NoIntegerRootError, SymbolRangeError, _shown
 
 __all__ = [
     "ASCII_MAX",
@@ -153,8 +153,8 @@ def decode_symbol(t: int, prime: int, max_code: int = ASCII_MAX) -> int:
         # a code from a huge t can be too long to print; give its size instead
         shown = "%d" % code if code.bit_length() <= 64 else "of %d bits" % code.bit_length()
         raise SymbolRangeError(
-            "decoded code %s is outside [0, %d] (wrong prime or corrupted value)"
-            % (shown, max_code)
+            "decoded code %s is outside [0, %s] (wrong prime or corrupted value)"
+            % (shown, _shown(max_code))
         )
     return code
 

@@ -40,6 +40,11 @@ def _shown(value):
     return "%s... (%d characters)" % (text[:_SHOWN_CHARS], length)
 
 
+def _require_instance(value, cls, name):
+    if not isinstance(value, cls):
+        raise TypeError("%s must be a %s, got %s" % (name, cls.__name__, _shown(value)))
+
+
 class CipherError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -81,7 +86,7 @@ class SymbolRangeError(CipherError):
 
 
 class CorruptCiphertextError(CipherError):
-    """Ciphertext framing is inconsistent (padding, version, block shape)."""
+    """Ciphertext framing is inconsistent (padding, block shape, length)."""
 
 
 class InvalidKeyError(CipherError):

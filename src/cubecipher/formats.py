@@ -25,15 +25,16 @@ Pair file (known-plaintext attack input):
 
 Parsers are strict: unknown, missing or repeated fields, non-canonical
 numbers, and version mismatches all raise FormatError, as does any text
-that is not JSON. The version must be the JSON integer 1: 1.0, 1e0 and
-true are mismatches. parse_ciphertext also raises CorruptCiphertextError,
-before it parses any block, when the file claims more symbols
-(4 * len(blocks) - pad_count) than MAX_MESSAGE_BYTES, so an over-long
-file costs one json.loads and no block. A CiphertextEnvelope checks the
-same framing when built, so serialize_ciphertext writes only files that
-parse_ciphertext reads back. Serializers raise FormatError, naming the
-field, for a number past the int/str conversion limit
-(sys.get_int_max_str_digits, 4,300 digits by default).
+that is not JSON. The version tag, FORMAT_VERSION, is in the files alone,
+not in a CiphertextEnvelope: the JSON integer 1, not 1.0, 1e0 or true.
+parse_ciphertext also raises CorruptCiphertextError, before it parses any
+block, when the file claims more symbols (4 * len(blocks) - pad_count)
+than MAX_MESSAGE_BYTES, so an over-long file costs one json.loads and no
+block. A CiphertextEnvelope checks the same framing when built, so
+serialize_ciphertext writes only files that parse_ciphertext reads back.
+Serializers raise FormatError, naming the field, for a number past the
+int/str conversion limit (sys.get_int_max_str_digits, 4,300 digits by
+default).
 
 parse_ciphertext checks and converts all block entries in bulk, and goes
 entry by entry only when that fails, to name the first bad block or entry
@@ -44,19 +45,13 @@ import json
 import re
 from itertools import chain
 
-from .cipher import (
-    BLOCK_SYMBOLS,
-    FORMAT_VERSION,
-    CiphertextEnvelope,
-    KeyMaterial,
-    _is_format_version,
-    _require_symbol_count,
-)
-from .errors import FormatError, _shown
+from .cipher import BLOCK_SYMBOLS, CiphertextEnvelope, KeyMaterial, _require_symbol_count
+from .errors import FormatError, _require_instance, _shown
 from .matrices import IntMatrix
 from .primes import MAX_U64
 
 __all__ = [
+    "FORMAT_VERSION",
     "serialize_key",
     "parse_key",
     "serialize_ciphertext",
@@ -64,6 +59,8 @@ __all__ = [
     "serialize_pairs",
     "parse_pairs",
 ]
+
+FORMAT_VERSION = 1  # the version tag of every file format here
 
 _DECIMAL_RE = re.compile(r"(0|-?[1-9][0-9]*)\Z")
 
@@ -114,7 +111,7 @@ def _expect_fields(obj, fields, what):
 
 
 def _expect_version(value, what):
-    if not _is_format_version(value):
+    if not isinstance(value, int) or isinstance(value, bool) or value != FORMAT_VERSION:
         raise FormatError("%s: unsupported version %s" % (what, _shown(value)))
 
 
@@ -167,6 +164,7 @@ def _parse_block_entries(value, what, *index):
 
 
 def serialize_key(key: KeyMaterial) -> str:
+    _require_instance(key, KeyMaterial, "key")
     obj = {
         "version": FORMAT_VERSION,
         "k": [_format_decimal(e, "key file: k", i) for i, e in enumerate(key.key_matrix.entries)],
@@ -198,6 +196,7 @@ _CIPHERTEXT_BLOCK = '    [\n      "%s",\n      "%s",\n      "%s",\n      "%s"\n 
 
 def serialize_ciphertext(envelope: CiphertextEnvelope) -> str:
     """dumps_canonical of {"version", "pad_count", "blocks"}, as _ciphertext_text renders it."""
+    _require_instance(envelope, CiphertextEnvelope, "envelope")
     return _ciphertext_text(envelope.pad_count, [b.entries for b in envelope.blocks])
 
 
@@ -235,7 +234,7 @@ def parse_ciphertext(text: str) -> CiphertextEnvelope:
     if not blocks_raw and pad_count != 0:
         raise FormatError("ciphertext file: an empty block list cannot carry padding")
     _require_symbol_count(BLOCK_SYMBOLS * len(blocks_raw) - pad_count)
-    return CiphertextEnvelope(FORMAT_VERSION, pad_count, _parse_blocks(blocks_raw))
+    return CiphertextEnvelope(pad_count, _parse_blocks(blocks_raw))
 
 
 def _parse_blocks(blocks_raw):

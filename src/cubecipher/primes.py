@@ -132,13 +132,13 @@ class Xorshift64Star:
 
     def below(self, n: int) -> int:
         """Next value reduced mod n (n >= 1). Deterministic, mildly biased."""
-        if n < 1:
-            raise ValueError("below() requires n >= 1")
-        return self.next_u64() % n
+        return self.below_many(n, 1)[0]
 
     def below_many(self, n: int, count: int) -> list:
         """The next count values of below(n), as a list; one loop with
         _xorshift's step inlined, the same values and the same end state."""
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError("below() requires an int n, got %s" % _shown(n))
         if n < 1:
             raise ValueError("below() requires n >= 1")
         s = self._state

@@ -9,8 +9,10 @@ prime_stream against the scalar reference
 loop at lengths 0 to 6,542 for four seeds and so the primes that one key
 object keeps over encrypt and decrypt of 4,000, 16 and 6,542 bytes,
 integer_cube_root against bisection around 2**53, serialize_ciphertext
-against its reference on 200 keygen envelopes, that an envelope of
-version 2 or of 1,700 blocks is refused when built, that two values
+against its reference on 200 keygen envelopes, that an envelope's fields
+are its pad count and blocks and one of 1,700 blocks is refused when
+built, that a key, an envelope or a below() modulus of the wrong type
+raises TypeError naming the value, that two values
 past the int/str limit (a prime count, a Fibonacci index) are refused
 with their documented classes and short messages, that validate_key names
 a huge negative Fibonacci index by its sign and size, that encrypt refuses
@@ -84,6 +86,15 @@ def check(ok, what):
         sys.exit("smoke failed: %s" % what)
 
 
+def type_error(function, *args):
+    """The text of the TypeError that function(*args) raises, or None."""
+    try:
+        function(*args)
+    except TypeError as exc:
+        return str(exc)
+    return None
+
+
 # avalanche_test(keygen(7), 257, 7, 11), as pinned in test_analysis.py
 AVALANCHE_REPORT = (
     '{\n  "version": 1,\n  "trials": 7,\n  "message_length": 257,\n'
@@ -132,7 +143,7 @@ def tampered_envelope(rng, message, key, byte_mode):
                         (n * n * n - n) // 6, rng.randint(-(10**4000), 10**4000),
                         encode_symbol(rng.randrange(256), primes[i % len(primes)])))
     vectors = iter(ts)
-    return CiphertextEnvelope(1, -len(message) % 4, [
+    return CiphertextEnvelope(-len(message) % 4, [
         encrypt_block(IntMatrix(2, 2, v), key) for v in zip(vectors, vectors, vectors, vectors)
     ])
 
@@ -183,13 +194,19 @@ def main():
         envelope = encrypt(bytes(rng.randrange(128) for _ in range(rng.randrange(0, 80))), keygen(seed))
         check(serialize_ciphertext(envelope) == reference_serialize_ciphertext(envelope),
               "envelope of keygen(%d) serializes differently" % seed)
-    block = IntMatrix(2, 2, (1, 2, 3, 4))
-    for fields, refusal in (((2, 0, ()), "unsupported ciphertext version 2"),
-                            ((1, 0, (block,) * 1700),
-                             "ciphertext carries 6800 symbols, more than the 6542-byte "
-                             "message limit")):
-        check(outcome(CiphertextEnvelope, *fields) == (CorruptCiphertextError, refusal),
-              "an envelope built with %r is not refused" % (refusal,))
+    check([field.name for field in dataclasses.fields(CiphertextEnvelope)] == ["pad_count", "blocks"],
+          "an envelope's fields are not its pad count and blocks")
+    check(outcome(CiphertextEnvelope, 0, (IntMatrix(2, 2, (1, 2, 3, 4)),) * 1700)
+          == (CorruptCiphertextError,
+              "ciphertext carries 6800 symbols, more than the 6542-byte message limit"),
+          "an envelope of 1,700 blocks is not refused when built")
+    for function, args, refusal in (
+            (encrypt, (b"a", "x"), "key must be a KeyMaterial, got 'x'"),
+            (decrypt, ("x", keygen(1)), "envelope must be a CiphertextEnvelope, got 'x'"),
+            (serialize_ciphertext, ("x",), "envelope must be a CiphertextEnvelope, got 'x'"),
+            (Xorshift64Star(1).below, (2.5,), "below() requires an int n, got 2.5")):
+        check(type_error(function, *args) == refusal,
+              "%s%r does not raise TypeError(%r)" % (function.__name__, args, refusal))
     check(outcome(prime_stream, 1, 10**5000)
           == (CipherError, "cannot emit a 16610-bit int distinct primes below 65536 "
               "(only 6542 exist)"),
@@ -204,12 +221,8 @@ def main():
     check(validate_key(KeyMaterial(IntMatrix(2, 2, (1, 0, 0, 1)), -(10**5000), 0, 0))
           == (False, ["fib_index must be in [1, 10000], got a negative 16610-bit int"]),
           "validate_key does not name a huge negative Fibonacci index by its sign and size")
-    try:
-        encrypt(7, keygen(1))
-        refusal = None
-    except TypeError as exc:
-        refusal = str(exc)
-    check(refusal == "encrypt takes bytes, not an int", "encrypt does not refuse an int message")
+    check(type_error(encrypt, 7, keygen(1)) == "encrypt takes bytes, not an int",
+          "encrypt does not refuse an int message")
     for seed in range(200):
         pairs = pair_set(rng, seed)
         check(attack_outcome(pairs) == reference_attack(pairs),
@@ -256,7 +269,7 @@ def main():
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime chunks, "
           "%d prime streams, 3 round trips under one key, 16 cube roots, 200 envelopes, "
-          "6 refusals, "
+          "an envelope's two fields, 9 refusals, "
           "202 attack pair sets (2 of ~4,000 digits), "
           "200 keys' un-mix and composite maps, 65,775 genuine roots, "
           "400 decrypts (200 tampered), 1 avalanche report"

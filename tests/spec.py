@@ -151,7 +151,7 @@ def reference_encrypt(message, key):
     pad_count = -len(ts) % 4
     ts += [0] * pad_count
     blocks = [IntMatrix(2, 2, ts[i : i + 4]) for i in range(0, len(ts), 4)]
-    return CiphertextEnvelope(1, pad_count, tuple(reference_encrypt_block(b, key) for b in blocks))
+    return CiphertextEnvelope(pad_count, tuple(reference_encrypt_block(b, key) for b in blocks))
 
 
 def _mul(a, b):
@@ -190,7 +190,7 @@ def reference_decrypt_block(block, key):
 
 
 def reference_decrypt(envelope, key, byte_mode=False):
-    """decrypt of a version-1 envelope within the length limit, with every
+    """decrypt of an envelope within the length limit, with every
     block un-mixed by reference_decrypt_block and every error prefixed by
     the block or symbol it names."""
     blocks = []
@@ -250,16 +250,9 @@ def reference_serialize_ciphertext(envelope):
     """The ciphertext file as its definition states it: dumps_canonical of
     the {"version", "pad_count", "blocks"} object, each block entry written
     by _format_decimal (so an entry too long for str() raises its
-    FormatError, first entry first). A version other than the int 1 has
-    no file that parse_ciphertext reads, and raises CorruptCiphertextError
-    as decrypt does, naming an int of more than 64 bits by its size."""
-    version = envelope.version
-    if type(version) is bool or not isinstance(version, int) or version != 1:
-        too_long = isinstance(version, int) and abs(version) >= 1 << 64
-        shown = "a %d-bit int" % version.bit_length() if too_long else repr(version)
-        raise CorruptCiphertextError("unsupported ciphertext version %s" % shown)
+    FormatError, first entry first), with version 1."""
     obj = {
-        "version": envelope.version,
+        "version": 1,
         "pad_count": envelope.pad_count,
         "blocks": [
             [_format_decimal(e, "ciphertext file: blocks", i, j) for j, e in enumerate(b.entries)]
@@ -285,7 +278,6 @@ def reference_parse_ciphertext(text):
     if not blocks_raw and pad_count != 0:
         raise FormatError("ciphertext file: an empty block list cannot carry padding")
     return CiphertextEnvelope(
-        1,
         pad_count,
         [IntMatrix(2, 2, _parse_block_entries(raw, "ciphertext file: blocks", i))
          for i, raw in enumerate(blocks_raw)],

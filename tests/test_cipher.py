@@ -26,6 +26,8 @@ from cubecipher import (
     KeyMaterial,
     NonIntegralResultError,
     SymbolRangeError,
+    avalanche_test,
+    benchmark,
     block_map,
     decrypt,
     decrypt_block,
@@ -153,7 +155,7 @@ def test_key_material_construction_rules():
 def test_pad_slot_error_omits_huge_values():
     huge = 10**5000 - 1
     key = keygen(1)
-    envelope = CiphertextEnvelope(1, 1, [encrypt_block(IntMatrix(2, 2, (1, 2, 3, huge)), key)])
+    envelope = CiphertextEnvelope(1, [encrypt_block(IntMatrix(2, 2, (1, 2, 3, huge)), key)])
     with pytest.raises(CorruptCiphertextError) as excinfo:
         decrypt(envelope, key)
     assert str(excinfo.value) == (
@@ -171,7 +173,7 @@ def test_a_nonzero_pad_slot_is_named(pad_count, slot, value):
     ts = list(decrypt_block(envelope.blocks[-1], key).entries)
     ts[slot] = value
     blocks = envelope.blocks[:-1] + (encrypt_block(IntMatrix(2, 2, ts), key),)
-    planted = CiphertextEnvelope(1, pad_count, blocks)
+    planted = CiphertextEnvelope(pad_count, blocks)
     assert outcome(decrypt, planted, key) == outcome(reference_decrypt, planted, key) == (
         CorruptCiphertextError,
         "pad slot %d in block 1 holds a nonzero %d-bit value, expected 0"
@@ -278,7 +280,7 @@ def test_invalid_key_is_rejected_everywhere():
     with pytest.raises(InvalidKeyError):
         encrypt(b"hi", singular)
     with pytest.raises(InvalidKeyError):
-        decrypt(CiphertextEnvelope(1, 0, ()), singular)
+        decrypt(CiphertextEnvelope(0, ()), singular)
 
 
 def test_encrypt_empty_message():
@@ -303,7 +305,6 @@ def test_envelope_length_accounting():
         message = bytes(rng.randrange(0, 128) for _ in range(length))
         env = encrypt(message, key)
         assert 4 * len(env.blocks) - env.pad_count == length
-        assert env.message_length == length
 
 
 def test_round_trip_exhaustive_short_strings():
@@ -377,16 +378,6 @@ def test_encrypt_refuses_an_int_message(message):
     assert str(excinfo.value) == "encrypt takes bytes, not an int"
 
 
-def test_decrypt_rejects_other_version():
-    # the envelope refuses another version when built, so decrypt never
-    # meets one
-    key = keygen(8)
-    env = encrypt(b"abcd", key)
-    for version in (2, True, 1.0):
-        with pytest.raises(CorruptCiphertextError, match="unsupported ciphertext version"):
-            decrypt(CiphertextEnvelope(version, env.pad_count, env.blocks), key)
-
-
 def test_wrong_key_never_crashes_untyped():
     # every decrypt under the wrong key either raises a typed CipherError
     # or yields different bytes; anything else would fail this test
@@ -422,7 +413,7 @@ def test_tamper_detection_rate():
         entries = list(blocks[b].entries)
         entries[entry] += delta
         blocks[b] = IntMatrix(2, 2, tuple(entries))
-        tampered = CiphertextEnvelope(env.version, env.pad_count, tuple(blocks))
+        tampered = CiphertextEnvelope(env.pad_count, tuple(blocks))
         try:
             decrypt(tampered, key)
         except CipherError:
@@ -440,7 +431,7 @@ def test_decrypt_errors_name_the_failing_index():
     entries[0] += 1
     blocks[1] = IntMatrix(2, 2, tuple(entries))
     with pytest.raises(CipherError) as excinfo:
-        decrypt(CiphertextEnvelope(env.version, env.pad_count, tuple(blocks)), key)
+        decrypt(CiphertextEnvelope(env.pad_count, tuple(blocks)), key)
     assert "block 1" in str(excinfo.value)
 
     # unimodular path: damage passes the matrix layer and fails per symbol
@@ -451,7 +442,7 @@ def test_decrypt_errors_name_the_failing_index():
     blocks[0] = IntMatrix(2, 2, tuple(entries))
     with pytest.raises(CipherError) as excinfo:
         decrypt(
-            CiphertextEnvelope(env.version, env.pad_count, tuple(blocks)),
+            CiphertextEnvelope(env.pad_count, tuple(blocks)),
             WORKED_EXAMPLE_KEY,
         )
     assert "symbol 1" in str(excinfo.value)
@@ -466,11 +457,12 @@ def test_envelope_is_a_frozen_value():
         if blocks:
             blocks[-1] = IntMatrix(2, 2, (10**4000, -(10**3999), 7, 0))
         pad_count = -length % 4
-        envelope = CiphertextEnvelope(1, pad_count, blocks)
-        from_tuple = CiphertextEnvelope(1, pad_count, tuple(blocks))
+        envelope = CiphertextEnvelope(pad_count, blocks)
+        from_tuple = CiphertextEnvelope(pad_count, tuple(blocks))
         assert envelope == from_tuple and hash(envelope) == hash(from_tuple)
-        assert type(envelope.blocks) is tuple and envelope.message_length == length
-        for field in ("version", "pad_count", "blocks"):
+        assert type(envelope.blocks) is tuple
+        assert 4 * len(envelope.blocks) - envelope.pad_count == length
+        for field in ("pad_count", "blocks"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(envelope, field, 0)
         # replace goes through the constructor, checks included
@@ -483,7 +475,6 @@ def test_envelope_is_a_frozen_value():
 
 @dataclasses.dataclass(frozen=True)
 class _PlainFrozenEnvelope:
-    version: int
     pad_count: int
     blocks: tuple
 
@@ -496,7 +487,7 @@ def test_envelope_allocates_no_more_than_a_plain_frozen_dataclass():
     def per_instance(cls, count=20000):
         tracemalloc.start()
         try:
-            made = [cls(1, 0, blocks) for _ in range(count)]
+            made = [cls(0, blocks) for _ in range(count)]
             return tracemalloc.get_traced_memory()[0] / len(made)
         finally:
             tracemalloc.stop()
@@ -507,18 +498,53 @@ def test_envelope_allocates_no_more_than_a_plain_frozen_dataclass():
 
 def test_envelope_validation():
     with pytest.raises(ValueError):
-        CiphertextEnvelope(1, 4, (IntMatrix.identity(2),))
+        CiphertextEnvelope(4, (IntMatrix.identity(2),))
     with pytest.raises(ValueError):
-        CiphertextEnvelope(1, 1, ())
+        CiphertextEnvelope(1, ())
     with pytest.raises(TypeError):
-        CiphertextEnvelope(1, 0, (IntMatrix.identity(3),))
+        CiphertextEnvelope(0, (IntMatrix.identity(3),))
+
+
+def test_an_envelope_is_its_pad_count_and_blocks():
+    assert [f.name for f in dataclasses.fields(CiphertextEnvelope)] == ["pad_count", "blocks"]
+    with pytest.raises(TypeError):
+        CiphertextEnvelope(1, 0, (IntMatrix.identity(2),))  # there is no version argument
+
+
+_KEY_REFUSAL = "key must be a KeyMaterial, got 'x'"
+_ENVELOPE_REFUSAL = "envelope must be a CiphertextEnvelope, got 'x'"
+_BLOCK = IntMatrix(2, 2, (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("function, args, refusal", [
+    pytest.param(validate_key, ("x",), _KEY_REFUSAL, id="validate_key"),
+    pytest.param(block_map, ("x",), _KEY_REFUSAL, id="block_map"),
+    pytest.param(encrypt, (b"a", "x"), _KEY_REFUSAL, id="encrypt"),
+    pytest.param(decrypt, (encrypt(b"a", keygen(1)), "x"), _KEY_REFUSAL, id="decrypt-key"),
+    pytest.param(encrypt_block, (_BLOCK, "x"), _KEY_REFUSAL, id="encrypt_block"),
+    pytest.param(decrypt_block, (_BLOCK, "x"), _KEY_REFUSAL, id="decrypt_block"),
+    pytest.param(avalanche_test, ("x", 4, 1, 1), _KEY_REFUSAL, id="avalanche_test"),
+    pytest.param(benchmark, ([4], "x", 1), _KEY_REFUSAL, id="benchmark"),
+    pytest.param(serialize_key, ("x",), _KEY_REFUSAL, id="serialize_key"),
+    pytest.param(decrypt, ("x", keygen(1)), _ENVELOPE_REFUSAL, id="decrypt-envelope"),
+    pytest.param(serialize_ciphertext, ("x",), _ENVELOPE_REFUSAL, id="serialize_ciphertext"),
+    pytest.param(Xorshift64Star(1).below, (2.5,), "below() requires an int n, got 2.5",
+                 id="below-float"),
+    pytest.param(Xorshift64Star(1).below_many, (True, 3), "below() requires an int n, got True",
+                 id="below_many-bool"),
+])
+def test_a_wrong_type_raises_type_error_naming_it(function, args, refusal):
+    # these raised a raw AttributeError, and below(2.5) returned 0.0
+    with pytest.raises(TypeError) as excinfo:
+        function(*args)
+    assert str(excinfo.value) == refusal
 
 
 @pytest.mark.parametrize("pad_count", [3.0, True, "1", None])
 def test_envelope_pad_count_must_be_an_int(pad_count):
     # a float pad count used to reach decrypt's slicing, and True passed as 1
     with pytest.raises(TypeError) as excinfo:
-        CiphertextEnvelope(1, pad_count, (IntMatrix.identity(2),))
+        CiphertextEnvelope(pad_count, (IntMatrix.identity(2),))
     assert str(excinfo.value) == "pad_count must be an int, got %r" % (pad_count,)
 
 
@@ -530,7 +556,7 @@ def test_a_refused_pad_count_is_shown_short(pad_count, shown):
     # the Fraction used to raise the interpreter's int/str-limit ValueError,
     # and the string was echoed whole
     with pytest.raises(TypeError) as built:
-        CiphertextEnvelope(1, pad_count, (IntMatrix.identity(2),))
+        CiphertextEnvelope(pad_count, (IntMatrix.identity(2),))
     assert str(built.value) == "pad_count must be an int, got " + shown
 
 
@@ -538,10 +564,11 @@ def test_an_envelope_refuses_more_symbols_than_the_message_limit():
     """An over-long block list is refused when the envelope is built, so
     serialize_ciphertext never writes a file that parse_ciphertext refuses."""
     block = IntMatrix(2, 2, (1, 2, 3, 4))
-    assert CiphertextEnvelope(1, 2, (block,) * 1636).message_length == MAX_MESSAGE_BYTES
-    envelope = CiphertextEnvelope(1, 0, (block,))
+    longest = CiphertextEnvelope(2, (block,) * 1636)
+    assert 4 * len(longest.blocks) - longest.pad_count == MAX_MESSAGE_BYTES
+    envelope = CiphertextEnvelope(0, (block,))
     for pad_count, count, symbols in ((0, 1700, 6800), (3, 1637, 6545), (0, 1636, 6544)):
-        for build in (lambda: CiphertextEnvelope(1, pad_count, (block,) * count),
+        for build in (lambda: CiphertextEnvelope(pad_count, (block,) * count),
                       lambda: dataclasses.replace(envelope, pad_count=pad_count,
                                                   blocks=(block,) * count)):
             with pytest.raises(CorruptCiphertextError) as excinfo:
@@ -586,7 +613,7 @@ def test_wrong_key_error_omits_huge_values():
     # value behind it is too long for str(), which used to escape as ValueError
     key = KeyMaterial(IntMatrix.from_rows([[97, -89], [88, 99]]), 40, 1, 0)
     huge = int("9" * 4299)
-    envelope = CiphertextEnvelope(1, 0, (IntMatrix(2, 2, (huge,) * 4),))
+    envelope = CiphertextEnvelope(0, (IntMatrix(2, 2, (huge,) * 4),))
     with pytest.raises(NonIntegralResultError) as excinfo:
         decrypt(envelope, key)
     assert re.fullmatch(r"block 0: entry \(\d, \d\) is not an integer", str(excinfo.value))
@@ -612,7 +639,7 @@ def test_message_length_limit():
     key = keygen(6542)
     message = bytes(random.Random(6542).randrange(128) for _ in range(MAX_MESSAGE_BYTES))
     envelope = encrypt(message, key)
-    assert envelope.message_length == MAX_MESSAGE_BYTES
+    assert 4 * len(envelope.blocks) - envelope.pad_count == MAX_MESSAGE_BYTES
     assert decrypt(envelope, key) == message
 
     with pytest.raises(CipherError) as excinfo:
@@ -634,12 +661,12 @@ def test_decrypt_refuses_an_overlong_envelope_before_unmixing():
     key = keygen(6543)
     blocks = (IntMatrix(2, 2, (1, 2, 3, 4)),) * 1636
     with pytest.raises(CorruptCiphertextError) as excinfo:
-        decrypt(CiphertextEnvelope(1, 1, blocks), key)
+        decrypt(CiphertextEnvelope(1, blocks), key)
     assert str(excinfo.value) == (
         "ciphertext carries 6543 symbols, more than the 6542-byte message limit"
     )
     with pytest.raises(NonIntegralResultError):
-        decrypt(CiphertextEnvelope(1, 0, blocks[:1]), key)
+        decrypt(CiphertextEnvelope(0, blocks[:1]), key)
 
 
 def _fresh(key):

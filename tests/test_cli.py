@@ -77,6 +77,16 @@ def test_corrupt_ciphertext_exits_4(tmp_path):
     assert run(["decrypt", "--key", key, "--in", ct, "--out", tmp_path / "o"]) == 4
 
 
+def test_a_version_2_ciphertext_file_exits_4(tmp_path, capsys):
+    ct = tmp_path / "ct.json"
+    golden = (FIXTURES / "golden_ciphertext.json").read_text(encoding="utf-8")
+    ct.write_text(golden.replace('"version": 1,', '"version": 2,', 1), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["decrypt", "--key", FIXTURES / "golden_key.json", "--in", ct, "--out", out]) == 4
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "cubecipher: error: ciphertext file: unsupported version 2\n")
+
+
 def test_wrong_key_with_huge_entries_exits_4(tmp_path, capsys):
     # entries short enough to parse, un-mixed values too long for str()
     key = tmp_path / "k.json"

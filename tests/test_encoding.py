@@ -242,6 +242,16 @@ def test_huge_values_are_described_by_size():
         decode_symbol(1, 5)
 
 
+def test_a_huge_max_code_is_described_by_size():
+    # "%d" of the bound raised the interpreter's int/str-limit ValueError
+    with pytest.raises(SymbolRangeError) as excinfo:
+        decode_symbol(79079, 13, -(10**5000))
+    assert str(excinfo.value) == (
+        "decoded code 65 is outside [0, a negative 16610-bit int] "
+        "(wrong prime or corrupted value)"
+    )
+
+
 # the largest genuine n: the largest prime below 2**16 plus the largest byte
 _LARGEST_PRIME = 65521
 _N_MAX = _LARGEST_PRIME + 255
