@@ -152,10 +152,8 @@ class CiphertextEnvelope:
         if not blocks and pad_count != 0:
             raise ValueError("an empty envelope cannot carry padding")
         for b in blocks:
-            # the exact-type test settles the common case without a tuple
-            if type(b) is not IntMatrix or b.rows != 2 or b.cols != 2:
-                if not isinstance(b, IntMatrix) or (b.rows, b.cols) != (2, 2):
-                    raise TypeError("envelope blocks must be 2x2 IntMatrix values")
+            if not isinstance(b, IntMatrix) or b.rows != 2 or b.cols != 2:
+                raise TypeError("envelope blocks must be 2x2 IntMatrix values")
         _require_symbol_count(BLOCK_SYMBOLS * len(blocks) - pad_count)
         # each field set once, as IntMatrix sets its own
         _set_field(self, "pad_count", pad_count)

@@ -132,7 +132,8 @@ class Xorshift64Star:
 
     def below(self, n: int) -> int:
         """Next value reduced mod n (n >= 1). Deterministic, mildly biased."""
-        return self.below_many(n, 1)[0]
+        self.below_many(n, 0)  # refuses n as below_many does, drawing nothing
+        return self.next_u64() % n
 
     def below_many(self, n: int, count: int) -> list:
         """The next count values of below(n), as a list; one loop with

@@ -242,13 +242,23 @@ def test_huge_values_are_described_by_size():
         decode_symbol(1, 5)
 
 
-def test_a_huge_max_code_is_described_by_size():
-    # "%d" of the bound raised the interpreter's int/str-limit ValueError
+@pytest.mark.parametrize(
+    "max_code, shown",
+    [
+        # "%d" of this bound raised the interpreter's int/str-limit ValueError
+        (-(10**5000), "a negative 16610-bit int"),
+        # bounds below 2**64 in magnitude print with "%d", whatever their type
+        (60.0, "60"),
+        (True, "1"),
+        (-(1 << 64) + 1, "-18446744073709551615"),
+    ],
+    ids=["huge", "float", "bool", "64-bit"],
+)
+def test_the_range_message_shows_the_bound(max_code, shown):
     with pytest.raises(SymbolRangeError) as excinfo:
-        decode_symbol(79079, 13, -(10**5000))
+        decode_symbol(79079, 13, max_code)
     assert str(excinfo.value) == (
-        "decoded code 65 is outside [0, a negative 16610-bit int] "
-        "(wrong prime or corrupted value)"
+        "decoded code 65 is outside [0, %s] (wrong prime or corrupted value)" % shown
     )
 
 
