@@ -59,8 +59,9 @@ from .cipher import (
     decrypt,
     encrypt,
 )
-from .errors import InsufficientPairsError
-from .formats import FORMAT_VERSION, _ciphertext_text, _format_decimal, dumps_canonical, serialize_ciphertext
+from .errors import InsufficientPairsError, _require_instance, _require_int
+from .formats import (FORMAT_VERSION, _attack_pairs, _ciphertext_text, _format_decimal,
+                      dumps_canonical, serialize_ciphertext)
 from .matrices import IntMatrix
 from .primes import Xorshift64Star
 
@@ -75,6 +76,12 @@ __all__ = [
     "benchmark",
     "growth_exponent",
 ]
+
+# Largest trial and repetition counts: the work is linear in trials x
+# message length and in repetitions x lengths, so a bound keeps every
+# request finite.
+_MAX_TRIALS = 10**6
+_MAX_REPETITIONS = 10**4
 
 
 def _differing_bits(a: bytes, b: bytes) -> int:
@@ -139,13 +146,11 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
     envelope: it compares the mixed blocks' entry tuples and renders the canonical text from
     them directly. The sums run in ints, differing bits grouped by
     serialization length, and the bit mean adds one exact Fraction per
-    distinct length.
-    Deterministic given (key, message_length, trials, rng_seed).
+    distinct length. trials is at most _MAX_TRIALS (ValueError, before any
+    work). Deterministic given (key, message_length, trials, rng_seed).
     """
-    if message_length < 1:
-        raise ValueError("message_length must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _require_int(message_length, "message_length", 1)
+    _require_int(trials, "trials", 1, _MAX_TRIALS)
     _require_valid(key)
     _require_length(message_length)
     m = _block_map(key)
@@ -242,11 +247,7 @@ def known_plaintext_attack(pairs) -> AttackResult:
     InsufficientPairsError, carrying the achieved rank, when the pairs
     cannot pin the map down.
     """
-    pairs = list(pairs)
-    for plain, cipher in pairs:
-        for m in (plain, cipher):
-            if not isinstance(m, IntMatrix) or (m.rows, m.cols) != (2, 2):
-                raise TypeError("attack pairs must be 2x2 IntMatrix values")
+    pairs = _attack_pairs(pairs)
 
     d = 1
     kept = {}  # pivot column -> int row, d there and 0 at the other pivots
@@ -339,7 +340,8 @@ def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
     """Measure encrypt/decrypt wall time and ciphertext size per length.
 
     lengths must be strictly increasing, the longest at most
-    MAX_MESSAGE_BYTES (else CipherError, before any timing). Message
+    MAX_MESSAGE_BYTES (else CipherError, before any timing), and
+    repetitions at most _MAX_REPETITIONS (else ValueError). Message
     contents are drawn deterministically from rng_seed; the timing fields
     are the only machine-dependent part of the report. Every timed call
     runs under its own copy of the key, made before the timer starts, so
@@ -349,12 +351,11 @@ def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
     lengths = list(lengths)
     if not lengths:
         raise ValueError("lengths must be non-empty")
+    for length in lengths:
+        _require_int(length, "every length", 1)
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError("lengths must be strictly increasing")
-    if lengths[0] < 1:
-        raise ValueError("lengths must be positive")
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
+    _require_int(repetitions, "repetitions", 1, _MAX_REPETITIONS)
     _require_valid(key)
     _require_length(lengths[-1])
     rng = Xorshift64Star(rng_seed)
@@ -387,20 +388,19 @@ def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
     return report
 
 
-def growth_exponent(report: BenchReport, which: str = "encrypt") -> float:
-    """Least-squares slope of log(time) against log(length).
+def growth_exponent(report: BenchReport) -> float:
+    """Least-squares slope of log(encrypt time) against log(length).
 
     A pipeline linear in the block count should land near 1.0; anything
     clearly below 2.0 rules out quadratic-or-worse growth over the
     measured range.
     """
-    if which not in ("encrypt", "decrypt"):
-        raise ValueError("which must be 'encrypt' or 'decrypt'")
+    _require_instance(report, BenchReport, "report")
     rows = report.rows
     if len(rows) < 2:
         raise ValueError("need at least two rows to fit a growth exponent")
     if len({r.message_length for r in rows}) < 2:
         raise ValueError("need at least two distinct message lengths to fit a growth exponent")
     xs = [math.log(r.message_length) for r in rows]
-    ys = [math.log(max(getattr(r, which + "_seconds"), 1e-9)) for r in rows]
+    ys = [math.log(max(r.encrypt_seconds, 1e-9)) for r in rows]
     return linear_regression(xs, ys).slope

@@ -53,6 +53,7 @@ from .errors import (
     NonIntegralResultError,
     SymbolRangeError,
     _require_instance,
+    _require_int,
     _shown,
 )
 from .matrices import IntMatrix, _set_field, fibonacci_q, rotation
@@ -121,12 +122,9 @@ class KeyMaterial:
             raise TypeError("key_matrix must be an IntMatrix")
         if (self.key_matrix.rows, self.key_matrix.cols) != (2, 2):
             raise ValueError("key_matrix must be 2x2")
-        for name in ("fib_index", "quarter_turns", "prime_seed"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError("%s must be an int" % name)
-        if not 0 <= self.prime_seed <= MAX_U64:
-            raise ValueError("prime_seed must be an unsigned 64-bit integer")
+        _require_int(self.fib_index, "fib_index")
+        _require_int(self.quarter_turns, "quarter_turns")
+        _require_int(self.prime_seed, "prime_seed", 0, MAX_U64)
         object.__setattr__(self, "quarter_turns", self.quarter_turns % 4)
 
 
@@ -145,10 +143,7 @@ class CiphertextEnvelope:
 
     def __init__(self, pad_count, blocks):
         blocks = tuple(blocks)
-        if not isinstance(pad_count, int) or isinstance(pad_count, bool):
-            raise TypeError("pad_count must be an int, got %s" % _shown(pad_count))
-        if not 0 <= pad_count < BLOCK_SYMBOLS:
-            raise ValueError("pad_count must be in [0, 3]")
+        _require_int(pad_count, "pad_count", 0, BLOCK_SYMBOLS - 1)
         if not blocks and pad_count != 0:
             raise ValueError("an empty envelope cannot carry padding")
         for b in blocks:

@@ -3,6 +3,9 @@
 Every failure this package can signal is a subclass of CipherError, so
 callers can catch one type at the boundary. Plain ValueError/TypeError are
 reserved for programming mistakes (bad dimensions, wrong argument types).
+An int argument is checked by one helper, _require_int: TypeError for a
+value that is not an int or is a bool, ValueError for an int out of its
+range, and every refused value shown through _shown.
 
 Each class carries the exit status the command-line tool ends with when
 that error stops a command: 2 for unusable input, 3 for a bad key, 4 for
@@ -43,6 +46,21 @@ def _shown(value):
 def _require_instance(value, cls, name):
     if not isinstance(value, cls):
         raise TypeError("%s must be a %s, got %s" % (name, cls.__name__, _shown(value)))
+
+
+def _is_int(value):
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(value, name, low=None, high=None):
+    """Refuse value unless it is an int, not a bool, in [low, high] (a high
+    needs a low): TypeError for another type, ValueError out of range."""
+    if type(value) is not int and not _is_int(value):
+        raise TypeError("%s must be an int, got %s" % (name, _shown(value)))
+    if low is not None and (value < low or high is not None and value > high):
+        limit = "at least %d" % low if high is None else "in [%d, %d]" % (low, high)
+        raise ValueError("%s must be %s, got %s" % (name, limit, _shown(value)))
 
 
 class CipherError(Exception):

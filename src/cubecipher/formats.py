@@ -46,7 +46,7 @@ import re
 from itertools import chain
 
 from .cipher import BLOCK_SYMBOLS, CiphertextEnvelope, KeyMaterial, _require_symbol_count
-from .errors import FormatError, _require_instance, _shown
+from .errors import FormatError, _is_int, _require_instance, _shown
 from .matrices import IntMatrix
 from .primes import MAX_U64
 
@@ -111,7 +111,7 @@ def _expect_fields(obj, fields, what):
 
 
 def _expect_version(value, what):
-    if not isinstance(value, int) or isinstance(value, bool) or value != FORMAT_VERSION:
+    if not _is_int(value) or value != FORMAT_VERSION:
         raise FormatError("%s: unsupported version %s" % (what, _shown(value)))
 
 
@@ -226,7 +226,7 @@ def parse_ciphertext(text: str) -> CiphertextEnvelope:
     _expect_fields(obj, ("version", "pad_count", "blocks"), "ciphertext file")
     _expect_version(obj["version"], "ciphertext file")
     pad_count = obj["pad_count"]
-    if not isinstance(pad_count, int) or isinstance(pad_count, bool) or not 0 <= pad_count <= 3:
+    if not _is_int(pad_count) or not 0 <= pad_count <= 3:
         raise FormatError("ciphertext file: pad_count must be an integer in [0, 3]")
     blocks_raw = obj["blocks"]
     if not isinstance(blocks_raw, list):
@@ -256,6 +256,17 @@ def _parse_blocks(blocks_raw):
             for i, raw in enumerate(blocks_raw)]
 
 
+def _attack_pairs(pairs):
+    """pairs as a list, every item checked to be a (plaintext, ciphertext)
+    pair of 2x2 IntMatrix blocks before anything unpacks it."""
+    pairs = list(pairs)
+    for pair in pairs:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
+                isinstance(m, IntMatrix) and (m.rows, m.cols) == (2, 2) for m in pair)):
+            raise TypeError("attack pairs must be 2x2 IntMatrix values")
+    return pairs
+
+
 def serialize_pairs(pairs) -> str:
     """Write (plaintext block, ciphertext block) pairs for the attack tool."""
     rows = [
@@ -266,7 +277,7 @@ def serialize_pairs(pairs) -> str:
             ]
             for name, block in (("plaintext", plain), ("ciphertext", cipher))
         }
-        for i, (plain, cipher) in enumerate(pairs)
+        for i, (plain, cipher) in enumerate(_attack_pairs(pairs))
     ]
     return dumps_canonical({"version": FORMAT_VERSION, "pairs": rows})
 

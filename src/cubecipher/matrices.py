@@ -20,7 +20,7 @@ analysis module).
 
 from dataclasses import dataclass
 
-from .errors import _shown
+from .errors import _is_int, _require_int, _shown
 
 __all__ = ["IntMatrix", "fibonacci_q", "rotation"]
 
@@ -29,17 +29,12 @@ _set_field = object.__setattr__  # looked up once, not per matrix
 
 
 def _check_shape(rows, cols, entries):
-    for dim in (rows, cols):
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise TypeError("matrix dimensions must be ints, got %s" % _shown(dim))
-    shown = _shown(rows), _shown(cols)
-    huge = any(s.endswith("-bit int") for s in shown)  # past the int/str limit: "a N-bit int"
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive, got " + (" by " if huge else "x").join(shown))
+    _require_int(rows, "matrix rows")  # a wrong type outranks a bad size in either dimension
+    _require_int(cols, "matrix cols", 1)
+    _require_int(rows, "matrix rows", 1)
     if len(entries) != rows * cols:
-        expected = ("one entry per cell of a matrix sized %s by %s" % shown if huge
-                    else "%s entries for a %sx%s matrix" % (_shown(rows * cols), *shown))
-        raise ValueError("expected %s, got %d" % (expected, len(entries)))
+        raise ValueError("expected rows * cols entries for %s rows and %s cols, got %d"
+                         % (_shown(rows), _shown(cols), len(entries)))
 
 
 def _det_cofactor(entries, n):
@@ -78,7 +73,7 @@ class IntMatrix:
             _check_shape(rows, cols, entries)
         for e in entries:
             # the exact-type test settles the common case in one comparison
-            if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)):
+            if type(e) is not int and not _is_int(e):
                 raise TypeError("integer matrix entries must be ints, got %s" % _shown(e))
         # each field set once, as a frozen dataclass sets it, so every
         # instance keeps the class's shared-key dict
@@ -98,7 +93,7 @@ class IntMatrix:
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def __rmul__(self, scalar):
-        if not isinstance(scalar, int) or isinstance(scalar, bool):
+        if not _is_int(scalar):
             return NotImplemented
         return IntMatrix(self.rows, self.cols, tuple(scalar * e for e in self.entries))
 
@@ -154,8 +149,7 @@ def fibonacci_q(n: int) -> IntMatrix:
     Requires n >= 1 (n = 0 would need F(-1)). Its determinant is (-1)^n,
     so its inverse is again an integer matrix.
     """
-    if n < 1:
-        raise ValueError("fibonacci_q requires n >= 1, got %s" % _shown(n))
+    _require_int(n, "fibonacci_q's n", 1)
     f_n, f_n1 = _fib_pair(n)
     return IntMatrix(2, 2, (f_n1, f_n, f_n, f_n1 - f_n))
 

@@ -54,7 +54,7 @@ import sys
 from array import array
 from math import isqrt, log
 
-from .errors import CipherError, _shown
+from .errors import CipherError, _require_int, _shown
 
 __all__ = ["Xorshift64Star", "prime_stream", "PRIME_LIMIT"]
 
@@ -120,10 +120,7 @@ class Xorshift64Star:
     """xorshift64* PRNG with the published shift triple (12, 25, 27)."""
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise TypeError("seed must be an int")
-        if not 0 <= seed <= MAX_U64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        _require_int(seed, "seed", 0, MAX_U64)
         self._state = seed if seed != 0 else _ZERO_SEED_REPLACEMENT
 
     def next_u64(self) -> int:
@@ -132,16 +129,14 @@ class Xorshift64Star:
 
     def below(self, n: int) -> int:
         """Next value reduced mod n (n >= 1). Deterministic, mildly biased."""
-        self.below_many(n, 0)  # refuses n as below_many does, drawing nothing
+        _require_int(n, "below's n", 1)
         return self.next_u64() % n
 
     def below_many(self, n: int, count: int) -> list:
         """The next count values of below(n), as a list; one loop with
         _xorshift's step inlined, the same values and the same end state."""
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise TypeError("below() requires an int n, got %s" % _shown(n))
-        if n < 1:
-            raise ValueError("below() requires n >= 1")
+        _require_int(n, "below's n", 1)
+        _require_int(count, "below_many's count", 0)
         s = self._state
         mask, multiplier = MAX_U64, _MULTIPLIER  # locals: read once per call
         out = []
@@ -240,10 +235,7 @@ def prime_stream(seed: int, count: int) -> list:
     function of the seed, so the decrypting side can regenerate the exact
     primes the encrypting side used without ever transmitting them.
     """
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise TypeError("count must be an int")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    _require_int(count, "prime_stream's count", 0)
     if count > PRIME_COUNT_BELOW_LIMIT:
         raise CipherError(
             "cannot emit %s distinct primes below %d (only %d exist)"

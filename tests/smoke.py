@@ -11,8 +11,9 @@ object keeps over encrypt and decrypt of 4,000, 16 and 6,542 bytes,
 integer_cube_root against bisection around 2**53, serialize_ciphertext
 against its reference on 200 keygen envelopes, that an envelope's fields
 are its pad count and blocks and one of 1,700 blocks is refused when
-built, that a key, an envelope or a below() modulus of the wrong type
-raises TypeError naming the value, that two values
+built, that a key, an envelope, a below() modulus, a pair list or a
+bench report of the wrong type raises TypeError naming the value, that
+a trial or repetition count over its cap is refused, that two values
 past the int/str limit (a prime count, a Fibonacci index) are refused
 with their documented classes and short messages, that validate_key names
 a huge negative Fibonacci index by its sign and size, that encrypt refuses
@@ -43,6 +44,7 @@ from cubecipher import (
     Xorshift64Star,
     apply_composite,
     avalanche_test,
+    benchmark,
     cli,
     decrypt,
     decrypt_block,
@@ -50,11 +52,13 @@ from cubecipher import (
     encrypt,
     encrypt_block,
     fibonacci_q,
+    growth_exponent,
     integer_cube_root,
     keygen,
     known_plaintext_attack,
     prime_stream,
     serialize_ciphertext,
+    serialize_pairs,
     validate_key,
 )
 from cubecipher.cipher import _primes
@@ -86,11 +90,12 @@ def check(ok, what):
         sys.exit("smoke failed: %s" % what)
 
 
-def type_error(function, *args):
-    """The text of the TypeError that function(*args) raises, or None."""
+def refusal(error, function, *args):
+    """The text of the error of class error that function(*args) raises,
+    or None."""
     try:
         function(*args)
-    except TypeError as exc:
+    except error as exc:
         return str(exc)
     return None
 
@@ -200,28 +205,34 @@ def main():
           == (CorruptCiphertextError,
               "ciphertext carries 6800 symbols, more than the 6542-byte message limit"),
           "an envelope of 1,700 blocks is not refused when built")
-    for function, args, refusal in (
+    for function, args, text in (
             (encrypt, (b"a", "x"), "key must be a KeyMaterial, got 'x'"),
             (decrypt, ("x", keygen(1)), "envelope must be a CiphertextEnvelope, got 'x'"),
             (serialize_ciphertext, ("x",), "envelope must be a CiphertextEnvelope, got 'x'"),
-            (Xorshift64Star(1).below, (2.5,), "below() requires an int n, got 2.5")):
-        check(type_error(function, *args) == refusal,
-              "%s%r does not raise TypeError(%r)" % (function.__name__, args, refusal))
+            (Xorshift64Star(1).below, (2.5,), "below's n must be an int, got 2.5"),
+            (known_plaintext_attack, ("x",), "attack pairs must be 2x2 IntMatrix values"),
+            (serialize_pairs, ("x",), "attack pairs must be 2x2 IntMatrix values"),
+            (growth_exponent, ("x",), "report must be a BenchReport, got 'x'")):
+        check(refusal(TypeError, function, *args) == text,
+              "%s%r does not raise TypeError(%r)" % (function.__name__, args, text))
     check(outcome(prime_stream, 1, 10**5000)
           == (CipherError, "cannot emit a 16610-bit int distinct primes below 65536 "
               "(only 6542 exist)"),
           "a prime count past the int/str limit is not refused with a short CipherError")
-    try:
-        fibonacci_q(-(10**5000))
-        refusal = None
-    except ValueError as exc:
-        refusal = str(exc)
-    check(refusal == "fibonacci_q requires n >= 1, got a negative 16610-bit int",
+    check(refusal(ValueError, fibonacci_q, -(10**5000))
+          == "fibonacci_q's n must be at least 1, got a negative 16610-bit int",
           "a Fibonacci index past the int/str limit is not refused with a short ValueError")
+    # these counts ran until killed; the caps refuse them before any work
+    for function, args, text in (
+            (avalanche_test, (keygen(1), 8, 2**64, 0),
+             "trials must be in [1, 1000000], got 18446744073709551616"),
+            (benchmark, ([8], keygen(1), 10**4 + 1), "repetitions must be in [1, 10000], got 10001")):
+        check(refusal(ValueError, function, *args) == text,
+              "%s does not refuse an unbounded count with ValueError(%r)" % (function.__name__, text))
     check(validate_key(KeyMaterial(IntMatrix(2, 2, (1, 0, 0, 1)), -(10**5000), 0, 0))
           == (False, ["fib_index must be in [1, 10000], got a negative 16610-bit int"]),
           "validate_key does not name a huge negative Fibonacci index by its sign and size")
-    check(type_error(encrypt, 7, keygen(1)) == "encrypt takes bytes, not an int",
+    check(refusal(TypeError, encrypt, 7, keygen(1)) == "encrypt takes bytes, not an int",
           "encrypt does not refuse an int message")
     for seed in range(200):
         pairs = pair_set(rng, seed)
@@ -269,7 +280,7 @@ def main():
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime chunks, "
           "%d prime streams, 3 round trips under one key, 16 cube roots, 200 envelopes, "
-          "an envelope's two fields, 9 refusals, "
+          "an envelope's two fields, 14 refusals, "
           "202 attack pair sets (2 of ~4,000 digits), "
           "200 keys' un-mix and composite maps, 65,775 genuine roots, "
           "400 decrypts (200 tampered), 1 avalanche report"

@@ -27,6 +27,7 @@ from cubecipher import (
     NonIntegralResultError,
     SymbolRangeError,
     avalanche_test,
+    growth_exponent,
     benchmark,
     block_map,
     decrypt,
@@ -528,9 +529,10 @@ _BLOCK = IntMatrix(2, 2, (1, 2, 3, 4))
     pytest.param(serialize_key, ("x",), _KEY_REFUSAL, id="serialize_key"),
     pytest.param(decrypt, ("x", keygen(1)), _ENVELOPE_REFUSAL, id="decrypt-envelope"),
     pytest.param(serialize_ciphertext, ("x",), _ENVELOPE_REFUSAL, id="serialize_ciphertext"),
-    pytest.param(Xorshift64Star(1).below, (2.5,), "below() requires an int n, got 2.5",
+    pytest.param(growth_exponent, ("x",), "report must be a BenchReport, got 'x'", id="growth_exponent"),
+    pytest.param(Xorshift64Star(1).below, (2.5,), "below's n must be an int, got 2.5",
                  id="below-float"),
-    pytest.param(Xorshift64Star(1).below_many, (True, 3), "below() requires an int n, got True",
+    pytest.param(Xorshift64Star(1).below_many, (True, 3), "below's n must be an int, got True",
                  id="below_many-bool"),
 ])
 def test_a_wrong_type_raises_type_error_naming_it(function, args, refusal):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cubecipher import IntMatrix, cli, encrypt_block, errors, keygen, serialize_key, serialize_pairs
+from cubecipher import IntMatrix, analysis, cli, encrypt_block, errors, keygen, serialize_key, serialize_pairs
 from cubecipher.cipher import KeyMaterial
 from cubecipher.cli import main
 
@@ -202,14 +202,33 @@ def test_argument_type_errors_exit_2(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["avalanche", "--trials", 0], "trials must be at least 1"),
-        (["avalanche", "--length", 0], "message_length must be at least 1"),
+        pytest.param(["avalanche", "--trials", 0], "trials must be in [1, 1000000], got 0",
+                     id="argv0-trials must be at least 1"),
+        pytest.param(["avalanche", "--length", 0], "message_length must be at least 1, got 0",
+                     id="argv1-message_length must be at least 1"),
         (["bench", "--lengths", "16,8"], "lengths must be strictly increasing"),
-        (["bench", "--lengths", "0,8"], "lengths must be positive"),
-        (["bench", "--repetitions", 0], "repetitions must be at least 1"),
+        pytest.param(["bench", "--lengths", "0,8"], "every length must be at least 1, got 0",
+                     id="argv3-lengths must be positive"),
+        pytest.param(["bench", "--repetitions", 0], "repetitions must be in [1, 10000], got 0",
+                     id="argv4-repetitions must be at least 1"),
     ],
 )
 def test_bad_analysis_values_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "report.json"
+    assert run(argv + ["--key", FIXTURES / "golden_key.json", "--out", out]) == 2
+    assert capsys.readouterr().err == "cubecipher: error: %s\n" % message
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["avalanche", "--trials", 10**6 + 1], "trials must be in [1, 1000000], got 1000001"),
+    (["avalanche", "--trials", 2**64], "trials must be in [1, 1000000], got 18446744073709551616"),
+    (["bench", "--repetitions", 10**4 + 1], "repetitions must be in [1, 10000], got 10001"),
+    (["bench", "--repetitions", 2**64], "repetitions must be in [1, 10000], got 18446744073709551616"),
+], ids=["trials-cap+1", "trials-2**64", "repetitions-cap+1", "repetitions-2**64"])
+def test_an_unbounded_count_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
+    # these ran until killed; a refused count never reaches the key check
+    monkeypatch.setattr(analysis, "_require_valid", lambda key: pytest.fail("work began"))
     out = tmp_path / "report.json"
     assert run(argv + ["--key", FIXTURES / "golden_key.json", "--out", out]) == 2
     assert capsys.readouterr().err == "cubecipher: error: %s\n" % message

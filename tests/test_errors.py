@@ -1,0 +1,104 @@
+"""The library's one rule for int arguments (errors._require_int).
+
+Every per-call int argument refuses a value that is not an int, or is a
+bool, with TypeError("<name> must be an int, got <shown>"), and an int out
+of its range with ValueError("<name> must be at least <low>, got <shown>")
+or ValueError("<name> must be in [<low>, <high>], got <shown>"), the value
+shown short by errors._shown.
+"""
+
+import pytest
+
+from cubecipher import (
+    CiphertextEnvelope,
+    IntMatrix,
+    KeyMaterial,
+    Xorshift64Star,
+    analysis,
+    avalanche_test,
+    benchmark,
+    fibonacci_q,
+    keygen,
+    prime_stream,
+)
+from cubecipher.errors import _is_int, _require_int
+
+_KEY = keygen(1)
+_I2 = IntMatrix.identity(2)
+_BLOCK = IntMatrix(2, 2, (1, 2, 3, 4))
+MAX_U64 = 2**64 - 1
+
+# (id, call taking the value, name in the text, low, high)
+_PARAMETERS = [
+    ("KeyMaterial-fib_index", lambda v: KeyMaterial(_I2, v, 0, 0), "fib_index", None, None),
+    ("KeyMaterial-quarter_turns", lambda v: KeyMaterial(_I2, 1, v, 0), "quarter_turns", None, None),
+    ("KeyMaterial-prime_seed", lambda v: KeyMaterial(_I2, 1, 0, v), "prime_seed", 0, MAX_U64),
+    ("CiphertextEnvelope-pad_count", lambda v: CiphertextEnvelope(v, (_BLOCK,)), "pad_count", 0, 3),
+    ("Xorshift64Star-seed", Xorshift64Star, "seed", 0, MAX_U64),
+    ("below-n", lambda v: Xorshift64Star(1).below(v), "below's n", 1, None),
+    ("below_many-n", lambda v: Xorshift64Star(1).below_many(v, 1), "below's n", 1, None),
+    ("below_many-count", lambda v: Xorshift64Star(1).below_many(2, v), "below_many's count", 0, None),
+    ("prime_stream-count", lambda v: prime_stream(1, v), "prime_stream's count", 0, None),
+    ("fibonacci_q-n", fibonacci_q, "fibonacci_q's n", 1, None),
+    ("IntMatrix-rows", lambda v: IntMatrix(v, 1, (1,)), "matrix rows", 1, None),
+    ("IntMatrix-cols", lambda v: IntMatrix(1, v, (1,)), "matrix cols", 1, None),
+    ("avalanche_test-message_length", lambda v: avalanche_test(_KEY, v, 1, 0), "message_length", 1, None),
+    ("avalanche_test-trials", lambda v: avalanche_test(_KEY, 1, v, 0), "trials", 1, 10**6),
+    # the second length: only the first was checked, so [4, 0] said "strictly
+    # increasing", and a float or str raised the interpreter's own TypeError
+    ("benchmark-length", lambda v: benchmark([4, v], _KEY, 1), "every length", 1, None),
+    ("benchmark-repetitions", lambda v: benchmark([1], _KEY, v), "repetitions", 1, 10**4),
+]
+
+_SHOWN = {2.5: "2.5", True: "True", "7": "'7'"}
+_HUGE_NEGATIVE = -(10**5000)
+
+
+def _cases():
+    for pid, call, name, low, high in _PARAMETERS:
+        for value, shown in _SHOWN.items():
+            yield pytest.param(call, value, TypeError, "%s must be an int, got %s" % (name, shown),
+                               id="%s-%s" % (pid, shown))
+        limit = None if low is None else "at least %d" % low if high is None else "in [%d, %d]" % (low, high)
+        yield pytest.param(call, _HUGE_NEGATIVE, limit and ValueError,
+                           limit and "%s must be %s, got a negative 16610-bit int" % (name, limit),
+                           id="%s-huge-negative" % pid)
+        if low is not None:
+            yield pytest.param(call, low - 1, ValueError, "%s must be %s, got %d" % (name, limit, low - 1),
+                               id="%s-low-1" % pid)
+        if high is not None:
+            for value in sorted({high + 1, 2**64}):
+                yield pytest.param(call, value, ValueError, "%s must be %s, got %d" % (name, limit, value),
+                                   id="%s-%d" % (pid, value))
+
+
+def _no_work(*args):
+    raise AssertionError("an analysis began its work on a refused argument")
+
+
+@pytest.mark.parametrize("call, value, error, text", _cases())
+def test_an_int_argument_is_refused_in_one_form(monkeypatch, call, value, error, text):
+    # a refused count must stop before any work, so a huge one cannot run
+    monkeypatch.setattr(analysis, "_require_valid", _no_work)
+    if error is None:
+        call(value)  # an int with no bounds is accepted whatever its size
+        return
+    with pytest.raises(error) as excinfo:
+        call(value)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == text
+    assert len(str(excinfo.value)) < 200
+
+
+def test_the_rule_itself():
+    class Tagged(int):
+        pass
+
+    assert [_is_int(v) for v in (0, -(2**70), Tagged(3), True, False, 1.0, "1", None)] == [
+        True, True, True, False, False, False, False, False]
+    _require_int(Tagged(3), "x", 3, 3)  # an int subclass passes, and both bounds are inclusive
+    _require_int(-(10**5000), "x")
+    with pytest.raises(ValueError, match=r"^x must be in \[3, 3\], got 4$"):
+        _require_int(4, "x", 3, 3)
+    with pytest.raises(TypeError, match="^x must be an int, got '%s... \\(100000 characters\\)$" % ("7" * 39)):
+        _require_int("7" * 100_000, "x", 0)

@@ -144,7 +144,7 @@ def test_fibonacci_q_shows_a_huge_index_short():
     # %d used to raise the interpreter's int/str-limit ValueError instead
     with pytest.raises(ValueError) as excinfo:
         fibonacci_q(-(10**5000))
-    assert str(excinfo.value) == "fibonacci_q requires n >= 1, got a negative 16610-bit int"
+    assert str(excinfo.value) == "fibonacci_q's n must be at least 1, got a negative 16610-bit int"
 
 
 def test_rotation_table():
@@ -224,10 +224,10 @@ def test_entry_type_policing_names_the_entry(entry):
 def test_dimension_type_policing(rows, cols):
     # a float or bool dimension used to construct, compare equal to its
     # int twin, and fail later in a row split with a raw TypeError
-    bad = rows if type(rows) is not int else cols
+    name, bad = ("rows", rows) if type(rows) is not int else ("cols", cols)
     with pytest.raises(TypeError) as excinfo:
         IntMatrix(rows, cols, (1, 2, 3, 4))
-    assert str(excinfo.value) == "matrix dimensions must be ints, got %r" % (bad,)
+    assert str(excinfo.value) == "matrix %s must be an int, got %r" % (name, bad)
 
 
 _UNPRINTABLE = Fraction(10**5000, 3)  # its repr passes the int/str limit
@@ -246,11 +246,10 @@ def test_a_refused_entry_is_shown_short(entry, shown):
 
 
 @pytest.mark.parametrize("rows, cols, error, message", [
-    (_UNPRINTABLE, 2, TypeError, "matrix dimensions must be ints, got an unprintable Fraction"),
-    (-(10**5000), 2, ValueError,
-     "matrix dimensions must be positive, got a negative 16610-bit int by 2"),
+    (_UNPRINTABLE, 2, TypeError, "matrix rows must be an int, got an unprintable Fraction"),
+    (-(10**5000), 2, ValueError, "matrix rows must be at least 1, got a negative 16610-bit int"),
     (10**5000, 1, ValueError,
-     "expected one entry per cell of a matrix sized a 16610-bit int by 1, got 0"),
+     "expected rows * cols entries for a 16610-bit int rows and 1 cols, got 0"),
 ], ids=["fraction", "huge-negative", "huge-size"])
 def test_a_refused_shape_is_shown_short(rows, cols, error, message):
     # each used to raise the interpreter's int/str-limit ValueError
