@@ -59,7 +59,7 @@ from .cipher import (
     decrypt,
     encrypt,
 )
-from .errors import InsufficientPairsError, _require_instance, _require_int
+from .errors import InsufficientPairsError, _is_int, _require_instance, _require_int, _shown
 from .formats import (FORMAT_VERSION, _attack_pairs, _ciphertext_text, _format_decimal,
                       dumps_canonical, serialize_ciphertext)
 from .matrices import IntMatrix
@@ -295,12 +295,16 @@ def apply_composite(composite, block: IntMatrix) -> IntMatrix:
     A block that is not a 2x2 IntMatrix raises ValueError("block must be
     2x2"), whatever its type: unlike encrypt_block and decrypt_block, this
     raises no TypeError for a block that is not an IntMatrix. The error
-    classes are part of the interface and stay as they are.
+    classes are part of the interface and stay as they are. A map entry
+    that is not an int (a bool is not one) or a Fraction raises TypeError.
     """
     if len(composite) != 16:
         raise ValueError("composite map must be 4x4")
     if not isinstance(block, IntMatrix) or (block.rows, block.cols) != (2, 2):
         raise ValueError("block must be 2x2")
+    for e in composite:
+        if not _is_int(e) and not isinstance(e, Fraction):
+            raise TypeError("composite map entries must be ints or Fractions, got %s" % _shown(e))
     s = math.lcm(*(e.denominator for e in composite))
     n = tuple(e.numerator * (s // e.denominator) for e in composite)
     return IntMatrix(2, 2, _divide_exactly(next(_map_blocks(n, (block.entries,))), s))

@@ -44,7 +44,7 @@ the README and the analysis module's known-plaintext attack.
 from array import array
 from dataclasses import dataclass
 
-from .encoding import ASCII_MAX, BYTE_MAX, _decode_all, decode_symbol, encode_symbol
+from .encoding import ASCII_MAX, BYTE_MAX, _decode_all, _encode_all, decode_symbol
 from .errors import (
     CipherError,
     CorruptCiphertextError,
@@ -343,7 +343,7 @@ def decrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
 def _mix(message, m, primes):
     """(pad_count, the mixed row-major 4-tuple of each block) of message,
     given the key's block map m and prime stream."""
-    ts = [encode_symbol(b, p) for b, p in zip(message, primes)]
+    ts = _encode_all(message, primes)
     pad_count = (-len(ts)) % BLOCK_SYMBOLS
     ts += [0] * pad_count  # a genuine t is >= 1, so a pad 0 never collides with data
     it = iter(ts)
@@ -368,13 +368,11 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
     message = bytes(message)
     _require_valid(key)
     _require_length(len(message))
-    if not byte_mode:
-        for i, b in enumerate(message):
-            if b > ASCII_MAX:
-                raise SymbolRangeError(
-                    "byte 0x%02x at index %d is not 7-bit ASCII; enable byte mode"
-                    % (b, i)
-                )
+    if not byte_mode and not message.isascii():
+        i = next(i for i, b in enumerate(message) if b > ASCII_MAX)
+        raise SymbolRangeError(
+            "byte 0x%02x at index %d is not 7-bit ASCII; enable byte mode" % (message[i], i)
+        )
     pad_count, vectors = _mix(message, _block_map(key), _primes(key, len(message)))
     return CiphertextEnvelope(pad_count, [IntMatrix(2, 2, v) for v in vectors])
 

@@ -13,24 +13,26 @@ Decoding solves n^3 - n = 6t for its unique integer root n >= 2 and
 returns x = n - y. For n >= 2 the cubic sits strictly between two
 consecutive cubes, (n - 1)^3 < n^3 - n < n^3, so the only candidate is
 n = icbrt(6t) + 1, where icbrt is the exact integer cube root (integer
-Newton iteration from a float-seeded start that is never below the root),
-and one exact check n^3 - n = 6t accepts or rejects it. The whole round
-trip stays bit-exact at any size. Without y the root n only reveals the
-sum x + y, which is what makes the prime stream the trapdoor knowledge.
+Newton iteration from a power of two above the root), and one exact
+check n^3 - n = 6t accepts or rejects it. The whole round trip stays
+bit-exact at any size. Without y the root n only reveals the sum x + y,
+which is what makes the prime stream the trapdoor knowledge.
 
-Decryption decodes a whole message in one pass, _decode_all, which takes
-every candidate n from a float cube root and checks all of them exactly
-at once; only when that pass fails does it go symbol by symbol through
-decode_symbol, which then raises the error for the first bad value.
+Each direction runs in bulk over a whole message: _encode_all, the one
+place the formula is written, and _decode_all, which takes every
+candidate n from a float cube root and checks them all exactly at once.
+Neither checks its arguments. The public per-symbol functions check
+theirs through errors._require_int, and decryption calls decode_symbol
+only when the bulk pass fails, to raise the error for the first bad value.
 
 Every result here is exact: a float only ever proposes a candidate that
 exact integer arithmetic then accepts or rejects. Error messages give the
 bit length of a value too long to print, never its digits.
 """
 
-from operator import sub
+from operator import add, sub
 
-from .errors import CorruptValueError, NoIntegerRootError, SymbolRangeError, _shown
+from .errors import CorruptValueError, NoIntegerRootError, SymbolRangeError, _require_int, _shown
 
 __all__ = [
     "ASCII_MAX",
@@ -48,42 +50,37 @@ BYTE_MAX = 255
 _FLOAT_T_LIMIT = 1 << 50
 
 
+def _encode_all(codes, primes):
+    """encode_symbol of each (code, prime) pair, unchecked, in one pass."""
+    return [(n - 1) * n * (n + 1) // 6 for n in map(add, codes, primes)]
+
+
 def encode_symbol(code: int, prime: int) -> int:
     """Trapdoor-encode a symbol code with its prime: t = (n^3 - n)/6, n = code + prime.
 
     Exact integer arithmetic throughout; the division by 6 never truncates.
     """
-    if code < 0:
-        raise ValueError("symbol code must be nonnegative")
-    if prime < 2:
-        raise ValueError("prime must be at least 2")
-    n = code + prime
-    return (n - 1) * n * (n + 1) // 6
+    _require_int(code, "symbol code", 0)
+    _require_int(prime, "prime", 2)
+    return _encode_all((code,), (prime,))[0]
 
 
 def integer_cube_root(n: int) -> int:
     """Largest integer r with r**3 <= n, for n >= 0. Exact integer Newton.
 
-    Starts at x = (int(float(m) ** (1/3)) + 2) << k, where m = n >> 3k and
-    k = max(0, (bits - 51) // 3) keeps m below 2**53, so float(m) is exact.
-    The float cube root is off by far less than 1, so the + 2 makes
-    x**3 > (m + 1) * 2**(3k) > n: the start is above the root. Newton then
-    steps x -> (2x + n // x^2) // 3. By the AM-GM inequality no step lands
-    below the root, and every step from above it strictly decreases, so the
-    first step that does not decrease is taken from the root itself. The
-    float only picks the start; the result is exact on every platform.
+    Starts at x = 2**ceil(bits / 3), so x**3 >= 2**bits > n: the start is
+    above the root. Newton then steps x -> (2x + n // x^2) // 3. By the
+    AM-GM inequality no step lands below the root, and every step from
+    above it strictly decreases, so the first step that does not decrease
+    is taken from the root itself.
     """
-    if n < 0:
-        raise ValueError("integer_cube_root requires a nonnegative input")
-    if n < 8:
-        return 0 if n == 0 else 1
-    k = max(0, (n.bit_length() - 51) // 3)
-    x = (int(float(n >> 3 * k) ** (1 / 3)) + 2) << k
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
+    _require_int(n, "integer_cube_root's n", 0)
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // 3)
+    while (y := (2 * x + n // (x * x)) // 3) < x:
         x = y
+    return x
 
 
 def solve_depressed_cubic(t: int) -> int:
@@ -94,6 +91,7 @@ def solve_depressed_cubic(t: int) -> int:
     candidate fails (corrupted or non-genuine t). The message gives t's
     bit length, not its digits, which can be too long to print.
     """
+    _require_int(t, "t")
     if t < 1:
         raise NoIntegerRootError("no integer n >= 2 satisfies n^3 - n = 6t for t < 1")
     target = 6 * t
@@ -142,8 +140,7 @@ def decode_symbol(t: int, prime: int, max_code: int = ASCII_MAX) -> int:
     and SymbolRangeError when the recovered code falls outside
     [0, max_code], which is how a wrong prime (or tampered t) shows up.
     """
-    if prime < 2:
-        raise ValueError("prime must be at least 2")
+    _require_int(prime, "prime", 2)
     try:
         n = solve_depressed_cubic(t)
     except NoIntegerRootError as exc:

@@ -11,8 +11,9 @@ object keeps over encrypt and decrypt of 4,000, 16 and 6,542 bytes,
 integer_cube_root against bisection around 2**53, serialize_ciphertext
 against its reference on 200 keygen envelopes, that an envelope's fields
 are its pad count and blocks and one of 1,700 blocks is refused when
-built, that a key, an envelope, a below() modulus, a pair list or a
-bench report of the wrong type raises TypeError naming the value, that
+built, that a key, an envelope, a below() modulus, a pair list, a
+bench report, a trapdoor argument or a composite map entry of the wrong
+type raises TypeError naming the value, that
 a trial or repetition count over its cap is refused, that two values
 past the int/str limit (a prime count, a Fibonacci index) are refused
 with their documented classes and short messages, that validate_key names
@@ -189,7 +190,7 @@ def main():
         check(envelope == reference_encrypt(message, key) and decrypt(envelope, key) == message,
               "encrypt and decrypt under a reused key, length %d, differ from the reference"
               % length)
-    # float(n) is exact below 2**53 only; the roots start from a float
+    # around 2**53, where float(n) stops being exact
     for n in [(1 << 53) + d for d in range(-3, 4)] + [k**3 + d for k in (208063, 208064, 208065)
                                                       for d in (-1, 0, 1)]:
         check(integer_cube_root(n) == reference_integer_cube_root(n),
@@ -212,7 +213,11 @@ def main():
             (Xorshift64Star(1).below, (2.5,), "below's n must be an int, got 2.5"),
             (known_plaintext_attack, ("x",), "attack pairs must be 2x2 IntMatrix values"),
             (serialize_pairs, ("x",), "attack pairs must be 2x2 IntMatrix values"),
-            (growth_exponent, ("x",), "report must be a BenchReport, got 'x'")):
+            (growth_exponent, ("x",), "report must be a BenchReport, got 'x'"),
+            (encode_symbol, (2.5, 3), "symbol code must be an int, got 2.5"),
+            (integer_cube_root, (float("nan"),), "integer_cube_root's n must be an int, got nan"),
+            (apply_composite, ((0.5,) * 16, IntMatrix(2, 2, (1, 2, 3, 4))),
+             "composite map entries must be ints or Fractions, got 0.5")):
         check(refusal(TypeError, function, *args) == text,
               "%s%r does not raise TypeError(%r)" % (function.__name__, args, text))
     check(outcome(prime_stream, 1, 10**5000)
@@ -280,7 +285,7 @@ def main():
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime chunks, "
           "%d prime streams, 3 round trips under one key, 16 cube roots, 200 envelopes, "
-          "an envelope's two fields, 14 refusals, "
+          "an envelope's two fields, 17 refusals, "
           "202 attack pair sets (2 of ~4,000 digits), "
           "200 keys' un-mix and composite maps, 65,775 genuine roots, "
           "400 decrypts (200 tampered), 1 avalanche report"

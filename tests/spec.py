@@ -23,7 +23,6 @@ from cubecipher import (
     SymbolRangeError,
     Xorshift64Star,
     decode_symbol,
-    encode_symbol,
     fibonacci_q,
     known_plaintext_attack,
     prime_stream,
@@ -100,6 +99,17 @@ def reference_prime_stream(seed, count):
     return out
 
 
+def reference_encode_symbol(code, prime):
+    """encode_symbol as one call per symbol computed it before the bulk
+    _encode_all."""
+    if code < 0:
+        raise ValueError("symbol code must be nonnegative")
+    if prime < 2:
+        raise ValueError("prime must be at least 2")
+    n = code + prime
+    return (n - 1) * n * (n + 1) // 6
+
+
 def reference_integer_cube_root(n):
     """The bisection integer_cube_root used before the Newton iteration."""
     if n < 8:
@@ -147,7 +157,7 @@ def reference_encrypt(message, key):
     """encrypt before the per-key map: encode, zero-pad to whole 2x2
     blocks, chain per block."""
     primes = prime_stream(key.prime_seed, len(message))
-    ts = [encode_symbol(b, p) for b, p in zip(message, primes)]
+    ts = [reference_encode_symbol(b, p) for b, p in zip(message, primes)]
     pad_count = -len(ts) % 4
     ts += [0] * pad_count
     blocks = [IntMatrix(2, 2, ts[i : i + 4]) for i in range(0, len(ts), 4)]

@@ -266,6 +266,26 @@ def test_apply_composite_raises_value_error_for_any_bad_block(block):
     assert type(excinfo.value) is ValueError
 
 
+@pytest.mark.parametrize("entry, shown", [
+    (1.0, "1.0"), (0.5, "0.5"), ("1", "'1'"), (None, "None"), (True, "True"),
+    (IntMatrix(2, 2, (1, 0, 0, 1)), "IntMatrix(rows=2, cols=2, entries=(1, 0,... (47 characters)"),
+])
+def test_apply_composite_refuses_an_entry_that_is_not_an_int_or_fraction(entry, shown):
+    # a float entry raised a raw AttributeError (no .denominator), and a
+    # bool passed as an int
+    identity = [int(i == j) for i in range(4) for j in range(4)]
+    for at in (0, 15):
+        composite = identity[:at] + [entry] + identity[at + 1:]
+        with pytest.raises(TypeError) as excinfo:
+            apply_composite(composite, IntMatrix(2, 2, (4, 5, 6, 7)))
+        assert str(excinfo.value) == "composite map entries must be ints or Fractions, got %s" % shown
+    # the size and block refusals come first, unchanged
+    with pytest.raises(ValueError, match=r"^composite map must be 4x4$"):
+        apply_composite([entry] * 15, IntMatrix(2, 2, (4, 5, 6, 7)))
+    with pytest.raises(ValueError, match=r"^block must be 2x2$"):
+        apply_composite([entry] * 16, (4, 5, 6, 7))
+
+
 def test_apply_composite_matches_the_reference():
     rng = random.Random(109)
     cases = []

@@ -358,6 +358,18 @@ def test_strict_mode_rejects_high_bytes():
     assert "index 2" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("message, text", [
+    (b"\x80", "byte 0x80 at index 0 is not 7-bit ASCII; enable byte mode"),
+    (b"x" * 6541 + b"\x80", "byte 0x80 at index 6541 is not 7-bit ASCII; enable byte mode"),
+    (b"x" * 6540 + b"\xfe\xff", "byte 0xfe at index 6540 is not 7-bit ASCII; enable byte mode"),
+], ids=["first", "last-of-6542", "first-of-two"])
+def test_strict_mode_names_the_first_high_byte(message, text):
+    with pytest.raises(SymbolRangeError) as excinfo:
+        encrypt(message, keygen(5))
+    assert type(excinfo.value) is SymbolRangeError
+    assert str(excinfo.value) == text
+
+
 def test_byte_mode_round_trips_all_byte_values():
     key = keygen(6)
     message = bytes(range(256))

@@ -1,6 +1,7 @@
 """Trapdoor encoding layer: cubic encode/decode, root finding."""
 
 import random
+from array import array
 
 import pytest
 
@@ -13,9 +14,10 @@ from cubecipher import (
     integer_cube_root,
     solve_depressed_cubic,
 )
-from cubecipher.encoding import _decode_all
+from cubecipher.encoding import _decode_all, _encode_all
 from cubecipher.primes import PRIME_COUNT_BELOW_LIMIT, PRIME_LIMIT
-from spec import is_prime, reference_integer_cube_root, reference_solve_depressed_cubic
+from spec import (is_prime, reference_encode_symbol, reference_integer_cube_root,
+                  reference_solve_depressed_cubic)
 
 
 def linear_scan_root(t):
@@ -47,12 +49,28 @@ def test_encode_symbol_minimum():
 
 
 def test_encode_symbol_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^symbol code must be at least 0, got -1$"):
         encode_symbol(-1, 13)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^prime must be at least 2, got 1$"):
         encode_symbol(65, 1)
-    with pytest.raises(ValueError, match="prime must be at least 2"):
+    with pytest.raises(ValueError, match=r"^prime must be at least 2, got 1$"):
         decode_symbol(79079, 1)
+
+
+def test_bulk_encode_matches_the_per_symbol_formula():
+    rng = random.Random(30)
+    every_prime = [n for n in range(PRIME_LIMIT) if is_prime(n)]
+    spread = (every_prime[:40] + every_prime[-40:] + rng.sample(every_prime, 120)
+              + [2**61 - 1, 2**127 - 1, 10**400 + 267])  # exact far past 16 bits
+    for prime in spread:
+        expected = [reference_encode_symbol(code, prime) for code in range(256)]
+        assert _encode_all(range(256), [prime] * 256) == expected
+        assert [encode_symbol(code, prime) for code in range(256)] == expected
+    # the pipeline's own argument types: message bytes and the key's kept primes
+    message = bytes(rng.randrange(256) for _ in range(500))
+    primes = array("H", rng.choices(every_prime, k=500))
+    assert _encode_all(message, primes) == list(map(reference_encode_symbol, message, primes))
+    assert _encode_all(b"", array("H")) == []
 
 
 def test_decode_symbol_worked_example():
@@ -147,7 +165,7 @@ def test_integer_cube_root():
         assert integer_cube_root(exact**3) == exact
         assert integer_cube_root(exact**3 - 1) == exact - 1
         assert integer_cube_root(exact**3 + 1) == exact
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^integer_cube_root's n must be at least 0, got -1$"):
         integer_cube_root(-1)
 
 
@@ -172,8 +190,8 @@ def test_integer_cube_root_at_cube_boundaries():
 
 
 def test_integer_cube_root_around_the_float_seam():
-    """The float-seeded start near 2**53, where float(n) stops being exact,
-    and across the sizes on either side of it."""
+    """Cubes and other values of 43 to 70 bits, on either side of 2**53,
+    where float(n) stops being exact."""
     rng = random.Random(53)
     for bits in range(15, 21):  # k**3 of 43 to 60 bits
         for k in [1 << (bits - 1), (1 << bits) - 1] + [rng.getrandbits(bits) | 1 << (bits - 1)

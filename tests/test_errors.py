@@ -7,19 +7,26 @@ or ValueError("<name> must be in [<low>, <high>], got <shown>"), the value
 shown short by errors._shown.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from cubecipher import (
     CiphertextEnvelope,
     IntMatrix,
     KeyMaterial,
+    NoIntegerRootError,
     Xorshift64Star,
     analysis,
     avalanche_test,
     benchmark,
+    decode_symbol,
+    encode_symbol,
     fibonacci_q,
+    integer_cube_root,
     keygen,
     prime_stream,
+    solve_depressed_cubic,
 )
 from cubecipher.errors import _is_int, _require_int
 
@@ -48,10 +55,23 @@ _PARAMETERS = [
     # increasing", and a float or str raised the interpreter's own TypeError
     ("benchmark-length", lambda v: benchmark([4, v], _KEY, 1), "every length", 1, None),
     ("benchmark-repetitions", lambda v: benchmark([1], _KEY, v), "repetitions", 1, 10**4),
+    # the trapdoor's per-symbol functions: encode_symbol returned a float
+    # for a float code and an int for a Fraction or a bool, and the others
+    # raised a raw AttributeError (no .bit_length) for a float
+    ("encode_symbol-code", lambda v: encode_symbol(v, 13), "symbol code", 0, None),
+    ("encode_symbol-prime", lambda v: encode_symbol(65, v), "prime", 2, None),
+    ("decode_symbol-prime", lambda v: decode_symbol(79079, v), "prime", 2, None),
+    ("solve_depressed_cubic-t", solve_depressed_cubic, "t", None, None),
+    ("integer_cube_root-n", integer_cube_root, "integer_cube_root's n", 0, None),
 ]
 
-_SHOWN = {2.5: "2.5", True: "True", "7": "'7'"}
+_SHOWN = {2.5: "2.5", True: "True", "7": "'7'", Fraction(1, 2): "Fraction(1, 2)"}
 _HUGE_NEGATIVE = -(10**5000)
+# an int with no bounds is accepted whatever its size, unless its value is
+# refused by its own error class
+_HUGE_NEGATIVE_REFUSED = {
+    "solve_depressed_cubic-t": (NoIntegerRootError, "no integer n >= 2 satisfies n^3 - n = 6t for t < 1"),
+}
 
 
 def _cases():
@@ -60,9 +80,9 @@ def _cases():
             yield pytest.param(call, value, TypeError, "%s must be an int, got %s" % (name, shown),
                                id="%s-%s" % (pid, shown))
         limit = None if low is None else "at least %d" % low if high is None else "in [%d, %d]" % (low, high)
-        yield pytest.param(call, _HUGE_NEGATIVE, limit and ValueError,
-                           limit and "%s must be %s, got a negative 16610-bit int" % (name, limit),
-                           id="%s-huge-negative" % pid)
+        error, text = _HUGE_NEGATIVE_REFUSED.get(pid, (
+            limit and ValueError, limit and "%s must be %s, got a negative 16610-bit int" % (name, limit)))
+        yield pytest.param(call, _HUGE_NEGATIVE, error, text, id="%s-huge-negative" % pid)
         if low is not None:
             yield pytest.param(call, low - 1, ValueError, "%s must be %s, got %d" % (name, limit, low - 1),
                                id="%s-low-1" % pid)
@@ -81,7 +101,7 @@ def test_an_int_argument_is_refused_in_one_form(monkeypatch, call, value, error,
     # a refused count must stop before any work, so a huge one cannot run
     monkeypatch.setattr(analysis, "_require_valid", _no_work)
     if error is None:
-        call(value)  # an int with no bounds is accepted whatever its size
+        call(value)
         return
     with pytest.raises(error) as excinfo:
         call(value)
