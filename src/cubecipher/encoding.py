@@ -139,8 +139,10 @@ def decode_symbol(t: int, prime: int, max_code: int = ASCII_MAX) -> int:
     Raises CorruptValueError when t has no integer root structure at all,
     and SymbolRangeError when the recovered code falls outside
     [0, max_code], which is how a wrong prime (or tampered t) shows up.
+    max_code may be any int; a negative one refuses every code.
     """
     _require_int(prime, "prime", 2)
+    _require_int(max_code, "max_code")
     try:
         n = solve_depressed_cubic(t)
     except NoIntegerRootError as exc:
@@ -149,10 +151,9 @@ def decode_symbol(t: int, prime: int, max_code: int = ASCII_MAX) -> int:
     if not 0 <= code <= max_code:
         # a code from a huge t, or a huge bound, can be too long to print
         shown = "%d" % code if code.bit_length() <= 64 else "of %d bits" % code.bit_length()
-        bound = "%d" % max_code if abs(max_code) < 1 << 64 else _shown(max_code)
         raise SymbolRangeError(
             "decoded code %s is outside [0, %s] (wrong prime or corrupted value)"
-            % (shown, bound)
+            % (shown, _shown(max_code))
         )
     return code
 

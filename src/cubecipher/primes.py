@@ -30,26 +30,27 @@ masked shifts; one set of masks, built at import for 256 lanes, serves
 every width up to 256 lanes, a single state included. The step is linear
 over GF(2), a 64x64 bit matrix A, so a lane's start state A**(32 j) *
 state is the XOR, over the set bits b of the state, of A**(32 j) * e_b,
-e_b the unit vector of bit b. prime_stream keeps those vectors in one
-start table: 64 columns, column b holding A**(32 j) * e_b in lane j. The
-table is built by stepping the 64 unit vectors, packed as 64 lanes, 32
-steps per added lane, and transposing the rows so made into columns. It grows on demand to the next power of two at
-or above the lanes a chunk needs, at most 256 lanes (128 KiB), and is
-replaced whole, in one assignment, so a concurrent caller sees either the
-old table or the new one, both correct. Nothing is stepped at import. A
-chunk holds at most 256 lanes, 8,192 draws; its candidates go into one
-array of 16-bit halfwords, at most 64 KiB, laid out little-endian and
-byte-swapped once on a big-endian host, so that lane j's candidate at
-step s is halfword 4 (lanes s + j) on every host. The array is read
-lane by lane, in draw order, at a stride of 4 * lanes halfwords, and
-filtered against the per-call sieve copy. The stream is the one the
-scalar loop gives, draw for draw; the test suite keeps that loop as its
-reference, with a Miller-Rabin test to check the sieve against.
+e_b the unit vector of bit b. prime_stream reads those vectors from a
+start table: 64 columns, column b holding A**(32 j) * e_b in lane j. A
+chunk reads the table as wide as the next power of two at or above its
+lanes, at most 256 lanes (128 KiB). Each width is built on first use from
+lane 0, the 64 unit vectors packed as 64 lanes, stepped 32 steps per
+further lane, the rows so made transposed into columns, and cached;
+nothing is stepped at import. A chunk holds at most 256 lanes, 8,192
+draws; its candidates go into one array of 16-bit halfwords, at most
+64 KiB, laid out little-endian and byte-swapped once on a big-endian
+host, so that lane j's candidate at step s is halfword 4 (lanes s + j)
+on every host. The array is read lane by lane, in draw order, at a
+stride of 4 * lanes halfwords, and filtered against the per-call sieve
+copy. The stream is the one the scalar loop gives, draw for draw; the
+test suite keeps that loop as its reference, with a Miller-Rabin test to
+check the sieve against.
 
 This generator is NOT cryptographically secure and is not meant to be; the
 contract here is cross-platform determinism, not unpredictability.
 """
 
+import functools
 import sys
 from array import array
 from math import isqrt, log
@@ -150,40 +151,26 @@ class Xorshift64Star:
         return out
 
 
-def _columns(rows):
-    """The columns of a start table from its rows: word b of rows[j] (one
-    packed 64-lane int) becomes lane j of column b. The words move whole,
-    so the host byte order cancels."""
+@functools.cache
+def _start_table(width):
+    """The 64 columns of the start table `width` (a power of two, at most
+    _MAX_LANES) lanes wide: lane j of column b is A**(32 j) * e_b.
+
+    Lane 0 is the unit vectors, packed as 64 lanes in one row; each further
+    row steps the one before _LANE_STEPS steps. Word b of row j becomes lane
+    j of column b; the words move whole, so the host byte order cancels.
+    The cache holds at most 9 tables, widths 1, 2, 4, ..., 256 (256 KiB
+    in all), as immutable tuples; a concurrent first use at worst builds
+    one width twice, with equal results.
+    """
+    row = _pack(1 << bit for bit in range(64))
+    rows = [row]
+    for _ in range(width - 1):
+        for _ in range(_LANE_STEPS):
+            row = _xorshift(row)
+        rows.append(row)
     words = memoryview(b"".join(row.to_bytes(8 * 64, "little") for row in rows)).cast("Q")
     return tuple(int.from_bytes(words[bit::64], "little") for bit in range(64))
-
-
-# (width, columns): lane j < width of columns[b] is A**(32 j) * e_b. The
-# table starts as lane 0 alone, the unit vectors, and is only ever replaced
-# whole, in one assignment, so any table a caller reads is correct.
-_UNIT_TABLE = (1, tuple(1 << bit for bit in range(64)))
-_START_TABLE = _UNIT_TABLE
-
-
-def _start_table(lanes):
-    """The columns of the start table, at least `lanes` (<= _MAX_LANES) lanes wide.
-
-    A narrower table is widened to the next power of two >= lanes: its
-    last lane, the 64 vectors A**(32 (width - 1)) * e_b packed as 64 lanes,
-    steps _LANE_STEPS more steps per added lane.
-    """
-    global _START_TABLE
-    width, columns = _START_TABLE
-    if width < lanes:
-        row = _pack((column >> (64 * (width - 1))) & MAX_U64 for column in columns)
-        rows = []
-        for _ in range(width, 1 << (lanes - 1).bit_length()):
-            for _ in range(_LANE_STEPS):
-                row = _xorshift(row)
-            rows.append(row)
-        columns = tuple(c | added << (64 * width) for c, added in zip(columns, _columns(rows)))
-        _START_TABLE = width + len(rows), columns
-    return columns
 
 
 def _lane_starts(state, lanes):
@@ -191,7 +178,7 @@ def _lane_starts(state, lanes):
     32 j steps: A**(32 j) applied to state, one XOR of a start table
     column per set bit of state."""
     x = 0
-    for bit, column in enumerate(_start_table(lanes)):
+    for bit, column in enumerate(_start_table(1 << (lanes - 1).bit_length())):
         if state >> bit & 1:
             x ^= column
     return x & ((1 << (64 * lanes)) - 1)

@@ -6,14 +6,16 @@ Encrypts and decrypts the golden fixture through cli.main, checks the
 ciphertext byte for byte, checks that a prime chunk of 1, 3, 16 or 256
 lanes, read lane after lane, gives the generator's draws in order, checks
 prime_stream against the scalar reference
-loop at lengths 0 to 6,542 for four seeds and so the primes that one key
+loop at lengths 0 to 6,542 for four seeds, and at 16 and 6,542 primes
+after the start-table cache is cleared, and so the primes that one key
 object keeps over encrypt and decrypt of 4,000, 16 and 6,542 bytes,
 integer_cube_root against bisection around 2**53, serialize_ciphertext
 against its reference on 200 keygen envelopes, that an envelope's fields
 are its pad count and blocks and one of 1,700 blocks is refused when
 built, that a key, an envelope, a below() modulus, a pair list, a
-bench report, a trapdoor argument or a composite map entry of the wrong
-type raises TypeError naming the value, that
+bench report, a trapdoor argument (decode_symbol's max_code included) or
+a composite map entry of the wrong type raises TypeError naming the
+value, that
 a trial or repetition count over its cap is refused, that two values
 past the int/str limit (a prime count, a Fibonacci index) are refused
 with their documented classes and short messages, that validate_key names
@@ -48,6 +50,7 @@ from cubecipher import (
     benchmark,
     cli,
     decrypt,
+    decode_symbol,
     decrypt_block,
     encode_symbol,
     encrypt,
@@ -64,7 +67,7 @@ from cubecipher import (
 )
 from cubecipher.cipher import _primes
 from cubecipher.encoding import _decode_all
-from cubecipher.primes import _fill_chunk
+from cubecipher.primes import _fill_chunk, _start_table
 from spec import (
     attack_outcome,
     outcome,
@@ -179,6 +182,11 @@ def main():
             check(prime_stream(seed, length) == expected[:length],
                   "prime stream of seed %d, length %d, differs from the reference"
                   % (seed, length))
+    # from an empty start-table cache: a short stream, then one at the ceiling
+    _start_table.cache_clear()
+    for length in (16, STREAM_LENGTHS[-1]):
+        check(prime_stream(STREAM_SEEDS[-1], length) == expected[:length],
+              "prime stream of length %d from an empty start-table cache differs" % length)
     # one key object keeps the primes it draws: long, short, then longer
     key = dataclasses.replace(keygen(3), prime_seed=STREAM_SEEDS[-1])
     rng = random.Random(3)
@@ -215,6 +223,7 @@ def main():
             (serialize_pairs, ("x",), "attack pairs must be 2x2 IntMatrix values"),
             (growth_exponent, ("x",), "report must be a BenchReport, got 'x'"),
             (encode_symbol, (2.5, 3), "symbol code must be an int, got 2.5"),
+            (decode_symbol, (79079, 13, 64.9), "max_code must be an int, got 64.9"),
             (integer_cube_root, (float("nan"),), "integer_cube_root's n must be an int, got nan"),
             (apply_composite, ((0.5,) * 16, IntMatrix(2, 2, (1, 2, 3, 4))),
              "composite map entries must be ints or Fractions, got 0.5")):
@@ -284,12 +293,12 @@ def main():
     check(avalanche_test(keygen(7), 257, 7, 11).to_json_text() == AVALANCHE_REPORT,
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime chunks, "
-          "%d prime streams, 3 round trips under one key, 16 cube roots, 200 envelopes, "
-          "an envelope's two fields, 17 refusals, "
+          "%d prime streams (2 from an empty start-table cache), 3 round trips under one key, 16 cube roots, 200 envelopes, "
+          "an envelope's two fields, 18 refusals, "
           "202 attack pair sets (2 of ~4,000 digits), "
           "200 keys' un-mix and composite maps, 65,775 genuine roots, "
           "400 decrypts (200 tampered), 1 avalanche report"
-          % (sys.version.split()[0], len(CHUNK_LANES), len(STREAM_SEEDS) * len(STREAM_LENGTHS)))
+          % (sys.version.split()[0], len(CHUNK_LANES), len(STREAM_SEEDS) * len(STREAM_LENGTHS) + 2))
 
 
 if __name__ == "__main__":

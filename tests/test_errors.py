@@ -16,6 +16,7 @@ from cubecipher import (
     IntMatrix,
     KeyMaterial,
     NoIntegerRootError,
+    SymbolRangeError,
     Xorshift64Star,
     analysis,
     avalanche_test,
@@ -61,16 +62,22 @@ _PARAMETERS = [
     ("encode_symbol-code", lambda v: encode_symbol(v, 13), "symbol code", 0, None),
     ("encode_symbol-prime", lambda v: encode_symbol(65, v), "prime", 2, None),
     ("decode_symbol-prime", lambda v: decode_symbol(79079, v), "prime", 2, None),
+    # any int bound is taken, a negative one refusing every code; a float
+    # bound was compared as it was, True was taken as 1, and a str or None
+    # raised the interpreter's own comparison TypeError
+    ("decode_symbol-max_code", lambda v: decode_symbol(79079, 13, v), "max_code", None, None),
     ("solve_depressed_cubic-t", solve_depressed_cubic, "t", None, None),
     ("integer_cube_root-n", integer_cube_root, "integer_cube_root's n", 0, None),
 ]
 
-_SHOWN = {2.5: "2.5", True: "True", "7": "'7'", Fraction(1, 2): "Fraction(1, 2)"}
+_SHOWN = {2.5: "2.5", True: "True", "7": "'7'", Fraction(1, 2): "Fraction(1, 2)", None: "None"}
 _HUGE_NEGATIVE = -(10**5000)
 # an int with no bounds is accepted whatever its size, unless its value is
 # refused by its own error class
 _HUGE_NEGATIVE_REFUSED = {
     "solve_depressed_cubic-t": (NoIntegerRootError, "no integer n >= 2 satisfies n^3 - n = 6t for t < 1"),
+    "decode_symbol-max_code": (SymbolRangeError, "decoded code 65 is outside [0, a negative 16610-bit int]"
+                                                 " (wrong prime or corrupted value)"),
 }
 
 

@@ -16,7 +16,6 @@ from cubecipher.primes import (
     _LANE_STEPS,
     _MAX_LANES,
     _PRIME_TABLE,
-    _UNIT_TABLE,
     PRIME_COUNT_BELOW_LIMIT,
     _fill_chunk,
     _lane_starts,
@@ -238,7 +237,8 @@ def test_prime_stream_is_the_reference_prefix_at_every_length(seed):
 @pytest.mark.parametrize("rng_seed", [5, 6, 7])
 def test_lane_starts_match_stepping(rng_seed):
     """Lane j of _lane_starts is the state after 32 j draws, for lane
-    counts on both sides of every power of two the table grows to."""
+    counts on both sides of the powers of two the start tables are built
+    for, so that a table as wide as the lanes and a wider one are read."""
     rng = random.Random(rng_seed)
     for state in [1, MASK64] + [rng.randrange(1, 1 << 64) for _ in range(3)]:
         walker, starts = Xorshift64Star(state), []
@@ -252,38 +252,35 @@ def test_lane_starts_match_stepping(rng_seed):
             assert [(x >> (64 * j)) & MASK64 for j in range(lanes)] == starts[:lanes], lanes
 
 
-@pytest.mark.parametrize("order_seed", [5, 6, 7])
-def test_start_table_grown_step_by_step_equals_one_built_at_once(order_seed, monkeypatch):
-    """Grown in rising order or in a shuffled one, the table is always as
-    wide as the next power of two above the most lanes asked for so far,
-    and ends equal to one built for every lane at once."""
-    monkeypatch.setattr(primes, "_START_TABLE", _UNIT_TABLE)
-    for lanes, width in [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (17, 32), (33, 64), (100, 128),
-                         (128, 128), (129, 256), (7, 256)]:
-        _start_table(lanes)
-        assert primes._START_TABLE[0] == width
-    grown = primes._START_TABLE
-    monkeypatch.setattr(primes, "_START_TABLE", _UNIT_TABLE)
-    requests = [1, 2, 3, 4, 5, 7, 17, 33, 100, 128, 129]
-    random.Random(order_seed).shuffle(requests)
-    widest = 1
-    for lanes in requests:
-        _start_table(lanes)
-        widest = max(widest, 1 << (lanes - 1).bit_length())
-        assert primes._START_TABLE[0] == widest, requests
-    assert primes._START_TABLE == grown
-    monkeypatch.setattr(primes, "_START_TABLE", _UNIT_TABLE)
-    _start_table(_MAX_LANES)
-    assert primes._START_TABLE == grown
-    assert len(grown[1]) == 64 and all(c >> (64 * _MAX_LANES) == 0 for c in grown[1])
+START_TABLE_WIDTHS = [1 << k for k in range(_MAX_LANES.bit_length())]  # 1, 2, 4, ..., 256
 
 
-def test_short_stream_grows_the_start_table_only_a_little(monkeypatch):
-    """A one-shot call for a short message steps a few lanes, not the 256
-    a message at the ceiling needs."""
-    monkeypatch.setattr(primes, "_START_TABLE", _UNIT_TABLE)
+def _cut(columns, width):
+    """A start table's columns cut to their first `width` lanes."""
+    return tuple(c & ((1 << (64 * width)) - 1) for c in columns)
+
+
+def test_every_start_table_is_the_widest_one_cut_to_its_width():
+    """The table for each power-of-two width, built from lane 0 on its
+    own, is the 256-lane table's first lanes; lane 0 is the unit vectors."""
+    _start_table.cache_clear()
+    full = _start_table(_MAX_LANES)
+    assert len(full) == 64 and all(c >> (64 * _MAX_LANES) == 0 for c in full)
+    assert _start_table(1) == tuple(1 << bit for bit in range(64))
+    for width in START_TABLE_WIDTHS:
+        assert _start_table(width) == _cut(full, width), width
+
+
+def test_short_stream_grows_the_start_table_only_a_little():
+    """A one-shot call for a short message builds one table of a few
+    lanes, not the 256 a message at the ceiling needs."""
+    _start_table.cache_clear()
     assert prime_stream(5198, 16) == _full_reference(5198)[:16]
-    assert primes._START_TABLE[0] <= 8
+    assert _start_table.cache_info().currsize == 1
+    hits = _start_table.cache_info().hits
+    for width in (1, 2, 4, 8):
+        _start_table(width)
+    assert _start_table.cache_info().hits == hits + 1  # the table built is one of these
 
 
 @pytest.mark.parametrize("lanes", [1, 3, 16, 256])
@@ -328,12 +325,12 @@ def test_prime_stream_rejects_a_bad_seed(seed, error, count):
         prime_stream(seed, count)
 
 
-def test_start_table_built_by_concurrent_first_use(monkeypatch):
-    """Threads that each widen the start table from lane 0, to different
-    widths, get the reference streams, and the table they leave behind is
-    a prefix of the full one."""
+def test_start_table_built_by_concurrent_first_use():
+    """Threads that each need start tables, of different widths, from an
+    empty cache get the reference streams, and every table left cached is
+    the full one cut to its width."""
     full = _start_table(_MAX_LANES)
-    monkeypatch.setattr(primes, "_START_TABLE", _UNIT_TABLE)
+    _start_table.cache_clear()
     jobs = [(s, n) for s in PREFIX_SEEDS for n in (16, 300, 4000)]  # references cached above
     results = {}
     threads = [
@@ -350,9 +347,8 @@ def test_start_table_built_by_concurrent_first_use(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    width, columns = primes._START_TABLE
-    assert width > 1  # the streams widened the table
-    mask = (1 << (64 * width)) - 1
-    assert columns == tuple(c & mask for c in full)
+    assert _start_table.cache_info().currsize > 1  # the streams built several widths
+    for width in START_TABLE_WIDTHS:
+        assert _start_table(width) == _cut(full, width), width
     for s, n in jobs:
         assert results[(s, n)] == _full_reference(s)[:n]
