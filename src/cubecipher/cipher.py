@@ -90,6 +90,13 @@ _KEYGEN_ENTRY_SPAN = 199  # entries drawn from [-99, 99]
 _KEYGEN_FIB_SPAN = 40  # fib_index drawn from [1, 40]
 
 
+def _require_block(value, name):
+    if not isinstance(value, IntMatrix):
+        raise TypeError("%s must be an IntMatrix" % name)
+    if (value.rows, value.cols) != (2, 2):
+        raise ValueError("%s must be 2x2" % name)
+
+
 @dataclass(frozen=True)
 class KeyMaterial:
     """The composite private key.
@@ -118,10 +125,7 @@ class KeyMaterial:
     prime_seed: int
 
     def __post_init__(self):
-        if not isinstance(self.key_matrix, IntMatrix):
-            raise TypeError("key_matrix must be an IntMatrix")
-        if (self.key_matrix.rows, self.key_matrix.cols) != (2, 2):
-            raise ValueError("key_matrix must be 2x2")
+        _require_block(self.key_matrix, "key_matrix")
         _require_int(self.fib_index, "fib_index")
         _require_int(self.quarter_turns, "quarter_turns")
         _require_int(self.prime_seed, "prime_seed", 0, MAX_U64)
@@ -311,13 +315,6 @@ def _divide_exactly(v, d):
     return tuple(out)
 
 
-def _require_block(block):
-    if not isinstance(block, IntMatrix):
-        raise TypeError("block must be an IntMatrix")
-    if (block.rows, block.cols) != (2, 2):
-        raise ValueError("block must be 2x2")
-
-
 def block_map(key: KeyMaterial) -> IntMatrix:
     """The 4x4 integer map M of the block layer: vec(E) = M @ vec(B), with
     vec() flattening a 2x2 block row-major."""
@@ -327,14 +324,14 @@ def block_map(key: KeyMaterial) -> IntMatrix:
 
 def encrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
     """Encrypt one 2x2 block: transpose(block @ Q^n @ R) @ K, all exact."""
-    _require_block(block)
+    _require_block(block, "block")
     _require_valid(key)
     return IntMatrix(2, 2, next(_map_blocks(_block_map(key), (block.entries,))))
 
 
 def decrypt_block(block: IntMatrix, key: KeyMaterial) -> IntMatrix:
     """Invert encrypt_block; raises NonIntegralResultError under a wrong key."""
-    _require_block(block)
+    _require_block(block, "block")
     _require_valid(key)
     d, det_k = _unmix_map(key)
     return IntMatrix(2, 2, _divide_exactly(next(_map_blocks(d, (block.entries,))), det_k))

@@ -149,11 +149,9 @@ def decode_symbol(t: int, prime: int, max_code: int = ASCII_MAX) -> int:
         raise CorruptValueError("value is not a valid encoding: %s" % exc) from exc
     code = n - prime
     if not 0 <= code <= max_code:
-        # a code from a huge t, or a huge bound, can be too long to print
-        shown = "%d" % code if code.bit_length() <= 64 else "of %d bits" % code.bit_length()
         raise SymbolRangeError(
             "decoded code %s is outside [0, %s] (wrong prime or corrupted value)"
-            % (shown, _shown(max_code))
+            % (_shown(code), _shown(max_code))
         )
     return code
 

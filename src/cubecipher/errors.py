@@ -1,11 +1,11 @@
 """Exception hierarchy for the cipher, encoding, and analysis layers.
 
 Every failure this package can signal is a subclass of CipherError, so
-callers can catch one type at the boundary. Plain ValueError/TypeError are
-reserved for programming mistakes (bad dimensions, wrong argument types).
-An int argument is checked by one helper, _require_int: TypeError for a
-value that is not an int or is a bool, ValueError for an int out of its
-range, and every refused value shown through _shown.
+callers can catch one type at the boundary. The contract for arguments:
+TypeError for a wrong type, ValueError or a documented CipherError
+subclass for a bad value, and every refused value shown through _shown.
+An int argument is checked by one helper, _require_int. A singular key
+matrix is a bad key: validate_key reports it, as InvalidKeyError.
 
 Each class carries the exit status the command-line tool ends with when
 that error stops a command: 2 for unusable input, 3 for a bad key, 4 for
@@ -13,7 +13,7 @@ corrupt data or a wrong key (the default).
 """
 
 __all__ = [
-    "CipherError", "SingularMatrixError", "NonIntegralResultError", "NoIntegerRootError",
+    "CipherError", "NonIntegralResultError", "NoIntegerRootError",
     "CorruptValueError", "SymbolRangeError", "CorruptCiphertextError", "InvalidKeyError",
     "FormatError", "InsufficientPairsError",
 ]
@@ -67,14 +67,6 @@ class CipherError(Exception):
     """Base class for all errors raised by this package."""
 
     exit_code = EXIT_BAD_DATA
-
-
-class SingularMatrixError(CipherError):
-    """A matrix that must be invertible has determinant zero (invalid key).
-
-    Kept as part of the stable error hierarchy; the library itself reports
-    a singular key matrix through validate_key and InvalidKeyError.
-    """
 
 
 class NonIntegralResultError(CipherError):

@@ -13,9 +13,9 @@ integer_cube_root against bisection around 2**53, serialize_ciphertext
 against its reference on 200 keygen envelopes, that an envelope's fields
 are its pad count and blocks and one of 1,700 blocks is refused when
 built, that a key, an envelope, a below() modulus, a pair list, a
-bench report, a trapdoor argument (decode_symbol's max_code included) or
-a composite map entry of the wrong type raises TypeError naming the
-value, that
+bench report, a trapdoor argument (decode_symbol's max_code included), a
+rotation's k or a composite map entry of the wrong type raises TypeError
+naming the value, that a 12x12 determinant is exact within 1 s, that
 a trial or repetition count over its cap is refused, that two values
 past the int/str limit (a prime count, a Fibonacci index) are refused
 with their documented classes and short messages, that validate_key names
@@ -36,6 +36,7 @@ import dataclasses
 import random
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from cubecipher import (
@@ -61,6 +62,7 @@ from cubecipher import (
     keygen,
     known_plaintext_attack,
     prime_stream,
+    rotation,
     serialize_ciphertext,
     serialize_pairs,
     validate_key,
@@ -71,6 +73,7 @@ from cubecipher.primes import _fill_chunk, _start_table
 from spec import (
     attack_outcome,
     outcome,
+    permuted_lu,
     reference_apply_composite,
     reference_attack,
     reference_decrypt,
@@ -225,10 +228,16 @@ def main():
             (encode_symbol, (2.5, 3), "symbol code must be an int, got 2.5"),
             (decode_symbol, (79079, 13, 64.9), "max_code must be an int, got 64.9"),
             (integer_cube_root, (float("nan"),), "integer_cube_root's n must be an int, got nan"),
+            (rotation, (2.0,), "rotation's k must be an int, got 2.0"),
             (apply_composite, ((0.5,) * 16, IntMatrix(2, 2, (1, 2, 3, 4))),
              "composite map entries must be ints or Fractions, got 0.5")):
         check(refusal(TypeError, function, *args) == text,
               "%s%r does not raise TypeError(%r)" % (function.__name__, args, text))
+    # cofactor expansion, which det used before, would take minutes here
+    matrix, det = permuted_lu(random.Random(12), 12)
+    start = time.perf_counter()
+    check(matrix.det() == det and time.perf_counter() - start < 1.0,
+          "a 12x12 determinant is wrong or takes over 1 s")
     check(outcome(prime_stream, 1, 10**5000)
           == (CipherError, "cannot emit a 16610-bit int distinct primes below 65536 "
               "(only 6542 exist)"),
@@ -294,7 +303,7 @@ def main():
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime chunks, "
           "%d prime streams (2 from an empty start-table cache), 3 round trips under one key, 16 cube roots, 200 envelopes, "
-          "an envelope's two fields, 18 refusals, "
+          "an envelope's two fields, 19 refusals, a 12x12 determinant, "
           "202 attack pair sets (2 of ~4,000 digits), "
           "200 keys' un-mix and composite maps, 65,775 genuine roots, "
           "400 decrypts (200 tampered), 1 avalanche report"

@@ -3,10 +3,12 @@
 Each reference_* function here writes out a documented behaviour in its
 plainest form; the tests check the fast path against it, byte for byte.
 attack_outcome puts the fast attack's result in reference_attack's terms,
-and outcome puts any call's result or CipherError in comparable terms.
+outcome puts any call's result or CipherError in comparable terms, and
+permuted_lu builds a matrix whose determinant is known without computing it.
 """
 
 import json
+import math
 from fractions import Fraction
 
 from cubecipher import (
@@ -340,20 +342,47 @@ def reference_avalanche_test(key, message_length, trials, rng_seed):
     )
 
 
+def reference_det(rows):
+    """Determinant of a square matrix given as a list of rows, by cofactor
+    expansion along the first row: exact, and factorial in the size."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+            total += (-1) ** j * entry * reference_det(minor)
+    return total
+
+
+def permuted_lu(rng, n):
+    """(A, det A) for a random n x n A = P @ L @ U: P a permutation, L unit
+    lower triangular, U upper triangular, so det A = sign(P) * prod(diag U)."""
+    diagonal = [rng.choice((-1, 1)) * rng.randint(1, 99) for _ in range(n)]
+    lower = IntMatrix(n, n, tuple(1 if i == j else rng.randint(-99, 99) if j < i else 0
+                                  for i in range(n) for j in range(n)))
+    upper = IntMatrix(n, n, tuple(diagonal[i] if i == j else rng.randint(-99, 99) if j > i else 0
+                                  for i in range(n) for j in range(n)))
+    order = rng.sample(range(n), n)
+    permutation = IntMatrix(n, n, tuple(int(j == order[i]) for i in range(n) for j in range(n)))
+    sign = (-1) ** sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n))
+    return permutation @ lower @ upper, sign * math.prod(diagonal)
+
+
 def _gram_independent(vectors):
     """True iff the integer vectors are linearly independent: their Gram
     determinant det(V V^T) is nonzero."""
     gram = [[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
-    return IntMatrix.from_rows(gram).det() != 0
+    return reference_det(gram) != 0
 
 
 def _adjugate_inverse(rows):
     """Exact inverse of an integer 4x4 matrix as adj / det, by cofactors."""
-    det = IntMatrix.from_rows(rows).det()
+    det = reference_det(rows)
 
     def cofactor(i, j):
         minor = [[rows[r][c] for c in range(4) if c != j] for r in range(4) if r != i]
-        return (-1) ** (i + j) * IntMatrix.from_rows(minor).det()
+        return (-1) ** (i + j) * reference_det(minor)
 
     return [[Fraction(cofactor(j, i), det) for j in range(4)] for i in range(4)]
 

@@ -231,6 +231,13 @@ def test_encrypt_block_checks_its_block():
             encrypt_block(block, IDENTITY_KEY)
 
 
+def test_key_material_checks_its_key_matrix_as_a_block():
+    expected = {TypeError: "an IntMatrix", ValueError: "2x2"}
+    for block, error in BAD_BLOCKS:
+        with pytest.raises(error, match="^key_matrix must be %s$" % expected[error]):
+            KeyMaterial(block, 1, 0, 0)
+
+
 def test_decrypt_block_checks_its_block():
     # the entries un-mix to (1, 2, 3, 4) under IDENTITY_KEY as a 2x2 block
     for block, error in BAD_BLOCKS:

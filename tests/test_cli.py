@@ -537,7 +537,6 @@ def _all_subclasses(cls):
 
 EXIT_CODES = [
     (errors.CipherError, 4),
-    (errors.SingularMatrixError, 4),
     (errors.NonIntegralResultError, 4),
     (errors.NoIntegerRootError, 4),
     (errors.CorruptValueError, 4),

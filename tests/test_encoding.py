@@ -254,10 +254,32 @@ def test_huge_values_are_described_by_size():
         solve_depressed_cubic(-genuine)
     with pytest.raises(SymbolRangeError) as excinfo:
         decode_symbol(genuine, 13)
-    assert "of %d bits" % (n - 13).bit_length() in str(excinfo.value)
+    assert "decoded code a %d-bit int is outside" % (n - 13).bit_length() in str(excinfo.value)
     # small codes are still printed
     with pytest.raises(SymbolRangeError, match="decoded code -3 "):
         decode_symbol(1, 5)
+
+
+def _genuine(n):
+    return (n * n * n - n) // 6
+
+
+@pytest.mark.parametrize(
+    "code, shown",
+    [
+        (2**64 - 1, "18446744073709551615"),
+        # read "of 65 bits" and "of 167 bits" before errors._shown showed them
+        (2**64, "18446744073709551616"),
+        (10**50, "1%s... (51 characters)" % ("0" * 39)),
+    ],
+    ids=["64-bit", "65-bit", "51-digit"],
+)
+def test_the_range_message_shows_the_code(code, shown):
+    with pytest.raises(SymbolRangeError) as excinfo:
+        decode_symbol(_genuine(code + 13), 13)
+    assert str(excinfo.value) == (
+        "decoded code %s is outside [0, 127] (wrong prime or corrupted value)" % shown
+    )
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from cubecipher import (
     integer_cube_root,
     keygen,
     prime_stream,
+    rotation,
     solve_depressed_cubic,
 )
 from cubecipher.errors import _is_int, _require_int
@@ -50,6 +51,12 @@ _PARAMETERS = [
     ("fibonacci_q-n", fibonacci_q, "fibonacci_q's n", 1, None),
     ("IntMatrix-rows", lambda v: IntMatrix(v, 1, (1,)), "matrix rows", 1, None),
     ("IntMatrix-cols", lambda v: IntMatrix(1, v, (1,)), "matrix cols", 1, None),
+    # identity(2.5) raised the interpreter's "cannot be interpreted as an
+    # integer", and identity(0) spoke of "matrix cols"
+    ("IntMatrix.identity-n", IntMatrix.identity, "identity's n", 1, None),
+    # any int k works mod 4; rotation(True) was one quarter turn, and a
+    # float or str raised the interpreter's indexing or formatting TypeError
+    ("rotation-k", rotation, "rotation's k", None, None),
     ("avalanche_test-message_length", lambda v: avalanche_test(_KEY, v, 1, 0), "message_length", 1, None),
     ("avalanche_test-trials", lambda v: avalanche_test(_KEY, 1, v, 0), "trials", 1, 10**6),
     # the second length: only the first was checked, so [4, 0] said "strictly

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -10,6 +11,7 @@ from itertools import permutations
 import pytest
 
 from cubecipher import IntMatrix, fibonacci_q, rotation
+from spec import permuted_lu
 
 
 def rows(m):
@@ -87,6 +89,23 @@ def test_det_matches_permutation_sum():
     for _ in range(200):
         a = random_matrix(rng, 3, span=50)
         assert a.det() == permutation_determinant(rows(a))
+
+
+def test_det_swaps_rows_past_a_zero_pivot():
+    # the first pivot is 0; then one whose 2x2 leading minor is 0
+    assert IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]).det() == -1
+    assert IntMatrix.from_rows([[1, 1, 1], [1, 1, 2], [1, 2, 3]]).det() == -1
+    # no nonzero entry left to swap in: the matrix is singular
+    assert IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]]).det() == 0
+    assert IntMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]]).det() == 0
+
+
+def test_det_of_a_20x20_matrix_within_a_second():
+    # cofactor expansion, which det used before, would take ~20! steps
+    matrix, det = permuted_lu(random.Random(2020), 20)
+    start = time.perf_counter()
+    assert matrix.det() == det
+    assert time.perf_counter() - start < 1.0
 
 
 def test_det_requires_square():

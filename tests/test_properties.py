@@ -12,7 +12,8 @@ and avalanche_test under one key object, which keeps the primes it
 draws, must give what the same calls give under fresh equal keys. Run in
 process on damaged key, ciphertext and pair files, the command line must
 keep its error contract: a documented exit code, one short error line,
-and no output or temp file left behind.
+and no output or temp file left behind. IntMatrix.det must equal the
+cofactor expansion up to 7x7, singular matrices and zero pivots included.
 """
 
 import contextlib
@@ -62,6 +63,7 @@ from spec import (  # noqa: E402
     reference_attack,
     reference_decrypt,
     reference_encrypt,
+    reference_det,
     reference_serialize_ciphertext,
 )
 
@@ -514,3 +516,35 @@ def test_cli_keeps_its_error_contract_on_damaged_files(data):
         assert ".cubecipher-" not in err  # a failed rename names --out, not the temp file
         assert after == before  # no output file, no .cubecipher-* temp file
     assert elapsed < _SLOWEST_RUN
+
+
+@st.composite
+def _square_rows(draw):
+    """An n x n matrix, n up to 7, as a list of rows: as drawn, with a zero
+    column, with a zero k-th pivot (a leading (k+1)x(k+1) minor that is
+    singular), or with one row a combination of two others."""
+    n = draw(st.integers(1, 7))
+    span = draw(st.sampled_from((1, 3, 100, 10**30)))
+    rows = [draw(st.lists(st.integers(-span, span), min_size=n, max_size=n)) for _ in range(n)]
+    damage = draw(st.sampled_from(("none", "zero column", "zero pivot", "dependent row")))
+    if damage == "zero column":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    elif damage == "zero pivot":
+        k = draw(st.integers(0, n - 1))
+        if k == 0:
+            rows[0][0] = 0
+        else:
+            rows[k][:k + 1] = [2 * e for e in rows[0][:k + 1]]
+    elif damage == "dependent row" and n > 1:
+        i, a, b = draw(st.permutations(range(n)))[:3] if n > 2 else (0, 1, 1)
+        x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [x * p + y * q for p, q in zip(rows[a], rows[b])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_square_rows())
+def test_det_matches_the_cofactor_expansion(rows):
+    assert IntMatrix.from_rows(rows).det() == reference_det(rows)
