@@ -56,11 +56,10 @@ from .errors import (
     _require_int,
     _shown,
 )
-from .matrices import IntMatrix, _set_field, fibonacci_q, rotation
+from .matrices import MAX_FIB_INDEX, IntMatrix, _set_field, fibonacci_q, rotation
 from .primes import MAX_U64, PRIME_COUNT_BELOW_LIMIT, Xorshift64Star, prime_stream
 
 __all__ = [
-    "MAX_FIB_INDEX",
     "MAX_MESSAGE_BYTES",
     "KeyMaterial",
     "CiphertextEnvelope",
@@ -74,12 +73,6 @@ __all__ = [
 ]
 
 BLOCK_SYMBOLS = 4  # each 2x2 block carries four encoded values
-
-# Largest accepted fib_index. F(n) has about 0.69 n bits, so Q^n for
-# n = 10,000 keeps ciphertext entries near 7,000 bits, well inside the
-# ~14,280 bits (4,300 digits) that Python converts to decimal by default;
-# a far larger index would take unbounded time and memory in fibonacci_q.
-MAX_FIB_INDEX = 10_000
 
 # Longest message: each byte takes its own distinct prime below 2**16, and
 # there are 6542 of those.

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 from .errors import _is_int, _require_int, _shown
 
-__all__ = ["IntMatrix", "fibonacci_q", "rotation"]
+__all__ = ["IntMatrix", "MAX_FIB_INDEX", "fibonacci_q", "rotation"]
+
+# Largest Fibonacci index that fibonacci_q (and so a key's fib_index)
+# accepts. F(n) has about 0.69 n bits, so Q^n for n = 10,000 keeps
+# ciphertext entries near 7,000 bits, well inside the ~14,280 bits (4,300
+# digits) that Python converts to decimal by default; a far larger index
+# would take unbounded time and memory.
+MAX_FIB_INDEX = 10_000
 
 
 _set_field = object.__setattr__  # looked up once, not per matrix
@@ -156,10 +163,10 @@ def _fib_pair(n):
 def fibonacci_q(n: int) -> IntMatrix:
     """The 2x2 Fibonacci matrix [[F(n+1), F(n)], [F(n), F(n-1)]], exactly.
 
-    Requires n >= 1 (n = 0 would need F(-1)). Its determinant is (-1)^n,
-    so its inverse is again an integer matrix.
+    Requires 1 <= n <= MAX_FIB_INDEX (n = 0 would need F(-1)). Its
+    determinant is (-1)^n, so its inverse is again an integer matrix.
     """
-    _require_int(n, "fibonacci_q's n", 1)
+    _require_int(n, "fibonacci_q's n", 1, MAX_FIB_INDEX)
     f_n, f_n1 = _fib_pair(n)
     return IntMatrix(2, 2, (f_n1, f_n, f_n, f_n1 - f_n))
 

@@ -23,28 +23,21 @@ the same seed. Two pieces make that work:
 
 prime_stream's candidates are the low 16 bits of successive outputs, and
 those depend only on the low 16 bits of the state: low16(low16(state) *
-0xDD1D). It draws them in chunks of lanes x 32 steps, lane j taking draws
-[32 j, 32 (j + 1)) of the chunk. All lanes sit in one Python int, 64 bits
-each, and one step of the recurrence advances every lane at once with
-masked shifts; one set of masks, built at import for 256 lanes, serves
-every width up to 256 lanes, a single state included. The step is linear
-over GF(2), a 64x64 bit matrix A, so a lane's start state A**(32 j) *
-state is the XOR, over the set bits b of the state, of A**(32 j) * e_b,
-e_b the unit vector of bit b. prime_stream reads those vectors from a
-start table: 64 columns, column b holding A**(32 j) * e_b in lane j. A
-chunk reads the table as wide as the next power of two at or above its
-lanes, at most 256 lanes (128 KiB). Each width is built on first use from
-lane 0, the 64 unit vectors packed as 64 lanes, stepped 32 steps per
-further lane, the rows so made transposed into columns, and cached;
-nothing is stepped at import. A chunk holds at most 256 lanes, 8,192
-draws; its candidates go into one array of 16-bit halfwords, at most
-64 KiB, laid out little-endian and byte-swapped once on a big-endian
-host, so that lane j's candidate at step s is halfword 4 (lanes s + j)
-on every host. The array is read lane by lane, in draw order, at a
-stride of 4 * lanes halfwords, and filtered against the per-call sieve
-copy. The stream is the one the scalar loop gives, draw for draw; the
-test suite keeps that loop as its reference, with a Miller-Rabin test to
-check the sieve against.
+0xDD1D). The step is linear over GF(2), a 64x64 bit matrix A, so the
+states of a chunk of 512 draws from state s are XORs, over the set bits b
+of s, of A**k * e_b, e_b the unit vector of bit b. One draw table, built
+on first use by stepping the 64 unit vectors (64 lanes of one int, all
+advanced at once by masked shifts) and cached, holds row b, low16(A**k *
+e_b) for k = 1..512 in 32-bit lanes, and jump b, A**512 * e_b (~141 KiB
+in all). A chunk XORs the rows and jumps of its start state's set bits,
+multiplies the rows' XOR once by 0xDD1D (each lane's product stays below
+2**32, in its lane) and writes it as one little-endian array of 16-bit
+halfwords, byte-swapped once on a big-endian host: the chunk's draw k,
+counted from 0, is halfword 2 k on every host, and the jumps' XOR is the
+state the next chunk starts from. prime_stream filters the even halfwords
+against the per-call sieve copy. The stream is the one the scalar loop
+gives, draw for draw; the test suite keeps that loop as its reference,
+with a Miller-Rabin test to check the sieve against.
 
 This generator is NOT cryptographically secure and is not meant to be; the
 contract here is cross-platform determinism, not unpredictability.
@@ -53,7 +46,7 @@ contract here is cross-platform determinism, not unpredictability.
 import functools
 import sys
 from array import array
-from math import isqrt, log
+from math import isqrt
 
 from .errors import CipherError, _require_int, _shown
 
@@ -69,15 +62,8 @@ _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
 PRIME_LIMIT = 1 << 16
 PRIME_COUNT_BELOW_LIMIT = 6542
 
-# Lane geometry of prime_stream: a chunk is at most _MAX_LANES lanes of
-# _LANE_STEPS draws, 4 halfwords each (64 KiB).
-_LANE_STEPS = 32
-_MAX_LANES = 256
-# A chunk draws _SLACK times the expected draws still needed plus
-# _SPARE_DRAWS, within _MAX_LANES lanes, so that the chunk meant to be a
-# stream's last rarely falls short.
-_SLACK = 1.15
-_SPARE_DRAWS = 64
+# A chunk of prime_stream is _CHUNK_DRAWS draws, 4 bytes each in the draw table.
+_CHUNK_DRAWS = 512
 
 
 def _sieve(limit):
@@ -98,19 +84,19 @@ def _pack(words):
     return int.from_bytes(b"".join(w.to_bytes(8, "little") for w in words), "little")
 
 
-# Lane masks for up to _MAX_LANES lanes, built once. They serve any width:
+# Lane masks for up to 64 lanes, built once. They serve any width:
 # & of two nonnegative ints is as long as the shorter one, and the bits a
 # left shift by 25 pushes out of the top lane land in bits 0-24 of the
 # lane above it, which _LEFT25 clears.
-_RIGHT12 = _pack([MAX_U64 >> 12] * _MAX_LANES)
-_LEFT25 = _pack([MAX_U64 << 25 & MAX_U64] * _MAX_LANES)
-_RIGHT27 = _pack([MAX_U64 >> 27] * _MAX_LANES)
-_LOW16 = _pack([0xFFFF] * _MAX_LANES)
+_RIGHT12 = _pack([MAX_U64 >> 12] * 64)
+_LEFT25 = _pack([MAX_U64 << 25 & MAX_U64] * 64)
+_RIGHT27 = _pack([MAX_U64 >> 27] * 64)
+_LOW16 = _pack([0xFFFF] * 64)
 
 
 def _xorshift(state):
     """One xorshift64* state step of every 64-bit lane of state (at most
-    _MAX_LANES lanes; a scalar state is one lane)."""
+    64 lanes; a scalar state is one lane)."""
     state ^= (state >> 12) & _RIGHT12
     state ^= (state << 25) & _LEFT25
     state ^= (state >> 27) & _RIGHT27
@@ -152,66 +138,42 @@ class Xorshift64Star:
 
 
 @functools.cache
-def _start_table(width):
-    """The 64 columns of the start table `width` (a power of two, at most
-    _MAX_LANES) lanes wide: lane j of column b is A**(32 j) * e_b.
-
-    Lane 0 is the unit vectors, packed as 64 lanes in one row; each further
-    row steps the one before _LANE_STEPS steps. Word b of row j becomes lane
-    j of column b; the words move whole, so the host byte order cancels.
-    The cache holds at most 9 tables, widths 1, 2, 4, ..., 256 (256 KiB
-    in all), as immutable tuples; a concurrent first use at worst builds
-    one width twice, with equal results.
-    """
-    row = _pack(1 << bit for bit in range(64))
-    rows = [row]
-    for _ in range(width - 1):
-        for _ in range(_LANE_STEPS):
-            row = _xorshift(row)
-        rows.append(row)
-    words = memoryview(b"".join(row.to_bytes(8 * 64, "little") for row in rows)).cast("Q")
-    return tuple(int.from_bytes(words[bit::64], "little") for bit in range(64))
+def _draw_table():
+    """The draw table (rows, jump), one entry each per unit vector e_b:
+    lane k - 1 of rows[b], 32 bits wide, is low16(A**k * e_b) for k = 1..
+    _CHUNK_DRAWS, and jump[b] is A**_CHUNK_DRAWS * e_b. Each step's low
+    halves go into one buffer, from which whole 4-byte words move into the
+    rows, so the host byte order cancels. A concurrent first use at worst
+    builds the table twice, with equal results."""
+    x = _pack(1 << bit for bit in range(64))
+    steps = bytearray()
+    for _ in range(_CHUNK_DRAWS):
+        x = _xorshift(x)
+        steps += (x & _LOW16).to_bytes(8 * 64, "little")
+    words = memoryview(steps).cast("I")  # lane b of step k starts at word 2 (64 k + b)
+    rows = tuple(int.from_bytes(words[2 * bit :: 2 * 64], "little") for bit in range(64))
+    jump = tuple(x >> (64 * bit) & MAX_U64 for bit in range(64))
+    return rows, jump
 
 
-def _lane_starts(state, lanes):
-    """`lanes` states packed 64 bits each, lane j being state advanced by
-    32 j steps: A**(32 j) applied to state, one XOR of a start table
-    column per set bit of state."""
-    x = 0
-    for bit, column in enumerate(_start_table(1 << (lanes - 1).bit_length())):
-        if state >> bit & 1:
-            x ^= column
-    return x & ((1 << (64 * lanes)) - 1)
-
-
-def _fill_chunk(state, lanes):
-    """Draw a chunk of `lanes` lanes x _LANE_STEPS steps, starting at state.
+def _fill_chunk(state):
+    """Draw a chunk of _CHUNK_DRAWS draws after state.
 
     Returns the state after the chunk's last draw and the chunk's
-    candidates as one array of 16-bit halfwords: step s writes the lanes'
-    low16(state) * 0xDD1D products, 4 halfwords per lane, little-endian,
-    so lane j's candidate at step s is halfword 4 * (lanes * s + j) on
-    every host.
+    candidates as one array of 16-bit halfwords, little-endian: the
+    candidate of draw k, counted from 0, is halfword 2 k on every host.
     """
-    x = _lane_starts(state, lanes)
-    width = 8 * lanes
-    halfwords = array("H")
-    for _ in range(_LANE_STEPS):
-        x = _xorshift(x)
-        # the product stays in its lane and its low halfword is the candidate
-        halfwords.frombytes(((x & _LOW16) * _MULTIPLIER_LOW16).to_bytes(width, "little"))
+    rows, jump = _draw_table()
+    lanes = end = 0
+    for row, step, bit in zip(rows, jump, bin(state)[:1:-1]):  # bits from the lowest
+        if bit == "1":
+            lanes ^= row
+            end ^= step
+    # each lane's product stays in its lane and its low halfword is the candidate
+    halfwords = array("H", (lanes * _MULTIPLIER_LOW16).to_bytes(4 * _CHUNK_DRAWS, "little"))
     if sys.byteorder == "big":
         halfwords.byteswap()
-    return x >> (64 * (lanes - 1)), halfwords  # the last lane ends where the next chunk starts
-
-
-def _chunk_lanes(emitted, count):
-    """Lanes of the next chunk: enough draws for the primes still needed,
-    by the coupon-collector estimate, within _MAX_LANES."""
-    left = PRIME_COUNT_BELOW_LIMIT - emitted
-    need = count - emitted
-    draws = PRIME_LIMIT * log((left + 0.5) / (left - need + 0.5)) * _SLACK + _SPARE_DRAWS
-    return min(_MAX_LANES, -(-int(draws) // _LANE_STEPS))
+    return end, halfwords
 
 
 def prime_stream(seed: int, count: int) -> list:
@@ -233,14 +195,11 @@ def prime_stream(seed: int, count: int) -> list:
     out = []
     append = out.append
     while len(out) < count:
-        lanes = _chunk_lanes(len(out), count)
-        state, halfwords = _fill_chunk(state, lanes)
-        stride = 4 * lanes
-        for first in range(0, stride, 4):
-            for candidate in halfwords[first::stride]:
-                if unused[candidate]:
-                    unused[candidate] = 0
-                    append(candidate)
-                    if len(out) == count:
-                        return out
+        state, halfwords = _fill_chunk(state)
+        for candidate in halfwords[::2]:
+            if unused[candidate]:
+                unused[candidate] = 0
+                append(candidate)
+                if len(out) == count:
+                    return out
     return out

@@ -3,11 +3,11 @@
     PYTHONPATH=src python tests/smoke.py
 
 Encrypts and decrypts the golden fixture through cli.main, checks the
-ciphertext byte for byte, checks that a prime chunk of 1, 3, 16 or 256
-lanes, read lane after lane, gives the generator's draws in order, checks
-prime_stream against the scalar reference
+ciphertext byte for byte, checks that a prime chunk from each of four
+states, read at its even halfwords, gives the generator's draws in order
+and ends where they end, checks prime_stream against the scalar reference
 loop at lengths 0 to 6,542 for four seeds, and at 16 and 6,542 primes
-after the start-table cache is cleared, and so the primes that one key
+after the draw-table cache is cleared, and so the primes that one key
 object keeps over encrypt and decrypt of 4,000, 16 and 6,542 bytes,
 integer_cube_root against bisection around 2**53, serialize_ciphertext
 against its reference on 200 keygen envelopes, that an envelope's fields
@@ -69,7 +69,7 @@ from cubecipher import (
 )
 from cubecipher.cipher import _primes
 from cubecipher.encoding import _decode_all
-from cubecipher.primes import _fill_chunk, _start_table
+from cubecipher.primes import _CHUNK_DRAWS, _draw_table, _fill_chunk
 from spec import (
     attack_outcome,
     outcome,
@@ -87,7 +87,7 @@ from spec import (
 FIXTURES = Path(__file__).parent / "fixtures"
 STREAM_LENGTHS = (0, 1, 16, 136, 256, 1024, 6542)
 STREAM_SEEDS = (5198, 0, 1, (1 << 64) - 1)
-CHUNK_LANES = (1, 3, 16, 256)
+CHUNK_STATES = (1, 3, 1 << 63, (1 << 64) - 1)
 REUSED_KEY_LENGTHS = (4000, 16, 6542)
 
 
@@ -171,25 +171,24 @@ def main():
         code = cli.main(["decrypt", "--key", str(key), "--in", str(ct), "--out", str(out)])
         check(code == 0, "decrypt exited %d" % code)
         check(out.read_bytes() == message.read_bytes(), "golden message differs")
-    # a chunk read lane after lane at stride 4 * lanes is in draw order
-    for lanes in CHUNK_LANES:
-        walker = Xorshift64Star(STREAM_SEEDS[0])
-        state, halfwords = _fill_chunk(walker._state, lanes)
-        draws = [walker.next_u64() & 0xFFFF for _ in range(32 * lanes)]
-        check([c for first in range(0, 4 * lanes, 4) for c in halfwords[first::4 * lanes]]
-              == draws and state == walker._state,
-              "a chunk of %d lanes is not %d draws in order" % (lanes, 32 * lanes))
+    # a chunk's even halfwords are its draws in order
+    for state in CHUNK_STATES:
+        walker = Xorshift64Star(state)
+        end, halfwords = _fill_chunk(state)
+        draws = [walker.next_u64() & 0xFFFF for _ in range(_CHUNK_DRAWS)]
+        check(list(halfwords[::2]) == draws and end == walker._state,
+              "the chunk from state %d is not %d draws in order" % (state, _CHUNK_DRAWS))
     for seed in STREAM_SEEDS:
         expected = reference_prime_stream(seed, STREAM_LENGTHS[-1])
         for length in STREAM_LENGTHS:
             check(prime_stream(seed, length) == expected[:length],
                   "prime stream of seed %d, length %d, differs from the reference"
                   % (seed, length))
-    # from an empty start-table cache: a short stream, then one at the ceiling
-    _start_table.cache_clear()
+    # from an empty draw-table cache: a short stream, then one at the ceiling
+    _draw_table.cache_clear()
     for length in (16, STREAM_LENGTHS[-1]):
         check(prime_stream(STREAM_SEEDS[-1], length) == expected[:length],
-              "prime stream of length %d from an empty start-table cache differs" % length)
+              "prime stream of length %d from an empty draw-table cache differs" % length)
     # one key object keeps the primes it draws: long, short, then longer
     key = dataclasses.replace(keygen(3), prime_seed=STREAM_SEEDS[-1])
     rng = random.Random(3)
@@ -243,7 +242,7 @@ def main():
               "(only 6542 exist)"),
           "a prime count past the int/str limit is not refused with a short CipherError")
     check(refusal(ValueError, fibonacci_q, -(10**5000))
-          == "fibonacci_q's n must be at least 1, got a negative 16610-bit int",
+          == "fibonacci_q's n must be in [1, 10000], got a negative 16610-bit int",
           "a Fibonacci index past the int/str limit is not refused with a short ValueError")
     # these counts ran until killed; the caps refuse them before any work
     for function, args, text in (
@@ -302,12 +301,12 @@ def main():
     check(avalanche_test(keygen(7), 257, 7, 11).to_json_text() == AVALANCHE_REPORT,
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime chunks, "
-          "%d prime streams (2 from an empty start-table cache), 3 round trips under one key, 16 cube roots, 200 envelopes, "
+          "%d prime streams (2 from an empty draw-table cache), 3 round trips under one key, 16 cube roots, 200 envelopes, "
           "an envelope's two fields, 19 refusals, a 12x12 determinant, "
           "202 attack pair sets (2 of ~4,000 digits), "
           "200 keys' un-mix and composite maps, 65,775 genuine roots, "
           "400 decrypts (200 tampered), 1 avalanche report"
-          % (sys.version.split()[0], len(CHUNK_LANES), len(STREAM_SEEDS) * len(STREAM_LENGTHS) + 2))
+          % (sys.version.split()[0], len(CHUNK_STATES), len(STREAM_SEEDS) * len(STREAM_LENGTHS) + 2))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ outcome puts any call's result or CipherError in comparable terms, and
 permuted_lu builds a matrix whose determinant is known without computing it.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -73,27 +74,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def xorshift_reference(seed, count):
-    """Independent transcription of the xorshift64* recurrence."""
+def _xorshift_outputs(seed):
+    """Independent transcription of the xorshift64* recurrence: its
+    outputs under seed, without end."""
     state = seed if seed != 0 else 0x9E3779B97F4A7C15
-    outputs = []
-    for _ in range(count):
+    while True:
         state ^= state >> 12
         state ^= (state << 25) & MASK64
         state ^= state >> 27
-        outputs.append((state * 0x2545F4914F6CDD1D) & MASK64)
-    return outputs
+        yield (state * 0x2545F4914F6CDD1D) & MASK64
+
+
+def xorshift_reference(seed, count):
+    """The first count xorshift64* outputs under seed."""
+    return list(itertools.islice(_xorshift_outputs(seed), count))
 
 
 def reference_prime_stream(seed, count):
     """The scalar rejection loop, one draw at a time, as prime_stream ran
-    before its sieve table and its lanes: Miller-Rabin on every candidate,
-    a set for repeats."""
-    rng = Xorshift64Star(seed)
+    before its sieve table and its draw table: Miller-Rabin on every
+    candidate, a set for repeats. It steps its own state, as
+    xorshift_reference does; Xorshift64Star only checks the seed."""
+    Xorshift64Star(seed)
     out = []
     seen = set()
+    outputs = _xorshift_outputs(seed)
     while len(out) < count:
-        candidate = rng.next_u64() & (PRIME_LIMIT - 1)
+        candidate = next(outputs) & (PRIME_LIMIT - 1)
         if candidate in seen or not is_prime(candidate):
             continue
         seen.add(candidate)

@@ -14,6 +14,7 @@ import pytest
 from cubecipher import (
     CiphertextEnvelope,
     IntMatrix,
+    MAX_FIB_INDEX,
     KeyMaterial,
     NoIntegerRootError,
     SymbolRangeError,
@@ -48,7 +49,7 @@ _PARAMETERS = [
     ("below_many-n", lambda v: Xorshift64Star(1).below_many(v, 1), "below's n", 1, None),
     ("below_many-count", lambda v: Xorshift64Star(1).below_many(2, v), "below_many's count", 0, None),
     ("prime_stream-count", lambda v: prime_stream(1, v), "prime_stream's count", 0, None),
-    ("fibonacci_q-n", fibonacci_q, "fibonacci_q's n", 1, None),
+    ("fibonacci_q-n", fibonacci_q, "fibonacci_q's n", 1, MAX_FIB_INDEX),
     ("IntMatrix-rows", lambda v: IntMatrix(v, 1, (1,)), "matrix rows", 1, None),
     ("IntMatrix-cols", lambda v: IntMatrix(1, v, (1,)), "matrix cols", 1, None),
     # identity(2.5) raised the interpreter's "cannot be interpreted as an

@@ -10,7 +10,7 @@ from itertools import permutations
 
 import pytest
 
-from cubecipher import IntMatrix, fibonacci_q, rotation
+from cubecipher import MAX_FIB_INDEX, IntMatrix, fibonacci_q, rotation
 from spec import permuted_lu
 
 
@@ -163,7 +163,20 @@ def test_fibonacci_q_shows_a_huge_index_short():
     # %d used to raise the interpreter's int/str-limit ValueError instead
     with pytest.raises(ValueError) as excinfo:
         fibonacci_q(-(10**5000))
-    assert str(excinfo.value) == "fibonacci_q's n must be at least 1, got a negative 16610-bit int"
+    assert str(excinfo.value) == "fibonacci_q's n must be in [1, 10000], got a negative 16610-bit int"
+
+
+@pytest.mark.parametrize("n", [MAX_FIB_INDEX + 1, 2**64])
+def test_fibonacci_q_refuses_an_index_past_the_cap_at_once(n):
+    # fibonacci_q(10**7) took seconds and fibonacci_q(2**64) never returned
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        fibonacci_q(n)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_fibonacci_q_takes_the_cap_itself():
+    assert fibonacci_q(MAX_FIB_INDEX).det() == 1
 
 
 def test_rotation_table():

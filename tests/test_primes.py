@@ -13,13 +13,11 @@ import pytest
 
 from cubecipher import CipherError, PRIME_LIMIT, Xorshift64Star, prime_stream, primes
 from cubecipher.primes import (
-    _LANE_STEPS,
-    _MAX_LANES,
+    _CHUNK_DRAWS,
     _PRIME_TABLE,
     PRIME_COUNT_BELOW_LIMIT,
+    _draw_table,
     _fill_chunk,
-    _lane_starts,
-    _start_table,
     _xorshift,
 )
 from spec import MASK64, is_prime, reference_prime_stream, xorshift_reference
@@ -97,10 +95,9 @@ def _scalar_step(state):
     return state
 
 
-@pytest.mark.parametrize("lanes", [1, 2, 63, 64, 65, 255, 256])
+@pytest.mark.parametrize("lanes", [1, 2, 63, 64])
 def test_packed_xorshift_steps_each_lane_as_the_scalar_step(lanes):
-    # one mask set, built for _MAX_LANES lanes, serves every width up to it
-    assert lanes <= _MAX_LANES
+    # one mask set, built for the 64 lanes the draw table steps, serves every width up to it
     rng = random.Random(lanes)
     words = [rng.getrandbits(64) for _ in range(lanes)]
     words[0] = words[-1] = MASK64  # all bits set: any shift across a lane edge shows
@@ -221,10 +218,10 @@ def _full_reference(seed):
 _rng = random.Random(65536)
 PREFIX_SEEDS = [0, 1, MASK64, _rng.randrange(1 << 64)]
 # every short length, then lengths up to the ceiling, so that the streams
-# end in every part of a chunk and of a lane
+# end in every part of a chunk
 PREFIX_LENGTHS = list(range(301)) + sorted(
     _rng.randrange(301, PRIME_COUNT_BELOW_LIMIT + 1) for _ in range(64)
-) + [PRIME_COUNT_BELOW_LIMIT]
+) + [511, 512, 513, PRIME_COUNT_BELOW_LIMIT]
 
 
 @pytest.mark.parametrize("seed", PREFIX_SEEDS)
@@ -234,84 +231,85 @@ def test_prime_stream_is_the_reference_prefix_at_every_length(seed):
         assert prime_stream(seed, n) == expected[:n], n
 
 
-@pytest.mark.parametrize("rng_seed", [5, 6, 7])
-def test_lane_starts_match_stepping(rng_seed):
-    """Lane j of _lane_starts is the state after 32 j draws, for lane
-    counts on both sides of the powers of two the start tables are built
-    for, so that a table as wide as the lanes and a wider one are read."""
-    rng = random.Random(rng_seed)
-    for state in [1, MASK64] + [rng.randrange(1, 1 << 64) for _ in range(3)]:
-        walker, starts = Xorshift64Star(state), []
-        for _ in range(_MAX_LANES):
-            starts.append(walker._state)
-            for _ in range(_LANE_STEPS):
-                walker.next_u64()
-        for lanes in (1, 2, 3, 63, 64, 65, 128, 256):
-            x = _lane_starts(state, lanes)
-            assert x >> (64 * lanes) == 0
-            assert [(x >> (64 * j)) & MASK64 for j in range(lanes)] == starts[:lanes], lanes
+def _scalar_states(state, steps):
+    """The states after 1, 2, ..., steps scalar steps from state."""
+    states = []
+    for _ in range(steps):
+        state = _scalar_step(state)
+        states.append(state)
+    return states
 
 
-START_TABLE_WIDTHS = [1 << k for k in range(_MAX_LANES.bit_length())]  # 1, 2, 4, ..., 256
+def test_draw_table_rows_and_jumps_are_the_scalar_steps():
+    """For every bit b, lane k - 1 of rows[b] (32 bits wide) is the low 16
+    bits of e_b after k scalar steps, and jump[b] is e_b after a chunk's
+    steps."""
+    rows, jump = _draw_table()
+    assert len(rows) == len(jump) == 64
+    for bit in range(64):
+        states = _scalar_states(1 << bit, _CHUNK_DRAWS)
+        assert rows[bit].to_bytes(4 * _CHUNK_DRAWS, "little") == b"".join(
+            (s & 0xFFFF).to_bytes(4, "little") for s in states
+        ), bit
+        assert jump[bit] == states[-1], bit
 
 
-def _cut(columns, width):
-    """A start table's columns cut to their first `width` lanes."""
-    return tuple(c & ((1 << (64 * width)) - 1) for c in columns)
+_rng = random.Random(512)
+CHUNK_STATES = [1, 3, 16, 256, 1 << 63, MASK64] + [_rng.randrange(1, 1 << 64) for _ in range(4)]
 
 
-def test_every_start_table_is_the_widest_one_cut_to_its_width():
-    """The table for each power-of-two width, built from lane 0 on its
-    own, is the 256-lane table's first lanes; lane 0 is the unit vectors."""
-    _start_table.cache_clear()
-    full = _start_table(_MAX_LANES)
-    assert len(full) == 64 and all(c >> (64 * _MAX_LANES) == 0 for c in full)
-    assert _start_table(1) == tuple(1 << bit for bit in range(64))
-    for width in START_TABLE_WIDTHS:
-        assert _start_table(width) == _cut(full, width), width
+@pytest.mark.parametrize("state", CHUNK_STATES)
+def test_chunk_layout_gives_draw_order_on_every_host(state):
+    """The chunk's even halfwords are the scalar loop's candidates in draw
+    order, and it ends in the state that a chunk's draws reach."""
+    end, halfwords = _fill_chunk(state)
+    assert halfwords[::2] == array(
+        "H", [o & (PRIME_LIMIT - 1) for o in xorshift_reference(state, _CHUNK_DRAWS)]
+    )
+    assert len(halfwords) == 2 * _CHUNK_DRAWS
+    assert end == _scalar_states(state, _CHUNK_DRAWS)[-1]
 
 
-def test_short_stream_grows_the_start_table_only_a_little():
-    """A one-shot call for a short message builds one table of a few
-    lanes, not the 256 a message at the ceiling needs."""
-    _start_table.cache_clear()
-    assert prime_stream(5198, 16) == _full_reference(5198)[:16]
-    assert _start_table.cache_info().currsize == 1
-    hits = _start_table.cache_info().hits
-    for width in (1, 2, 4, 8):
-        _start_table(width)
-    assert _start_table.cache_info().hits == hits + 1  # the table built is one of these
-
-
-@pytest.mark.parametrize("lanes", [1, 3, 16, 256])
-def test_chunk_layout_gives_draw_order_on_every_host(lanes):
-    """Read lane after lane at stride 4 * lanes, the chunk's halfwords are
-    the scalar loop's candidates in draw order, and the chunk ends in the
-    state that many draws reach."""
-    seed = 5198
-    draws = lanes * _LANE_STEPS
-    state, halfwords = _fill_chunk(Xorshift64Star(seed)._state, lanes)
-    stride = 4 * lanes
-    assert [c for first in range(0, stride, 4) for c in halfwords[first::stride]] == [
-        o & (PRIME_LIMIT - 1) for o in xorshift_reference(seed, draws)
-    ]
-    walker = Xorshift64Star(seed)
-    for _ in range(draws):
-        walker.next_u64()
-    assert state == walker._state
-
-
-@pytest.mark.parametrize("lanes", [1, 3, 16, 256])
-def test_chunk_made_for_the_other_byte_order_is_byte_swapped(lanes, monkeypatch):
+@pytest.mark.parametrize("state", [1, 3, 16, 256])
+def test_chunk_made_for_the_other_byte_order_is_byte_swapped(state, monkeypatch):
     """Faking the other byte order (big-endian on a little-endian host)
     gives every halfword with its two bytes swapped: the swap runs on a
     big-endian host and only there."""
-    state = Xorshift64Star(5198)._state
-    end, halfwords = _fill_chunk(state, lanes)
+    end, halfwords = _fill_chunk(state)
     other = "big" if sys.byteorder == "little" else "little"
     monkeypatch.setattr(primes, "sys", types.SimpleNamespace(byteorder=other))
     swapped = array("H", [(h >> 8) | (h & 0xFF) << 8 for h in halfwords])
-    assert _fill_chunk(state, lanes) == (end, swapped)
+    assert _fill_chunk(state) == (end, swapped)
+
+
+def _draws_to_emit(seed, count):
+    """Draws the scalar loop takes to emit count primes under seed."""
+    wanted = set(_full_reference(seed)[:count])
+    for draws, output in enumerate(xorshift_reference(seed, 16 * _CHUNK_DRAWS), 1):
+        wanted.discard(output & (PRIME_LIMIT - 1))
+        if not wanted:
+            return draws
+    raise AssertionError("%d primes take over 16 chunks" % count)
+
+
+@pytest.mark.parametrize("count", [1, 16, 511, 512, 513])
+def test_prime_stream_draws_its_chunks_and_no_more(count, monkeypatch):
+    """A stream whose last prime is draw d draws ceil(d / 512) chunks, each
+    from where the one before ended: draw d is chunk (d - 1) // 512 at
+    position (d - 1) % 512."""
+    seed = 5198
+    needed = -(-_draws_to_emit(seed, count) // _CHUNK_DRAWS)
+    starts = []
+
+    def counted(state):
+        starts.append(state)
+        assert len(starts) <= needed, "a chunk drawn past the stream's last prime"
+        return _fill_chunk(state)
+
+    monkeypatch.setattr(primes, "_fill_chunk", counted)
+    assert prime_stream(seed, count) == _full_reference(seed)[:count]
+    states = [Xorshift64Star(seed)._state] + _scalar_states(starts[0], _CHUNK_DRAWS * needed)
+    assert starts == states[:: _CHUNK_DRAWS][:needed]
 
 
 @pytest.mark.parametrize(
@@ -325,12 +323,11 @@ def test_prime_stream_rejects_a_bad_seed(seed, error, count):
         prime_stream(seed, count)
 
 
-def test_start_table_built_by_concurrent_first_use():
-    """Threads that each need start tables, of different widths, from an
-    empty cache get the reference streams, and every table left cached is
-    the full one cut to its width."""
-    full = _start_table(_MAX_LANES)
-    _start_table.cache_clear()
+def test_draw_table_built_by_concurrent_first_use():
+    """Threads that each need the draw table, from an empty cache, get the
+    reference streams, and the one table left cached is the one a fresh
+    build gives."""
+    _draw_table.cache_clear()
     jobs = [(s, n) for s in PREFIX_SEEDS for n in (16, 300, 4000)]  # references cached above
     results = {}
     threads = [
@@ -347,8 +344,7 @@ def test_start_table_built_by_concurrent_first_use():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert _start_table.cache_info().currsize > 1  # the streams built several widths
-    for width in START_TABLE_WIDTHS:
-        assert _start_table(width) == _cut(full, width), width
+    assert _draw_table.cache_info().currsize == 1
+    assert _draw_table() == _draw_table.__wrapped__()
     for s, n in jobs:
         assert results[(s, n)] == _full_reference(s)[:n]
