@@ -23,12 +23,12 @@ that sign is all the map cannot tell: rotation(r + 2) = -rotation(r), so
 known_plaintext_attack finds M by one incremental Gauss-Jordan pass over
 integer rows [vec(B) | vec(E)]: since vec(E)^T = vec(B)^T M^T, rows whose
 left halves are reduced to a diagonal carry the rows of M^T, scaled by
-their pivots. The pass is Bareiss-Jordan elimination: fraction-free, with
-one pivot shared by every kept row and exact division by the previous
-pivot, so no row is ever normalised by a gcd. The map comes back as a
-flat row-major 16-tuple of Fractions, directly comparable with
-block_map(key).entries. The attack's pair check and apply_composite run
-maps through the cipher's own integer block kernel.
+their pivots. The pass is matrices._bareiss_jordan, the fraction-free
+elimination that IntMatrix.det runs too, so no row is ever normalised by
+a gcd. The map comes back as a flat row-major 16-tuple of Fractions,
+directly comparable with block_map(key).entries. The attack's pair check
+and apply_composite run maps through the cipher's own integer block
+kernel.
 
 Reading characters from those t-values needs the prime at each
 position, which the map does not hold. Known plaintext gives it, though:
@@ -62,7 +62,7 @@ from .cipher import (
 from .errors import InsufficientPairsError, _is_int, _require_instance, _require_int, _shown
 from .formats import (FORMAT_VERSION, _attack_pairs, _ciphertext_text, _format_decimal,
                       dumps_canonical, serialize_ciphertext)
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _bareiss_jordan
 from .primes import Xorshift64Star
 
 __all__ = [
@@ -231,43 +231,15 @@ def known_plaintext_attack(pairs) -> AttackResult:
     """Recover the composite 4x4 map from plaintext/ciphertext block pairs.
 
     Walks the pairs in order and keeps each one whose flattened plaintext
-    block is independent of those already kept, until four are kept, by
-    fraction-free Gauss-Jordan elimination (Bareiss-Jordan) on the integer
-    rows [vec(B) | vec(E)]. Invariant: every kept row holds the one shared
-    pivot value d (1 at the start) at its own pivot column and 0 at the
-    other kept rows' pivot columns. A new row r becomes the bordered minor
-    d*r - sum of r[c]*kept_c over the kept pivot columns c, with no
-    division; its left half is zero exactly when vec(B) lies in the span of
-    the kept rows. Otherwise its first nonzero entry p is its pivot, every
-    kept row k becomes (p*k - k[pivot]*r) // d, and d becomes p. The
-    division is exact by Sylvester's identity: k and its update are both
-    minors of the integer matrix of kept rows (Bareiss, Math. Comp. 22,
-    1968). Four kept rows are [d*I | d*M^T], and the map reproduces a pair
-    iff N @ vec(B) == d*vec(E) for the integer map N = d*M. Raises
-    InsufficientPairsError, carrying the achieved rank, when the pairs
-    cannot pin the map down.
+    block is independent of those already kept, until four are kept, by one
+    matrices._bareiss_jordan pass over the integer rows [vec(B) | vec(E)],
+    pivoting in the plaintext half. Four kept rows are [d*I | d*M^T], and
+    the map reproduces a pair iff N @ vec(B) == d*vec(E) for the integer
+    map N = d*M. Raises InsufficientPairsError, carrying the achieved rank,
+    when the pairs cannot pin the map down.
     """
     pairs = _attack_pairs(pairs)
-
-    d = 1
-    kept = {}  # pivot column -> int row, d there and 0 at the other pivots
-    for plain, cipher in pairs:
-        r = plain.entries + cipher.entries
-        row = [d * x for x in r]
-        for col, other in kept.items():
-            if r[col]:
-                row = [x - r[col] * y for x, y in zip(row, other)]
-        pivot = next((c for c in range(4) if row[c]), None)
-        if pivot is None:
-            continue  # vec(B) is in the span of the kept pairs
-        p = row[pivot]
-        for col, other in kept.items():
-            f = other[pivot]
-            kept[col] = [(p * x - f * y) // d for x, y in zip(other, row)]
-        kept[pivot] = row
-        d = p
-        if len(kept) == 4:
-            break
+    d, kept = _bareiss_jordan((p.entries + c.entries for p, c in pairs), 4)
     if len(kept) < 4:
         raise InsufficientPairsError(
             "plaintext blocks only span a rank-%d space; rank 4 is required" % len(kept),
@@ -296,9 +268,15 @@ def apply_composite(composite, block: IntMatrix) -> IntMatrix:
     2x2"), whatever its type: unlike encrypt_block and decrypt_block, this
     raises no TypeError for a block that is not an IntMatrix. The error
     classes are part of the interface and stay as they are. A map entry
-    that is not an int (a bool is not one) or a Fraction raises TypeError.
+    that is not an int (a bool is not one) or a Fraction raises TypeError,
+    and so does a map that has no length.
     """
-    if len(composite) != 16:
+    try:
+        size = len(composite)
+    except TypeError:
+        raise TypeError("composite map must be a sequence of 16 ints or Fractions, got %s"
+                        % _shown(composite)) from None
+    if size != 16:
         raise ValueError("composite map must be 4x4")
     if not isinstance(block, IntMatrix) or (block.rows, block.cols) != (2, 2):
         raise ValueError("block must be 2x2")

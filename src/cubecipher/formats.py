@@ -259,7 +259,12 @@ def _parse_blocks(blocks_raw):
 def _attack_pairs(pairs):
     """pairs as a list, every item checked to be a (plaintext, ciphertext)
     pair of 2x2 IntMatrix blocks before anything unpacks it."""
-    pairs = list(pairs)
+    try:
+        items = iter(pairs)
+    except TypeError:
+        raise TypeError("attack pairs must be 2x2 IntMatrix values, got %s"
+                        % _shown(pairs)) from None
+    pairs = list(items)
     for pair in pairs:
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
                 isinstance(m, IntMatrix) and (m.rows, m.cols) == (2, 2) for m in pair)):

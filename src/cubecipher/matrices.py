@@ -3,9 +3,11 @@
 IntMatrix holds Python ints, so nothing ever rounds, and it is an
 immutable value, safe to share between threads. It offers what the
 pipeline and the acceptance suite use: products, integer scaling, the
-transpose and the exact determinant of an n x n matrix, by fraction-free
-elimination in O(n^3) multiplications. The constructor checks the shape
-and that both dimensions and every entry are ints.
+transpose and the exact determinant of an n x n matrix. Above 2x2 the
+determinant comes from _bareiss_jordan, the one fraction-free
+elimination of the package, in O(n^3) multiplications; the
+known-plaintext attack runs the same pass. The constructor checks the
+shape and that both dimensions and every entry are ints.
 
 The structured matrices the cipher needs are built here too: the
 Fibonacci matrix [[F(n+1), F(n)], [F(n), F(n-1)]] and the quarter-turn
@@ -45,27 +47,46 @@ def _check_shape(rows, cols, entries):
                          % (_shown(rows), _shown(cols), len(entries)))
 
 
-def _det_bareiss(rows):
-    """Determinant of the n x n matrix rows (a list of row lists, changed in
-    place) by fraction-free (Bareiss) elimination with row swaps: every
-    update divides exactly by the previous pivot, so all entries stay ints."""
-    n = len(rows)
-    sign, previous = 1, 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for row in rows[k + 1:]:
-            factor = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - factor * pivot_row[j]) // previous
-        previous = pivot
-    return sign * rows[-1][-1]
+def _bareiss_jordan(rows, n):
+    """One fraction-free Gauss-Jordan (Bareiss-Jordan) pass over integer
+    rows, pivoting in their first n columns: the one exact elimination
+    behind IntMatrix.det and the known-plaintext attack.
+
+    Walks rows in order and keeps each one whose first n entries are
+    independent of those already kept, until n are kept. Invariant: every
+    kept row holds the one shared pivot value d (1 at the start) at its own
+    pivot column and 0 at the other kept rows' pivot columns. A new row r
+    becomes the bordered minor d*r - sum of r[c]*kept_c over the kept pivot
+    columns c, with no division; its first n entries are all zero exactly
+    when they lie in the span of the kept rows, and then it is skipped.
+    Otherwise its first nonzero entry p is its pivot, every kept row k
+    becomes (p*k - k[pivot]*r) // d, and d becomes p. The division is exact
+    by Sylvester's identity: k and its update are both minors of the
+    integer matrix of kept rows (Bareiss, Math. Comp. 22, 1968).
+
+    Returns (d, kept): kept maps each pivot column to its row, in the order
+    the rows were kept, and d is the minor of the kept rows on their pivot
+    columns, both taken in that order.
+    """
+    d = 1
+    kept = {}
+    for r in rows:
+        row = [d * x for x in r]
+        for col, other in kept.items():
+            if r[col]:
+                row = [x - r[col] * y for x, y in zip(row, other)]
+        pivot = next((c for c in range(n) if row[c]), None)
+        if pivot is None:
+            continue
+        p = row[pivot]
+        for col, other in kept.items():
+            f = other[pivot]
+            kept[col] = [(p * x - f * y) // d for x, y in zip(other, row)]
+        kept[pivot] = row
+        d = p
+        if len(kept) == n:
+            break
+    return d, kept
 
 
 @dataclass(frozen=True, init=False)
@@ -96,7 +117,12 @@ class IntMatrix:
         rows = [list(r) for r in rows]
         if not rows:
             raise ValueError("need at least one row")
-        return cls(len(rows), len(rows[0]), tuple(e for r in rows for e in r))
+        cols = len(rows[0])
+        for i, r in enumerate(rows):
+            if len(r) != cols:
+                raise ValueError("row %d has length %d where row 0 has length %d"
+                                 % (i, len(r), cols))
+        return cls(len(rows), cols, tuple(e for r in rows for e in r))
 
     @classmethod
     def identity(cls, n):
@@ -136,16 +162,21 @@ class IntMatrix:
         )
 
     def det(self):
-        """Exact determinant of a square matrix: the closed forms for 1x1 and
-        2x2, and fraction-free (Bareiss) elimination, O(n^3), above that."""
+        """Exact determinant of a square matrix: the closed form for 2x2,
+        and one _bareiss_jordan pass, O(n^3), otherwise. The pass keeps the
+        rows in order, so its d is the determinant with the columns taken in
+        pivot order: the sign of that column permutation gives det."""
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         n, e = self.rows, self.entries
-        if n == 1:
-            return e[0]
         if n == 2:
             return e[0] * e[3] - e[1] * e[2]
-        return _det_bareiss([list(e[i * n:(i + 1) * n]) for i in range(n)])
+        d, kept = _bareiss_jordan((e[i * n:(i + 1) * n] for i in range(n)), n)
+        if len(kept) < n:
+            return 0
+        order = list(kept)
+        inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+        return -d if inversions % 2 else d
 
 
 def _fib_pair(n):

@@ -223,6 +223,10 @@ def main():
             (Xorshift64Star(1).below, (2.5,), "below's n must be an int, got 2.5"),
             (known_plaintext_attack, ("x",), "attack pairs must be 2x2 IntMatrix values"),
             (serialize_pairs, ("x",), "attack pairs must be 2x2 IntMatrix values"),
+            (known_plaintext_attack, (5,), "attack pairs must be 2x2 IntMatrix values, got 5"),
+            (serialize_pairs, (5,), "attack pairs must be 2x2 IntMatrix values, got 5"),
+            (apply_composite, (5, IntMatrix(2, 2, (1, 2, 3, 4))),
+             "composite map must be a sequence of 16 ints or Fractions, got 5"),
             (growth_exponent, ("x",), "report must be a BenchReport, got 'x'"),
             (encode_symbol, (2.5, 3), "symbol code must be an int, got 2.5"),
             (decode_symbol, (79079, 13, 64.9), "max_code must be an int, got 64.9"),

@@ -7,6 +7,7 @@ outcome puts any call's result or CipherError in comparable terms, and
 permuted_lu builds a matrix whose determinant is known without computing it.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -90,18 +91,27 @@ def xorshift_reference(seed, count):
     return list(itertools.islice(_xorshift_outputs(seed), count))
 
 
+@functools.cache
+def _miller_rabin_verdicts():
+    """is_prime of every candidate below PRIME_LIMIT, one Miller-Rabin test
+    per value, made once per process: a ceiling stream draws ~650,000
+    candidates, each value about ten times."""
+    return bytes(map(is_prime, range(PRIME_LIMIT)))
+
+
 def reference_prime_stream(seed, count):
     """The scalar rejection loop, one draw at a time, as prime_stream ran
-    before its sieve table and its draw table: Miller-Rabin on every
-    candidate, a set for repeats. It steps its own state, as
+    before its sieve table and its draw table: Miller-Rabin's verdict on
+    every candidate, a set for repeats. It steps its own state, as
     xorshift_reference does; Xorshift64Star only checks the seed."""
     Xorshift64Star(seed)
+    prime = _miller_rabin_verdicts()
     out = []
     seen = set()
     outputs = _xorshift_outputs(seed)
     while len(out) < count:
         candidate = next(outputs) & (PRIME_LIMIT - 1)
-        if candidate in seen or not is_prime(candidate):
+        if candidate in seen or not prime[candidate]:
             continue
         seen.add(candidate)
         out.append(candidate)

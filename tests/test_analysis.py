@@ -359,6 +359,28 @@ def test_a_malformed_pair_list_is_refused_before_unpacking(function, pairs):
     assert str(excinfo.value) == "attack pairs must be 2x2 IntMatrix values"
 
 
+@pytest.mark.parametrize("function", [known_plaintext_attack, serialize_pairs])
+@pytest.mark.parametrize("pairs, shown", [(5, "5"), (None, "None"), (2.5, "2.5")],
+                         ids=["int", "none", "float"])
+def test_a_pair_list_that_is_not_iterable_is_refused_in_the_documented_form(function, pairs,
+                                                                            shown):
+    # these raised Python's own "'int' object is not iterable"
+    with pytest.raises(TypeError) as excinfo:
+        function(pairs)
+    assert str(excinfo.value) == "attack pairs must be 2x2 IntMatrix values, got " + shown
+
+
+@pytest.mark.parametrize("composite, shown", [
+    (5, "5"), (None, "None"), (iter(range(16)), "<range_iterator object at"),
+], ids=["int", "none", "iterator"])
+def test_apply_composite_refuses_a_map_that_has_no_length(composite, shown):
+    # these raised Python's own "object of type 'int' has no len()"
+    with pytest.raises(TypeError) as excinfo:
+        apply_composite(composite, IntMatrix(2, 2, (4, 5, 6, 7)))
+    assert str(excinfo.value).startswith(
+        "composite map must be a sequence of 16 ints or Fractions, got " + shown)
+
+
 def test_attack_flags_inconsistent_pairs():
     rng = random.Random(43)
     good = pairs_for_key(keygen(6), 4, rng)

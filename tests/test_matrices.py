@@ -82,6 +82,8 @@ def test_product_shape_mismatch():
 def test_det_trivial_cases():
     assert IntMatrix.identity(2).det() == 1
     assert IntMatrix.from_rows([[1, 1], [1, 0]]).det() == -1
+    for x in (0, 1, -1, 7, -(10**40)):
+        assert IntMatrix(1, 1, (x,)).det() == x
 
 
 def test_det_matches_permutation_sum():
@@ -91,13 +93,39 @@ def test_det_matches_permutation_sum():
         assert a.det() == permutation_determinant(rows(a))
 
 
-def test_det_swaps_rows_past_a_zero_pivot():
-    # the first pivot is 0; then one whose 2x2 leading minor is 0
+def test_det_pivots_past_a_zero_leading_entry():
+    # the first row's pivot is not in column 0; then a row whose pivot is
+    # not in column 1, as its 2x2 leading minor is 0
     assert IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]).det() == -1
     assert IntMatrix.from_rows([[1, 1, 1], [1, 1, 2], [1, 2, 3]]).det() == -1
-    # no nonzero entry left to swap in: the matrix is singular
+    # a dependent row or a zero column: the matrix is singular
     assert IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]]).det() == 0
     assert IntMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]]).det() == 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_det_of_every_permutation_matrix_is_its_sign(n):
+    # the rows are kept in order with their pivots in the permutation's
+    # order, so det is the pass's d times the sign of that order
+    signs = set()
+    for order in permutations(range(n)):
+        matrix = IntMatrix(n, n, tuple(int(j == order[i]) for i in range(n) for j in range(n)))
+        sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+        assert matrix.det() == sign, order
+        signs.add(sign)
+    assert signs == {1, -1}
+
+
+@pytest.mark.parametrize("at", [0, 2, 3], ids=["first", "middle", "last"])
+def test_det_with_a_dependent_row_is_zero(at):
+    rng = random.Random(303 + at)
+    for _ in range(20):
+        others = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(3)]
+        weights = [rng.randint(-3, 3) for _ in range(3)]
+        dependent = [sum(w * row[j] for w, row in zip(weights, others)) for j in range(4)]
+        for row in (dependent, [0] * 4):
+            matrix = IntMatrix.from_rows(others[:at] + [row] + others[at:])
+            assert matrix.det() == 0 == permutation_determinant(rows(matrix))
 
 
 def test_det_of_a_20x20_matrix_within_a_second():
@@ -111,6 +139,18 @@ def test_det_of_a_20x20_matrix_within_a_second():
 def test_det_requires_square():
     with pytest.raises(ValueError):
         IntMatrix(1, 4, (1, 2, 3, 4)).det()
+
+
+@pytest.mark.parametrize("given, message", [
+    ([[1, 2], [3], [4, 5, 6]], "row 1 has length 1 where row 0 has length 2"),
+    ([[1, 2, 3], [4, 5, 6], [7, 8]], "row 2 has length 2 where row 0 has length 3"),
+    ([[1], [2, 3]], "row 1 has length 2 where row 0 has length 1"),
+], ids=["short-middle", "short-last", "long"])
+def test_from_rows_refuses_ragged_rows(given, message):
+    # the rows used to be flowed into a matrix whenever the total count fit
+    with pytest.raises(ValueError) as excinfo:
+        IntMatrix.from_rows(given)
+    assert str(excinfo.value) == message
 
 
 def test_transpose_examples():

@@ -194,9 +194,14 @@ _rng = random.Random(6542)
 DIFFERENTIAL_SEEDS = [0, 1, 5198, MASK64] + [_rng.randrange(1 << 64) for _ in range(20)]
 
 
+@functools.lru_cache(maxsize=None)
+def _full_reference(seed):
+    return reference_prime_stream(seed, PRIME_COUNT_BELOW_LIMIT)
+
+
 @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
 def test_prime_stream_matches_reference_loop(seed):
-    expected = reference_prime_stream(seed, PRIME_COUNT_BELOW_LIMIT)
+    expected = _full_reference(seed)
     assert prime_stream(seed, PRIME_COUNT_BELOW_LIMIT) == expected
     for length in (0, 1, 7, 256, 1024, 4096):
         assert prime_stream(seed, length) == expected[:length]
@@ -208,11 +213,6 @@ def test_sieve_table_agrees_with_is_prime():
         n for n in range(PRIME_LIMIT) if is_prime(n)
     ]
     assert sum(_PRIME_TABLE) == PRIME_COUNT_BELOW_LIMIT
-
-
-@functools.lru_cache(maxsize=None)
-def _full_reference(seed):
-    return reference_prime_stream(seed, PRIME_COUNT_BELOW_LIMIT)
 
 
 _rng = random.Random(65536)
