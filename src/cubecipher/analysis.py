@@ -43,6 +43,7 @@ import math
 import operator
 import time
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from fractions import Fraction
 from statistics import linear_regression, median
@@ -59,7 +60,8 @@ from .cipher import (
     decrypt,
     encrypt,
 )
-from .errors import InsufficientPairsError, _is_int, _require_instance, _require_int, _shown
+from .errors import (InsufficientPairsError, _is_int, _iterate, _require_instance, _require_int,
+                     _shown)
 from .formats import (FORMAT_VERSION, _attack_pairs, _ciphertext_text, _format_decimal,
                       dumps_canonical, serialize_ciphertext)
 from .matrices import IntMatrix, _bareiss_jordan
@@ -146,16 +148,17 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
     envelope: it compares the mixed blocks' entry tuples and renders the canonical text from
     them directly. The sums run in ints, differing bits grouped by
     serialization length, and the bit mean adds one exact Fraction per
-    distinct length. trials is at most _MAX_TRIALS (ValueError, before any
-    work). Deterministic given (key, message_length, trials, rng_seed).
+    distinct length. trials is at most _MAX_TRIALS, and rng_seed follows
+    Xorshift64Star's rule (ValueError, before any work). Deterministic
+    given (key, message_length, trials, rng_seed).
     """
     _require_int(message_length, "message_length", 1)
     _require_int(trials, "trials", 1, _MAX_TRIALS)
+    rng = Xorshift64Star(rng_seed)
     _require_valid(key)
     _require_length(message_length)
     m = _block_map(key)
     primes = _primes(key, message_length)
-    rng = Xorshift64Star(rng_seed)
     histogram = Counter()
     changed_blocks = 0
     bits_by_length = Counter()  # serialization length -> differing bits
@@ -269,14 +272,12 @@ def apply_composite(composite, block: IntMatrix) -> IntMatrix:
     raises no TypeError for a block that is not an IntMatrix. The error
     classes are part of the interface and stay as they are. A map entry
     that is not an int (a bool is not one) or a Fraction raises TypeError,
-    and so does a map that has no length.
+    and so does a map that is not a Sequence (a dict, a set, an iterator).
     """
-    try:
-        size = len(composite)
-    except TypeError:
+    if not isinstance(composite, Sequence):
         raise TypeError("composite map must be a sequence of 16 ints or Fractions, got %s"
-                        % _shown(composite)) from None
-    if size != 16:
+                        % _shown(composite))
+    if len(composite) != 16:
         raise ValueError("composite map must be 4x4")
     if not isinstance(block, IntMatrix) or (block.rows, block.cols) != (2, 2):
         raise ValueError("block must be 2x2")
@@ -321,16 +322,18 @@ class BenchReport:
 def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
     """Measure encrypt/decrypt wall time and ciphertext size per length.
 
-    lengths must be strictly increasing, the longest at most
+    lengths must be a non-empty, strictly increasing iterable of ints
+    (TypeError when it is not iterable), the longest at most
     MAX_MESSAGE_BYTES (else CipherError, before any timing), and
-    repetitions at most _MAX_REPETITIONS (else ValueError). Message
+    repetitions at most _MAX_REPETITIONS (else ValueError); rng_seed is
+    checked by Xorshift64Star's rule before the key is. Message
     contents are drawn deterministically from rng_seed; the timing fields
     are the only machine-dependent part of the report. Every timed call
     runs under its own copy of the key, made before the timer starts, so
     each one draws the prime stream as a key used once does (see
     KeyMaterial).
     """
-    lengths = list(lengths)
+    lengths = list(_iterate(lengths, "lengths must be an iterable of ints"))
     if not lengths:
         raise ValueError("lengths must be non-empty")
     for length in lengths:
@@ -338,9 +341,9 @@ def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError("lengths must be strictly increasing")
     _require_int(repetitions, "repetitions", 1, _MAX_REPETITIONS)
+    rng = Xorshift64Star(rng_seed)
     _require_valid(key)
     _require_length(lengths[-1])
-    rng = Xorshift64Star(rng_seed)
     report = BenchReport(repetitions=repetitions)
     for length in lengths:
         message = bytes(rng.below_many(128, length))

@@ -52,6 +52,7 @@ from .errors import (
     InvalidKeyError,
     NonIntegralResultError,
     SymbolRangeError,
+    _iterate,
     _require_instance,
     _require_int,
     _shown,
@@ -139,7 +140,11 @@ class CiphertextEnvelope:
     blocks: tuple
 
     def __init__(self, pad_count, blocks):
-        blocks = tuple(blocks)
+        try:  # checked only when tuple() fails, so a build gains no call
+            blocks = tuple(blocks)
+        except TypeError:
+            _iterate(blocks, "envelope blocks must be an iterable of 2x2 IntMatrix values")
+            raise  # raised while iterating
         _require_int(pad_count, "pad_count", 0, BLOCK_SYMBOLS - 1)
         if not blocks and pad_count != 0:
             raise ValueError("an empty envelope cannot carry padding")
@@ -343,8 +348,11 @@ def _mix(message, m, primes):
 def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> CiphertextEnvelope:
     """Encrypt a byte string under the composite key.
 
+    message is taken through the buffer protocol: bytes, bytearray,
+    memoryview or array, never a list or iterator of ints (TypeError).
     Strict mode (the default) rejects bytes above 127 and names the first
-    offending index; byte mode accepts the full [0, 255] range. One prime
+    offending index; byte mode accepts the full [0, 255] range, and
+    byte_mode must be a bool (TypeError). One prime
     is drawn per byte position from the key's seeded stream, so a message
     longer than MAX_MESSAGE_BYTES raises CipherError, after the key check
     and before any other work. The key object keeps the primes it draws
@@ -354,8 +362,12 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
     if isinstance(message, str):
         raise TypeError("encrypt takes bytes; encode the string first")
     if isinstance(message, int):
-        raise TypeError("encrypt takes bytes, not an int")  # bytes(7) is seven NULs
-    message = bytes(message)
+        raise TypeError("encrypt takes bytes, not an int")
+    try:
+        message = memoryview(message).tobytes()
+    except TypeError:
+        raise TypeError("encrypt takes bytes or a bytes-like value, got %s" % _shown(message)) from None
+    _require_instance(byte_mode, bool, "byte_mode")
     _require_valid(key)
     _require_length(len(message))
     if not byte_mode and not message.isascii():
@@ -372,13 +384,15 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
 
     Raises NonIntegralResultError (wrong key), CorruptCiphertextError
     (nonzero padding; the envelope checked its framing when built),
-    CorruptValueError or SymbolRangeError (per-symbol decode failure).
-    As in encrypt, the key object keeps the primes it draws (see
-    KeyMaterial), so a decrypt after an encrypt of the same message under
-    one key object draws no primes.
+    CorruptValueError or SymbolRangeError (per-symbol decode failure),
+    and TypeError for a byte_mode that is not a bool. As in encrypt, the
+    key object keeps the primes it draws (see KeyMaterial), so a decrypt
+    after an encrypt of the same message under one key object draws no
+    primes.
     """
     _require_valid(key)
     _require_instance(envelope, CiphertextEnvelope, "envelope")
+    _require_instance(byte_mode, bool, "byte_mode")
     d, det_k = _unmix_map(key)
     flat = []
     # lazily, so that a wrong key stops at its first bad block

@@ -33,7 +33,6 @@ from .formats import (
     serialize_ciphertext,
     serialize_key,
 )
-from .primes import MAX_U64
 
 EXIT_OK = 0
 EXIT_IO = 5
@@ -58,31 +57,17 @@ def _usage_errors():
         raise _UsageError("%s" % exc) from None
 
 
-def _parse_seed(text):
-    try:
-        value = int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError("seed must be an integer")
-    if not 0 <= value <= MAX_U64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
-
-
 def _parse_int(text):
+    """text as a Python int literal (hex and 1_000 included). Only text that
+    is no int is refused here; each value's range is the library's rule."""
     try:
-        return int(text)
+        return int(text, 0)
     except ValueError:  # argparse's type=int text, the argument cut short
         raise argparse.ArgumentTypeError("invalid int value: %s" % _shown(text))
 
 
 def _parse_lengths(text):
-    try:
-        lengths = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError("lengths must be comma-separated integers")
-    if not lengths:
-        raise argparse.ArgumentTypeError("lengths must not be empty")
-    return lengths
+    return [_parse_int(part) for part in text.split(",") if part.strip()]
 
 
 def build_parser():
@@ -94,7 +79,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="derive a key file from a 64-bit seed")
-    p.add_argument("--seed", type=_parse_seed, required=True,
+    p.add_argument("--seed", type=_parse_int, required=True,
                    help="64-bit unsigned seed; same seed gives the same key")
     p.add_argument("--out", required=True, help="key file to write")
 
@@ -120,7 +105,7 @@ def build_parser():
     p.add_argument("--key", required=True, help="key file")
     p.add_argument("--length", type=_parse_int, default=40, help="message length (default 40)")
     p.add_argument("--trials", type=_parse_int, default=1000, help="number of trials (default 1000)")
-    p.add_argument("--seed", type=_parse_seed, default=0, help="trial RNG seed (default 0)")
+    p.add_argument("--seed", type=_parse_int, default=0, help="trial RNG seed (default 0)")
     p.add_argument("--out", default="-", help="write the report JSON here instead of stdout")
     p.add_argument("--csv", help="also write the locality histogram as CSV")
 
@@ -130,7 +115,7 @@ def build_parser():
                    help="comma-separated message lengths (default 64,128,256,512,1024)")
     p.add_argument("--repetitions", type=_parse_int, default=5,
                    help="repetitions per length, median reported (default 5)")
-    p.add_argument("--seed", type=_parse_seed, default=0, help="message RNG seed (default 0)")
+    p.add_argument("--seed", type=_parse_int, default=0, help="message RNG seed (default 0)")
     p.add_argument("--out", default="-", help="write the report JSON here instead of stdout")
     p.add_argument("--csv", help="also write the measurement table as CSV")
     return parser
@@ -258,7 +243,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _fail(exc, EXIT_IO)
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

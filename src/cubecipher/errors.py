@@ -4,7 +4,8 @@ Every failure this package can signal is a subclass of CipherError, so
 callers can catch one type at the boundary. The contract for arguments:
 TypeError for a wrong type, ValueError or a documented CipherError
 subclass for a bad value, and every refused value shown through _shown.
-An int argument is checked by one helper, _require_int. A singular key
+An int argument is checked by one helper, _require_int, and a collection
+argument that is not iterable is refused by another, _iterate. A singular key
 matrix is a bad key: validate_key reports it, as InvalidKeyError.
 
 Each class carries the exit status the command-line tool ends with when
@@ -46,6 +47,16 @@ def _shown(value):
 def _require_instance(value, cls, name):
     if not isinstance(value, cls):
         raise TypeError("%s must be a %s, got %s" % (name, cls.__name__, _shown(value)))
+
+
+def _iterate(value, refusal):
+    """iter(value), or TypeError("<refusal>, got <shown>") when value is
+    not iterable, so no collection argument raises the interpreter's own
+    "'int' object is not iterable"."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise TypeError("%s, got %s" % (refusal, _shown(value))) from None
 
 
 def _is_int(value):

@@ -46,7 +46,7 @@ import re
 from itertools import chain
 
 from .cipher import BLOCK_SYMBOLS, CiphertextEnvelope, KeyMaterial, _require_symbol_count
-from .errors import FormatError, _is_int, _require_instance, _shown
+from .errors import FormatError, _is_int, _iterate, _require_instance, _shown
 from .matrices import IntMatrix
 from .primes import MAX_U64
 
@@ -259,12 +259,7 @@ def _parse_blocks(blocks_raw):
 def _attack_pairs(pairs):
     """pairs as a list, every item checked to be a (plaintext, ciphertext)
     pair of 2x2 IntMatrix blocks before anything unpacks it."""
-    try:
-        items = iter(pairs)
-    except TypeError:
-        raise TypeError("attack pairs must be 2x2 IntMatrix values, got %s"
-                        % _shown(pairs)) from None
-    pairs = list(items)
+    pairs = list(_iterate(pairs, "attack pairs must be 2x2 IntMatrix values"))
     for pair in pairs:
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
                 isinstance(m, IntMatrix) and (m.rows, m.cols) == (2, 2) for m in pair)):

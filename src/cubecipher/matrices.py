@@ -23,7 +23,7 @@ analysis module).
 
 from dataclasses import dataclass
 
-from .errors import _is_int, _require_int, _shown
+from .errors import _is_int, _iterate, _require_int, _shown
 
 __all__ = ["IntMatrix", "MAX_FIB_INDEX", "fibonacci_q", "rotation"]
 
@@ -98,7 +98,11 @@ class IntMatrix:
     entries: tuple
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(entries)
+        try:  # checked only when tuple() fails, so a build gains no call
+            entries = tuple(entries)
+        except TypeError:
+            _iterate(entries, "integer matrix entries must be an iterable of ints")
+            raise  # raised while iterating
         if (type(rows) is not int or type(cols) is not int
                 or rows < 1 or cols < 1 or len(entries) != rows * cols):
             _check_shape(rows, cols, entries)
@@ -114,7 +118,8 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
+        rows = [list(_iterate(r, "matrix row %d must be an iterable of ints" % i))
+                for i, r in enumerate(_iterate(rows, "matrix rows must be an iterable of rows"))]
         if not rows:
             raise ValueError("need at least one row")
         cols = len(rows[0])

@@ -3,7 +3,8 @@
     PYTHONPATH=src python tests/smoke.py
 
 Encrypts and decrypts the golden fixture through cli.main, checks the
-ciphertext byte for byte, checks that a prime chunk from each of four
+ciphertext byte for byte, that cli.main refuses keygen --seed -1 with the
+library's one error line and writes no key file, checks that a prime chunk from each of four
 states, read at its even halfwords, gives the generator's draws in order
 and ends where they end, checks prime_stream against the scalar reference
 loop at lengths 0 to 6,542 for four seeds, and at 16 and 6,542 primes
@@ -16,7 +17,11 @@ built, that a key, an envelope, a below() modulus, a pair list, a
 bench report, a trapdoor argument (decode_symbol's max_code included), a
 rotation's k or a composite map entry of the wrong type raises TypeError
 naming the value, that a 12x12 determinant is exact within 1 s, that
-a trial or repetition count over its cap is refused, that two values
+a trial or repetition count over its cap is refused, that a matrix's
+entries or rows, an envelope's blocks, benchmark's lengths or an encrypt
+message that is not iterable (or not bytes-like), a dict as a composite
+map and a byte_mode that is not a bool raise TypeError naming the value,
+that two values
 past the int/str limit (a prime count, a Fibonacci index) are refused
 with their documented classes and short messages, that validate_key names
 a huge negative Fibonacci index by its sign and size, that encrypt refuses
@@ -32,7 +37,9 @@ one with a tampered encoded value, and checks one pinned avalanche
 report. Prints one line and exits 0 on success.
 """
 
+import contextlib
 import dataclasses
+import io
 import random
 import sys
 import tempfile
@@ -171,6 +178,13 @@ def main():
         code = cli.main(["decrypt", "--key", str(key), "--in", str(ct), "--out", str(out)])
         check(code == 0, "decrypt exited %d" % code)
         check(out.read_bytes() == message.read_bytes(), "golden message differs")
+        # a seed's range is the library's rule, refused in its one line
+        refused_key, err = Path(tmp) / "refused.json", io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["keygen", "--seed", "-1", "--out", str(refused_key)])
+        check(code == 2 and not refused_key.exists() and err.getvalue()
+              == "cubecipher: error: seed must be in [0, 18446744073709551615], got -1\n",
+              "keygen --seed -1 exited %d with %r" % (code, err.getvalue()))
     # a chunk's even halfwords are its draws in order
     for state in CHUNK_STATES:
         walker = Xorshift64Star(state)
@@ -233,7 +247,22 @@ def main():
             (integer_cube_root, (float("nan"),), "integer_cube_root's n must be an int, got nan"),
             (rotation, (2.0,), "rotation's k must be an int, got 2.0"),
             (apply_composite, ((0.5,) * 16, IntMatrix(2, 2, (1, 2, 3, 4))),
-             "composite map entries must be ints or Fractions, got 0.5")):
+             "composite map entries must be ints or Fractions, got 0.5"),
+            (apply_composite, (dict.fromkeys(range(16), 1), IntMatrix(2, 2, (1, 2, 3, 4))),
+             "composite map must be a sequence of 16 ints or Fractions, got {0: 1, 1: 1, 2: 1, 3: 1, "
+             "4: 1, 5: 1, 6: ... (102 characters)"),
+            (IntMatrix, (2, 2, 5), "integer matrix entries must be an iterable of ints, got 5"),
+            (IntMatrix.from_rows, (5,), "matrix rows must be an iterable of rows, got 5"),
+            (IntMatrix.from_rows, ([5],), "matrix row 0 must be an iterable of ints, got 5"),
+            (CiphertextEnvelope, (0, 5),
+             "envelope blocks must be an iterable of 2x2 IntMatrix values, got 5"),
+            (benchmark, (5, keygen(1), 1), "lengths must be an iterable of ints, got 5"),
+            (benchmark, (None, keygen(1), 1), "lengths must be an iterable of ints, got None"),
+            (encrypt, (None, keygen(1)), "encrypt takes bytes or a bytes-like value, got None"),
+            (encrypt, ([65, 66], keygen(1)), "encrypt takes bytes or a bytes-like value, got [65, 66]"),
+            (encrypt, (b"a", keygen(1), "no"), "byte_mode must be a bool, got 'no'"),
+            (decrypt, (encrypt(b"a", keygen(1)), keygen(1), "no"),
+             "byte_mode must be a bool, got 'no'")):
         check(refusal(TypeError, function, *args) == text,
               "%s%r does not raise TypeError(%r)" % (function.__name__, args, text))
     # cofactor expansion, which det used before, would take minutes here
@@ -306,7 +335,7 @@ def main():
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime chunks, "
           "%d prime streams (2 from an empty draw-table cache), 3 round trips under one key, 16 cube roots, 200 envelopes, "
-          "an envelope's two fields, 19 refusals, a 12x12 determinant, "
+          "an envelope's two fields, a one-line CLI seed refusal, 30 refusals, a 12x12 determinant, "
           "202 attack pair sets (2 of ~4,000 digits), "
           "200 keys' un-mix and composite maps, 65,775 genuine roots, "
           "400 decrypts (200 tampered), 1 avalanche report"

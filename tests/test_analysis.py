@@ -381,6 +381,18 @@ def test_apply_composite_refuses_a_map_that_has_no_length(composite, shown):
         "composite map must be a sequence of 16 ints or Fractions, got " + shown)
 
 
+@pytest.mark.parametrize("composite, shown", [
+    (dict.fromkeys(range(16), 1), "{0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: "),
+    (set(range(16)), "{0, 1, 2,"),
+], ids=["dict", "set"])
+def test_apply_composite_refuses_a_map_that_is_not_a_sequence(composite, shown):
+    # a dict of 16 int keys was applied as the map of its keys
+    with pytest.raises(TypeError) as excinfo:
+        apply_composite(composite, IntMatrix.identity(2))
+    assert str(excinfo.value).startswith(
+        "composite map must be a sequence of 16 ints or Fractions, got " + shown)
+
+
 def test_attack_flags_inconsistent_pairs():
     rng = random.Random(43)
     good = pairs_for_key(keygen(6), 4, rng)

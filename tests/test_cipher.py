@@ -10,6 +10,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from array import array
 from fractions import Fraction
 from unittest import mock
 
@@ -396,6 +397,35 @@ def test_encrypt_refuses_an_int_message(message):
     with pytest.raises(TypeError) as excinfo:
         encrypt(message, keygen(1))
     assert str(excinfo.value) == "encrypt takes bytes, not an int"
+
+
+@pytest.mark.parametrize("message, shown", [
+    ([65, 66], "[65, 66]"), ([300], "[300]"), (iter(b"AB"), "<bytes_iterator object at"), (None, "None"),
+], ids=["list", "list-300", "iterator", "none"])
+def test_encrypt_takes_a_message_through_the_buffer_protocol_only(message, shown):
+    # a list or iterator of ints used to encrypt, [300] raised Python's own
+    # ValueError and None its "cannot convert 'NoneType' object to bytes"
+    with pytest.raises(TypeError) as excinfo:
+        encrypt(message, keygen(1))
+    assert str(excinfo.value).startswith("encrypt takes bytes or a bytes-like value, got " + shown)
+
+
+def test_encrypt_takes_every_bytes_like_value():
+    key = keygen(1)
+    envelope = encrypt(b"AB\x00C", key)
+    for message in (bytearray(b"AB\x00C"), memoryview(b"xAB\x00C")[1:], array("B", b"AB\x00C")):
+        assert encrypt(message, key) == envelope
+
+
+@pytest.mark.parametrize("byte_mode", ["no", 1, 0, None], ids=["str", "one", "zero", "none"])
+def test_byte_mode_must_be_a_bool(byte_mode):
+    # "no" turned byte mode on, as any true value did
+    key = keygen(1)
+    envelope = encrypt(b"A", key)
+    for call in (lambda: encrypt(b"A", key, byte_mode), lambda: decrypt(envelope, key, byte_mode)):
+        with pytest.raises(TypeError) as excinfo:
+            call()
+        assert str(excinfo.value) == "byte_mode must be a bool, got %r" % (byte_mode,)
 
 
 def test_wrong_key_never_crashes_untyped():

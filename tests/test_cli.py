@@ -167,30 +167,37 @@ def test_bad_arguments_exit_2(tmp_path):
     assert excinfo.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["keygen", "--seed", "x", "--out", "k.json"], "argument --seed: seed must be an integer"),
-        (["keygen", "--seed", -1, "--out", "k.json"], "argument --seed: seed must fit in 64 unsigned bits"),
-        (["keygen", "--seed", 1 << 64, "--out", "k.json"],
-         "argument --seed: seed must fit in 64 unsigned bits"),
-        (["bench", "--key", "k.json", "--lengths", "8,x"],
-         "argument --lengths: lengths must be comma-separated integers"),
-        (["bench", "--key", "k.json", "--lengths", " , "], "argument --lengths: lengths must not be empty"),
-        (["avalanche", "--key", "k.json", "--length", "abc"], "argument --length: invalid int value: 'abc'"),
-        (["avalanche", "--key", "k.json", "--trials", "1.5"],
-         "argument --trials: invalid int value: '1.5'"),
-        (["bench", "--key", "k.json", "--repetitions", ""],
-         "argument --repetitions: invalid int value: ''"),
-        # argparse's type=int used to echo all 5,000 digits
-        (["avalanche", "--key", "k.json", "--length", "9" * 5000],
-         "argument --length: invalid int value: '%s... (5000 characters)" % ("9" * 39)),
-        (["avalanche", "--key", "k.json", "--trials", "9" * 5000],
-         "argument --trials: invalid int value: '%s... (5000 characters)" % ("9" * 39)),
-        (["bench", "--key", "k.json", "--repetitions", "9" * 5000],
-         "argument --repetitions: invalid int value: '%s... (5000 characters)" % ("9" * 39)),
-    ],
-)
+_CUT_SHORT = "invalid int value: '%s... (5000 characters)" % ("9" * 39)
+
+
+# text that is not an int is argparse's to refuse; the ids are the rows' old ones
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["keygen", "--seed", "x", "--out", "k.json"], "argument --seed: invalid int value: 'x'",
+                 id="argv0-argument --seed: seed must be an integer"),
+    pytest.param(["bench", "--key", "k.json", "--lengths", "8,x"],
+                 "argument --lengths: invalid int value: 'x'",
+                 id="argv3-argument --lengths: lengths must be comma-separated integers"),
+    pytest.param(["avalanche", "--key", "k.json", "--length", "abc"],
+                 "argument --length: invalid int value: 'abc'",
+                 id="argv5-argument --length: invalid int value: 'abc'"),
+    pytest.param(["avalanche", "--key", "k.json", "--trials", "1.5"],
+                 "argument --trials: invalid int value: '1.5'",
+                 id="argv6-argument --trials: invalid int value: '1.5'"),
+    pytest.param(["bench", "--key", "k.json", "--repetitions", ""],
+                 "argument --repetitions: invalid int value: ''",
+                 id="argv7-argument --repetitions: invalid int value: ''"),
+    # argparse's type=int used to echo all 5,000 digits
+    pytest.param(["avalanche", "--key", "k.json", "--length", "9" * 5000],
+                 "argument --length: " + _CUT_SHORT, id="argv8-argument --length: " + _CUT_SHORT),
+    pytest.param(["avalanche", "--key", "k.json", "--trials", "9" * 5000],
+                 "argument --trials: " + _CUT_SHORT, id="argv9-argument --trials: " + _CUT_SHORT),
+    pytest.param(["bench", "--key", "k.json", "--repetitions", "9" * 5000],
+                 "argument --repetitions: " + _CUT_SHORT,
+                 id="argv10-argument --repetitions: " + _CUT_SHORT),
+    # base 0 takes Python's int literals, and Python has no leading-zero decimal
+    pytest.param(["avalanche", "--key", "k.json", "--length", "010"],
+                 "argument --length: invalid int value: '010'", id="leading-zero-decimal"),
+])
 def test_argument_type_errors_exit_2(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
         run(argv)
@@ -233,6 +240,32 @@ def test_an_unbounded_count_exits_2_before_any_work(tmp_path, capsys, monkeypatc
     assert run(argv + ["--key", FIXTURES / "golden_key.json", "--out", out]) == 2
     assert capsys.readouterr().err == "cubecipher: error: %s\n" % message
     assert list(tmp_path.iterdir()) == []
+
+
+_SEED_RANGE = "seed must be in [0, 18446744073709551615], got "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["keygen", "--seed", -1], _SEED_RANGE + "-1"),
+    (["keygen", "--seed", 2**64], _SEED_RANGE + "18446744073709551616"),
+    (["avalanche", "--key", FIXTURES / "golden_key.json", "--seed", -1], _SEED_RANGE + "-1"),
+    (["bench", "--key", FIXTURES / "golden_key.json", "--seed", -1], _SEED_RANGE + "-1"),
+    (["bench", "--key", FIXTURES / "golden_key.json", "--lengths", " , "], "lengths must be non-empty"),
+], ids=["keygen-seed-1", "keygen-seed-2**64", "avalanche-seed-1", "bench-seed-1", "bench-empty-lengths"])
+def test_a_bad_seed_or_no_lengths_exits_2_in_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    # these were argparse's usage block; a refused seed never reaches the key check
+    monkeypatch.setattr(analysis, "_require_valid", lambda key: pytest.fail("work began"))
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", out]) == 2
+    assert capsys.readouterr().err == "cubecipher: error: %s\n" % message
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_seed_takes_any_int_literal(tmp_path):
+    hex_key, decimal_key = tmp_path / "hex.json", tmp_path / "decimal.json"
+    assert run(["keygen", "--seed", "0x10", "--out", hex_key]) == 0
+    assert run(["keygen", "--seed", "16", "--out", decimal_key]) == 0
+    assert hex_key.read_bytes() == decimal_key.read_bytes()
 
 
 def test_the_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):

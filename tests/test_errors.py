@@ -4,7 +4,8 @@ Every per-call int argument refuses a value that is not an int, or is a
 bool, with TypeError("<name> must be an int, got <shown>"), and an int out
 of its range with ValueError("<name> must be at least <low>, got <shown>")
 or ValueError("<name> must be in [<low>, <high>], got <shown>"), the value
-shown short by errors._shown.
+shown short by errors._shown. A collection argument that is not iterable
+is refused with TypeError in the same form (errors._iterate).
 """
 
 from fractions import Fraction
@@ -24,6 +25,7 @@ from cubecipher import (
     benchmark,
     decode_symbol,
     encode_symbol,
+    encrypt,
     fibonacci_q,
     integer_cube_root,
     keygen,
@@ -64,6 +66,9 @@ _PARAMETERS = [
     # increasing", and a float or str raised the interpreter's own TypeError
     ("benchmark-length", lambda v: benchmark([4, v], _KEY, 1), "every length", 1, None),
     ("benchmark-repetitions", lambda v: benchmark([1], _KEY, v), "repetitions", 1, 10**4),
+    # the seeds were checked only after the key, so the CLI checked them itself
+    ("avalanche_test-rng_seed", lambda v: avalanche_test(_KEY, 1, 1, v), "seed", 0, MAX_U64),
+    ("benchmark-rng_seed", lambda v: benchmark([1], _KEY, 1, v), "seed", 0, MAX_U64),
     # the trapdoor's per-symbol functions: encode_symbol returned a float
     # for a float code and an int for a Fraction or a bool, and the others
     # raised a raw AttributeError (no .bit_length) for a float
@@ -137,3 +142,31 @@ def test_the_rule_itself():
         _require_int(4, "x", 3, 3)
     with pytest.raises(TypeError, match="^x must be an int, got '%s... \\(100000 characters\\)$" % ("7" * 39)):
         _require_int("7" * 100_000, "x", 0)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda v: IntMatrix(2, 2, v), "integer matrix entries must be an iterable of ints"),
+    (IntMatrix.from_rows, "matrix rows must be an iterable of rows"),
+    (lambda v: IntMatrix.from_rows([[1], v]), "matrix row 1 must be an iterable of ints"),
+    (lambda v: CiphertextEnvelope(0, v), "envelope blocks must be an iterable of 2x2 IntMatrix values"),
+    (lambda v: benchmark(v, _KEY, 1), "lengths must be an iterable of ints"),
+    (lambda v: encrypt(v, _KEY), "encrypt takes bytes or a bytes-like value"),
+], ids=["IntMatrix", "from_rows", "from_rows-row", "CiphertextEnvelope", "benchmark", "encrypt"])
+@pytest.mark.parametrize("value, shown", [(5.5, "5.5"), (None, "None"), (object, "<class 'object'>")],
+                         ids=["float", "none", "class"])
+def test_a_collection_that_is_not_iterable_is_refused_in_one_form(monkeypatch, call, text, value, shown):
+    # each raised the interpreter's own "'float' object is not iterable"
+    # (encrypt: "cannot convert 'NoneType' object to bytes")
+    monkeypatch.setattr(analysis, "_require_valid", _no_work)
+    with pytest.raises(TypeError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == "%s, got %s" % (text, shown)
+
+
+def test_a_type_error_raised_while_iterating_is_not_renamed():
+    def entries():
+        yield 1
+        raise TypeError("raised by the caller's iterator")
+
+    with pytest.raises(TypeError, match="^raised by the caller's iterator$"):
+        IntMatrix(1, 1, entries())
