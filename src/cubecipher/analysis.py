@@ -376,12 +376,18 @@ def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
 def growth_exponent(report: BenchReport) -> float:
     """Least-squares slope of log(encrypt time) against log(length).
 
-    A pipeline linear in the block count should land near 1.0; anything
-    clearly below 2.0 rules out quadratic-or-worse growth over the
-    measured range.
+    Up to ~1 KiB, the range the acceptance suite measures, the pipeline is
+    linear in the block count and lands near 1.0; anything clearly below
+    2.0 rules out quadratic-or-worse growth over the measured range.
+    Nearer the 6,542-byte ceiling it is not linear: the prime stream is a
+    coupon collector (see the README's "Runtime scaling"), so a 6,542-byte
+    encrypt takes ~7x the time of a 4,096-byte one. Every row must be a
+    BenchRow (TypeError naming the first that is not).
     """
     _require_instance(report, BenchReport, "report")
-    rows = report.rows
+    rows = list(_iterate(report.rows, "report rows must be an iterable of BenchRow values"))
+    for i, row in enumerate(rows):
+        _require_instance(row, BenchRow, "report row %d" % i)
     if len(rows) < 2:
         raise ValueError("need at least two rows to fit a growth exponent")
     if len({r.message_length for r in rows}) < 2:

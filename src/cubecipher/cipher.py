@@ -23,12 +23,12 @@ K^-1 = adj(K) / det(K) leaves one division:
     det(K) vec(B) = D @ vec(E),    D = map(adj K, P^-1)
 
 Each call builds its integer map once (block_map is M) and one kernel
-applies it to every block with plain integer multiply-adds, lazily, one
-block at a time. Decryption then divides every entry exactly by det(K):
-a remainder is the earliest wrong-key detector. The quotient is the exact
-value of the chain of rational inverses, so this accepts and rejects
-exactly the blocks that the rational chain would, and fails at the same
-entry.
+applies it to every block with plain integer multiply-adds. Decryption
+divides all the mapped entries by det(K) in one pass checked by one sum,
+so a wrong key is refused after the whole un-mix, not at its first bad
+block. The quotient is the exact value of the chain of rational inverses,
+so this accepts and rejects exactly the blocks that the rational chain
+would, and fails at the same entry.
 
 Everything is per block: there is no mixing across blocks, a property the
 analysis module measures and reports as the scheme's diffusion limit.
@@ -43,6 +43,7 @@ the README and the analysis module's known-plaintext attack.
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 from .encoding import ASCII_MAX, BYTE_MAX, _decode_all, _encode_all, decode_symbol
 from .errors import (
@@ -297,20 +298,20 @@ def _map_blocks(m, vectors):
     )
 
 
-def _divide_exactly(v, d):
-    """The 4-tuple v divided entrywise by d, which must divide every entry.
-
-    Raises NonIntegralResultError naming the first entry d does not
-    divide. The message leaves the entry's value out: it can be too long
-    to print, and it would leak a divisor of d.
-    """
-    out = []
-    for idx, value in enumerate(v):
-        quotient, remainder = divmod(value, d)
-        if remainder:
-            raise NonIntegralResultError("entry (%d, %d) is not an integer" % divmod(idx, 2))
-        out.append(quotient)
-    return tuple(out)
+def _divide_exactly(values, d, name_block=False):
+    """The flat row-major entries of one or more 2x2 blocks, each divided
+    by d, as a list. Floor remainders share d's sign, so one compare of
+    sums finds whether any is nonzero; then NonIntegralResultError names
+    the first such entry, "entry (r, c) is not an integer", after "block
+    b: " when name_block is set. The value is left out: it can be too long
+    to print, and it would leak a divisor of d."""
+    quotients = [v // d for v in values]
+    if sum(values) != d * sum(quotients):
+        i = next(i for i, (v, q) in enumerate(zip(values, quotients)) if v != d * q)
+        block, entry = divmod(i, BLOCK_SYMBOLS)
+        text = "entry (%d, %d) is not an integer" % divmod(entry, 2)
+        raise NonIntegralResultError("block %d: %s" % (block, text) if name_block else text)
+    return quotients
 
 
 def block_map(key: KeyMaterial) -> IntMatrix:
@@ -394,14 +395,8 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
     _require_instance(envelope, CiphertextEnvelope, "envelope")
     _require_instance(byte_mode, bool, "byte_mode")
     d, det_k = _unmix_map(key)
-    flat = []
-    # lazily, so that a wrong key stops at its first bad block
-    for i, v in enumerate(_map_blocks(d, (b.entries for b in envelope.blocks))):
-        try:
-            flat += _divide_exactly(v, det_k)
-        except NonIntegralResultError as exc:
-            raise NonIntegralResultError("block %d: %s" % (i, exc)) from None
-    ts = _strip_pad(flat, envelope.pad_count)
+    mapped = list(chain.from_iterable(_map_blocks(d, (b.entries for b in envelope.blocks))))
+    ts = _strip_pad(_divide_exactly(mapped, det_k, name_block=True), envelope.pad_count)
     primes = _primes(key, len(ts))
     max_code = BYTE_MAX if byte_mode else ASCII_MAX
     codes = _decode_all(ts, primes, max_code)

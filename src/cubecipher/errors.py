@@ -5,13 +5,16 @@ callers can catch one type at the boundary. The contract for arguments:
 TypeError for a wrong type, ValueError or a documented CipherError
 subclass for a bad value, and every refused value shown through _shown.
 An int argument is checked by one helper, _require_int, and a collection
-argument that is not iterable is refused by another, _iterate. A singular key
-matrix is a bad key: validate_key reports it, as InvalidKeyError.
+argument that is not iterable, or is a mapping, is refused by another,
+_iterate. A singular key matrix is a bad key: validate_key reports it, as
+InvalidKeyError.
 
 Each class carries the exit status the command-line tool ends with when
 that error stops a command: 2 for unusable input, 3 for a bad key, 4 for
 corrupt data or a wrong key (the default).
 """
+
+from collections.abc import Mapping
 
 __all__ = [
     "CipherError", "NonIntegralResultError", "NoIntegerRootError",
@@ -52,11 +55,14 @@ def _require_instance(value, cls, name):
 def _iterate(value, refusal):
     """iter(value), or TypeError("<refusal>, got <shown>") when value is
     not iterable, so no collection argument raises the interpreter's own
-    "'int' object is not iterable"."""
-    try:
-        return iter(value)
-    except TypeError:
-        raise TypeError("%s, got %s" % (refusal, _shown(value))) from None
+    "'int' object is not iterable", or is a Mapping, which would be read
+    as its keys."""
+    if not isinstance(value, Mapping):
+        try:
+            return iter(value)
+        except TypeError:
+            pass
+    raise TypeError("%s, got %s" % (refusal, _shown(value)))
 
 
 def _is_int(value):

@@ -25,7 +25,8 @@ Pair file (known-plaintext attack input):
 
 Parsers are strict: unknown, missing or repeated fields, non-canonical
 numbers, and version mismatches all raise FormatError, as does any text
-that is not JSON. The version tag, FORMAT_VERSION, is in the files alone,
+that is not JSON; a value that is not str, bytes or bytearray raises
+TypeError naming it. The version tag, FORMAT_VERSION, is in the files alone,
 not in a CiphertextEnvelope: the JSON integer 1, not 1.0, 1e0 or true.
 parse_ciphertext also raises CorruptCiphertextError, before it parses any
 block, when the file claims more symbols (4 * len(blocks) - pad_count)
@@ -71,6 +72,9 @@ def dumps_canonical(obj) -> str:
 
 
 def _load_json(text: str, what: str):
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise TypeError("%s must be str, bytes or bytearray, got %s" % (what, _shown(text)))
+
     def unique_names(pairs):
         obj = {}
         for name, value in pairs:
@@ -214,9 +218,9 @@ def _ciphertext_text(pad_count, vectors):
             for j, e in enumerate(v):
                 _format_decimal(e, "ciphertext file: blocks", i, j)
         raise
-    return '{\n  "version": %d,\n  "pad_count": %s,\n  "blocks": %s\n}\n' % (
+    return '{\n  "version": %d,\n  "pad_count": %d,\n  "blocks": %s\n}\n' % (
         FORMAT_VERSION,
-        json.dumps(pad_count),
+        pad_count,
         "[\n%s\n  ]" % blocks if blocks else "[]",
     )
 

@@ -21,6 +21,9 @@ a trial or repetition count over its cap is refused, that a matrix's
 entries or rows, an envelope's blocks, benchmark's lengths or an encrypt
 message that is not iterable (or not bytes-like), a dict as a composite
 map and a byte_mode that is not a bool raise TypeError naming the value,
+as do a parser given a value that is not str, bytes or bytearray, a bench
+report row that is not a BenchRow, and a dict as benchmark's lengths, a
+matrix's rows or a pair list, while benchmark still takes a generator,
 that two values
 past the int/str limit (a prime count, a Fibonacci index) are refused
 with their documented classes and short messages, that validate_key names
@@ -49,6 +52,7 @@ from pathlib import Path
 from cubecipher import (
     CipherError,
     CiphertextEnvelope,
+    BenchReport,
     CorruptCiphertextError,
     IntMatrix,
     KeyMaterial,
@@ -68,6 +72,9 @@ from cubecipher import (
     integer_cube_root,
     keygen,
     known_plaintext_attack,
+    parse_ciphertext,
+    parse_key,
+    parse_pairs,
     prime_stream,
     rotation,
     serialize_ciphertext,
@@ -262,9 +269,20 @@ def main():
             (encrypt, ([65, 66], keygen(1)), "encrypt takes bytes or a bytes-like value, got [65, 66]"),
             (encrypt, (b"a", keygen(1), "no"), "byte_mode must be a bool, got 'no'"),
             (decrypt, (encrypt(b"a", keygen(1)), keygen(1), "no"),
-             "byte_mode must be a bool, got 'no'")):
+             "byte_mode must be a bool, got 'no'"),
+            (parse_key, (5,), "key file must be str, bytes or bytearray, got 5"),
+            (parse_ciphertext, (None,), "ciphertext file must be str, bytes or bytearray, got None"),
+            (parse_pairs, (5,), "pair file must be str, bytes or bytearray, got 5"),
+            (growth_exponent, (BenchReport(1, [5, 6]),), "report row 0 must be a BenchRow, got 5"),
+            (benchmark, ({4: 1}, keygen(1), 1), "lengths must be an iterable of ints, got {4: 1}"),
+            (IntMatrix.from_rows, ({(1, 2): 0},),
+             "matrix rows must be an iterable of rows, got {(1, 2): 0}"),
+            (known_plaintext_attack, ({},), "attack pairs must be 2x2 IntMatrix values, got {}"),
+            (serialize_pairs, ({},), "attack pairs must be 2x2 IntMatrix values, got {}")):
         check(refusal(TypeError, function, *args) == text,
               "%s%r does not raise TypeError(%r)" % (function.__name__, args, text))
+    check([r.message_length for r in benchmark((x for x in (4, 8)), keygen(1), 1).rows] == [4, 8],
+          "benchmark does not take its lengths from a generator")
     # cofactor expansion, which det used before, would take minutes here
     matrix, det = permuted_lu(random.Random(12), 12)
     start = time.perf_counter()
@@ -335,7 +353,7 @@ def main():
           "avalanche report differs")
     print("smoke ok: Python %s, golden fixture through cli.main, %d prime chunks, "
           "%d prime streams (2 from an empty draw-table cache), 3 round trips under one key, 16 cube roots, 200 envelopes, "
-          "an envelope's two fields, a one-line CLI seed refusal, 30 refusals, a 12x12 determinant, "
+          "an envelope's two fields, a one-line CLI seed refusal, 38 refusals, lengths from a generator, a 12x12 determinant, "
           "202 attack pair sets (2 of ~4,000 digits), "
           "200 keys' un-mix and composite maps, 65,775 genuine roots, "
           "400 decrypts (200 tampered), 1 avalanche report"

@@ -553,6 +553,19 @@ def test_growth_exponent_on_synthetic_data():
         growth_exponent(one_length)
 
 
+@pytest.mark.parametrize("rows, text", [
+    ([5, 6], "report row 0 must be a BenchRow, got 5"),
+    ([BenchRow(4, 1e-6, 1e-6, 4), (8, 2e-6, 2e-6, 8)],
+     "report row 1 must be a BenchRow, got (8, 2e-06, 2e-06, 8)"),
+    (5, "report rows must be an iterable of BenchRow values, got 5"),
+], ids=["ints", "a-tuple-row", "not-iterable"])
+def test_growth_exponent_refuses_a_row_that_is_not_a_bench_row(rows, text):
+    # [5, 6] raised a raw AttributeError: 'int' object has no attribute 'message_length'
+    with pytest.raises(TypeError) as excinfo:
+        growth_exponent(BenchReport(1, rows))
+    assert str(excinfo.value) == text
+
+
 def test_avalanche_refuses_messages_over_the_length_limit():
     with pytest.raises(CipherError, match="^message is 6543 bytes, longer than the 6542-byte limit"):
         avalanche_test(keygen(1), 6543, 1, 1)

@@ -659,6 +659,30 @@ def test_unmix_matches_rational_reference():
             assert _outcome(decrypt_block, block, wrong) == _outcome(reference_decrypt_block, block, wrong)
 
 
+@pytest.mark.parametrize("d", [3, -3])
+@pytest.mark.parametrize("values, first", [
+    ([1, -1, 0, 0], 0),  # truncated remainders 1 and -1 would cancel
+    ([3, 6, -9, 0, 0, -2, 2, 0], 5),
+    ([0, 0, 0, 0, 0, 0, 0, 3**40 + 1], 7),
+], ids=["cancelling", "second-block", "huge-last"])
+def test_divide_exactly_names_the_first_entry_with_a_remainder(d, values, first):
+    block, entry = divmod(first, 4)
+    text = "entry (%d, %d) is not an integer" % divmod(entry, 2)
+    with pytest.raises(NonIntegralResultError, match=re.escape(text) + "$") as excinfo:
+        cipher_module._divide_exactly(values, d)
+    assert str(excinfo.value) == text
+    with pytest.raises(NonIntegralResultError) as excinfo:
+        cipher_module._divide_exactly(values, d, name_block=True)
+    assert str(excinfo.value) == "block %d: %s" % (block, text)
+
+
+@pytest.mark.parametrize("d", [1, 7, -7, 3**50], ids=["1", "7", "-7", "3**50"])
+def test_divide_exactly_returns_every_quotient(d):
+    quotients = [0, 5, -5, 3**60, -(2**90), 1, -1, 12]
+    assert cipher_module._divide_exactly([q * d for q in quotients], d) == quotients
+    assert cipher_module._divide_exactly((), d) == []
+
+
 def test_wrong_key_error_omits_huge_values():
     # each entry passes parse_ciphertext (4,299 digits), but the non-integral
     # value behind it is too long for str(), which used to escape as ValueError

@@ -4,8 +4,9 @@ Every per-call int argument refuses a value that is not an int, or is a
 bool, with TypeError("<name> must be an int, got <shown>"), and an int out
 of its range with ValueError("<name> must be at least <low>, got <shown>")
 or ValueError("<name> must be in [<low>, <high>], got <shown>"), the value
-shown short by errors._shown. A collection argument that is not iterable
-is refused with TypeError in the same form (errors._iterate).
+shown short by errors._shown. A collection argument that is not iterable,
+or is a mapping, is refused with TypeError in the same form
+(errors._iterate).
 """
 
 from fractions import Fraction
@@ -14,6 +15,8 @@ import pytest
 
 from cubecipher import (
     CiphertextEnvelope,
+    known_plaintext_attack,
+    serialize_pairs,
     IntMatrix,
     MAX_FIB_INDEX,
     KeyMaterial,
@@ -170,3 +173,26 @@ def test_a_type_error_raised_while_iterating_is_not_renamed():
 
     with pytest.raises(TypeError, match="^raised by the caller's iterator$"):
         IntMatrix(1, 1, entries())
+
+
+@pytest.mark.parametrize("call, text", [
+    (IntMatrix.from_rows, "matrix rows must be an iterable of rows"),
+    (lambda v: IntMatrix.from_rows([[1, 2], v]), "matrix row 1 must be an iterable of ints"),
+    (lambda v: benchmark(v, _KEY, 1), "lengths must be an iterable of ints"),
+    (known_plaintext_attack, "attack pairs must be 2x2 IntMatrix values"),
+    (serialize_pairs, "attack pairs must be 2x2 IntMatrix values"),
+], ids=["from_rows", "from_rows-row", "benchmark", "attack", "serialize_pairs"])
+@pytest.mark.parametrize("value, shown", [({4: 1}, "{4: 1}"), ({(1, 2): 0}, "{(1, 2): 0}")],
+                         ids=["int-key", "tuple-key"])
+def test_a_mapping_is_refused_not_read_as_its_keys(monkeypatch, call, text, value, shown):
+    # benchmark({4: 1}, ...) reported length 4, and from_rows({(1, 2): 0})
+    # built the matrix of the keys
+    monkeypatch.setattr(analysis, "_require_valid", _no_work)
+    with pytest.raises(TypeError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == "%s, got %s" % (text, shown)
+
+
+def test_an_iterator_is_still_a_collection():
+    assert [r.message_length for r in benchmark((x for x in (4, 8)), _KEY, 1).rows] == [4, 8]
+    assert IntMatrix.from_rows(iter([iter([1, 2])])) == IntMatrix(1, 2, (1, 2))

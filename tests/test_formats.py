@@ -377,3 +377,25 @@ def test_parse_ciphertext_matches_the_per_entry_reference():
         failures += type(got) is tuple
     # every bad block and entry fails; the genuine and edge documents parse
     assert failures == 3 * (len(_BAD_BLOCKS) + 2 * len(_BAD_ENTRIES)) + 1
+
+
+@pytest.mark.parametrize("parse, what", [
+    (parse_key, "key file"), (parse_ciphertext, "ciphertext file"), (parse_pairs, "pair file"),
+], ids=["key", "ciphertext", "pairs"])
+@pytest.mark.parametrize("value, shown", [(5, "5"), (None, "None"), (["{}"], "['{}']")],
+                         ids=["int", "none", "list"])
+def test_a_parser_refuses_a_value_json_cannot_read_in_the_documented_form(parse, what, value, shown):
+    # each raised json's own "the JSON object must be str, bytes or bytearray, not int"
+    with pytest.raises(TypeError) as excinfo:
+        parse(value)
+    assert str(excinfo.value) == "%s must be str, bytes or bytearray, got %s" % (what, shown)
+
+
+@pytest.mark.parametrize("as_type", [bytes, bytearray])
+def test_a_parser_reads_utf8_bytes_too(as_type):
+    key = keygen(7)
+    pairs = [(IntMatrix.identity(2), encrypt_block(IntMatrix.identity(2), key))]
+    assert parse_key(as_type(serialize_key(key).encode())) == key
+    envelope = encrypt(b"two types", key)
+    assert parse_ciphertext(as_type(serialize_ciphertext(envelope).encode())) == envelope
+    assert parse_pairs(as_type(serialize_pairs(pairs).encode())) == pairs

@@ -312,6 +312,44 @@ def test_prime_stream_draws_its_chunks_and_no_more(count, monkeypatch):
     assert starts == states[:: _CHUNK_DRAWS][:needed]
 
 
+_COLLECTOR_SEEDS = 20
+_COLLECTOR_Z = 4  # standard errors of the model's mean that the measured mean may stray
+
+
+def _collector_model(count):
+    """Mean and variance of the draws that emit count primes, taking each
+    draw's candidate as uniform on [0, 2**16): with i primes out, a draw
+    emits a new one with probability q_i = (6542 - i) / 65536, so the
+    draws are a sum of geometric waits, mean sum 1 / q_i and variance
+    sum (1 - q_i) / q_i**2."""
+    qs = [(PRIME_COUNT_BELOW_LIMIT - i) / PRIME_LIMIT for i in range(count)]
+    return sum(1 / q for q in qs), sum((1 - q) / q**2 for q in qs)
+
+
+@pytest.mark.parametrize("count", [136, 1024, 4096, PRIME_COUNT_BELOW_LIMIT])
+def test_chunk_count_follows_the_coupon_collector(count, monkeypatch):
+    """The mean chunk count over 20 fixed seeds is E(n) / 512 within 4
+    standard errors of the model's mean, sqrt(V(n) / 20) / 512 chunks,
+    plus up to one chunk above for each stream rounding its last draw up
+    to a whole chunk. The bound comes from the model alone; at 6,542
+    primes E(n) is ~614,000 draws, ~94 per prime."""
+    chunks = []
+
+    def counted(state):
+        chunks[-1] += 1
+        return _fill_chunk(state)
+
+    monkeypatch.setattr(primes, "_fill_chunk", counted)
+    rng = Xorshift64Star(13)
+    for _ in range(_COLLECTOR_SEEDS):
+        chunks.append(0)
+        prime_stream(rng.next_u64(), count)
+    mean, variance = _collector_model(count)
+    slack = _COLLECTOR_Z * math.sqrt(variance / _COLLECTOR_SEEDS)
+    measured = sum(chunks) / _COLLECTOR_SEEDS
+    assert (mean - slack) / _CHUNK_DRAWS <= measured <= (mean + slack) / _CHUNK_DRAWS + 1
+
+
 @pytest.mark.parametrize(
     "seed, error", [(-1, ValueError), (1 << 64, ValueError), ("7", TypeError), (True, TypeError)]
 )
