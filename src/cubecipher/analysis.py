@@ -382,12 +382,22 @@ def growth_exponent(report: BenchReport) -> float:
     Nearer the 6,542-byte ceiling it is not linear: the prime stream is a
     coupon collector (see the README's "Runtime scaling"), so a 6,542-byte
     encrypt takes ~7x the time of a 4,096-byte one. Every row must be a
-    BenchRow (TypeError naming the first that is not).
+    BenchRow whose message_length is an int of at least 1 and whose
+    encrypt_seconds is a finite int or float; a refusal names the first
+    row that is not.
     """
     _require_instance(report, BenchReport, "report")
     rows = list(_iterate(report.rows, "report rows must be an iterable of BenchRow values"))
     for i, row in enumerate(rows):
-        _require_instance(row, BenchRow, "report row %d" % i)
+        name = "report row %d" % i
+        _require_instance(row, BenchRow, name)
+        _require_int(row.message_length, name + "'s message_length", 1)
+        seconds = row.encrypt_seconds
+        if not _is_int(seconds) and not isinstance(seconds, float):
+            raise TypeError("%s's encrypt_seconds must be an int or float, got %s"
+                            % (name, _shown(seconds)))
+        if isinstance(seconds, float) and not math.isfinite(seconds):
+            raise ValueError("%s's encrypt_seconds must be finite, got %s" % (name, _shown(seconds)))
     if len(rows) < 2:
         raise ValueError("need at least two rows to fit a growth exponent")
     if len({r.message_length for r in rows}) < 2:

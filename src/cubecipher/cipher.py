@@ -141,11 +141,8 @@ class CiphertextEnvelope:
     blocks: tuple
 
     def __init__(self, pad_count, blocks):
-        try:  # checked only when tuple() fails, so a build gains no call
-            blocks = tuple(blocks)
-        except TypeError:
-            _iterate(blocks, "envelope blocks must be an iterable of 2x2 IntMatrix values")
-            raise  # raised while iterating
+        if type(blocks) is not tuple:  # a tuple is kept, not copied
+            blocks = tuple(_iterate(blocks, "envelope blocks must be an iterable of 2x2 IntMatrix values"))
         _require_int(pad_count, "pad_count", 0, BLOCK_SYMBOLS - 1)
         if not blocks and pad_count != 0:
             raise ValueError("an empty envelope cannot carry padding")

@@ -28,6 +28,8 @@ numbers, and version mismatches all raise FormatError, as does any text
 that is not JSON; a value that is not str, bytes or bytearray raises
 TypeError naming it. The version tag, FORMAT_VERSION, is in the files alone,
 not in a CiphertextEnvelope: the JSON integer 1, not 1.0, 1e0 or true.
+A key file's prime_seed range is KeyMaterial's, refused as FormatError
+with KeyMaterial's text after "key file: ".
 parse_ciphertext also raises CorruptCiphertextError, before it parses any
 block, when the file claims more symbols (4 * len(blocks) - pad_count)
 than MAX_MESSAGE_BYTES, so an over-long file costs one json.loads and no
@@ -49,7 +51,6 @@ from itertools import chain
 from .cipher import BLOCK_SYMBOLS, CiphertextEnvelope, KeyMaterial, _require_symbol_count
 from .errors import FormatError, _is_int, _iterate, _require_instance, _shown
 from .matrices import IntMatrix
-from .primes import MAX_U64
 
 __all__ = [
     "FORMAT_VERSION",
@@ -189,9 +190,10 @@ def parse_key(text: str) -> KeyMaterial:
     if not 0 <= quarter_turns <= 3:
         raise FormatError("key file: quarter_turns must be in [0, 3], got %s" % _shown(quarter_turns))
     prime_seed = _parse_decimal(obj["prime_seed"], "key file: prime_seed")
-    if not 0 <= prime_seed <= MAX_U64:
-        raise FormatError("key file: prime_seed must fit in 64 unsigned bits")
-    return KeyMaterial(IntMatrix(2, 2, entries), fib_index, quarter_turns, prime_seed)
+    try:
+        return KeyMaterial(IntMatrix(2, 2, entries), fib_index, quarter_turns, prime_seed)
+    except ValueError as exc:  # the seed's range, which KeyMaterial checks
+        raise FormatError("key file: %s" % exc) from None
 
 
 # One ciphertext block as dumps_canonical lays it out, three levels deep.

@@ -98,11 +98,8 @@ class IntMatrix:
     entries: tuple
 
     def __init__(self, rows, cols, entries):
-        try:  # checked only when tuple() fails, so a build gains no call
-            entries = tuple(entries)
-        except TypeError:
-            _iterate(entries, "integer matrix entries must be an iterable of ints")
-            raise  # raised while iterating
+        if type(entries) is not tuple:  # a tuple is kept, not copied
+            entries = tuple(_iterate(entries, "integer matrix entries must be an iterable of ints"))
         if (type(rows) is not int or type(cols) is not int
                 or rows < 1 or cols < 1 or len(entries) != rows * cols):
             _check_shape(rows, cols, entries)

@@ -3,6 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every check is exact (zero tolerance) unless stated otherwise, and
 each criterion carries a wall-time budget that is asserted as well.
+
+This module imports no pytest, so an interpreter without it runs the
+criteria as plain calls (see the README's "Install and test"); keep it so.
 """
 
 import random

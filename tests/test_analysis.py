@@ -566,6 +566,23 @@ def test_growth_exponent_refuses_a_row_that_is_not_a_bench_row(rows, text):
     assert str(excinfo.value) == text
 
 
+@pytest.mark.parametrize("row, error, text", [
+    (BenchRow(0, 1e-6, 1e-6, 4), ValueError, "report row 1's message_length must be at least 1, got 0"),
+    (BenchRow("8", 1e-6, 1e-6, 4), TypeError, "report row 1's message_length must be an int, got '8'"),
+    (BenchRow(8.0, 1e-6, 1e-6, 4), TypeError, "report row 1's message_length must be an int, got 8.0"),
+    (BenchRow(8, "x", 1e-6, 4), TypeError, "report row 1's encrypt_seconds must be an int or float, got 'x'"),
+    (BenchRow(8, True, 1e-6, 4), TypeError, "report row 1's encrypt_seconds must be an int or float, got True"),
+    (BenchRow(8, float("nan"), 1e-6, 4), ValueError, "report row 1's encrypt_seconds must be finite, got nan"),
+    (BenchRow(8, float("inf"), 1e-6, 4), ValueError, "report row 1's encrypt_seconds must be finite, got inf"),
+], ids=["length-0", "length-str", "length-float", "seconds-str", "seconds-bool", "seconds-nan", "seconds-inf"])
+def test_growth_exponent_refuses_a_bad_row_field(row, error, text):
+    # these raised math's "math domain error", its "must be real number,
+    # not str" and a raw comparison TypeError, and a NaN time returned nan
+    with pytest.raises(error) as excinfo:
+        growth_exponent(BenchReport(1, [BenchRow(4, 1e-6, 1e-6, 4), row]))
+    assert str(excinfo.value) == text
+
+
 def test_avalanche_refuses_messages_over_the_length_limit():
     with pytest.raises(CipherError, match="^message is 6543 bytes, longer than the 6542-byte limit"):
         avalanche_test(keygen(1), 6543, 1, 1)

@@ -314,6 +314,9 @@ def test_golden_fixture_encryption_matches(tmp_path):
     assert code == 0
     assert ct.read_bytes() == (FIXTURES / "golden_ciphertext.json").read_bytes()
     assert "79079" in ct.read_text(encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert run(["decrypt", "--key", FIXTURES / "golden_key.json", "--in", ct, "--out", out]) == 0
+    assert out.read_bytes() == (FIXTURES / "golden_message.txt").read_bytes()
 
 
 def test_stdout_output(tmp_path, capsysbinary):

@@ -202,6 +202,10 @@ def test_integer_cube_root_around_the_float_seam():
         for n in [1 << (bits - 1), (1 << bits) - 1] + [rng.getrandbits(bits) | 1 << (bits - 1)
                                                        for _ in range(50)]:
             assert integer_cube_root(n) == reference_integer_cube_root(n), n
+    # 208064**3 is the first cube past 2**53
+    for n in [(1 << 53) + d for d in range(-3, 4)] + [k**3 + d for k in (208063, 208064, 208065)
+                                                      for d in (-1, 0, 1)]:
+        assert integer_cube_root(n) == reference_integer_cube_root(n), n
 
 
 def test_decode_symbol_round_trips_the_extreme_codes_for_every_prime():

@@ -86,7 +86,10 @@ _PARAMETERS = [
     ("integer_cube_root-n", integer_cube_root, "integer_cube_root's n", 0, None),
 ]
 
-_SHOWN = {2.5: "2.5", True: "True", "7": "'7'", Fraction(1, 2): "Fraction(1, 2)", None: "None"}
+# an integral float and NaN too: a check by value, such as k == int(k) or
+# n < 0, would let either through
+_SHOWN = {2.5: "2.5", 2.0: "2.0", float("nan"): "nan", True: "True", "7": "'7'",
+          Fraction(1, 2): "Fraction(1, 2)", None: "None"}
 _HUGE_NEGATIVE = -(10**5000)
 # an int with no bounds is accepted whatever its size, unless its value is
 # refused by its own error class
@@ -176,17 +179,25 @@ def test_a_type_error_raised_while_iterating_is_not_renamed():
 
 
 @pytest.mark.parametrize("call, text", [
+    (lambda v: IntMatrix(2, 2, v), "integer matrix entries must be an iterable of ints"),
     (IntMatrix.from_rows, "matrix rows must be an iterable of rows"),
     (lambda v: IntMatrix.from_rows([[1, 2], v]), "matrix row 1 must be an iterable of ints"),
+    (lambda v: CiphertextEnvelope(0, v), "envelope blocks must be an iterable of 2x2 IntMatrix values"),
     (lambda v: benchmark(v, _KEY, 1), "lengths must be an iterable of ints"),
     (known_plaintext_attack, "attack pairs must be 2x2 IntMatrix values"),
     (serialize_pairs, "attack pairs must be 2x2 IntMatrix values"),
-], ids=["from_rows", "from_rows-row", "benchmark", "attack", "serialize_pairs"])
-@pytest.mark.parametrize("value, shown", [({4: 1}, "{4: 1}"), ({(1, 2): 0}, "{(1, 2): 0}")],
-                         ids=["int-key", "tuple-key"])
+], ids=["IntMatrix", "from_rows", "from_rows-row", "CiphertextEnvelope", "benchmark", "attack",
+        "serialize_pairs"])
+@pytest.mark.parametrize("value, shown", [
+    ({4: 1}, "{4: 1}"),
+    ({(1, 2): 0}, "{(1, 2): 0}"),
+    ({1: 0, 2: 0, 3: 0, 4: 0}, "{1: 0, 2: 0, 3: 0, 4: 0}"),
+    ({_BLOCK: 1}, "{IntMatrix(rows=2, cols=2, entries=(1, 2... (52 characters)"),
+], ids=["int-key", "tuple-key", "four-int-keys", "block-key"])
 def test_a_mapping_is_refused_not_read_as_its_keys(monkeypatch, call, text, value, shown):
-    # benchmark({4: 1}, ...) reported length 4, and from_rows({(1, 2): 0})
-    # built the matrix of the keys
+    # benchmark({4: 1}, ...) reported length 4, from_rows({(1, 2): 0}) built
+    # the matrix of the keys, as IntMatrix(2, 2, {1: 0, 2: 0, 3: 0, 4: 0})
+    # did, and CiphertextEnvelope(0, {block: 1}) the envelope of its keys
     monkeypatch.setattr(analysis, "_require_valid", _no_work)
     with pytest.raises(TypeError) as excinfo:
         call(value)

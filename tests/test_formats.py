@@ -120,6 +120,19 @@ def test_out_of_range_quarter_turns_gives_a_short_message():
         assert str(info.value) == "key file: quarter_turns must be in [0, 3], got " + shown
 
 
+def test_out_of_range_prime_seed_gives_the_key_range_in_a_short_message():
+    # the range is KeyMaterial's, with its text; a 4,000-digit seed is shown short
+    template = (
+        '{"version": 1, "k": ["1", "0", "0", "1"], "fib_index": "1",'
+        ' "quarter_turns": "0", "prime_seed": "%s"}'
+    )
+    for value, shown in (("-1", "-1"), (str(1 << 64), str(1 << 64)),
+                         ("9" * 4000, "9" * 40 + "... (4000 characters)")):
+        with pytest.raises(FormatError) as info:
+            parse_key(template % value)
+        assert str(info.value) == "key file: prime_seed must be in [0, 18446744073709551615], got " + shown
+
+
 def test_ciphertext_parsing_rejects_bad_documents():
     env = encrypt(b"abcdef", keygen(2))
     good = serialize_ciphertext(env)

@@ -366,7 +366,8 @@ def test_draw_table_built_by_concurrent_first_use():
     reference streams, and the one table left cached is the one a fresh
     build gives."""
     _draw_table.cache_clear()
-    jobs = [(s, n) for s in PREFIX_SEEDS for n in (16, 300, 4000)]  # references cached above
+    # references cached above
+    jobs = [(s, n) for s in PREFIX_SEEDS for n in (16, 300, 4000, PRIME_COUNT_BELOW_LIMIT)]
     results = {}
     threads = [
         threading.Thread(target=lambda s=s, n=n: results.__setitem__((s, n), prime_stream(s, n)))
