@@ -62,8 +62,7 @@ from .cipher import (
 )
 from .errors import (InsufficientPairsError, _is_int, _iterate, _require_instance, _require_int,
                      _shown)
-from .formats import (FORMAT_VERSION, _attack_pairs, _ciphertext_text, _format_decimal,
-                      dumps_canonical, serialize_ciphertext)
+from .formats import _attack_pairs, _ciphertext_text, _document, _format_decimal, serialize_ciphertext
 from .matrices import IntMatrix, _bareiss_jordan
 from .primes import Xorshift64Star
 
@@ -111,19 +110,15 @@ class AvalancheReport:
     finding: str = ""
 
     def to_json_text(self) -> str:
-        return dumps_canonical(
-            {
-                "version": FORMAT_VERSION,
-                "trials": self.trials,
-                "message_length": self.message_length,
-                "mean_changed_block_fraction": str(self.mean_changed_block_fraction),
-                "mean_changed_bit_fraction": str(self.mean_changed_bit_fraction),
-                "locality_histogram": {
-                    str(k): self.locality_histogram[k]
-                    for k in sorted(self.locality_histogram)
-                },
-                "finding": self.finding,
-            }
+        return _document(
+            trials=self.trials,
+            message_length=self.message_length,
+            mean_changed_block_fraction=str(self.mean_changed_block_fraction),
+            mean_changed_bit_fraction=str(self.mean_changed_bit_fraction),
+            locality_histogram={
+                str(k): self.locality_histogram[k] for k in sorted(self.locality_histogram)
+            },
+            finding=self.finding,
         )
 
     def to_csv_text(self) -> str:
@@ -216,17 +211,14 @@ class AttackResult:
 
     def to_json_text(self) -> str:
         m = self.composite_map
-        return dumps_canonical(
-            {
-                "version": FORMAT_VERSION,
-                "pairs_used": self.pairs_used,
-                "verified": self.verified,
-                "composite_map": [
-                    [_format_decimal(m[4 * i + j], "attack result: composite_map", i, j)
-                     for j in range(4)]
-                    for i in range(4)
-                ],
-            }
+        return _document(
+            pairs_used=self.pairs_used,
+            verified=self.verified,
+            composite_map=[
+                [_format_decimal(m[4 * i + j], "attack result: composite_map", i, j)
+                 for j in range(4)]
+                for i in range(4)
+            ],
         )
 
 
@@ -305,13 +297,7 @@ class BenchReport:
     rows: list = field(default_factory=list)
 
     def to_json_text(self) -> str:
-        return dumps_canonical(
-            {
-                "version": FORMAT_VERSION,
-                "repetitions": self.repetitions,
-                "rows": [asdict(r) for r in self.rows],
-            }
-        )
+        return _document(repetitions=self.repetitions, rows=[asdict(r) for r in self.rows])
 
     def to_csv_text(self) -> str:
         lines = [",".join(f.name for f in fields(BenchRow))]
@@ -383,8 +369,9 @@ def growth_exponent(report: BenchReport) -> float:
     coupon collector (see the README's "Runtime scaling"), so a 6,542-byte
     encrypt takes ~7x the time of a 4,096-byte one. Every row must be a
     BenchRow whose message_length is an int of at least 1 and whose
-    encrypt_seconds is a finite int or float; a refusal names the first
-    row that is not.
+    encrypt_seconds is a finite int or float of at least 0; a refusal
+    names the first row that is not. A time of 0, which a coarse timer
+    can read, is taken as 1e-9 s before its log.
     """
     _require_instance(report, BenchReport, "report")
     rows = list(_iterate(report.rows, "report rows must be an iterable of BenchRow values"))
@@ -398,6 +385,8 @@ def growth_exponent(report: BenchReport) -> float:
                             % (name, _shown(seconds)))
         if isinstance(seconds, float) and not math.isfinite(seconds):
             raise ValueError("%s's encrypt_seconds must be finite, got %s" % (name, _shown(seconds)))
+        if seconds < 0:
+            raise ValueError("%s's encrypt_seconds must be at least 0, got %s" % (name, _shown(seconds)))
     if len(rows) < 2:
         raise ValueError("need at least two rows to fit a growth exponent")
     if len({r.message_length for r in rows}) < 2:

@@ -45,11 +45,10 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 
-from .encoding import ASCII_MAX, BYTE_MAX, _decode_all, _encode_all, decode_symbol
+from .encoding import ASCII_MAX, BYTE_MAX, _decode_all, _encode_all
 from .errors import (
     CipherError,
     CorruptCiphertextError,
-    CorruptValueError,
     InvalidKeyError,
     NonIntegralResultError,
     SymbolRangeError,
@@ -394,16 +393,4 @@ def decrypt(envelope: CiphertextEnvelope, key: KeyMaterial, byte_mode: bool = Fa
     d, det_k = _unmix_map(key)
     mapped = list(chain.from_iterable(_map_blocks(d, (b.entries for b in envelope.blocks))))
     ts = _strip_pad(_divide_exactly(mapped, det_k, name_block=True), envelope.pad_count)
-    primes = _primes(key, len(ts))
-    max_code = BYTE_MAX if byte_mode else ASCII_MAX
-    codes = _decode_all(ts, primes, max_code)
-    if codes is not None:
-        return bytes(codes)
-    # a value failed the bulk decode: name the first one
-    out = bytearray()
-    for i, (t, p) in enumerate(zip(ts, primes)):
-        try:
-            out.append(decode_symbol(t, p, max_code))
-        except (CorruptValueError, SymbolRangeError) as exc:
-            raise type(exc)("symbol %d: %s" % (i, exc)) from None
-    return bytes(out)
+    return bytes(_decode_all(ts, _primes(key, len(ts)), BYTE_MAX if byte_mode else ASCII_MAX))

@@ -130,15 +130,13 @@ def _read_bytes(path, stdin=True):
 
 
 def _read_text(path, what, stdin=False):
-    """The UTF-8 text of _read_bytes(path, stdin), newlines translated as
-    open() does."""
+    """The UTF-8 text of _read_bytes(path, stdin), line endings untouched:
+    every file read here is JSON, which takes CR and LF alike as
+    whitespace, so a CRLF or CR file parses to the same values."""
     try:
-        text = _read_bytes(path, stdin).decode("utf-8")
+        return _read_bytes(path, stdin).decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError("%s: not valid UTF-8" % what)
-    if "\r" in text:  # one scan; two replace calls would copy the text twice
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
 
 
 def _write_atomic(path, data: bytes):

@@ -22,8 +22,9 @@ Each direction runs in bulk over a whole message: _encode_all, the one
 place the formula is written, and _decode_all, which takes every
 candidate n from a float cube root and checks them all exactly at once.
 Neither checks its arguments. The public per-symbol functions check
-theirs through errors._require_int, and decryption calls decode_symbol
-only when the bulk pass fails, to raise the error for the first bad value.
+theirs through errors._require_int, and _decode_all calls decode_symbol
+only when its bulk pass fails, to raise the error for the first bad value
+after "symbol i: ".
 
 Every result here is exact: a float only ever proposes a candidate that
 exact integer arithmetic then accepts or rejects. Error messages give the
@@ -104,9 +105,10 @@ def solve_depressed_cubic(t: int) -> int:
 
 
 def _decode_all(ts, primes, max_code):
-    """The codes decode_symbol gives for each (t, prime) pair, in one pass,
-    or None when ts is empty or any t is outside [1, 2**50), not a genuine
-    encoding, or decodes outside [0, max_code].
+    """The codes decode_symbol gives for each (t, prime) pair, as a list,
+    in one pass; [] when ts is empty. A pair decode_symbol refuses raises
+    its error, CorruptValueError or SymbolRangeError, for the first such
+    pair i, with "symbol i: " before decode_symbol's text.
 
     Each candidate is n = int(float(6t) ** (1/3)) + 1, for 1 <= t < 2**50,
     where 6t < 2**53 converts to a float exactly. For a genuine t,
@@ -117,19 +119,24 @@ def _decode_all(ts, primes, max_code):
     off by less than 2**-30, so the candidate is n exactly. The candidates
     are then accepted only if n^3 - n = 6t holds exactly for every symbol:
     the integer root is unique, so no input, genuine or not, can pass with
-    a wrong n. Any failure returns None, and the caller goes symbol by
-    symbol through decode_symbol to raise the error at the right index.
+    a wrong n. When any t is outside [1, 2**50), not a genuine encoding,
+    or decodes outside [0, max_code], the pairs go one by one through
+    decode_symbol, which raises the error at the right index.
     """
-    if not ts or min(ts) < 1 or max(ts) >= _FLOAT_T_LIMIT:
-        return None
-    ns = [int((6 * t) ** (1 / 3)) + 1 for t in ts]
-    # a list of bools, not of ints: True and False are shared objects, so
-    # the check keeps no int per symbol
-    if not all([n * n * n - n == 6 * t for n, t in zip(ns, ts)]):
-        return None
-    codes = list(map(sub, ns, primes))
-    if min(codes) < 0 or max(codes) > max_code:
-        return None
+    if ts and min(ts) >= 1 and max(ts) < _FLOAT_T_LIMIT:
+        ns = [int((6 * t) ** (1 / 3)) + 1 for t in ts]
+        # a list of bools, not of ints: True and False are shared objects,
+        # so the check keeps no int per symbol
+        if all([n * n * n - n == 6 * t for n, t in zip(ns, ts)]):
+            codes = list(map(sub, ns, primes))
+            if min(codes) >= 0 and max(codes) <= max_code:
+                return codes
+    codes = []
+    for i, (t, p) in enumerate(zip(ts, primes)):
+        try:
+            codes.append(decode_symbol(t, p, max_code))
+        except (CorruptValueError, SymbolRangeError) as exc:
+            raise type(exc)("symbol %d: %s" % (i, exc)) from None
     return codes
 
 

@@ -120,6 +120,20 @@ def _expect_version(value, what):
         raise FormatError("%s: unsupported version %s" % (what, _shown(value)))
 
 
+def _document(**fields):
+    """The canonical text of {"version": FORMAT_VERSION, **fields}."""
+    return dumps_canonical({"version": FORMAT_VERSION, **fields})
+
+
+def _load_document(text, what, fields):
+    """The object of a file whose fields are "version" and fields, in
+    any order, and whose version is FORMAT_VERSION; else FormatError."""
+    obj = _load_json(text, what)
+    _expect_fields(obj, ("version",) + fields, what)
+    _expect_version(obj["version"], what)
+    return obj
+
+
 def _field(what, index):
     """The field name what[i][j] for an error message."""
     return what + "".join("[%d]" % i for i in index)
@@ -170,20 +184,16 @@ def _parse_block_entries(value, what, *index):
 
 def serialize_key(key: KeyMaterial) -> str:
     _require_instance(key, KeyMaterial, "key")
-    obj = {
-        "version": FORMAT_VERSION,
-        "k": [_format_decimal(e, "key file: k", i) for i, e in enumerate(key.key_matrix.entries)],
-        "fib_index": _format_decimal(key.fib_index, "key file: fib_index"),
-        "quarter_turns": str(key.quarter_turns),
-        "prime_seed": str(key.prime_seed),
-    }
-    return dumps_canonical(obj)
+    return _document(
+        k=[_format_decimal(e, "key file: k", i) for i, e in enumerate(key.key_matrix.entries)],
+        fib_index=_format_decimal(key.fib_index, "key file: fib_index"),
+        quarter_turns=str(key.quarter_turns),
+        prime_seed=str(key.prime_seed),
+    )
 
 
 def parse_key(text: str) -> KeyMaterial:
-    obj = _load_json(text, "key file")
-    _expect_fields(obj, ("version", "k", "fib_index", "quarter_turns", "prime_seed"), "key file")
-    _expect_version(obj["version"], "key file")
+    obj = _load_document(text, "key file", ("k", "fib_index", "quarter_turns", "prime_seed"))
     entries = _parse_block_entries(obj["k"], "key file: k")
     fib_index = _parse_decimal(obj["fib_index"], "key file: fib_index")
     quarter_turns = _parse_decimal(obj["quarter_turns"], "key file: quarter_turns")
@@ -228,9 +238,7 @@ def _ciphertext_text(pad_count, vectors):
 
 
 def parse_ciphertext(text: str) -> CiphertextEnvelope:
-    obj = _load_json(text, "ciphertext file")
-    _expect_fields(obj, ("version", "pad_count", "blocks"), "ciphertext file")
-    _expect_version(obj["version"], "ciphertext file")
+    obj = _load_document(text, "ciphertext file", ("pad_count", "blocks"))
     pad_count = obj["pad_count"]
     if not _is_int(pad_count) or not 0 <= pad_count <= 3:
         raise FormatError("ciphertext file: pad_count must be an integer in [0, 3]")
@@ -285,13 +293,11 @@ def serialize_pairs(pairs) -> str:
         }
         for i, (plain, cipher) in enumerate(_attack_pairs(pairs))
     ]
-    return dumps_canonical({"version": FORMAT_VERSION, "pairs": rows})
+    return _document(pairs=rows)
 
 
 def parse_pairs(text: str):
-    obj = _load_json(text, "pair file")
-    _expect_fields(obj, ("version", "pairs"), "pair file")
-    _expect_version(obj["version"], "pair file")
+    obj = _load_document(text, "pair file", ("pairs",))
     raw_pairs = obj["pairs"]
     if not isinstance(raw_pairs, list):
         raise FormatError("pair file: pairs must be a list")

@@ -544,6 +544,9 @@ def test_growth_exponent_on_synthetic_data():
         quadratic.rows.append(BenchRow(length, length**2 * 1e-9, length**2 * 1e-9, length))
     assert abs(growth_exponent(linear) - 1.0) < 1e-9
     assert abs(growth_exponent(quadratic) - 2.0) < 1e-9
+    # a timer can read 0, which is taken as 1e-9 s
+    zero = BenchReport(1, [BenchRow(4, 0, 0, 0), BenchRow(8, 2e-9, 0, 0)])
+    assert abs(growth_exponent(zero) - 1.0) < 1e-9
     with pytest.raises(ValueError):
         growth_exponent(BenchReport(repetitions=1))
     # rows of one length give no slope; this divided by zero before
@@ -574,10 +577,13 @@ def test_growth_exponent_refuses_a_row_that_is_not_a_bench_row(rows, text):
     (BenchRow(8, True, 1e-6, 4), TypeError, "report row 1's encrypt_seconds must be an int or float, got True"),
     (BenchRow(8, float("nan"), 1e-6, 4), ValueError, "report row 1's encrypt_seconds must be finite, got nan"),
     (BenchRow(8, float("inf"), 1e-6, 4), ValueError, "report row 1's encrypt_seconds must be finite, got inf"),
-], ids=["length-0", "length-str", "length-float", "seconds-str", "seconds-bool", "seconds-nan", "seconds-inf"])
+    (BenchRow(8, -5.0, 0, 0), ValueError, "report row 1's encrypt_seconds must be at least 0, got -5.0"),
+], ids=["length-0", "length-str", "length-float", "seconds-str", "seconds-bool", "seconds-nan", "seconds-inf",
+        "seconds-negative"])
 def test_growth_exponent_refuses_a_bad_row_field(row, error, text):
     # these raised math's "math domain error", its "must be real number,
-    # not str" and a raw comparison TypeError, and a NaN time returned nan
+    # not str" and a raw comparison TypeError, a NaN time returned nan, and
+    # a negative time was clamped to 1e-9 before its log
     with pytest.raises(error) as excinfo:
         growth_exponent(BenchReport(1, [BenchRow(4, 1e-6, 1e-6, 4), row]))
     assert str(excinfo.value) == text

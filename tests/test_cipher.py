@@ -33,6 +33,7 @@ from cubecipher import (
     block_map,
     decrypt,
     decrypt_block,
+    encode_symbol,
     encrypt,
     encrypt_block,
     fibonacci_q,
@@ -44,6 +45,7 @@ from cubecipher import (
     validate_key,
 )
 from cubecipher import cipher as cipher_module
+from cubecipher import encoding as encoding_module
 from cubecipher.primes import Xorshift64Star
 from spec import (
     outcome,
@@ -385,6 +387,21 @@ def test_byte_mode_round_trips_all_byte_values():
     assert decrypt(env, key, byte_mode=True) == message
 
 
+def test_byte_mode_refuses_a_decoded_code_of_256():
+    # symbol 5 is a genuine encoding of code 256, one past a byte, under its
+    # own prime, so only the byte range refuses it
+    key = keygen(256)
+    primes = cipher_module._primes(key, 8)
+    codes = [65, 66, 67, 68, 69, 256, 70, 71]
+    ts = [encode_symbol(c, p) for c, p in zip(codes, primes)]
+    blocks = [encrypt_block(IntMatrix(2, 2, ts[i:i + 4]), key) for i in (0, 4)]
+    with pytest.raises(SymbolRangeError) as excinfo:
+        decrypt(CiphertextEnvelope(0, blocks), key, byte_mode=True)
+    assert str(excinfo.value) == (
+        "symbol 5: decoded code 256 is outside [0, 255] (wrong prime or corrupted value)"
+    )
+
+
 def test_encrypt_rejects_str():
     with pytest.raises(TypeError):
         encrypt("text", keygen(1))
@@ -700,7 +717,7 @@ def test_decrypt_decodes_genuine_symbols_in_one_pass():
     key = keygen(4242)
     message = bytes(range(32, 127)) * 3
     high = encrypt(message[:61] + b"\xff" + message[62:], key, byte_mode=True)
-    counted = mock.patch.object(cipher_module, "decode_symbol", wraps=cipher_module.decode_symbol)
+    counted = mock.patch.object(encoding_module, "decode_symbol", wraps=encoding_module.decode_symbol)
     with counted as spy:
         assert decrypt(encrypt(message, key), key) == message
         assert spy.call_count == 0

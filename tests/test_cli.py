@@ -360,6 +360,31 @@ def test_decrypt_reads_ciphertext_from_stdin(tmp_path, monkeypatch, capsysbinary
     assert capsysbinary.readouterr().out == b"ciphertext on standard in"
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_files_read_the_same_under_any_line_ending(tmp_path, capsysbinary, newline):
+    # JSON takes CR as whitespace, so key, ciphertext and pair files need
+    # no newline translation
+    key = tmp_path / "k.json"
+    msg = tmp_path / "m.txt"
+    ct = tmp_path / "ct.json"
+    pairs = tmp_path / "pairs.json"
+    msg.write_bytes(b"any line ending")
+    run(["keygen", "--seed", 18, "--out", key])
+    run(["encrypt", "--key", key, "--in", msg, "--out", ct])
+    blocks = [IntMatrix(2, 2, (1, 0, 0, 0)), IntMatrix(2, 2, (0, 1, 0, 0)),
+              IntMatrix(2, 2, (0, 0, 1, 0)), IntMatrix(2, 2, (0, 0, 0, 1))]
+    pairs.write_text(serialize_pairs([(b, encrypt_block(b, keygen(18))) for b in blocks]),
+                     encoding="utf-8")
+    assert run(["attack", "--pairs", pairs]) == 0
+    expected_attack = capsysbinary.readouterr().out
+    for path in (key, ct, pairs):
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    assert run(["decrypt", "--key", key, "--in", ct, "--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == b"any line ending"
+    assert run(["attack", "--pairs", pairs]) == 0
+    assert capsysbinary.readouterr().out == expected_attack
+
+
 def test_decrypt_of_non_utf8_stdin_exits_4(tmp_path, monkeypatch, capsys):
     key = tmp_path / "k.json"
     out = tmp_path / "out.txt"
@@ -699,12 +724,6 @@ EXIT_MEANINGS = {
 }
 
 
-def _subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _subclasses(sub)
-
-
 def test_exit_codes_agree_across_the_code_and_the_docs():
     assert sorted(EXIT_MEANINGS) == [0, 2, 3, 4, 5]
     listed = cli.__doc__.split("Exit codes:\n", 1)[1].strip().splitlines()
@@ -715,7 +734,7 @@ def test_exit_codes_agree_across_the_code_and_the_docs():
     paragraph = " ".join(readme.split("Exit codes: ", 1)[1].split("\n\n", 1)[0].split())
     for code, meaning in sorted(EXIT_MEANINGS.items()):
         assert "`%d` %s" % (code, meaning) in paragraph, code
-    classes = list(_subclasses(errors.CipherError))
+    classes = list(_all_subclasses(errors.CipherError))
     assert cli._UsageError in classes
     for cls in [errors.CipherError] + classes:
         assert cls.exit_code in {errors.EXIT_USAGE, errors.EXIT_BAD_KEY, errors.EXIT_BAD_DATA}, cls

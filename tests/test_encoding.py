@@ -2,6 +2,7 @@
 
 import random
 from array import array
+from unittest import mock
 
 import pytest
 
@@ -14,6 +15,7 @@ from cubecipher import (
     integer_cube_root,
     solve_depressed_cubic,
 )
+from cubecipher import encoding as encoding_module
 from cubecipher.encoding import _decode_all, _encode_all
 from cubecipher.primes import PRIME_COUNT_BELOW_LIMIT, PRIME_LIMIT
 from spec import (is_prime, reference_encode_symbol, reference_integer_cube_root,
@@ -315,16 +317,30 @@ def test_bulk_decode_takes_every_genuine_root_from_its_float_candidate():
     assert not any(is_prime(n) for n in range(_LARGEST_PRIME + 1, PRIME_LIMIT))
     ns = range(2, _N_MAX + 1)
     ts = [(n * n * n - n) // 6 for n in ns]
-    # with prime 2 the codes are n - 2; None would mean the float candidate
-    # missed some n and the bulk pass fell back
-    assert _decode_all(ts, [2] * len(ts), _N_MAX - 2) == [n - 2 for n in ns]
+    # with prime 2 the codes are n - 2; a call of decode_symbol would mean
+    # the float candidate missed some n and the bulk pass fell back
+    counted = mock.patch.object(encoding_module, "decode_symbol", wraps=decode_symbol)
+    with counted as spy:
+        assert _decode_all(ts, [2] * len(ts), _N_MAX - 2) == [n - 2 for n in ns]
+        assert _decode_all([], [], 127) == []
+    assert spy.call_count == 0
 
 
-def _decode_outcome(t, prime, max_code):
+def _decode_outcome(t, prime, max_code, i=0):
+    """decode_symbol's outcome as _decode_all reports it for symbol i: the
+    code in a list, or the error's class and text after "symbol i: "."""
     try:
         return [decode_symbol(t, prime, max_code)]
-    except (CorruptValueError, SymbolRangeError):
-        return None
+    except (CorruptValueError, SymbolRangeError) as exc:
+        return type(exc), "symbol %d: %s" % (i, exc)
+
+
+def _bulk_outcome(ts, primes, max_code):
+    """_decode_all's codes, or the class and text of the error it raises."""
+    try:
+        return _decode_all(ts, primes, max_code)
+    except (CorruptValueError, SymbolRangeError) as exc:
+        return type(exc), str(exc)
 
 
 def test_bulk_decode_fails_exactly_where_decode_symbol_raises():
@@ -336,7 +352,7 @@ def test_bulk_decode_fails_exactly_where_decode_symbol_raises():
         ts += [genuine - 1, genuine, genuine + 1]
     for t in ts:
         for prime, max_code in ((2, 127), (13, 127), (141, 255), (65521, 255)):
-            assert _decode_all([t], [prime], max_code) == _decode_outcome(t, prime, max_code)
+            assert _bulk_outcome([t], [prime], max_code) == _decode_outcome(t, prime, max_code)
 
 
 def test_bulk_decode_fails_on_any_bad_symbol():
@@ -347,4 +363,6 @@ def test_bulk_decode_fails_on_any_bad_symbol():
     assert _decode_all(ts, primes, 127) == codes
     for i in (0, 17, 39):
         for bad in (ts[i] - 1, ts[i] + 1, 0, -ts[i], encode_symbol(128, primes[i])):
-            assert _decode_all(ts[:i] + [bad] + ts[i + 1:], primes, 127) is None
+            refusal = _decode_outcome(bad, primes[i], 127, i)
+            assert isinstance(refusal, tuple)
+            assert _bulk_outcome(ts[:i] + [bad] + ts[i + 1:], primes, 127) == refusal

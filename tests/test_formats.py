@@ -192,6 +192,8 @@ def test_pair_file_rejects_bad_documents():
         parse_pairs('{"version": 1, "pairs": [{"plaintext": ["1","2","3","4"]}]}')
     with pytest.raises(FormatError):
         parse_pairs('{"version": 2, "pairs": []}')
+    with pytest.raises(FormatError, match=r"^pair file: pairs must be a list$"):
+        parse_pairs('{"version": 1, "pairs": 5}')
     with pytest.raises(FormatError, match=r"^pair file: pairs\[1\] must be an object$"):
         parse_pairs('{"version": 1, "pairs": [{"plaintext": ["1", "2", "3", "4"],'
                     ' "ciphertext": ["5", "6", "7", "8"]}, [1]]}')

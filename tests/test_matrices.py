@@ -145,7 +145,8 @@ def test_det_requires_square():
     ([[1, 2], [3], [4, 5, 6]], "row 1 has length 1 where row 0 has length 2"),
     ([[1, 2, 3], [4, 5, 6], [7, 8]], "row 2 has length 2 where row 0 has length 3"),
     ([[1], [2, 3]], "row 1 has length 2 where row 0 has length 1"),
-], ids=["short-middle", "short-last", "long"])
+    ([], "need at least one row"),
+], ids=["short-middle", "short-last", "long", "no-rows"])
 def test_from_rows_refuses_ragged_rows(given, message):
     # the rows used to be flowed into a matrix whenever the total count fit
     with pytest.raises(ValueError) as excinfo:
@@ -392,3 +393,8 @@ def test_integer_scaling():
     assert 3 * a == IntMatrix.from_rows([[3, 6], [9, 12]])
     assert -1 * a == IntMatrix.from_rows([[-1, -2], [-3, -4]])
     assert 0 * a == IntMatrix(2, 2, (0, 0, 0, 0))
+    # neither operator takes a value of another type
+    with pytest.raises(TypeError):
+        "x" * a
+    with pytest.raises(TypeError):
+        a @ 5
