@@ -129,16 +129,6 @@ def _read_bytes(path, stdin=True):
         return handle.read()
 
 
-def _read_text(path, what, stdin=False):
-    """The UTF-8 text of _read_bytes(path, stdin), line endings untouched:
-    every file read here is JSON, which takes CR and LF alike as
-    whitespace, so a CRLF or CR file parses to the same values."""
-    try:
-        return _read_bytes(path, stdin).decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError("%s: not valid UTF-8" % what)
-
-
 def _write_atomic(path, data: bytes):
     if path == "-":
         sys.stdout.buffer.write(data)
@@ -166,7 +156,7 @@ def _write_atomic(path, data: bytes):
 
 def _load_key(path):
     try:
-        return parse_key(_read_text(path, "key file"))
+        return parse_key(_read_bytes(path, stdin=False))
     except FormatError as exc:
         raise InvalidKeyError(str(exc)) from None
 
@@ -185,12 +175,12 @@ def _cmd_encrypt(args):
 
 def _cmd_decrypt(args):
     key = _load_key(args.key)
-    envelope = parse_ciphertext(_read_text(args.input, "ciphertext file", stdin=True))
+    envelope = parse_ciphertext(_read_bytes(args.input))
     return [(args.out, decrypt(envelope, key, byte_mode=args.byte_mode))]
 
 
 def _cmd_attack(args):
-    pairs = parse_pairs(_read_text(args.pairs, "pair file"))
+    pairs = parse_pairs(_read_bytes(args.pairs, stdin=False))
     return [(args.out, known_plaintext_attack(pairs).to_json_text().encode())]
 
 

@@ -48,6 +48,10 @@ ASCII_MAX = 127
 BYTE_MAX = 255
 
 # Below this bound 6t < 2**53, so float(6t) is exact (see _decode_all).
+# The bound only moves work between the bulk decode and the per-symbol
+# decode it falls back to, as every candidate is checked exactly: any
+# bound that keeps float(6t) finite gives the same outputs, so it bounds
+# speed, not correctness.
 _FLOAT_T_LIMIT = 1 << 50
 
 

@@ -26,7 +26,12 @@ Pair file (known-plaintext attack input):
 Parsers are strict: unknown, missing or repeated fields, non-canonical
 numbers, and version mismatches all raise FormatError, as does any text
 that is not JSON; a value that is not str, bytes or bytearray raises
-TypeError naming it. The version tag, FORMAT_VERSION, is in the files alone,
+TypeError naming it. Bytes are decoded as strict UTF-8 before anything
+else, so a file in another encoding (UTF-16 or UTF-32, say) raises
+FormatError, "<file>: not valid UTF-8" or "not valid JSON (...)", and so
+does one that starts with a UTF-8 byte order mark. The command-line tool
+hands the parsers the bytes it reads, so library and tool refuse the
+same files with the same text. The version tag, FORMAT_VERSION, is in the files alone,
 not in a CiphertextEnvelope: the JSON integer 1, not 1.0, 1e0 or true.
 A key file's prime_seed range is KeyMaterial's, refused as FormatError
 with KeyMaterial's text after "key file: ".
@@ -72,8 +77,21 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
 
 
-def _load_json(text: str, what: str):
-    if not isinstance(text, (str, bytes, bytearray)):
+def _load_document(text, what, fields):
+    """The object of a file whose fields are "version" and fields, in
+    any order, and whose version is FORMAT_VERSION; else FormatError.
+
+    text is str, or bytes or bytearray decoded as strict UTF-8 first
+    ("<what>: not valid UTF-8"), so a file in another encoding is refused
+    before or by json.loads, and a UTF-8 byte order mark is not JSON.
+    Any other type is a TypeError naming what.
+    """
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("%s: not valid UTF-8" % what) from None
+    elif not isinstance(text, str):
         raise TypeError("%s must be str, bytes or bytearray, got %s" % (what, _shown(text)))
 
     def unique_names(pairs):
@@ -98,6 +116,10 @@ def _load_json(text: str, what: str):
         raise FormatError("%s: not valid JSON (nested too deeply)" % what) from None
     if not isinstance(obj, dict):
         raise FormatError("%s: top-level value must be an object" % what)
+    _expect_fields(obj, ("version",) + fields, what)
+    version = obj["version"]
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise FormatError("%s: unsupported version %s" % (what, _shown(version)))
     return obj
 
 
@@ -115,23 +137,9 @@ def _expect_fields(obj, fields, what):
         raise FormatError("%s: %s" % (what, "; ".join(parts)))
 
 
-def _expect_version(value, what):
-    if not _is_int(value) or value != FORMAT_VERSION:
-        raise FormatError("%s: unsupported version %s" % (what, _shown(value)))
-
-
 def _document(**fields):
     """The canonical text of {"version": FORMAT_VERSION, **fields}."""
     return dumps_canonical({"version": FORMAT_VERSION, **fields})
-
-
-def _load_document(text, what, fields):
-    """The object of a file whose fields are "version" and fields, in
-    any order, and whose version is FORMAT_VERSION; else FormatError."""
-    obj = _load_json(text, what)
-    _expect_fields(obj, ("version",) + fields, what)
-    _expect_version(obj["version"], what)
-    return obj
 
 
 def _field(what, index):

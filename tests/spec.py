@@ -33,10 +33,8 @@ from cubecipher import (
     rotation,
 )
 from cubecipher.formats import (
-    _expect_fields,
-    _expect_version,
     _format_decimal,
-    _load_json,
+    _load_document,
     _parse_block_entries,
     dumps_canonical,
 )
@@ -295,9 +293,7 @@ def reference_parse_ciphertext(text):
     """parse_ciphertext before its bulk pass: every block entry checked
     and converted one at a time by _parse_block_entries, so the first bad
     block or entry raises its FormatError."""
-    obj = _load_json(text, "ciphertext file")
-    _expect_fields(obj, ("version", "pad_count", "blocks"), "ciphertext file")
-    _expect_version(obj["version"], "ciphertext file")
+    obj = _load_document(text, "ciphertext file", ("pad_count", "blocks"))
     pad_count = obj["pad_count"]
     if not isinstance(pad_count, int) or isinstance(pad_count, bool) or not 0 <= pad_count <= 3:
         raise FormatError("ciphertext file: pad_count must be an integer in [0, 3]")

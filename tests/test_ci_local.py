@@ -74,3 +74,28 @@ def test_without_pyyaml_the_absence_is_reported_not_a_traceback(tmp_path, monkey
     status, text = _run(tmp_path, "jobs: {}\n")
     assert status == 2
     assert text.startswith("ci_local: PyYAML is not installed, so ")
+
+
+def test_an_interpreter_that_cannot_run_reads_unrunnable_and_the_next_one_runs(tmp_path):
+    pytest.importorskip("yaml")
+    # a version-manager shim for a version that is not selected exits 127
+    shim = tmp_path / "python3.99"
+    shim.write_text("#!/bin/sh\necho 'pyenv: python3.99: command not found' >&2\n"
+                    "echo 'The python3.99 command exists in these versions: 3.99.0' >&2\nexit 127\n")
+    shim.chmod(0o755)
+    missing = tmp_path / "no" / "python"
+    workflow = tmp_path / "workflow.yml"
+    workflow.write_text("jobs:\n  one:\n    steps:\n      - name: First\n        run: 'true'\n"
+                        "      - name: Second\n        run: 'true'\n")
+    out = io.StringIO()
+    status = ci_local.run(str(workflow), [str(shim), str(missing), sys.executable], [], out=out)
+    lines = out.getvalue().splitlines()
+    assert lines[:4] == [
+        "UNRUNNABLE  %s one: %s (cannot run: exit 127: The python3.99 command exists in these "
+        "versions: 3.99.0)" % (shim, step) for step in ("First", "Second")
+    ] + [
+        "UNRUNNABLE  %s one: %s (cannot run: [Errno 2] No such file or directory: %r)"
+        % (missing, step, str(missing)) for step in ("First", "Second")
+    ]
+    assert [line.split()[0] for line in lines[4:]] == ["PASS", "PASS"]
+    assert status == 0  # the exit-status rule: only a failed step sets it

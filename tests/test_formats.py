@@ -13,6 +13,7 @@ from cubecipher import (
     FormatError,
     IntMatrix,
     KeyMaterial,
+    cli,
     encrypt,
     encrypt_block,
     errors,
@@ -414,3 +415,46 @@ def test_a_parser_reads_utf8_bytes_too(as_type):
     envelope = encrypt(b"two types", key)
     assert parse_ciphertext(as_type(serialize_ciphertext(envelope).encode())) == envelope
     assert parse_pairs(as_type(serialize_pairs(pairs).encode())) == pairs
+
+
+# A valid UTF-8 file re-encoded, and the refusal that follows "<what>: ".
+_REENCODED = {
+    "utf-16": (lambda data: data.decode().encode("utf-16"), "not valid UTF-8"),
+    "utf-32": (lambda data: data.decode().encode("utf-32"), "not valid UTF-8"),
+    "bad-byte": (lambda data: data.replace(b"{", b"{\xff", 1), "not valid UTF-8"),
+    "bom": (lambda data: b"\xef\xbb\xbf" + data,
+            "not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0))"),
+    "utf-16-le-no-bom": (lambda data: data.decode().encode("utf-16-le"),
+                         "not valid JSON (Expecting property name enclosed in double quotes: "
+                         "line 1 column 2 (char 1))"),
+}
+
+
+@pytest.mark.parametrize("encoding", list(_REENCODED))
+@pytest.mark.parametrize("kind", ["key", "ciphertext", "pairs"])
+def test_a_parser_refuses_bytes_that_are_not_utf8_json_as_the_cli_does(kind, encoding, tmp_path, capsys):
+    # json.loads alone reads UTF-16, UTF-32 and a UTF-8 BOM, and calls a bad
+    # byte a number past the int/str limit; the files are UTF-8 JSON only
+    key = keygen(7)
+    block = IntMatrix.identity(2)
+    path, key_path, message, out = (tmp_path / name for name in ("file", "key", "message", "out"))
+    valid, parse, what, code, argv = {
+        "key": (serialize_key(key), parse_key, "key file", 3,
+                ["encrypt", "--key", path, "--in", message, "--out", out]),
+        "ciphertext": (serialize_ciphertext(encrypt(b"parity", key)), parse_ciphertext,
+                       "ciphertext file", 4, ["decrypt", "--key", key_path, "--in", path, "--out", out]),
+        "pairs": (serialize_pairs([(block, encrypt_block(block, key))]), parse_pairs,
+                  "pair file", 4, ["attack", "--pairs", path, "--out", out]),
+    }[kind]
+    reencode, refusal = _REENCODED[encoding]
+    data = reencode(valid.encode())
+    with pytest.raises(FormatError) as excinfo:
+        parse(data)
+    assert str(excinfo.value) == "%s: %s" % (what, refusal)
+
+    path.write_bytes(data)
+    key_path.write_text(serialize_key(key), encoding="utf-8")
+    message.write_bytes(b"parity")
+    assert cli.main([str(a) for a in argv]) == code
+    assert capsys.readouterr().err == "cubecipher: error: %s\n" % excinfo.value
+    assert not out.exists()

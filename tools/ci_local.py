@@ -18,6 +18,11 @@ UNRUNNABLE with the import error, not run. Each --extra-path directory
 tools) is added to the interpreter's path through a .pth file in a fresh
 user site directory, since a step may set PYTHONPATH itself.
 
+An interpreter that cannot run (a missing path, or a version-manager
+shim that exits 127 because its version is not selected) reads
+UNRUNNABLE on every step, with its exit code and last error line or the
+OS error, and the next interpreter runs.
+
 One line per step and interpreter: PASS, FAIL, SKIP or UNRUNNABLE. A
 failing step's last output lines follow its line. The exit status is 1
 if any step failed, 2 if the workflow cannot be read, else 0.
@@ -117,7 +122,16 @@ def run(workflow, pythons, extra_paths, out=sys.stdout):
         return 2
     failed = False
     for python in pythons:
-        executable, version, user_site = _interpreter(python)
+        try:
+            executable, version, user_site = _interpreter(python)
+        except (subprocess.CalledProcessError, OSError) as exc:
+            problem = str(exc)  # an OSError's own text
+            if isinstance(exc, subprocess.CalledProcessError):
+                lines = exc.stderr.strip().splitlines() or ["no error output"]
+                problem = "exit %d: %s" % (exc.returncode, lines[-1].strip())
+            for job, name, _, _ in steps:
+                say("UNRUNNABLE  %s %s: %s (cannot run: %s)" % (python, job, name, problem))
+            continue
         for job, name, step, step_env in steps:
             label = "%s %s: %s" % (version, job, name)
             reason = _skip_reason(step)
