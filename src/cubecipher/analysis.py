@@ -60,6 +60,7 @@ from .cipher import (
     decrypt,
     encrypt,
 )
+from .encoding import ASCII_MAX
 from .errors import (InsufficientPairsError, _is_int, _iterate, _require_instance, _require_int,
                      _shown)
 from .formats import _attack_pairs, _ciphertext_text, _document, _format_decimal, serialize_ciphertext
@@ -155,19 +156,17 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
     m = _block_map(key)
     primes = _primes(key, message_length)
     histogram = Counter()
-    changed_blocks = 0
     bits_by_length = Counter()  # serialization length -> differing bits
     for _ in range(trials):
-        message = rng.below_many(128, message_length)
+        message = rng.below_many(ASCII_MAX + 1, message_length)
         position = rng.below(message_length)
-        bump = 1 + rng.below(127)  # never maps a byte to itself
+        bump = 1 + rng.below(ASCII_MAX)  # never maps a byte to itself
         flipped = message.copy()
-        flipped[position] = (flipped[position] + bump) % 128
+        flipped[position] = (flipped[position] + bump) % (ASCII_MAX + 1)
         pad_count, a = _mix(message, m, primes)
         _, b = _mix(flipped, m, primes)
         changed = sum(map(operator.ne, a, b))
         histogram[changed] += 1
-        changed_blocks += changed
         text_a = _ciphertext_text(pad_count, a).encode()
         text_b = _ciphertext_text(pad_count, b).encode()
         bits_by_length[max(len(text_a), len(text_b))] += _differing_bits(text_a, text_b)
@@ -183,12 +182,13 @@ def avalanche_test(key, message_length: int, trials: int, rng_seed: int) -> Aval
         finding = (
             "single-character changes touched at most %d blocks" % max_spread
         )
-    total_blocks = -(-message_length // BLOCK_SYMBOLS)
     bit_fraction = sum(Fraction(bits, 8 * n) for n, bits in bits_by_length.items()) / trials
     return AvalancheReport(
         trials=trials,
         message_length=message_length,
-        mean_changed_block_fraction=Fraction(changed_blocks, total_blocks * trials),
+        # changed blocks over all trials, of the blocks in all trials
+        mean_changed_block_fraction=Fraction(sum(k * n for k, n in histogram.items()),
+                                             trials * -(-message_length // BLOCK_SYMBOLS)),
         mean_changed_bit_fraction=bit_fraction,
         locality_histogram=dict(histogram),
         finding=finding,
@@ -305,6 +305,19 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
+def _timed(call, value, key, repetitions):
+    """(median seconds, last result) of repetitions calls call(value, k),
+    each k a copy of key made before the timer starts, so every call draws
+    the prime stream as a key used once does (see KeyMaterial)."""
+    times = []
+    for _ in range(repetitions):
+        fresh = replace(key)
+        start = time.perf_counter()
+        result = call(value, fresh)
+        times.append(time.perf_counter() - start)
+    return median(times), result
+
+
 def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
     """Measure encrypt/decrypt wall time and ciphertext size per length.
 
@@ -315,9 +328,7 @@ def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
     checked by Xorshift64Star's rule before the key is. Message
     contents are drawn deterministically from rng_seed; the timing fields
     are the only machine-dependent part of the report. Every timed call
-    runs under its own copy of the key, made before the timer starts, so
-    each one draws the prime stream as a key used once does (see
-    KeyMaterial).
+    runs under its own copy of the key (see _timed).
     """
     lengths = list(_iterate(lengths, "lengths must be an iterable of ints"))
     if not lengths:
@@ -332,27 +343,16 @@ def benchmark(lengths, key, repetitions: int, rng_seed: int = 0) -> BenchReport:
     _require_length(lengths[-1])
     report = BenchReport(repetitions=repetitions)
     for length in lengths:
-        message = bytes(rng.below_many(128, length))
-        encrypt_times = []
-        envelope = None
-        for _ in range(repetitions):
-            fresh = replace(key)
-            start = time.perf_counter()
-            envelope = encrypt(message, fresh)
-            encrypt_times.append(time.perf_counter() - start)
-        decrypt_times = []
-        for _ in range(repetitions):
-            fresh = replace(key)
-            start = time.perf_counter()
-            recovered = decrypt(envelope, fresh)
-            decrypt_times.append(time.perf_counter() - start)
+        message = bytes(rng.below_many(ASCII_MAX + 1, length))
+        encrypt_seconds, envelope = _timed(encrypt, message, key, repetitions)
+        decrypt_seconds, recovered = _timed(decrypt, envelope, key, repetitions)
         if recovered != message:
             raise RuntimeError("benchmark round trip produced a different message")
         report.rows.append(
             BenchRow(
                 message_length=length,
-                encrypt_seconds=median(encrypt_times),
-                decrypt_seconds=median(decrypt_times),
+                encrypt_seconds=encrypt_seconds,
+                decrypt_seconds=decrypt_seconds,
                 ciphertext_bytes=len(serialize_ciphertext(envelope).encode()),
             )
         )
@@ -370,8 +370,9 @@ def growth_exponent(report: BenchReport) -> float:
     encrypt takes ~7x the time of a 4,096-byte one. Every row must be a
     BenchRow whose message_length is an int of at least 1 and whose
     encrypt_seconds is a finite int or float of at least 0; a refusal
-    names the first row that is not. A time of 0, which a coarse timer
-    can read, is taken as 1e-9 s before its log.
+    names the first row that is not. The rows must hold at least two
+    distinct message lengths (ValueError, for 0 or 1 rows too). A time of
+    0, which a coarse timer can read, is taken as 1e-9 s before its log.
     """
     _require_instance(report, BenchReport, "report")
     rows = list(_iterate(report.rows, "report rows must be an iterable of BenchRow values"))
@@ -387,8 +388,6 @@ def growth_exponent(report: BenchReport) -> float:
             raise ValueError("%s's encrypt_seconds must be finite, got %s" % (name, _shown(seconds)))
         if seconds < 0:
             raise ValueError("%s's encrypt_seconds must be at least 0, got %s" % (name, _shown(seconds)))
-    if len(rows) < 2:
-        raise ValueError("need at least two rows to fit a growth exponent")
     if len({r.message_length for r in rows}) < 2:
         raise ValueError("need at least two distinct message lengths to fit a growth exponent")
     xs = [math.log(r.message_length) for r in rows]

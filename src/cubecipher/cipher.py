@@ -346,7 +346,8 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
     """Encrypt a byte string under the composite key.
 
     message is taken through the buffer protocol: bytes, bytearray,
-    memoryview or array, never a list or iterator of ints (TypeError).
+    memoryview or array, never a str, an int, or a list or iterator of
+    ints (TypeError, in one form).
     Strict mode (the default) rejects bytes above 127 and names the first
     offending index; byte mode accepts the full [0, 255] range, and
     byte_mode must be a bool (TypeError). One prime
@@ -356,10 +357,6 @@ def encrypt(message: bytes, key: KeyMaterial, byte_mode: bool = False) -> Cipher
     (see KeyMaterial), so later calls under it draw the stream again only
     for a longer message.
     """
-    if isinstance(message, str):
-        raise TypeError("encrypt takes bytes; encode the string first")
-    if isinstance(message, int):
-        raise TypeError("encrypt takes bytes, not an int")
     try:
         message = memoryview(message).tobytes()
     except TypeError:

@@ -6,7 +6,8 @@ formats are the canonical JSON formats from the formats module. The path
 without --out goes to stdout. Each command returns its outputs as
 (path, bytes) pairs, and main alone writes them, in order. Output files
 are written atomically (temp file then rename), so a failing run never
-leaves a partial file behind.
+leaves a partial file behind, and an I/O error at any step of a write
+names the output path, not the temp file.
 
 Exit codes:
     0  success
@@ -21,7 +22,7 @@ import functools
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .analysis import avalanche_test, benchmark, known_plaintext_attack
 from .cipher import decrypt, encrypt, keygen
@@ -121,12 +122,15 @@ def build_parser():
     return parser
 
 
-def _read_bytes(path, stdin=True):
-    """The bytes of a file, or of stdin when stdin is set and path is "-"."""
-    if stdin and path == "-":
-        return sys.stdin.buffer.read()
+def _read_file(path):
+    """The bytes of a key or pair file; "-" names a file here, not stdin."""
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def _read_input(path):
+    """The bytes of --in: stdin when path is "-", else the file's."""
+    return sys.stdin.buffer.read() if path == "-" else _read_file(path)
 
 
 def _write_atomic(path, data: bytes):
@@ -137,26 +141,21 @@ def _write_atomic(path, data: bytes):
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp_path = tempfile.mkstemp(prefix=".cubecipher-", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp_path, path)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp_path)
+            raise
     except OSError as exc:  # name the output, not the temp file
         raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        try:
-            os.replace(tmp_path, path)
-        except OSError as exc:  # name the output, not the temp file
-            raise OSError(exc.errno, exc.strerror, path) from None
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 def _load_key(path):
     try:
-        return parse_key(_read_bytes(path, stdin=False))
+        return parse_key(_read_file(path))
     except FormatError as exc:
         raise InvalidKeyError(str(exc)) from None
 
@@ -167,7 +166,7 @@ def _cmd_keygen(args):
 
 def _cmd_encrypt(args):
     key = _load_key(args.key)
-    message = _read_bytes(args.input)
+    message = _read_input(args.input)
     with _usage_errors():
         envelope = encrypt(message, key, byte_mode=args.byte_mode)
     return [(args.out, serialize_ciphertext(envelope).encode())]
@@ -175,12 +174,12 @@ def _cmd_encrypt(args):
 
 def _cmd_decrypt(args):
     key = _load_key(args.key)
-    envelope = parse_ciphertext(_read_bytes(args.input))
+    envelope = parse_ciphertext(_read_input(args.input))
     return [(args.out, decrypt(envelope, key, byte_mode=args.byte_mode))]
 
 
 def _cmd_attack(args):
-    pairs = parse_pairs(_read_bytes(args.pairs, stdin=False))
+    pairs = parse_pairs(_read_file(args.pairs))
     return [(args.out, known_plaintext_attack(pairs).to_json_text().encode())]
 
 

@@ -547,8 +547,11 @@ def test_growth_exponent_on_synthetic_data():
     # a timer can read 0, which is taken as 1e-9 s
     zero = BenchReport(1, [BenchRow(4, 0, 0, 0), BenchRow(8, 2e-9, 0, 0)])
     assert abs(growth_exponent(zero) - 1.0) < 1e-9
-    with pytest.raises(ValueError):
-        growth_exponent(BenchReport(repetitions=1))
+    # no rows, or one, give no slope either, with the same refusal
+    for rows in ([], [BenchRow(5, 1e-6, 2e-6, 5)]):
+        with pytest.raises(ValueError) as excinfo:
+            growth_exponent(BenchReport(1, rows))
+        assert str(excinfo.value) == "need at least two distinct message lengths to fit a growth exponent"
     # rows of one length give no slope; this divided by zero before
     one_length = BenchReport(repetitions=1)
     one_length.rows += [BenchRow(5, 1e-6, 2e-6, 5), BenchRow(5, 3e-6, 4e-6, 5)]

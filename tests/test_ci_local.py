@@ -78,9 +78,10 @@ def test_without_pyyaml_the_absence_is_reported_not_a_traceback(tmp_path, monkey
 
 def test_an_interpreter_that_cannot_run_reads_unrunnable_and_the_next_one_runs(tmp_path):
     pytest.importorskip("yaml")
-    # a version-manager shim for a version that is not selected exits 127
+    # a version-manager shim for a version that is not selected exits 127;
+    # its first non-empty error line names the cause, its last does not
     shim = tmp_path / "python3.99"
-    shim.write_text("#!/bin/sh\necho 'pyenv: python3.99: command not found' >&2\n"
+    shim.write_text("#!/bin/sh\necho >&2\necho 'pyenv: python3.99: command not found' >&2\n"
                     "echo 'The python3.99 command exists in these versions: 3.99.0' >&2\nexit 127\n")
     shim.chmod(0o755)
     missing = tmp_path / "no" / "python"
@@ -91,11 +92,28 @@ def test_an_interpreter_that_cannot_run_reads_unrunnable_and_the_next_one_runs(t
     status = ci_local.run(str(workflow), [str(shim), str(missing), sys.executable], [], out=out)
     lines = out.getvalue().splitlines()
     assert lines[:4] == [
-        "UNRUNNABLE  %s one: %s (cannot run: exit 127: The python3.99 command exists in these "
-        "versions: 3.99.0)" % (shim, step) for step in ("First", "Second")
+        "UNRUNNABLE  %s one: %s (cannot run: exit 127: pyenv: python3.99: command not found)"
+        % (shim, step) for step in ("First", "Second")
     ] + [
         "UNRUNNABLE  %s one: %s (cannot run: [Errno 2] No such file or directory: %r)"
         % (missing, step, str(missing)) for step in ("First", "Second")
     ]
     assert [line.split()[0] for line in lines[4:]] == ["PASS", "PASS"]
     assert status == 0  # the exit-status rule: only a failed step sets it
+
+
+def test_a_step_runs_with_the_plugin_set_of_ci(tmp_path, monkeypatch):
+    pytest.importorskip("yaml")
+    # CI installs only pytest and hypothesis, so no other plugin autoloads,
+    # and a plugin list of the host's own is dropped
+    monkeypatch.setenv("PYTEST_PLUGINS", "a_foreign_plugin")
+    status, text = _run(tmp_path, """\
+jobs:
+  one:
+    steps:
+      - run: |
+          test "$PYTEST_DISABLE_PLUGIN_AUTOLOAD" = 1
+          if python -c 'import hypothesis' 2> /dev/null; then want=_hypothesis_pytestplugin; else want=; fi
+          test "${PYTEST_PLUGINS-}" = "$want"
+""")
+    assert (status, text.split()[0]) == (0, "PASS"), text

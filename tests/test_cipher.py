@@ -407,21 +407,15 @@ def test_encrypt_rejects_str():
         encrypt("text", keygen(1))
 
 
-@pytest.mark.parametrize("message", [7, 10**5000], ids=["small", "huge"])
-def test_encrypt_refuses_an_int_message(message):
-    # bytes(7) is seven NULs, which used to encrypt, and bytes(10**5000)
-    # raised a raw OverflowError
-    with pytest.raises(TypeError) as excinfo:
-        encrypt(message, keygen(1))
-    assert str(excinfo.value) == "encrypt takes bytes, not an int"
-
-
 @pytest.mark.parametrize("message, shown", [
     ([65, 66], "[65, 66]"), ([300], "[300]"), (iter(b"AB"), "<bytes_iterator object at"), (None, "None"),
-], ids=["list", "list-300", "iterator", "none"])
+    ("text", "'text'"), (7, "7"), (10**5000, "a 16610-bit int"),
+], ids=["list", "list-300", "iterator", "none", "str", "int", "huge-int"])
 def test_encrypt_takes_a_message_through_the_buffer_protocol_only(message, shown):
     # a list or iterator of ints used to encrypt, [300] raised Python's own
-    # ValueError and None its "cannot convert 'NoneType' object to bytes"
+    # ValueError and None its "cannot convert 'NoneType' object to bytes";
+    # bytes(7) is seven NULs, which also used to encrypt, and bytes(10**5000)
+    # raised a raw OverflowError
     with pytest.raises(TypeError) as excinfo:
         encrypt(message, keygen(1))
     assert str(excinfo.value).startswith("encrypt takes bytes or a bytes-like value, got " + shown)

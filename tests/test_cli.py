@@ -1,7 +1,9 @@
 """End-to-end command line behaviour: exit codes, files, atomicity."""
 
+import errno
 import io
 import json
+import os
 import random
 from pathlib import Path
 
@@ -537,6 +539,31 @@ def test_out_path_in_a_missing_directory_names_the_out_path(tmp_path, capsys):
     assert err == "cubecipher: error: [Errno 2] No such file or directory: %r\n" % str(out)
     assert ".cubecipher-" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_write_that_fails_after_the_temp_file_is_made_names_the_out_path(tmp_path, monkeypatch, capsys):
+    # a full disk fails the write itself; the error named no path before
+    real_fdopen = os.fdopen
+
+    class FullDisk:
+        def __init__(self, fd, mode):
+            self.handle = real_fdopen(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fdopen", FullDisk)
+    out = tmp_path / "key.json"
+    assert run(["keygen", "--seed", 15, "--out", out]) == 5
+    err = capsys.readouterr().err
+    assert err == "cubecipher: error: [Errno %d] %s: %r\n" % (errno.ENOSPC, os.strerror(errno.ENOSPC), str(out))
+    assert list(tmp_path.iterdir()) == []  # no output, no .cubecipher-* temp file
 
 
 def test_attack_result_too_long_to_write_exits_4(tmp_path, capsys):

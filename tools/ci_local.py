@@ -18,10 +18,16 @@ UNRUNNABLE with the import error, not run. Each --extra-path directory
 tools) is added to the interpreter's path through a .pth file in a fresh
 user site directory, since a step may set PYTHONPATH itself.
 
+Every step gets CI's pytest plugin set, since CI installs only pytest and
+hypothesis: PYTEST_DISABLE_PLUGIN_AUTOLOAD=1, so no other installed
+plugin (one an extra path exposes to the wrong interpreter, say) loads,
+and PYTEST_PLUGINS=_hypothesis_pytestplugin when the step's python can
+import hypothesis.
+
 An interpreter that cannot run (a missing path, or a version-manager
 shim that exits 127 because its version is not selected) reads
-UNRUNNABLE on every step, with its exit code and last error line or the
-OS error, and the next interpreter runs.
+UNRUNNABLE on every step, with its exit code and first non-empty error
+line or the OS error, and the next interpreter runs.
 
 One line per step and interpreter: PASS, FAIL, SKIP or UNRUNNABLE. A
 failing step's last output lines follow its line. The exit status is 1
@@ -86,6 +92,8 @@ def _environment(executable, user_site, extra_paths, step_env, work):
         os.symlink(executable, os.path.join(bin_dir, name))
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
+    env.pop("PYTEST_PLUGINS", None)
+    env["PYTEST_DISABLE_PLUGIN_AUTOLOAD"] = "1"
     env.update(step_env)
     env["PATH"] = bin_dir + os.pathsep + env.get("PATH", "")
     env["RUNNER_TEMP"] = os.path.join(work, "runner_temp")
@@ -96,18 +104,28 @@ def _environment(executable, user_site, extra_paths, step_env, work):
         os.makedirs(site_dir)
         with open(os.path.join(site_dir, "ci_local.pth"), "w", encoding="utf-8") as f:
             f.write("".join(os.path.abspath(p) + "\n" for p in extra_paths))
+    if _import_error("hypothesis", env) is None:
+        env["PYTEST_PLUGINS"] = "_hypothesis_pytestplugin"
     return env
+
+
+def _import_error(module, env):
+    """The last line of the error the step's python raises importing
+    module, or None when it imports."""
+    probe = subprocess.run(["python", "-c", "import " + module], cwd=ROOT, env=env,
+                           capture_output=True, text=True)
+    if probe.returncode:
+        return (probe.stderr.strip().splitlines() or ["exit %d" % probe.returncode])[-1]
+    return None
 
 
 def _missing_module(script, env):
     """The import error of the first `python -m MODULE` in script that the
     step's python cannot import, or None."""
     for module in dict.fromkeys(re.findall(r"\bpython3? -m ([\w.]+)", script)):
-        probe = subprocess.run(["python", "-c", "import " + module], cwd=ROOT, env=env,
-                               capture_output=True, text=True)
-        if probe.returncode:
-            lines = probe.stderr.strip().splitlines() or ["exit %d" % probe.returncode]
-            return "python -m %s: %s" % (module, lines[-1])
+        error = _import_error(module, env)
+        if error:
+            return "python -m %s: %s" % (module, error)
     return None
 
 
@@ -127,8 +145,8 @@ def run(workflow, pythons, extra_paths, out=sys.stdout):
         except (subprocess.CalledProcessError, OSError) as exc:
             problem = str(exc)  # an OSError's own text
             if isinstance(exc, subprocess.CalledProcessError):
-                lines = exc.stderr.strip().splitlines() or ["no error output"]
-                problem = "exit %d: %s" % (exc.returncode, lines[-1].strip())
+                lines = [line.strip() for line in exc.stderr.splitlines() if line.strip()]
+                problem = "exit %d: %s" % (exc.returncode, (lines or ["no error output"])[0])
             for job, name, _, _ in steps:
                 say("UNRUNNABLE  %s %s: %s (cannot run: %s)" % (python, job, name, problem))
             continue
