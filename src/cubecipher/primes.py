@@ -17,27 +17,45 @@ the same seed. Two pieces make that work:
   the README appendix.
 
 * A sieve of Eratosthenes over [0, 2**16), built once at import as a
-  64 KiB lookup table. prime_stream keeps a copy of it per call, clears
-  each prime's slot as the prime is emitted, and so rejects composites and
-  repeats with one table lookup per draw.
+  64 KiB lookup table.
 
 prime_stream's candidates are the low 16 bits of successive outputs, and
-those depend only on the low 16 bits of the state: low16(low16(state) *
-0xDD1D). The step is linear over GF(2), a 64x64 bit matrix A, so the
-states of a chunk of 512 draws from state s are XORs, over the set bits b
-of s, of A**k * e_b, e_b the unit vector of bit b. One draw table, built
-on first use by stepping the 64 unit vectors (64 lanes of one int, all
-advanced at once by masked shifts) and cached, holds row b, low16(A**k *
-e_b) for k = 1..512 in 32-bit lanes, and jump b, A**512 * e_b (~141 KiB
-in all). A chunk XORs the rows and jumps of its start state's set bits,
-multiplies the rows' XOR once by 0xDD1D (each lane's product stays below
-2**32, in its lane) and writes it as one little-endian array of 16-bit
+those depend only on the low 16 bits of the state, u = low16(state): the
+candidate is low16(u * 0xDD1D). Since 0xDD1D is odd, u -> low16(u *
+0xDD1D) is a bijection of [0, 2**16), so prime_stream keeps a per-call
+copy of the sieve permuted by it (entry u is the sieve's entry at
+low16(u * 0xDD1D)) and tests u itself: it clears each emitted prime's
+slot, and so rejects composites and repeats with one table lookup per
+draw and multiplies only the draws it emits.
+
+The step is linear over GF(2), a 64x64 bit matrix A, so the states of a
+chunk of 1,024 draws from state s are XORs, over the set bits b of s, of
+A**k * e_b, e_b the unit vector of bit b. One draw table, built on first
+use and cached, holds entry b: low16(A**k * e_b) for k = 1..1024 in
+16-bit lanes and, above them, A**1024 * e_b (~128 KiB in all). It is
+built by stepping the 64 unit vectors 64 draws (64 lanes of one int, all
+advanced at once by masked shifts) and then doubling four times: lanes
+n + 1..2 n of e_b are the first n lanes of A**n * e_b, the XOR of the
+entries at its set bits. The table and the permuted sieve (512 slice
+copies) take 2-3 ms, once per process. A chunk XORs the entries at its
+start state's set bits and writes the XOR's lanes as one array of 16-bit
 halfwords, byte-swapped once on a big-endian host: the chunk's draw k,
-counted from 0, is halfword 2 k on every host, and the jumps' XOR is the
-state the next chunk starts from. prime_stream filters the even halfwords
-against the per-call sieve copy. The stream is the one the scalar loop
-gives, draw for draw; the test suite keeps that loop as its reference,
-with a Miller-Rabin test to check the sieve against.
+counted from 0, is halfword k on every host, and the 64 bits above the
+lanes are the state the next chunk starts from.
+
+Near the ceiling the stream is a coupon collector: with r primes left a
+draw emits one with probability r / 2**16, and the last few hundred
+primes take most of a 6,542-prime stream's ~614,000 draws. Once at most
+_TAIL primes are left, prime_stream screens each chunk at C speed
+first. Each unemitted u sits in one of 2,048 cells, its high byte and
+the top 3 bits of its low byte; a per-high-byte mask holds a bit for each
+of its 8 cells that still holds an unemitted u. bytes.translate maps the
+chunk's high bytes through the masks and its low bytes to their one-hot
+cell bit, and one AND of the two as ints flags every draw that may emit.
+A chunk with no flag is skipped whole, and only flagged draws are looked
+up. The stream is the one the scalar loop gives, draw for draw; the test
+suite keeps that loop as its reference, with a Miller-Rabin test to check
+the sieve against.
 
 This generator is NOT cryptographically secure and is not meant to be; the
 contract here is cross-platform determinism, not unpredictability.
@@ -46,7 +64,9 @@ contract here is cross-platform determinism, not unpredictability.
 import functools
 import sys
 from array import array
+from itertools import compress
 from math import isqrt
+from operator import xor
 
 from .errors import CipherError, _require_int, _shown
 
@@ -62,8 +82,22 @@ _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
 PRIME_LIMIT = 1 << 16
 PRIME_COUNT_BELOW_LIMIT = 6542
 
-# A chunk of prime_stream is _CHUNK_DRAWS draws, 4 bytes each in the draw table.
-_CHUNK_DRAWS = 512
+# A chunk of prime_stream is _CHUNK_DRAWS draws, 2 bytes each in the draw
+# table; the table steps the first _STEPPED_DRAWS of them and doubles those.
+_CHUNK_DRAWS = 1024
+_STEPPED_DRAWS = 64
+_LANES = (1 << 16 * _CHUNK_DRAWS) - 1  # the lanes of a draw table entry
+
+# prime_stream screens chunks once at most _TAIL primes are left unemitted
+_TAIL = 256
+
+# the offset of a halfword's low byte in a chunk's bytes on this host
+_LOW_BYTE = int(sys.byteorder == "big")
+# a low byte's cell bit: one of 8, by its top 3 bits
+_CELL_BIT = bytes(1 << (low >> 5) for low in range(256))
+_NONZERO = bytes([0]) + bytes([1]) * 255
+# a binary digit's value
+_BIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _sieve(limit):
@@ -137,43 +171,96 @@ class Xorshift64Star:
         return out
 
 
+def _ahead(state, table):
+    """The XOR of table's entries at the set bits of state."""
+    selectors = bin(state)[:1:-1].encode().translate(_BIT_VALUE)  # 0 or 1, from the lowest bit
+    return functools.reduce(xor, compress(table, selectors), 0)
+
+
 @functools.cache
 def _draw_table():
-    """The draw table (rows, jump), one entry each per unit vector e_b:
-    lane k - 1 of rows[b], 32 bits wide, is low16(A**k * e_b) for k = 1..
-    _CHUNK_DRAWS, and jump[b] is A**_CHUNK_DRAWS * e_b. Each step's low
-    halves go into one buffer, from which whole 4-byte words move into the
-    rows, so the host byte order cancels. A concurrent first use at worst
-    builds the table twice, with equal results."""
+    """The draw table, one entry per unit vector e_b: lane k - 1 of entry
+    b, 16 bits wide, is low16(A**k * e_b) for k = 1.._CHUNK_DRAWS, and the
+    64 bits above the lanes are A**_CHUNK_DRAWS * e_b. The first
+    _STEPPED_DRAWS lanes come from stepping; each step's low halves go
+    into one buffer, from which whole halfwords move into the entries, so
+    the host byte order cancels. Each doubling puts above entry b's lanes
+    the entries' XOR at the set bits of the state above them: the lanes
+    and the state as far again. A concurrent first use at worst builds the
+    table twice, with equal results."""
     x = _pack(1 << bit for bit in range(64))
     steps = bytearray()
-    for _ in range(_CHUNK_DRAWS):
+    for _ in range(_STEPPED_DRAWS):
         x = _xorshift(x)
         steps += (x & _LOW16).to_bytes(8 * 64, "little")
-    words = memoryview(steps).cast("I")  # lane b of step k starts at word 2 (64 k + b)
-    rows = tuple(int.from_bytes(words[2 * bit :: 2 * 64], "little") for bit in range(64))
-    jump = tuple(x >> (64 * bit) & MAX_U64 for bit in range(64))
-    return rows, jump
+    halfwords = memoryview(steps).cast("H")  # lane b of step k starts at halfword 4 (64 k + b)
+    width = 16 * _STEPPED_DRAWS
+    lanes = (int.from_bytes(halfwords[4 * bit :: 4 * 64], "little") for bit in range(64))
+    table = [row | (x >> (64 * bit) & MAX_U64) << width for bit, row in enumerate(lanes)]
+    while width < 16 * _CHUNK_DRAWS:
+        below = (1 << width) - 1  # the lanes so far
+        table = [entry & below | _ahead(entry >> width, table) << width for entry in table]
+        width *= 2
+    return tuple(table)
+
+
+@functools.cache
+def _draw_sieve():
+    """bytes of length PRIME_LIMIT whose entry u is 1 iff low16(u * 0xDD1D)
+    is prime: the sieve with entry n moved to u = low16(n * inverse),
+    inverse = 0xDD1D**-1 mod 2**16. Seen as 256 rows of 256 bytes, that
+    takes byte b of row a to byte low8(b * inverse) of row low8(a *
+    inverse + high8(b * inverse)): whole rows move to row low8(a *
+    inverse), then each column b rotates down by high8(b * inverse) into
+    column low8(b * inverse), 512 slice copies in all."""
+    inverse = pow(_MULTIPLIER_LOW16, -1, PRIME_LIMIT)
+    rows = bytearray(PRIME_LIMIT)
+    for a in range(256):
+        row = (a * inverse & 0xFF) << 8
+        rows[row : row + 256] = _PRIME_TABLE[a << 8 : (a + 1) << 8]
+    table = bytearray(PRIME_LIMIT)
+    for b in range(256):
+        column = rows[b::256]
+        u = b * inverse & 0xFFFF
+        table[u & 0xFF :: 256] = column[-(u >> 8) :] + column[: -(u >> 8)]
+    return bytes(table)
 
 
 def _fill_chunk(state):
     """Draw a chunk of _CHUNK_DRAWS draws after state.
 
-    Returns the state after the chunk's last draw and the chunk's
-    candidates as one array of 16-bit halfwords, little-endian: the
-    candidate of draw k, counted from 0, is halfword 2 k on every host.
+    Returns the state after the chunk's last draw and the chunk's u =
+    low16(state) values as one array of 16-bit halfwords, in the host's
+    byte order: the u of draw k, counted from 0, is halfword k on every
+    host.
     """
-    rows, jump = _draw_table()
-    lanes = end = 0
-    for row, step, bit in zip(rows, jump, bin(state)[:1:-1]):  # bits from the lowest
-        if bit == "1":
-            lanes ^= row
-            end ^= step
-    # each lane's product stays in its lane and its low halfword is the candidate
-    halfwords = array("H", (lanes * _MULTIPLIER_LOW16).to_bytes(4 * _CHUNK_DRAWS, "little"))
+    drawn = _ahead(state, _draw_table())
+    halfwords = array("H", (drawn & _LANES).to_bytes(2 * _CHUNK_DRAWS, "little"))
     if sys.byteorder == "big":
         halfwords.byteswap()
-    return end, halfwords
+    return drawn >> (16 * _CHUNK_DRAWS), halfwords
+
+
+def _cell_masks(unused):
+    """Mask h of 256 holds bit j iff some u with unused[u] has high byte h
+    and low byte in cell j (its top 3 bits); found with bytearray.find,
+    one find per unemitted prime."""
+    masks = bytearray(256)
+    u = unused.find(1)
+    while u >= 0:
+        masks[u >> 8] |= 1 << (u >> 5 & 7)
+        u = unused.find(1, u + 1)
+    return masks
+
+
+def _screen(halfwords, masks):
+    """bytes with a 1 at each draw of the chunk whose u falls in a cell
+    that masks marks and a 0 at every other draw, or b"" when no draw
+    does; a handful of bytes operations, no Python loop."""
+    data = halfwords.tobytes()
+    high = int.from_bytes(data[1 - _LOW_BYTE :: 2].translate(masks), "little")
+    hits = high & int.from_bytes(data[_LOW_BYTE::2].translate(_CELL_BIT), "little")
+    return hits.to_bytes(len(halfwords), "little").translate(_NONZERO) if hits else b""
 
 
 def prime_stream(seed: int, count: int) -> list:
@@ -191,15 +278,32 @@ def prime_stream(seed: int, count: int) -> list:
             % (_shown(count), PRIME_LIMIT, PRIME_COUNT_BELOW_LIMIT)
         )
     state = Xorshift64Star(seed)._state
-    unused = bytearray(_PRIME_TABLE)  # 1 at each prime not yet emitted
+    unused = bytearray(_draw_sieve())  # 1 at each u whose prime is not yet emitted
     out = []
     append = out.append
-    while len(out) < count:
+    while len(out) < min(count, PRIME_COUNT_BELOW_LIMIT - _TAIL):
         state, halfwords = _fill_chunk(state)
-        for candidate in halfwords[::2]:
-            if unused[candidate]:
-                unused[candidate] = 0
-                append(candidate)
+        for u in halfwords:
+            if unused[u]:
+                unused[u] = 0
+                append(u * _MULTIPLIER_LOW16 & 0xFFFF)
                 if len(out) == count:
                     return out
+    if len(out) < count:  # at most _TAIL primes are left: screen each chunk first
+        masks = _cell_masks(unused)
+    while len(out) < count:
+        state, halfwords = _fill_chunk(state)
+        flags = _screen(halfwords, masks)
+        k = flags.find(1)
+        while k >= 0:
+            u = halfwords[k]
+            if unused[u]:
+                unused[u] = 0
+                append(u * _MULTIPLIER_LOW16 & 0xFFFF)
+                if len(out) == count:
+                    return out
+                cell = u & 0xFFE0  # its 32 u's
+                if unused.find(1, cell, cell + 32) < 0:  # the cell's last prime is out
+                    masks[u >> 8] &= ~(1 << (u >> 5 & 7))
+            k = flags.find(1, k + 1)
     return out

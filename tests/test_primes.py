@@ -15,9 +15,13 @@ from cubecipher import CipherError, PRIME_LIMIT, Xorshift64Star, prime_stream, p
 from cubecipher.primes import (
     _CHUNK_DRAWS,
     _PRIME_TABLE,
+    _TAIL,
     PRIME_COUNT_BELOW_LIMIT,
+    _cell_masks,
+    _draw_sieve,
     _draw_table,
     _fill_chunk,
+    _screen,
     _xorshift,
 )
 from spec import MASK64, is_prime, reference_prime_stream, xorshift_reference
@@ -221,7 +225,9 @@ PREFIX_SEEDS = [0, 1, MASK64, _rng.randrange(1 << 64)]
 # end in every part of a chunk
 PREFIX_LENGTHS = list(range(301)) + sorted(
     _rng.randrange(301, PRIME_COUNT_BELOW_LIMIT + 1) for _ in range(64)
-) + [511, 512, 513, PRIME_COUNT_BELOW_LIMIT]
+) + [511, 512, 513, 1023, 1024, 1025] + [
+    PRIME_COUNT_BELOW_LIMIT - _TAIL + d for d in (-1, 0, 1)  # the first screened chunk
+] + [PRIME_COUNT_BELOW_LIMIT - 1, PRIME_COUNT_BELOW_LIMIT]
 
 
 @pytest.mark.parametrize("seed", PREFIX_SEEDS)
@@ -229,6 +235,79 @@ def test_prime_stream_is_the_reference_prefix_at_every_length(seed):
     expected = _full_reference(seed)
     for n in PREFIX_LENGTHS:
         assert prime_stream(seed, n) == expected[:n], n
+
+
+SCREEN_LENGTHS = [0, 1, 100, 1024, 4096, 6000, PRIME_COUNT_BELOW_LIMIT - 1, PRIME_COUNT_BELOW_LIMIT]
+
+
+@pytest.mark.parametrize("tail", [PRIME_COUNT_BELOW_LIMIT, 0])
+@pytest.mark.parametrize("seed", PREFIX_SEEDS)
+def test_prime_stream_is_the_reference_with_every_or_no_chunk_screened(seed, tail, monkeypatch):
+    """With _TAIL at 6542 every chunk is screened before its lookups, and
+    with _TAIL at 0 none is: the stream is the reference either way."""
+    monkeypatch.setattr(primes, "_TAIL", tail)
+    expected = _full_reference(seed)
+    for n in SCREEN_LENGTHS:
+        assert prime_stream(seed, n) == expected[:n], n
+
+
+def _cell_of(u):
+    """The 32 u's that share u's high byte and the top 3 bits of its low byte."""
+    return range(u & 0xFFE0, (u & 0xFFE0) + 32)
+
+
+@pytest.mark.parametrize("left", [1, 2, 7, 64, 256, 2000])
+def test_screen_flags_every_draw_whose_cell_holds_an_unemitted_prime(left, monkeypatch):
+    """A brute-force check on random chunks: the screen flags draw k iff
+    some unemitted u shares its cell, so it never drops a draw that can
+    emit. The chunks repeat an unemitted u and end on one, hold draws
+    beside an unemitted u in its cell and in the next cell, and one holds
+    no draw that can emit. The same bytes laid out by a host of the other
+    byte order give the same flags."""
+    rng = random.Random(left)
+    sieve = _draw_sieve()
+    unused = bytearray(PRIME_LIMIT)
+    for u in rng.sample([u for u in range(PRIME_LIMIT) if sieve[u]], left):
+        unused[u] = 1
+    masks = _cell_masks(unused)
+    unemitted = [u for u in range(PRIME_LIMIT) if unused[u]]
+    cold = [u for u in range(PRIME_LIMIT) if not any(unused[v] for v in _cell_of(u))]
+    screened = []
+    for trial in range(20):
+        if trial == 0:
+            draws = rng.choices(cold, k=_CHUNK_DRAWS)
+        else:
+            draws = [rng.randrange(PRIME_LIMIT) for _ in range(_CHUNK_DRAWS)]
+            repeated = rng.choice(unemitted)
+            for k in rng.sample(range(_CHUNK_DRAWS), 3):
+                draws[k] = repeated
+            for k in rng.sample(range(_CHUNK_DRAWS), 8):
+                draws[k] = rng.choice(unemitted) ^ rng.choice([0, 1, 31, 32])  # same or next cell
+            draws[-1] = rng.choice(unemitted)
+        halfwords = array("H", draws)
+        flags = _screen(halfwords, masks)
+        expected = bytes(any(unused[v] for v in _cell_of(u)) for u in draws)
+        assert flags == (expected if any(expected) else b""), trial
+        assert all(flags[k] for k, u in enumerate(draws) if unused[u]), trial
+        screened.append((draws, flags))
+    # a host of the other byte order keeps each halfword's two bytes swapped
+    monkeypatch.setattr(primes, "_LOW_BYTE", 1 - primes._LOW_BYTE)
+    for draws, flags in screened:
+        swapped = array("H", [(u >> 8) | (u & 0xFF) << 8 for u in draws])
+        assert _screen(swapped, masks) == flags
+
+
+def test_cell_masks_mark_exactly_the_cells_that_hold_an_unemitted_u():
+    rng = random.Random(2048)
+    unused = bytearray(PRIME_LIMIT)
+    for u in rng.sample(range(PRIME_LIMIT), 300) + [0, PRIME_LIMIT - 1]:
+        unused[u] = 1
+    masks = _cell_masks(unused)
+    for high in range(256):
+        for cell in range(8):
+            start = high << 8 | cell << 5
+            assert (masks[high] >> cell & 1) == any(unused[start : start + 32]), (high, cell)
+    assert _cell_masks(bytearray(PRIME_LIMIT)) == bytearray(256)
 
 
 def _scalar_states(state, steps):
@@ -241,17 +320,16 @@ def _scalar_states(state, steps):
 
 
 def test_draw_table_rows_and_jumps_are_the_scalar_steps():
-    """For every bit b, lane k - 1 of rows[b] (32 bits wide) is the low 16
-    bits of e_b after k scalar steps, and jump[b] is e_b after a chunk's
-    steps."""
-    rows, jump = _draw_table()
-    assert len(rows) == len(jump) == 64
+    """For every bit b, lane k - 1 of entry b (16 bits wide) is the low 16
+    bits of e_b after k scalar steps, and the 64 bits above the lanes are
+    e_b after a chunk's steps."""
+    table = _draw_table()
+    assert len(table) == 64
     for bit in range(64):
         states = _scalar_states(1 << bit, _CHUNK_DRAWS)
-        assert rows[bit].to_bytes(4 * _CHUNK_DRAWS, "little") == b"".join(
-            (s & 0xFFFF).to_bytes(4, "little") for s in states
-        ), bit
-        assert jump[bit] == states[-1], bit
+        assert table[bit].to_bytes(2 * _CHUNK_DRAWS + 8, "little") == b"".join(
+            (s & 0xFFFF).to_bytes(2, "little") for s in states
+        ) + states[-1].to_bytes(8, "little"), bit
 
 
 _rng = random.Random(512)
@@ -260,26 +338,37 @@ CHUNK_STATES = [1, 3, 16, 256, 1 << 63, MASK64] + [_rng.randrange(1, 1 << 64) fo
 
 @pytest.mark.parametrize("state", CHUNK_STATES)
 def test_chunk_layout_gives_draw_order_on_every_host(state):
-    """The chunk's even halfwords are the scalar loop's candidates in draw
-    order, and it ends in the state that a chunk's draws reach."""
+    """Halfword k of the chunk is u = low16(state) after draw k, in draw
+    order; low16(u * 0xDD1D) is the scalar loop's candidate; and the chunk
+    ends in the state that a chunk's draws reach."""
     end, halfwords = _fill_chunk(state)
-    assert halfwords[::2] == array(
-        "H", [o & (PRIME_LIMIT - 1) for o in xorshift_reference(state, _CHUNK_DRAWS)]
-    )
-    assert len(halfwords) == 2 * _CHUNK_DRAWS
-    assert end == _scalar_states(state, _CHUNK_DRAWS)[-1]
+    states = _scalar_states(state, _CHUNK_DRAWS)
+    assert halfwords == array("H", [s & 0xFFFF for s in states])
+    assert [u * 0xDD1D & 0xFFFF for u in halfwords] == [
+        o & (PRIME_LIMIT - 1) for o in xorshift_reference(state, _CHUNK_DRAWS)
+    ]
+    assert end == states[-1]
 
 
 @pytest.mark.parametrize("state", [1, 3, 16, 256])
 def test_chunk_made_for_the_other_byte_order_is_byte_swapped(state, monkeypatch):
     """Faking the other byte order (big-endian on a little-endian host)
-    gives every halfword with its two bytes swapped: the swap runs on a
+    gives every u halfword with its two bytes swapped: the swap runs on a
     big-endian host and only there."""
     end, halfwords = _fill_chunk(state)
+    assert len(halfwords) == _CHUNK_DRAWS
     other = "big" if sys.byteorder == "little" else "little"
     monkeypatch.setattr(primes, "sys", types.SimpleNamespace(byteorder=other))
     swapped = array("H", [(h >> 8) | (h & 0xFF) << 8 for h in halfwords])
     assert _fill_chunk(state) == (end, swapped)
+
+
+def test_draw_sieve_is_the_sieve_permuted_by_the_candidate_map():
+    """Entry u of the draw sieve is the sieve's entry at low16(u * 0xDD1D),
+    the candidate of a draw whose state ends in u."""
+    sieve = _draw_sieve()
+    assert len(sieve) == PRIME_LIMIT
+    assert all(sieve[u] == _PRIME_TABLE[u * 0xDD1D & 0xFFFF] for u in range(PRIME_LIMIT))
 
 
 def _draws_to_emit(seed, count):
@@ -294,9 +383,9 @@ def _draws_to_emit(seed, count):
 
 @pytest.mark.parametrize("count", [1, 16, 511, 512, 513])
 def test_prime_stream_draws_its_chunks_and_no_more(count, monkeypatch):
-    """A stream whose last prime is draw d draws ceil(d / 512) chunks, each
-    from where the one before ended: draw d is chunk (d - 1) // 512 at
-    position (d - 1) % 512."""
+    """A stream whose last prime is draw d draws ceil(d / 1024) chunks,
+    each from where the one before ended: draw d is chunk (d - 1) // 1024
+    at position (d - 1) % 1024."""
     seed = 5198
     needed = -(-_draws_to_emit(seed, count) // _CHUNK_DRAWS)
     starts = []
@@ -328,8 +417,8 @@ def _collector_model(count):
 
 @pytest.mark.parametrize("count", [136, 1024, 4096, PRIME_COUNT_BELOW_LIMIT])
 def test_chunk_count_follows_the_coupon_collector(count, monkeypatch):
-    """The mean chunk count over 20 fixed seeds is E(n) / 512 within 4
-    standard errors of the model's mean, sqrt(V(n) / 20) / 512 chunks,
+    """The mean chunk count over 20 fixed seeds is E(n) / 1024 within 4
+    standard errors of the model's mean, sqrt(V(n) / 20) / 1024 chunks,
     plus up to one chunk above for each stream rounding its last draw up
     to a whole chunk. The bound comes from the model alone; at 6,542
     primes E(n) is ~614,000 draws, ~94 per prime."""
@@ -362,10 +451,11 @@ def test_prime_stream_rejects_a_bad_seed(seed, error, count):
 
 
 def test_draw_table_built_by_concurrent_first_use():
-    """Threads that each need the draw table, from an empty cache, get the
-    reference streams, and the one table left cached is the one a fresh
-    build gives."""
+    """Threads that each need the draw table and the draw sieve, from empty
+    caches, get the reference streams, and the one table and sieve left
+    cached are the ones a fresh build gives."""
     _draw_table.cache_clear()
+    _draw_sieve.cache_clear()
     # references cached above
     jobs = [(s, n) for s in PREFIX_SEEDS for n in (16, 300, 4000, PRIME_COUNT_BELOW_LIMIT)]
     results = {}
@@ -383,7 +473,8 @@ def test_draw_table_built_by_concurrent_first_use():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert _draw_table.cache_info().currsize == 1
+    assert _draw_table.cache_info().currsize == _draw_sieve.cache_info().currsize == 1
     assert _draw_table() == _draw_table.__wrapped__()
+    assert _draw_sieve() == _draw_sieve.__wrapped__()
     for s, n in jobs:
         assert results[(s, n)] == _full_reference(s)[:n]
