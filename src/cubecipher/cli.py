@@ -24,7 +24,6 @@ import sys
 import tempfile
 from contextlib import contextmanager, suppress
 
-from .analysis import avalanche_test, benchmark, known_plaintext_attack
 from .cipher import decrypt, encrypt, keygen
 from .errors import EXIT_USAGE, CipherError, FormatError, InvalidKeyError, _shown
 from .formats import (
@@ -179,12 +178,16 @@ def _cmd_decrypt(args):
 
 
 def _cmd_attack(args):
+    from .analysis import known_plaintext_attack  # here, so other commands never load analysis
+
     pairs = parse_pairs(_read_file(args.pairs))
     return [(args.out, known_plaintext_attack(pairs).to_json_text().encode())]
 
 
 def _cmd_report(args):
     """avalanche and bench: the report's CSV, if asked for, then its JSON."""
+    from .analysis import avalanche_test, benchmark  # here, as in _cmd_attack
+
     key = _load_key(args.key)
     with _usage_errors():
         if args.command == "avalanche":
