@@ -21,7 +21,6 @@ import argparse
 import functools
 import os
 import sys
-import tempfile
 from contextlib import contextmanager, suppress
 
 from .cipher import decrypt, encrypt, keygen
@@ -137,6 +136,8 @@ def _write_atomic(path, data: bytes):
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
         return
+    import tempfile  # here, so a command that writes only to stdout never loads it
+
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp_path = tempfile.mkstemp(prefix=".cubecipher-", dir=directory)

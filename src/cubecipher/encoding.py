@@ -20,8 +20,9 @@ which is what makes the prime stream the trapdoor knowledge.
 
 Each direction runs in bulk over a whole message: _encode_all, the one
 place the formula is written, and _decode_all, which takes every
-candidate n from a float cube root and checks them all exactly at once.
-Neither checks its arguments. The public per-symbol functions check
+candidate code from a float cube root and accepts them all at once by
+re-encoding them through _encode_all, so the bulk trapdoor is stated
+once. Neither checks its arguments. The public per-symbol functions check
 theirs through errors._require_int, and _decode_all calls decode_symbol
 only when its bulk pass fails, to raise the error for the first bad value
 after "symbol i: ".
@@ -31,7 +32,7 @@ exact integer arithmetic then accepts or rejects. Error messages give the
 bit length of a value too long to print, never its digits.
 """
 
-from operator import add, sub
+from operator import add
 
 from .errors import CorruptValueError, NoIntegerRootError, SymbolRangeError, _require_int, _shown
 
@@ -109,10 +110,10 @@ def solve_depressed_cubic(t: int) -> int:
 
 
 def _decode_all(ts, primes, max_code):
-    """The codes decode_symbol gives for each (t, prime) pair, as a list,
-    in one pass; [] when ts is empty. A pair decode_symbol refuses raises
-    its error, CorruptValueError or SymbolRangeError, for the first such
-    pair i, with "symbol i: " before decode_symbol's text.
+    """The codes decode_symbol gives for each (t, prime) pair of the list
+    ts, as a list, in one pass; [] when ts is empty. A pair decode_symbol
+    refuses raises its error, CorruptValueError or SymbolRangeError, for
+    the first such pair i, with "symbol i: " before decode_symbol's text.
 
     Each candidate is n = int(float(6t) ** (1/3)) + 1, for 1 <= t < 2**50,
     where 6t < 2**53 converts to a float exactly. For a genuine t,
@@ -120,21 +121,19 @@ def _decode_all(ts, primes, max_code):
     1/(3n) below n: n - (n^3 - n)^(1/3) = n(1 - (1 - 1/n^2)^(1/3)) and
     (1 - x)^(1/3) <= 1 - x/3. For n < 2**18 that gap is above 2**-20,
     while the float root (a rounded pow with a rounded exponent 1/3) is
-    off by less than 2**-30, so the candidate is n exactly. The candidates
-    are then accepted only if n^3 - n = 6t holds exactly for every symbol:
-    the integer root is unique, so no input, genuine or not, can pass with
-    a wrong n. When any t is outside [1, 2**50), not a genuine encoding,
-    or decodes outside [0, max_code], the pairs go one by one through
-    decode_symbol, which raises the error at the right index.
+    off by less than 2**-30, so the candidate is n exactly. The codes
+    n - prime are then accepted only if all are in [0, max_code] and
+    _encode_all gives ts back from them: (n - 1) n (n + 1) is n^3 - n and
+    divisible by 6, so that re-encoding is t exactly when n^3 - n = 6t,
+    and the integer root is unique, so no input, genuine or not, can pass
+    with a wrong n. When any t is outside [1, 2**50), not a genuine
+    encoding, or decodes outside [0, max_code], the pairs go one by one
+    through decode_symbol, which raises the error at the right index.
     """
     if ts and min(ts) >= 1 and max(ts) < _FLOAT_T_LIMIT:
-        ns = [int((6 * t) ** (1 / 3)) + 1 for t in ts]
-        # a list of bools, not of ints: True and False are shared objects,
-        # so the check keeps no int per symbol
-        if all([n * n * n - n == 6 * t for n, t in zip(ns, ts)]):
-            codes = list(map(sub, ns, primes))
-            if min(codes) >= 0 and max(codes) <= max_code:
-                return codes
+        codes = [int((6 * t) ** (1 / 3)) + 1 - p for t, p in zip(ts, primes)]
+        if min(codes) >= 0 and max(codes) <= max_code and _encode_all(codes, primes) == ts:
+            return codes
     codes = []
     for i, (t, p) in enumerate(zip(ts, primes)):
         try:

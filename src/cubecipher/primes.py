@@ -125,7 +125,6 @@ def _pack(words):
 _RIGHT12 = _pack([MAX_U64 >> 12] * 64)
 _LEFT25 = _pack([MAX_U64 << 25 & MAX_U64] * 64)
 _RIGHT27 = _pack([MAX_U64 >> 27] * 64)
-_LOW16 = _pack([0xFFFF] * 64)
 
 
 def _xorshift(state):
@@ -182,17 +181,17 @@ def _draw_table():
     """The draw table, one entry per unit vector e_b: lane k - 1 of entry
     b, 16 bits wide, is low16(A**k * e_b) for k = 1.._CHUNK_DRAWS, and the
     64 bits above the lanes are A**_CHUNK_DRAWS * e_b. The first
-    _STEPPED_DRAWS lanes come from stepping; each step's low halves go
-    into one buffer, from which whole halfwords move into the entries, so
-    the host byte order cancels. Each doubling puts above entry b's lanes
-    the entries' XOR at the set bits of the state above them: the lanes
-    and the state as far again. A concurrent first use at worst builds the
-    table twice, with equal results."""
+    _STEPPED_DRAWS lanes come from stepping; each step's 64-bit lanes go
+    into one buffer, from which only the low halfword of each moves, whole,
+    into the entries, so the host byte order cancels. Each doubling puts
+    above entry b's lanes the entries' XOR at the set bits of the state
+    above them: the lanes and the state as far again. A concurrent first
+    use at worst builds the table twice, with equal results."""
     x = _pack(1 << bit for bit in range(64))
     steps = bytearray()
     for _ in range(_STEPPED_DRAWS):
         x = _xorshift(x)
-        steps += (x & _LOW16).to_bytes(8 * 64, "little")
+        steps += x.to_bytes(8 * 64, "little")
     halfwords = memoryview(steps).cast("H")  # lane b of step k starts at halfword 4 (64 k + b)
     width = 16 * _STEPPED_DRAWS
     lanes = (int.from_bytes(halfwords[4 * bit :: 4 * 64], "little") for bit in range(64))

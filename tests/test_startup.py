@@ -37,11 +37,11 @@ _CIPHER_MODULES = ["cubecipher.cipher", "cubecipher.encoding", "cubecipher.error
 _ANALYSIS_ONLY = {"cubecipher.analysis", "fractions", "statistics"}
 
 
-def _child(body, *args):
+def _child(body, *args, flags=()):
     """stdout, as JSON, of _PRELUDE + body run in a fresh interpreter with
-    src/ on its path and args as its sys.argv[1:]."""
+    src/ on its path, flags before its -c and args as its sys.argv[1:]."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PRELUDE + body, *map(str, args)],
+    proc = subprocess.run([sys.executable, *flags, "-c", _PRELUDE + body, *map(str, args)],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path), check=False)
     assert proc.returncode == 0, proc.stderr
@@ -96,6 +96,33 @@ print(json.dumps([
     assert (tmp_path / "ct.json").read_bytes() == (FIXTURES / "golden_ciphertext.json").read_bytes()
     assert (tmp_path / "pt.txt").read_bytes() == (FIXTURES / "golden_message.txt").read_bytes()
     assert (tmp_path / "key.json").is_file()
+
+
+def test_cli_encrypt_and_decrypt_to_stdout_never_load_tempfile():
+    # -S: with no site, no .pth file can load tempfile before the steps run
+    preloaded, steps = _child("""\
+import io
+key, message, ciphertext = sys.argv[1:]
+
+def run(*argv):
+    from cubecipher import cli
+    sys.stdout = io.TextIOWrapper(io.BytesIO())
+    try:
+        assert cli.main(list(argv)) == 0
+    finally:
+        sys.stdout = sys.__stdout__
+
+preloaded = "tempfile" in sys.modules
+print(json.dumps([preloaded, [
+    added(lambda: exec("from cubecipher import cli")),
+    added(lambda: run("encrypt", "--key", key, "--in", message, "--out", "-")),
+    added(lambda: run("decrypt", "--key", key, "--in", ciphertext, "--out", "-")),
+]]))
+""", FIXTURES / "golden_key.json", FIXTURES / "golden_message.txt",
+                              FIXTURES / "golden_ciphertext.json", flags=["-S"])
+    assert not preloaded
+    assert "cubecipher.cli" in steps[0]
+    assert "tempfile" not in {name for step in steps for name in step}
 
 
 @pytest.mark.parametrize("argv", [
