@@ -32,12 +32,11 @@ The step is linear over GF(2), a 64x64 bit matrix A, so the states of a
 chunk of 1,024 draws from state s are XORs, over the set bits b of s, of
 A**k * e_b, e_b the unit vector of bit b. One draw table, built on first
 use and cached, holds entry b: low16(A**k * e_b) for k = 1..1024 in
-16-bit lanes and, above them, A**1024 * e_b (~128 KiB in all). It is
-built by stepping the 64 unit vectors 64 draws (64 lanes of one int, all
-advanced at once by masked shifts) and then doubling four times: lanes
-n + 1..2 n of e_b are the first n lanes of A**n * e_b, the XOR of the
-entries at its set bits. The table and the permuted sieve (512 slice
-copies) take 2-3 ms, once per process. A chunk XORs the entries at its
+16-bit lanes and, above them, A**1024 * e_b (~128 KiB in all). Entry b
+starts from one step, A * e_b, and doubles ten times: lanes n + 1..2 n
+of e_b are the first n lanes of A**n * e_b, the XOR of the entries at
+its set bits. The table takes ~3 ms and the permuted sieve (512 slice
+copies) ~0.5 ms, once per process. A chunk XORs the entries at its
 start state's set bits and writes the XOR's lanes as one array of 16-bit
 halfwords, byte-swapped once on a big-endian host: the chunk's draw k,
 counted from 0, is halfword k on every host, and the 64 bits above the
@@ -82,10 +81,8 @@ _ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
 PRIME_LIMIT = 1 << 16
 PRIME_COUNT_BELOW_LIMIT = 6542
 
-# A chunk of prime_stream is _CHUNK_DRAWS draws, 2 bytes each in the draw
-# table; the table steps the first _STEPPED_DRAWS of them and doubles those.
+# A chunk of prime_stream is _CHUNK_DRAWS draws, 2 bytes each in the draw table
 _CHUNK_DRAWS = 1024
-_STEPPED_DRAWS = 64
 _LANES = (1 << 16 * _CHUNK_DRAWS) - 1  # the lanes of a draw table entry
 
 # prime_stream screens chunks once at most _TAIL primes are left unemitted
@@ -113,26 +110,11 @@ def _sieve(limit):
 _PRIME_TABLE = _sieve(PRIME_LIMIT)
 
 
-def _pack(words):
-    """64-bit words packed as lanes of one int, the first word lowest."""
-    return int.from_bytes(b"".join(w.to_bytes(8, "little") for w in words), "little")
-
-
-# Lane masks for up to 64 lanes, built once. They serve any width:
-# & of two nonnegative ints is as long as the shorter one, and the bits a
-# left shift by 25 pushes out of the top lane land in bits 0-24 of the
-# lane above it, which _LEFT25 clears.
-_RIGHT12 = _pack([MAX_U64 >> 12] * 64)
-_LEFT25 = _pack([MAX_U64 << 25 & MAX_U64] * 64)
-_RIGHT27 = _pack([MAX_U64 >> 27] * 64)
-
-
 def _xorshift(state):
-    """One xorshift64* state step of every 64-bit lane of state (at most
-    64 lanes; a scalar state is one lane)."""
-    state ^= (state >> 12) & _RIGHT12
-    state ^= (state << 25) & _LEFT25
-    state ^= (state >> 27) & _RIGHT27
+    """One xorshift64* state step of a 64-bit word."""
+    state ^= state >> 12
+    state ^= (state << 25) & MAX_U64
+    state ^= state >> 27
     return state
 
 
@@ -180,22 +162,13 @@ def _ahead(state, table):
 def _draw_table():
     """The draw table, one entry per unit vector e_b: lane k - 1 of entry
     b, 16 bits wide, is low16(A**k * e_b) for k = 1.._CHUNK_DRAWS, and the
-    64 bits above the lanes are A**_CHUNK_DRAWS * e_b. The first
-    _STEPPED_DRAWS lanes come from stepping; each step's 64-bit lanes go
-    into one buffer, from which only the low halfword of each moves, whole,
-    into the entries, so the host byte order cancels. Each doubling puts
+    64 bits above the lanes are A**_CHUNK_DRAWS * e_b. Entry b starts as
+    one step of e_b, one lane with A * e_b above it. Each doubling puts
     above entry b's lanes the entries' XOR at the set bits of the state
     above them: the lanes and the state as far again. A concurrent first
     use at worst builds the table twice, with equal results."""
-    x = _pack(1 << bit for bit in range(64))
-    steps = bytearray()
-    for _ in range(_STEPPED_DRAWS):
-        x = _xorshift(x)
-        steps += x.to_bytes(8 * 64, "little")
-    halfwords = memoryview(steps).cast("H")  # lane b of step k starts at halfword 4 (64 k + b)
-    width = 16 * _STEPPED_DRAWS
-    lanes = (int.from_bytes(halfwords[4 * bit :: 4 * 64], "little") for bit in range(64))
-    table = [row | (x >> (64 * bit) & MAX_U64) << width for bit, row in enumerate(lanes)]
+    table = [s & 0xFFFF | s << 16 for s in (_xorshift(1 << b) for b in range(64))]
+    width = 16
     while width < 16 * _CHUNK_DRAWS:
         below = (1 << width) - 1  # the lanes so far
         table = [entry & below | _ahead(entry >> width, table) << width for entry in table]

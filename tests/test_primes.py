@@ -17,6 +17,7 @@ from cubecipher.primes import (
     _PRIME_TABLE,
     _TAIL,
     PRIME_COUNT_BELOW_LIMIT,
+    _ahead,
     _cell_masks,
     _draw_sieve,
     _draw_table,
@@ -99,18 +100,27 @@ def _scalar_step(state):
     return state
 
 
+def test_xorshift_is_the_scalar_step():
+    # 2**38 and 2**39 - 1 have set bits on both sides of the << 25 mask's edge
+    rng = random.Random(64)
+    words = [1, 1 << 38, (1 << 39) - 1, 1 << 63, MASK64] + [rng.getrandbits(64) for _ in range(16)]
+    for _ in range(3):
+        assert [_xorshift(w) for w in words] == [_scalar_step(w) for w in words]
+        words = [_scalar_step(w) for w in words]
+
+
 @pytest.mark.parametrize("lanes", [1, 2, 63, 64])
 def test_packed_xorshift_steps_each_lane_as_the_scalar_step(lanes):
-    # one mask set, built for the 64 lanes the draw table steps, serves every width up to it
+    # the draw table packs a state's steps as 16-bit lanes, grown by doubling
+    # from one step: 1, 2, 63 and 64 lanes sit at and beside doubling edges
     rng = random.Random(lanes)
     words = [rng.getrandbits(64) for _ in range(lanes)]
-    words[0] = words[-1] = MASK64  # all bits set: any shift across a lane edge shows
-    packed = sum(w << (64 * j) for j, w in enumerate(words))
-    for _ in range(3):
-        packed = _xorshift(packed)
-        words = [_scalar_step(w) for w in words]
-        assert packed == sum(w << (64 * j) for j, w in enumerate(words))
-        assert [_xorshift(w) for w in words] == [_scalar_step(w) for w in words]
+    words[0] = words[-1] = MASK64  # all bits set: every entry is in the XOR
+    table = _draw_table()
+    for word in words:
+        packed = _ahead(word, table) & ((1 << 16 * lanes) - 1)
+        states = _scalar_states(word, lanes)
+        assert packed == sum((s & 0xFFFF) << (16 * k) for k, s in enumerate(states)), word
 
 
 @pytest.mark.parametrize("n", [1, 127, 128, 199, 2**64 - 1])
