@@ -44,17 +44,18 @@ lanes are the state the next chunk starts from.
 
 Near the ceiling the stream is a coupon collector: with r primes left a
 draw emits one with probability r / 2**16, and the last few hundred
-primes take most of a 6,542-prime stream's ~614,000 draws. Once at most
-_TAIL primes are left, prime_stream screens each chunk at C speed
-first. Each unemitted u sits in one of 2,048 cells, its high byte and
-the top 3 bits of its low byte; a per-high-byte mask holds a bit for each
-of its 8 cells that still holds an unemitted u. bytes.translate maps the
-chunk's high bytes through the masks and its low bytes to their one-hot
-cell bit, and one AND of the two as ints flags every draw that may emit.
-A chunk with no flag is skipped whole, and only flagged draws are looked
-up. The stream is the one the scalar loop gives, draw for draw; the test
-suite keeps that loop as its reference, with a Miller-Rabin test to check
-the sieve against.
+primes take most of a 6,542-prime stream's ~614,000 draws. prime_stream
+runs one draw loop: it looks up every draw of a chunk until at most
+_TAIL primes are left, and from the next chunk on only the draws that
+_screen yields, found at C speed. Each unemitted u sits in one of 2,048
+cells, its high byte and the top 3 bits of its low byte; a per-high-byte
+mask holds a bit for each of its 8 cells that still holds an unemitted
+u. bytes.translate maps the chunk's high bytes through the masks and its
+low bytes to their one-hot cell bit, one AND of the two as ints flags
+every draw that may emit, and bytes.find walks the flags. A chunk with
+no flag yields nothing. The stream is the one the scalar loop gives,
+draw for draw; the test suite keeps that loop as its reference, with a
+Miller-Rabin test to check the sieve against.
 
 This generator is NOT cryptographically secure and is not meant to be; the
 contract here is cross-platform determinism, not unpredictability.
@@ -226,13 +227,18 @@ def _cell_masks(unused):
 
 
 def _screen(halfwords, masks):
-    """bytes with a 1 at each draw of the chunk whose u falls in a cell
-    that masks marks and a 0 at every other draw, or b"" when no draw
-    does; a handful of bytes operations, no Python loop."""
+    """Yield the u of each draw of the chunk that falls in a cell masks
+    marks, in draw order and with repeats kept. A handful of bytes
+    operations flag the draws, and bytes.find walks the flags: no Python
+    step for a draw that is not flagged, none at all when no draw is."""
     data = halfwords.tobytes()
     high = int.from_bytes(data[1 - _LOW_BYTE :: 2].translate(masks), "little")
     hits = high & int.from_bytes(data[_LOW_BYTE::2].translate(_CELL_BIT), "little")
-    return hits.to_bytes(len(halfwords), "little").translate(_NONZERO) if hits else b""
+    flags = hits.to_bytes(len(halfwords), "little").translate(_NONZERO)
+    k = flags.find(1)
+    while k >= 0:
+        yield halfwords[k]
+        k = flags.find(1, k + 1)
 
 
 def prime_stream(seed: int, count: int) -> list:
@@ -251,31 +257,21 @@ def prime_stream(seed: int, count: int) -> list:
         )
     state = Xorshift64Star(seed)._state
     unused = bytearray(_draw_sieve())  # 1 at each u whose prime is not yet emitted
+    masks = None  # the cell masks, once at most _TAIL primes are left
     out = []
     append = out.append
-    while len(out) < min(count, PRIME_COUNT_BELOW_LIMIT - _TAIL):
-        state, halfwords = _fill_chunk(state)
-        for u in halfwords:
-            if unused[u]:
-                unused[u] = 0
-                append(u * _MULTIPLIER_LOW16 & 0xFFFF)
-                if len(out) == count:
-                    return out
-    if len(out) < count:  # at most _TAIL primes are left: screen each chunk first
-        masks = _cell_masks(unused)
     while len(out) < count:
+        if not masks and len(out) >= PRIME_COUNT_BELOW_LIMIT - _TAIL:
+            masks = _cell_masks(unused)
         state, halfwords = _fill_chunk(state)
-        flags = _screen(halfwords, masks)
-        k = flags.find(1)
-        while k >= 0:
-            u = halfwords[k]
+        for u in _screen(halfwords, masks) if masks else halfwords:
             if unused[u]:
                 unused[u] = 0
                 append(u * _MULTIPLIER_LOW16 & 0xFFFF)
                 if len(out) == count:
                     return out
-                cell = u & 0xFFE0  # its 32 u's
-                if unused.find(1, cell, cell + 32) < 0:  # the cell's last prime is out
-                    masks[u >> 8] &= ~(1 << (u >> 5 & 7))
-            k = flags.find(1, k + 1)
+                if masks:  # clear u's cell once its last prime is out
+                    cell = u & 0xFFE0  # its 32 u's
+                    if unused.find(1, cell, cell + 32) < 0:
+                        masks[u >> 8] &= ~(1 << (u >> 5 & 7))
     return out

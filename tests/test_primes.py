@@ -253,12 +253,36 @@ SCREEN_LENGTHS = [0, 1, 100, 1024, 4096, 6000, PRIME_COUNT_BELOW_LIMIT - 1, PRIM
 @pytest.mark.parametrize("tail", [PRIME_COUNT_BELOW_LIMIT, 0])
 @pytest.mark.parametrize("seed", PREFIX_SEEDS)
 def test_prime_stream_is_the_reference_with_every_or_no_chunk_screened(seed, tail, monkeypatch):
-    """With _TAIL at 6542 every chunk is screened before its lookups, and
-    with _TAIL at 0 none is: the stream is the reference either way."""
+    """With _TAIL at 6542 every chunk is screened once before its lookups,
+    and with _TAIL at 0 none is: the stream is the reference either way.
+    At the default _TAIL a stream of 6542 - _TAIL primes screens nothing,
+    and a full stream screens only chunks after the one that emits prime
+    6542 - _TAIL, at least one of them."""
+    fills, screens = [], []  # screens: the chunks drawn when each screen began
+
+    def filled(state):
+        fills.append(state)
+        return _fill_chunk(state)
+
+    def screened(halfwords, masks):
+        screens.append(len(fills))
+        return _screen(halfwords, masks)
+
+    monkeypatch.setattr(primes, "_fill_chunk", filled)
+    monkeypatch.setattr(primes, "_screen", screened)
+    prime_stream(seed, PRIME_COUNT_BELOW_LIMIT - _TAIL)
+    head_chunks = len(fills)  # the last of them emits prime 6542 - _TAIL
+    assert screens == []
+    fills.clear()
+    prime_stream(seed, PRIME_COUNT_BELOW_LIMIT)
+    assert screens and min(screens) > head_chunks
     monkeypatch.setattr(primes, "_TAIL", tail)
     expected = _full_reference(seed)
     for n in SCREEN_LENGTHS:
+        fills.clear()
+        screens.clear()
         assert prime_stream(seed, n) == expected[:n], n
+        assert screens == (list(range(1, len(fills) + 1)) if tail else []), n
 
 
 def _cell_of(u):
@@ -268,12 +292,12 @@ def _cell_of(u):
 
 @pytest.mark.parametrize("left", [1, 2, 7, 64, 256, 2000])
 def test_screen_flags_every_draw_whose_cell_holds_an_unemitted_prime(left, monkeypatch):
-    """A brute-force check on random chunks: the screen flags draw k iff
-    some unemitted u shares its cell, so it never drops a draw that can
-    emit. The chunks repeat an unemitted u and end on one, hold draws
-    beside an unemitted u in its cell and in the next cell, and one holds
-    no draw that can emit. The same bytes laid out by a host of the other
-    byte order give the same flags."""
+    """A brute-force check on random chunks: the screen yields, in draw
+    order, the draws whose cell holds some unemitted u, so it never drops
+    a draw that can emit. The chunks repeat an unemitted u and end on one,
+    hold draws beside an unemitted u in its cell and in the next cell, and
+    one holds no draw that can emit. The same bytes laid out by a host of
+    the other byte order yield the draws at the same positions."""
     rng = random.Random(left)
     sieve = _draw_sieve()
     unused = bytearray(PRIME_LIMIT)
@@ -294,17 +318,18 @@ def test_screen_flags_every_draw_whose_cell_holds_an_unemitted_prime(left, monke
             for k in rng.sample(range(_CHUNK_DRAWS), 8):
                 draws[k] = rng.choice(unemitted) ^ rng.choice([0, 1, 31, 32])  # same or next cell
             draws[-1] = rng.choice(unemitted)
-        halfwords = array("H", draws)
-        flags = _screen(halfwords, masks)
-        expected = bytes(any(unused[v] for v in _cell_of(u)) for u in draws)
-        assert flags == (expected if any(expected) else b""), trial
-        assert all(flags[k] for k, u in enumerate(draws) if unused[u]), trial
-        screened.append((draws, flags))
+        flagged = list(_screen(array("H", draws), masks))
+        positions = [k for k, u in enumerate(draws) if any(unused[v] for v in _cell_of(u))]
+        assert flagged == [draws[k] for k in positions], trial
+        assert [u for u in flagged if unused[u]] == [u for u in draws if unused[u]], trial
+        if trial == 0:
+            assert flagged == []
+        screened.append((draws, positions))
     # a host of the other byte order keeps each halfword's two bytes swapped
     monkeypatch.setattr(primes, "_LOW_BYTE", 1 - primes._LOW_BYTE)
-    for draws, flags in screened:
+    for draws, positions in screened:
         swapped = array("H", [(u >> 8) | (u & 0xFF) << 8 for u in draws])
-        assert _screen(swapped, masks) == flags
+        assert list(_screen(swapped, masks)) == [swapped[k] for k in positions]
 
 
 def test_cell_masks_mark_exactly_the_cells_that_hold_an_unemitted_u():
@@ -395,9 +420,12 @@ def _draws_to_emit(seed, count):
 def test_prime_stream_draws_its_chunks_and_no_more(count, monkeypatch):
     """A stream whose last prime is draw d draws ceil(d / 1024) chunks,
     each from where the one before ended: draw d is chunk (d - 1) // 1024
-    at position (d - 1) % 1024."""
+    at position (d - 1) % 1024. So does a stream screened from its first
+    chunk, with _TAIL at 6542."""
     seed = 5198
     needed = -(-_draws_to_emit(seed, count) // _CHUNK_DRAWS)
+    start = Xorshift64Star(seed)._state
+    states = [start] + _scalar_states(start, _CHUNK_DRAWS * needed)
     starts = []
 
     def counted(state):
@@ -406,9 +434,11 @@ def test_prime_stream_draws_its_chunks_and_no_more(count, monkeypatch):
         return _fill_chunk(state)
 
     monkeypatch.setattr(primes, "_fill_chunk", counted)
-    assert prime_stream(seed, count) == _full_reference(seed)[:count]
-    states = [Xorshift64Star(seed)._state] + _scalar_states(starts[0], _CHUNK_DRAWS * needed)
-    assert starts == states[:: _CHUNK_DRAWS][:needed]
+    for tail in (_TAIL, PRIME_COUNT_BELOW_LIMIT):
+        monkeypatch.setattr(primes, "_TAIL", tail)
+        starts.clear()
+        assert prime_stream(seed, count) == _full_reference(seed)[:count], tail
+        assert starts == states[:: _CHUNK_DRAWS][:needed], tail
 
 
 _COLLECTOR_SEEDS = 20
