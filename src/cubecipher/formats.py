@@ -248,8 +248,9 @@ def _ciphertext_text(pad_count, vectors):
 def parse_ciphertext(text: str) -> CiphertextEnvelope:
     obj = _load_document(text, "ciphertext file", ("pad_count", "blocks"))
     pad_count = obj["pad_count"]
-    if not _is_int(pad_count) or not 0 <= pad_count <= 3:
-        raise FormatError("ciphertext file: pad_count must be an integer in [0, 3]")
+    if not _is_int(pad_count) or not 0 <= pad_count <= BLOCK_SYMBOLS - 1:
+        raise FormatError("ciphertext file: pad_count must be an integer in [0, %d]"
+                          % (BLOCK_SYMBOLS - 1))
     blocks_raw = obj["blocks"]
     if not isinstance(blocks_raw, list):
         raise FormatError("ciphertext file: blocks must be a list")

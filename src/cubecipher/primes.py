@@ -16,17 +16,18 @@ the same seed. Two pieces make that work:
   constant 0x9E3779B97F4A7C15. Test vectors live in the test suite and in
   the README appendix.
 
-* A sieve of Eratosthenes over [0, 2**16), built once at import as a
-  64 KiB lookup table.
+* A sieve of Eratosthenes over [0, 2**16), run on the first draw of a
+  prime, not at import, and kept only as the draw sieve below.
 
 prime_stream's candidates are the low 16 bits of successive outputs, and
 those depend only on the low 16 bits of the state, u = low16(state): the
 candidate is low16(u * 0xDD1D). Since 0xDD1D is odd, u -> low16(u *
-0xDD1D) is a bijection of [0, 2**16), so prime_stream keeps a per-call
-copy of the sieve permuted by it (entry u is the sieve's entry at
-low16(u * 0xDD1D)) and tests u itself: it clears each emitted prime's
-slot, and so rejects composites and repeats with one table lookup per
-draw and multiplies only the draws it emits.
+0xDD1D) is a bijection of [0, 2**16), so the draw sieve has entry u set
+iff low16(u * 0xDD1D) is prime: each prime n found by the sieve sets the
+entry at low16(n * 0xDD1D**-1). prime_stream keeps a per-call copy of it
+and tests u itself: it clears each emitted prime's slot, and so rejects
+composites and repeats with one table lookup per draw and multiplies
+only the draws it emits.
 
 The step is linear over GF(2), a 64x64 bit matrix A, so the states of a
 chunk of 1,024 draws from state s are XORs, over the set bits b of s, of
@@ -35,9 +36,9 @@ use and cached, holds entry b: low16(A**k * e_b) for k = 1..1024 in
 16-bit lanes and, above them, A**1024 * e_b (~128 KiB in all). Entry b
 starts from one step, A * e_b, and doubles ten times: lanes n + 1..2 n
 of e_b are the first n lanes of A**n * e_b, the XOR of the entries at
-its set bits. The table takes ~3 ms and the permuted sieve (512 slice
-copies) ~0.5 ms, once per process. A chunk XORs the entries at its
-start state's set bits and writes the XOR's lanes as one array of 16-bit
+its set bits. The table and the draw sieve take ~2 ms each, once per
+process that draws a prime. A chunk XORs the entries at its start
+state's set bits and writes the XOR's lanes as one array of 16-bit
 halfwords, byte-swapped once on a big-endian host: the chunk's draw k,
 counted from 0, is halfword k on every host, and the 64 bits above the
 lanes are the state the next chunk starts from.
@@ -55,7 +56,7 @@ low bytes to their one-hot cell bit, one AND of the two as ints flags
 every draw that may emit, and bytes.find walks the flags. A chunk with
 no flag yields nothing. The stream is the one the scalar loop gives,
 draw for draw; the test suite keeps that loop as its reference, with a
-Miller-Rabin test to check the sieve against.
+Miller-Rabin test to check the draw sieve against.
 
 This generator is NOT cryptographically secure and is not meant to be; the
 contract here is cross-platform determinism, not unpredictability.
@@ -96,19 +97,6 @@ _CELL_BIT = bytes(1 << (low >> 5) for low in range(256))
 _NONZERO = bytes([0]) + bytes([1]) * 255
 # a binary digit's value
 _BIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _sieve(limit):
-    """bytes of length limit whose entry n is 1 iff n is prime."""
-    table = bytearray([1]) * limit
-    table[0] = table[1] = 0
-    for p in range(2, isqrt(limit - 1) + 1):
-        if table[p]:
-            table[p * p :: p] = bytes(len(range(p * p, limit, p)))
-    return bytes(table)
-
-
-_PRIME_TABLE = _sieve(PRIME_LIMIT)
 
 
 def _xorshift(state):
@@ -180,22 +168,19 @@ def _draw_table():
 @functools.cache
 def _draw_sieve():
     """bytes of length PRIME_LIMIT whose entry u is 1 iff low16(u * 0xDD1D)
-    is prime: the sieve with entry n moved to u = low16(n * inverse),
-    inverse = 0xDD1D**-1 mod 2**16. Seen as 256 rows of 256 bytes, that
-    takes byte b of row a to byte low8(b * inverse) of row low8(a *
-    inverse + high8(b * inverse)): whole rows move to row low8(a *
-    inverse), then each column b rotates down by high8(b * inverse) into
-    column low8(b * inverse), 512 slice copies in all."""
+    is prime. A sieve of Eratosthenes over [0, PRIME_LIMIT) finds the
+    primes, then each prime n sets entry u = low16(n * inverse), inverse =
+    0xDD1D**-1 mod 2**16, the one u whose candidate is n. A concurrent
+    first use at worst builds it twice, with equal results."""
+    sieve = bytearray([1]) * PRIME_LIMIT
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(PRIME_LIMIT - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, PRIME_LIMIT, p)))
     inverse = pow(_MULTIPLIER_LOW16, -1, PRIME_LIMIT)
-    rows = bytearray(PRIME_LIMIT)
-    for a in range(256):
-        row = (a * inverse & 0xFF) << 8
-        rows[row : row + 256] = _PRIME_TABLE[a << 8 : (a + 1) << 8]
     table = bytearray(PRIME_LIMIT)
-    for b in range(256):
-        column = rows[b::256]
-        u = b * inverse & 0xFFFF
-        table[u & 0xFF :: 256] = column[-(u >> 8) :] + column[: -(u >> 8)]
+    for n in compress(range(PRIME_LIMIT), sieve):
+        table[n * inverse & 0xFFFF] = 1
     return bytes(table)
 
 

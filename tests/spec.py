@@ -47,7 +47,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for 0 <= n < 2**64: the
-    reference the sieve table behind prime_stream is checked against."""
+    reference that prime_stream's draw sieve is checked against."""
     if n >= 1 << 64:
         raise ValueError("deterministic witness set only covers n < 2**64")
     if n < 2:
@@ -99,7 +99,7 @@ def _miller_rabin_verdicts():
 
 def reference_prime_stream(seed, count):
     """The scalar rejection loop, one draw at a time, as prime_stream ran
-    before its sieve table and its draw table: Miller-Rabin's verdict on
+    before its draw sieve and its draw table: Miller-Rabin's verdict on
     every candidate, a set for repeats. It steps its own state, as
     xorshift_reference does; Xorshift64Star only checks the seed."""
     Xorshift64Star(seed)

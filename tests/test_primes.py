@@ -14,7 +14,6 @@ import pytest
 from cubecipher import CipherError, PRIME_LIMIT, Xorshift64Star, prime_stream, primes
 from cubecipher.primes import (
     _CHUNK_DRAWS,
-    _PRIME_TABLE,
     _TAIL,
     PRIME_COUNT_BELOW_LIMIT,
     _ahead,
@@ -25,7 +24,8 @@ from cubecipher.primes import (
     _screen,
     _xorshift,
 )
-from spec import MASK64, is_prime, reference_prime_stream, xorshift_reference
+from spec import (MASK64, _miller_rabin_verdicts, is_prime, reference_prime_stream,
+                  xorshift_reference)
 
 
 def trial_division_is_prime(n):
@@ -221,14 +221,6 @@ def test_prime_stream_matches_reference_loop(seed):
         assert prime_stream(seed, length) == expected[:length]
 
 
-def test_sieve_table_agrees_with_is_prime():
-    assert len(_PRIME_TABLE) == PRIME_LIMIT
-    assert [n for n in range(PRIME_LIMIT) if _PRIME_TABLE[n]] == [
-        n for n in range(PRIME_LIMIT) if is_prime(n)
-    ]
-    assert sum(_PRIME_TABLE) == PRIME_COUNT_BELOW_LIMIT
-
-
 _rng = random.Random(65536)
 PREFIX_SEEDS = [0, 1, MASK64, _rng.randrange(1 << 64)]
 # every short length, then lengths up to the ceiling, so that the streams
@@ -398,12 +390,15 @@ def test_chunk_made_for_the_other_byte_order_is_byte_swapped(state, monkeypatch)
     assert _fill_chunk(state) == (end, swapped)
 
 
-def test_draw_sieve_is_the_sieve_permuted_by_the_candidate_map():
-    """Entry u of the draw sieve is the sieve's entry at low16(u * 0xDD1D),
-    the candidate of a draw whose state ends in u."""
+def test_draw_sieve_is_miller_rabin_permuted_by_the_candidate_map():
+    """Entry u of the draw sieve is Miller-Rabin's verdict, 1 or 0, on
+    low16(u * 0xDD1D), the candidate of a draw whose state ends in u, and
+    the sieve holds one 1 for each prime below PRIME_LIMIT."""
     sieve = _draw_sieve()
+    verdicts = _miller_rabin_verdicts()
     assert len(sieve) == PRIME_LIMIT
-    assert all(sieve[u] == _PRIME_TABLE[u * 0xDD1D & 0xFFFF] for u in range(PRIME_LIMIT))
+    assert all(sieve[u] == verdicts[u * 0xDD1D & 0xFFFF] for u in range(PRIME_LIMIT))
+    assert sieve.count(1) == PRIME_COUNT_BELOW_LIMIT
 
 
 def _draws_to_emit(seed, count):

@@ -98,6 +98,24 @@ print(json.dumps([
     assert (tmp_path / "key.json").is_file()
 
 
+def test_import_and_cli_keygen_build_no_prime_sieve(tmp_path):
+    """Importing the package, and a keygen, which draws no prime, leave
+    the draw sieve and the draw table unbuilt, and the primes module holds
+    no sieve of its own."""
+    built, sieves = _child("""\
+import cubecipher
+from cubecipher import cli, primes
+
+assert cli.main(["keygen", "--seed", "7", "--out", sys.argv[1]]) == 0
+built = [primes._draw_sieve.cache_info().currsize, primes._draw_table.cache_info().currsize]
+sieves = [name for name, value in vars(primes).items()
+          if isinstance(value, (bytes, bytearray)) and len(value) == primes.PRIME_LIMIT]
+print(json.dumps([built, sieves]))
+""", tmp_path / "key.json")
+    assert built == [0, 0]
+    assert sieves == []
+
+
 def test_cli_encrypt_and_decrypt_to_stdout_never_load_tempfile():
     # -S: with no site, no .pth file can load tempfile before the steps run
     preloaded, steps = _child("""\
