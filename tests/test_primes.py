@@ -221,6 +221,20 @@ def test_prime_stream_matches_reference_loop(seed):
         assert prime_stream(seed, length) == expected[:length]
 
 
+def test_sieve_table_agrees_with_is_prime():
+    """The sieve table, the draw sieve read at the u whose candidate is n,
+    low16(n * 0xDD1D**-1), marks exactly the n below PRIME_LIMIT that
+    is_prime accepts."""
+    sieve = _draw_sieve()
+    inverse = pow(0xDD1D, -1, PRIME_LIMIT)
+    table = bytes(sieve[n * inverse & 0xFFFF] for n in range(PRIME_LIMIT))
+    assert len(table) == PRIME_LIMIT
+    assert [n for n in range(PRIME_LIMIT) if table[n]] == [
+        n for n in range(PRIME_LIMIT) if is_prime(n)
+    ]
+    assert sum(table) == PRIME_COUNT_BELOW_LIMIT
+
+
 _rng = random.Random(65536)
 PREFIX_SEEDS = [0, 1, MASK64, _rng.randrange(1 << 64)]
 # every short length, then lengths up to the ceiling, so that the streams
@@ -390,15 +404,14 @@ def test_chunk_made_for_the_other_byte_order_is_byte_swapped(state, monkeypatch)
     assert _fill_chunk(state) == (end, swapped)
 
 
-def test_draw_sieve_is_miller_rabin_permuted_by_the_candidate_map():
-    """Entry u of the draw sieve is Miller-Rabin's verdict, 1 or 0, on
-    low16(u * 0xDD1D), the candidate of a draw whose state ends in u, and
-    the sieve holds one 1 for each prime below PRIME_LIMIT."""
+def test_draw_sieve_is_the_sieve_permuted_by_the_candidate_map():
+    """Entry u of the draw sieve is the sieve's entry at low16(u * 0xDD1D),
+    the candidate of a draw whose state ends in u: Miller-Rabin's verdict,
+    1 or 0, on that candidate."""
     sieve = _draw_sieve()
     verdicts = _miller_rabin_verdicts()
     assert len(sieve) == PRIME_LIMIT
     assert all(sieve[u] == verdicts[u * 0xDD1D & 0xFFFF] for u in range(PRIME_LIMIT))
-    assert sieve.count(1) == PRIME_COUNT_BELOW_LIMIT
 
 
 def _draws_to_emit(seed, count):
