@@ -185,8 +185,9 @@ def _format_decimal(value, what, *index):
 
 
 def _parse_block_entries(value, what, *index):
-    if not isinstance(value, list) or len(value) != 4:
-        raise FormatError("%s must be a list of 4 decimal strings" % _field(what, index))
+    if not isinstance(value, list) or len(value) != BLOCK_SYMBOLS:
+        raise FormatError("%s must be a list of %d decimal strings"
+                          % (_field(what, index), BLOCK_SYMBOLS))
     return tuple(_parse_decimal(v, what, *index, i) for i, v in enumerate(value))
 
 
@@ -267,7 +268,7 @@ def _parse_blocks(blocks_raw):
     blocks are parsed entry by entry, which raises the FormatError that
     names the first bad block or entry."""
     entries = chain.from_iterable
-    if (all(type(raw) is list and len(raw) == 4 for raw in blocks_raw)
+    if (all(type(raw) is list and len(raw) == BLOCK_SYMBOLS for raw in blocks_raw)
             and all(type(e) is str for e in entries(blocks_raw))
             and all(map(_DECIMAL_RE.match, entries(blocks_raw)))):
         values = map(int, entries(blocks_raw))

@@ -38,10 +38,12 @@ starts from one step, A * e_b, and doubles ten times: lanes n + 1..2 n
 of e_b are the first n lanes of A**n * e_b, the XOR of the entries at
 its set bits. The table and the draw sieve take ~2 ms each, once per
 process that draws a prime. A chunk XORs the entries at its start
-state's set bits and writes the XOR's lanes as one array of 16-bit
-halfwords, byte-swapped once on a big-endian host: the chunk's draw k,
-counted from 0, is halfword k on every host, and the 64 bits above the
-lanes are the state the next chunk starts from.
+state's set bits and writes the XOR's lanes as little-endian bytes, the
+one byte order the rest of the module reads: the chunk's draw k,
+counted from 0, has its low byte at 2 k and its high byte at 2 k + 1 on
+every host. An array of 16-bit halfwords read from those bytes, and
+byte-swapped on a big-endian host, holds draw k as halfword k; the 64
+bits above the lanes are the state the next chunk starts from.
 
 Near the ceiling the stream is a coupon collector: with r primes left a
 draw emits one with probability r / 2**16, and the last few hundred
@@ -51,10 +53,10 @@ _TAIL primes are left, and from the next chunk on only the draws that
 _screen yields, found at C speed. Each unemitted u sits in one of 2,048
 cells, its high byte and the top 3 bits of its low byte; a per-high-byte
 mask holds a bit for each of its 8 cells that still holds an unemitted
-u. bytes.translate maps the chunk's high bytes through the masks and its
-low bytes to their one-hot cell bit, one AND of the two as ints flags
-every draw that may emit, and bytes.find walks the flags. A chunk with
-no flag yields nothing. The stream is the one the scalar loop gives,
+u. bytes.translate maps the chunk's high bytes (odd offsets) through the
+masks and its low bytes (even offsets) to their one-hot cell bit, one
+AND of the two as ints flags every draw that may emit, and bytes.find
+walks the flags. A chunk with no flag yields nothing. The stream is the one the scalar loop gives,
 draw for draw; the test suite keeps that loop as its reference, with a
 Miller-Rabin test to check the draw sieve against.
 
@@ -90,8 +92,6 @@ _LANES = (1 << 16 * _CHUNK_DRAWS) - 1  # the lanes of a draw table entry
 # prime_stream screens chunks once at most _TAIL primes are left unemitted
 _TAIL = 256
 
-# the offset of a halfword's low byte in a chunk's bytes on this host
-_LOW_BYTE = int(sys.byteorder == "big")
 # a low byte's cell bit: one of 8, by its top 3 bits
 _CELL_BIT = bytes(1 << (low >> 5) for low in range(256))
 _NONZERO = bytes([0]) + bytes([1]) * 255
@@ -124,19 +124,15 @@ class Xorshift64Star:
         return self.next_u64() % n
 
     def below_many(self, n: int, count: int) -> list:
-        """The next count values of below(n), as a list; one loop with
-        _xorshift's step inlined, the same values and the same end state."""
+        """The next count values of below(n), as a list; one loop that
+        steps through _xorshift, the same values and the same end state."""
         _require_int(n, "below's n", 1)
         _require_int(count, "below_many's count", 0)
         s = self._state
-        mask, multiplier = MAX_U64, _MULTIPLIER  # locals: read once per call
         out = []
-        append = out.append
         for _ in range(count):
-            s ^= s >> 12
-            s ^= (s << 25) & mask
-            s ^= s >> 27
-            append((s * multiplier & mask) % n)
+            s = _xorshift(s)
+            out.append((s * _MULTIPLIER & MAX_U64) % n)
         self._state = s
         return out
 
@@ -187,16 +183,18 @@ def _draw_sieve():
 def _fill_chunk(state):
     """Draw a chunk of _CHUNK_DRAWS draws after state.
 
-    Returns the state after the chunk's last draw and the chunk's u =
-    low16(state) values as one array of 16-bit halfwords, in the host's
-    byte order: the u of draw k, counted from 0, is halfword k on every
-    host.
+    Returns the state after the chunk's last draw, the chunk's u =
+    low16(state) values as little-endian bytes (draw k's low byte at 2 k,
+    its high byte at 2 k + 1), and the same values as an array of 16-bit
+    halfwords in the host's byte order: on every host the u of draw k,
+    counted from 0, is halfword k and sits at bytes 2 k and 2 k + 1.
     """
     drawn = _ahead(state, _draw_table())
-    halfwords = array("H", (drawn & _LANES).to_bytes(2 * _CHUNK_DRAWS, "little"))
+    data = (drawn & _LANES).to_bytes(2 * _CHUNK_DRAWS, "little")
+    halfwords = array("H", data)
     if sys.byteorder == "big":
         halfwords.byteswap()
-    return drawn >> (16 * _CHUNK_DRAWS), halfwords
+    return drawn >> (16 * _CHUNK_DRAWS), data, halfwords
 
 
 def _cell_masks(unused):
@@ -211,14 +209,15 @@ def _cell_masks(unused):
     return masks
 
 
-def _screen(halfwords, masks):
-    """Yield the u of each draw of the chunk that falls in a cell masks
+def _screen(data, halfwords, masks):
+    """Yield the u of each draw of a chunk, as _fill_chunk returns its
+    little-endian bytes and its halfwords, that falls in a cell masks
     marks, in draw order and with repeats kept. A handful of bytes
-    operations flag the draws, and bytes.find walks the flags: no Python
-    step for a draw that is not flagged, none at all when no draw is."""
-    data = halfwords.tobytes()
-    high = int.from_bytes(data[1 - _LOW_BYTE :: 2].translate(masks), "little")
-    hits = high & int.from_bytes(data[_LOW_BYTE::2].translate(_CELL_BIT), "little")
+    operations on data's low bytes (even offsets) and high bytes (odd
+    ones) flag the draws, and bytes.find walks the flags: no Python step
+    for a draw that is not flagged, none at all when no draw is."""
+    high = int.from_bytes(data[1::2].translate(masks), "little")
+    hits = high & int.from_bytes(data[::2].translate(_CELL_BIT), "little")
     flags = hits.to_bytes(len(halfwords), "little").translate(_NONZERO)
     k = flags.find(1)
     while k >= 0:
@@ -248,8 +247,8 @@ def prime_stream(seed: int, count: int) -> list:
     while len(out) < count:
         if not masks and len(out) >= PRIME_COUNT_BELOW_LIMIT - _TAIL:
             masks = _cell_masks(unused)
-        state, halfwords = _fill_chunk(state)
-        for u in _screen(halfwords, masks) if masks else halfwords:
+        state, data, halfwords = _fill_chunk(state)
+        for u in _screen(data, halfwords, masks) if masks else halfwords:
             if unused[u]:
                 unused[u] = 0
                 append(u * _MULTIPLIER_LOW16 & 0xFFFF)

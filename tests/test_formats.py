@@ -145,7 +145,8 @@ def test_ciphertext_parsing_rejects_bad_documents():
     for text in cases:
         with pytest.raises(FormatError):
             parse_ciphertext(text)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError,
+                       match=r"^ciphertext file: blocks\[0\] must be a list of 4 decimal strings$"):
         parse_ciphertext('{"version": 1, "pad_count": 0, "blocks": [["1", "2", "3"]]}')
     with pytest.raises(FormatError):
         parse_ciphertext('{"version": 1, "pad_count": 1, "blocks": []}')

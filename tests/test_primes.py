@@ -270,9 +270,9 @@ def test_prime_stream_is_the_reference_with_every_or_no_chunk_screened(seed, tai
         fills.append(state)
         return _fill_chunk(state)
 
-    def screened(halfwords, masks):
+    def screened(data, halfwords, masks):
         screens.append(len(fills))
-        return _screen(halfwords, masks)
+        return _screen(data, halfwords, masks)
 
     monkeypatch.setattr(primes, "_fill_chunk", filled)
     monkeypatch.setattr(primes, "_screen", screened)
@@ -297,13 +297,14 @@ def _cell_of(u):
 
 
 @pytest.mark.parametrize("left", [1, 2, 7, 64, 256, 2000])
-def test_screen_flags_every_draw_whose_cell_holds_an_unemitted_prime(left, monkeypatch):
-    """A brute-force check on random chunks: the screen yields, in draw
-    order, the draws whose cell holds some unemitted u, so it never drops
-    a draw that can emit. The chunks repeat an unemitted u and end on one,
-    hold draws beside an unemitted u in its cell and in the next cell, and
-    one holds no draw that can emit. The same bytes laid out by a host of
-    the other byte order yield the draws at the same positions."""
+def test_screen_flags_every_draw_whose_cell_holds_an_unemitted_prime(left):
+    """A brute-force check on random chunks, their bytes laid out
+    little-endian: the screen yields, in draw order, the draws whose cell
+    holds some unemitted u, so it never drops a draw that can emit. The
+    chunks repeat an unemitted u and end on one, hold draws beside an
+    unemitted u in its cell and in the next cell, and one holds no draw
+    that can emit. The flags come from the bytes alone: halfwords in the
+    other byte order are yielded at the same positions."""
     rng = random.Random(left)
     sieve = _draw_sieve()
     unused = bytearray(PRIME_LIMIT)
@@ -324,18 +325,18 @@ def test_screen_flags_every_draw_whose_cell_holds_an_unemitted_prime(left, monke
             for k in rng.sample(range(_CHUNK_DRAWS), 8):
                 draws[k] = rng.choice(unemitted) ^ rng.choice([0, 1, 31, 32])  # same or next cell
             draws[-1] = rng.choice(unemitted)
-        flagged = list(_screen(array("H", draws), masks))
+        data = b"".join(u.to_bytes(2, "little") for u in draws)
+        flagged = list(_screen(data, array("H", draws), masks))
         positions = [k for k, u in enumerate(draws) if any(unused[v] for v in _cell_of(u))]
         assert flagged == [draws[k] for k in positions], trial
         assert [u for u in flagged if unused[u]] == [u for u in draws if unused[u]], trial
         if trial == 0:
             assert flagged == []
-        screened.append((draws, positions))
-    # a host of the other byte order keeps each halfword's two bytes swapped
-    monkeypatch.setattr(primes, "_LOW_BYTE", 1 - primes._LOW_BYTE)
-    for draws, positions in screened:
+        screened.append((data, draws, positions))
+    # halfwords in the other byte order, before a big-endian host's swap
+    for data, draws, positions in screened:
         swapped = array("H", [(u >> 8) | (u & 0xFF) << 8 for u in draws])
-        assert list(_screen(swapped, masks)) == [swapped[k] for k in positions]
+        assert list(_screen(data, swapped, masks)) == [swapped[k] for k in positions]
 
 
 def test_cell_masks_mark_exactly_the_cells_that_hold_an_unemitted_u():
@@ -380,11 +381,16 @@ CHUNK_STATES = [1, 3, 16, 256, 1 << 63, MASK64] + [_rng.randrange(1, 1 << 64) fo
 @pytest.mark.parametrize("state", CHUNK_STATES)
 def test_chunk_layout_gives_draw_order_on_every_host(state):
     """Halfword k of the chunk is u = low16(state) after draw k, in draw
-    order; low16(u * 0xDD1D) is the scalar loop's candidate; and the chunk
-    ends in the state that a chunk's draws reach."""
-    end, halfwords = _fill_chunk(state)
+    order, and on every host the chunk's bytes hold u's low byte at 2 k
+    and its high byte at 2 k + 1; low16(u * 0xDD1D) is the scalar loop's
+    candidate; and the chunk ends in the state that a chunk's draws
+    reach."""
+    end, data, halfwords = _fill_chunk(state)
     states = _scalar_states(state, _CHUNK_DRAWS)
     assert halfwords == array("H", [s & 0xFFFF for s in states])
+    assert len(data) == 2 * _CHUNK_DRAWS
+    assert all(data[2 * k] == s & 0xFF and data[2 * k + 1] == s >> 8 & 0xFF
+               for k, s in enumerate(states))
     assert [u * 0xDD1D & 0xFFFF for u in halfwords] == [
         o & (PRIME_LIMIT - 1) for o in xorshift_reference(state, _CHUNK_DRAWS)
     ]
@@ -394,14 +400,15 @@ def test_chunk_layout_gives_draw_order_on_every_host(state):
 @pytest.mark.parametrize("state", [1, 3, 16, 256])
 def test_chunk_made_for_the_other_byte_order_is_byte_swapped(state, monkeypatch):
     """Faking the other byte order (big-endian on a little-endian host)
-    gives every u halfword with its two bytes swapped: the swap runs on a
-    big-endian host and only there."""
-    end, halfwords = _fill_chunk(state)
+    gives every u halfword with its two bytes swapped and leaves the
+    chunk's little-endian bytes as they were: the swap runs on a
+    big-endian host and only there, and only on the halfwords."""
+    end, data, halfwords = _fill_chunk(state)
     assert len(halfwords) == _CHUNK_DRAWS
     other = "big" if sys.byteorder == "little" else "little"
     monkeypatch.setattr(primes, "sys", types.SimpleNamespace(byteorder=other))
     swapped = array("H", [(h >> 8) | (h & 0xFF) << 8 for h in halfwords])
-    assert _fill_chunk(state) == (end, swapped)
+    assert _fill_chunk(state) == (end, data, swapped)
 
 
 def test_draw_sieve_is_the_sieve_permuted_by_the_candidate_map():
